@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from vmweval import cli
-from vmweval.errors import ContractViolation, SchemaVersionError
+from vmweval.errors import ContractViolation, SchemaVersionError, TransportError
 from vmweval.llm import MockChatBackend
 from vmweval.mt import MockMTBackend
 from vmweval.qe import MockQEBackend, Orientation
@@ -345,6 +345,101 @@ def test_classify_transport_failure_continues_batch(tmp_path):
     assert counts["transport_failures"] == 1
     assert counts["accepted"] == 4  # the other VID prompts parse "Yes"
     assert counts["undecided"] == 11  # "Yes" is not in the VPC/LVC alphabets
+
+
+def _inject_transport_failures(monkeypatch, cls, method, fails):
+    """Make cls.method raise TransportError whenever fails(*args) is true."""
+    original = getattr(cls, method)
+
+    def patched(self, *args):
+        if fails(*args):
+            raise TransportError(f"injected {method} failure")
+        return original(self, *args)
+    monkeypatch.setattr(cls, method, patched)
+
+
+def test_paraphrase_and_translate_transport_failures_stay_per_record(
+        tmp_path, monkeypatch):
+    _inject_transport_failures(
+        monkeypatch, MockChatBackend, "complete",
+        lambda request: "Sentence: He spilled the beans. || Phrase:"
+        in request.last_user_content())
+    _inject_transport_failures(
+        monkeypatch, MockMTBackend, "translate_text",
+        lambda text, lang: text == "She gave up smoking last year.")
+    cfg = patched_config(tmp_path)
+    paths, codes = _run_chain(cfg, tmp_path, through="score")
+    assert codes == [0, 0, 2, 2, 0]
+
+    paraphrases = read_jsonl_plain(paths["paraphrases"])
+    assert len(paraphrases) == 15
+    failed = [r for r in paraphrases if r.get("error")]
+    assert failed == [{"candidate_ref": "s01#VID#2.3.4", "sentence_id": "s01",
+                       "category": "VID", "original": None, "paraphrased": None,
+                       "raw_response": None, "error": "transport"}]
+    assert read_manifest(paths["paraphrases"])["counts"] == {
+        "total": 15, "paraphrased": 14, "retained_candidate": 0,
+        "undecided": 0, "transport_failures": 1}
+
+    translations = read_jsonl_plain(paths["translations"])
+    assert len(translations) == 33  # 14 ori + 14 para + 5 controls
+    failed = [r for r in translations if r.get("error")]
+    assert failed == [{"sentence_id": "s06", "candidate_ref": "s06#VPC#2.3",
+                       "category": "VPC", "kind": "ori",
+                       "source": "She gave up smoking last year.",
+                       "target_lang": "de", "system_id": "alpha",
+                       "hypothesis": None, "validity": None,
+                       "error": "transport"}]
+    assert read_manifest(paths["translations"])["counts"] == {
+        "total": 33, "transport_failures": 1, "ok": 32, "wrong_language": 0,
+        "untranslated": 0, "repetitive": 0, "empty": 0}
+
+    scored = read_jsonl_plain(paths["scored"])
+    assert [r for r in scored if r["type"] == "invalid"] == [{
+        "type": "invalid", "kind": "ori", "sentence_id": "s06",
+        "candidate_ref": "s06#VPC#2.3", "category": "VPC",
+        "system_id": "alpha", "target_lang": "de", "validity": "transport"}]
+    deltas = {r["candidate_ref"] for r in scored if r["type"] == "delta"}
+    assert len(deltas) == 13
+    assert not deltas & {"s01#VID#2.3.4", "s06#VPC#2.3"}
+    assert read_manifest(paths["scored"])["counts"] == {
+        "qe_scores": 32, "deltas": 13, "invalid": 1, "delta_pairs_skipped": 1,
+        "transport_failures": 0}
+
+
+def test_score_transport_failures_skip_their_delta_pairs(tmp_path, monkeypatch):
+    cfg = patched_config(tmp_path)
+    paths, codes = _run_chain(cfg, tmp_path, through="translate")
+    assert codes == [0, 0, 0, 0]
+    side = {(r["candidate_ref"], r["kind"]): r
+            for r in read_jsonl_plain(paths["translations"])
+            if r["candidate_ref"]}
+    ori, para = side[("s01#VID#2.3.4", "ori")], side[("s05#VID#4.5.6", "para")]
+    mix_ori, mix_para = side[("s07#VPC#2.3", "ori")], side[("s07#VPC#2.3", "para")]
+    failing = {(ori["source"], ori["hypothesis"]),
+               (para["source"], para["hypothesis"]),
+               (mix_ori["source"], mix_para["hypothesis"])}
+    _inject_transport_failures(
+        monkeypatch, MockQEBackend, "assess",
+        lambda source, hypothesis: (source, hypothesis) in failing)
+
+    assert cli.main(["score", "--config", str(cfg),
+                     "--stage-in", str(paths["translations"]),
+                     "--stage-out", str(paths["scored"])]) == 2
+    scored = read_jsonl_plain(paths["scored"])
+    qe_sides = {(r["candidate_ref"], r["kind"])
+                for r in scored if r["type"] == "qe" and r["candidate_ref"]}
+    assert len(qe_sides) == 28  # 15 ori + 15 para, minus 2 failed calls
+    assert ("s01#VID#2.3.4", "ori") not in qe_sides
+    assert ("s05#VID#4.5.6", "para") not in qe_sides
+    assert {("s07#VPC#2.3", "ori"), ("s07#VPC#2.3", "para")} <= qe_sides
+    all_refs = sorted({ref for ref, _ in side})
+    assert [r["candidate_ref"] for r in scored if r["type"] == "delta"] == [
+        ref for ref in all_refs
+        if ref not in ("s01#VID#2.3.4", "s05#VID#4.5.6", "s07#VPC#2.3")]
+    assert read_manifest(paths["scored"])["counts"] == {
+        "qe_scores": 33, "deltas": 12, "invalid": 0, "delta_pairs_skipped": 3,
+        "transport_failures": 3}
 
 
 def test_main_error_paths(tmp_path, capsys):
