@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -198,6 +198,23 @@ def _map_ordered(fn, items, max_workers: int):
     return results
 
 
+# A failed backend call a stage keeps as a record: (error, record tag, count).
+_KEPT_FAILURES = ((UnparseableResponse, "unparseable", "undecided"),
+                  (TransportError, "transport", "transport_failures"))
+
+
+def _kept_failure(exc: Exception, counts: dict) -> str:
+    """Count a failed backend call in `counts` and return its record tag.
+
+    Any other error, or one the stage has no count for, is re-raised.
+    """
+    for kind, tag, counter in _KEPT_FAILURES:
+        if isinstance(exc, kind) and counter in counts:
+            counts[counter] += 1
+            return tag
+    raise exc
+
+
 def _load_corpus(config: Config) -> corpus_mod.Corpus:
     path = config.path(config.require("corpus", "path"))
     fmt = config.get("corpus", "format", default="conllu")
@@ -306,16 +323,10 @@ def stage_classify(config: Config, args) -> int:
             record.update(verdict=result.verdict, raw_choice=result.raw_choice,
                           raw_response=result.raw_response)
             counts["accepted" if result.verdict else "rejected"] += 1
-        elif isinstance(exc, UnparseableResponse):
-            record.update(verdict=None, raw_choice=None,
-                          raw_response=exc.raw_response, error="unparseable")
-            counts["undecided"] += 1
-        elif isinstance(exc, TransportError):
-            record.update(verdict=None, raw_choice=None, raw_response=None,
-                          error="transport")
-            counts["transport_failures"] += 1
         else:
-            raise exc
+            record.update(verdict=None, raw_choice=None,
+                          raw_response=getattr(exc, "raw_response", None),
+                          error=_kept_failure(exc, counts))
         records.append(record)
     out = Path(args.stage_out)
     write_jsonl(out, records)
@@ -355,16 +366,10 @@ def stage_paraphrase(config: Config, args) -> int:
                           raw_response=result.raw_response)
             counts["paraphrased"] += 1
             counts["retained_candidate"] += result.retains_candidate
-        elif isinstance(exc, UnparseableResponse):
-            record.update(original=None, paraphrased=None,
-                          raw_response=exc.raw_response, error="unparseable")
-            counts["undecided"] += 1
-        elif isinstance(exc, TransportError):
-            record.update(original=None, paraphrased=None, raw_response=None,
-                          error="transport")
-            counts["transport_failures"] += 1
         else:
-            raise exc
+            record.update(original=None, paraphrased=None,
+                          raw_response=getattr(exc, "raw_response", None),
+                          error=_kept_failure(exc, counts))
         records.append(record)
     out = Path(args.stage_out)
     write_jsonl(out, records)
@@ -438,26 +443,19 @@ def stage_translate(config: Config, args) -> int:
     counts = {"total": len(jobs), "transport_failures": 0,
               **{v.value: 0 for v in mt_mod.ValidityStatus}}
     for (backend, lang, kind, text, rec), (result, exc) in zip(jobs, outcomes):
-        if exc is not None:
-            if isinstance(exc, TransportError):
-                counts["transport_failures"] += 1
-                records.append({
-                    "sentence_id": rec["sentence_id"],
-                    "candidate_ref": rec.get("candidate_ref"),
-                    "category": rec.get("category"), "kind": kind,
-                    "source": text, "target_lang": lang,
-                    "system_id": backend.system_id, "hypothesis": None,
-                    "validity": None, "error": "transport"})
-                continue
-            raise exc
-        counts[result.validity.value] += 1
-        records.append({
-            "sentence_id": result.sentence_id,
-            "candidate_ref": rec.get("candidate_ref"),
-            "category": rec.get("category"), "kind": kind,
-            "source": result.source, "target_lang": result.target_lang,
-            "system_id": result.system_id, "hypothesis": result.hypothesis,
-            "validity": result.validity.value})
+        record = {"sentence_id": rec["sentence_id"],
+                  "candidate_ref": rec.get("candidate_ref"),
+                  "category": rec.get("category"), "kind": kind,
+                  "source": text, "target_lang": lang,
+                  "system_id": backend.system_id}
+        if exc is None:
+            record.update(hypothesis=result.hypothesis,
+                          validity=result.validity.value)
+            counts[result.validity.value] += 1
+        else:
+            record.update(hypothesis=None, validity=None,
+                          error=_kept_failure(exc, counts))
+        records.append(record)
     out = Path(args.stage_out)
     write_jsonl(out, records)
     inputs = {"paraphrases": Path(args.stage_in)}
@@ -465,6 +463,22 @@ def stage_translate(config: Config, args) -> int:
         inputs["controls"] = controls_path
     write_manifest(out, "translate", config, inputs, counts, _seed(config, args))
     return 2 if counts["transport_failures"] else 0
+
+
+def _scored_record(record_type: str, rec: dict, **fields) -> dict:
+    return {"type": record_type, "kind": rec["kind"],
+            "sentence_id": rec["sentence_id"],
+            "candidate_ref": rec.get("candidate_ref"),
+            "category": rec.get("category"), "system_id": rec["system_id"],
+            "target_lang": rec["target_lang"], **fields}
+
+
+def _translation(rec: dict) -> mt_mod.TranslationRecord:
+    return mt_mod.TranslationRecord(
+        sentence_id=rec["sentence_id"], source=rec["source"],
+        target_lang=rec["target_lang"], system_id=rec["system_id"],
+        hypothesis=rec["hypothesis"],
+        validity=mt_mod.ValidityStatus(rec["validity"]))
 
 
 def stage_score(config: Config, args) -> int:
@@ -477,88 +491,54 @@ def stage_score(config: Config, args) -> int:
     counts = {"qe_scores": 0, "deltas": 0, "invalid": 0, "delta_pairs_skipped": 0,
               "transport_failures": 0}
     for rec in translations:
-        if rec.get("error") == "transport" or rec.get("validity") is None:
-            counts["invalid"] += 1
-            records.append({"type": "invalid", "kind": rec["kind"],
-                            "sentence_id": rec["sentence_id"],
-                            "candidate_ref": rec.get("candidate_ref"),
-                            "category": rec.get("category"),
-                            "system_id": rec["system_id"],
-                            "target_lang": rec["target_lang"],
-                            "validity": rec.get("validity") or "transport"})
+        if (rec.get("validity") == mt_mod.ValidityStatus.OK.value
+                and rec.get("error") != "transport"):
+            valid.append(rec)
             continue
-        if rec["validity"] != mt_mod.ValidityStatus.OK.value:
-            counts["invalid"] += 1
-            records.append({"type": "invalid", "kind": rec["kind"],
-                            "sentence_id": rec["sentence_id"],
-                            "candidate_ref": rec.get("candidate_ref"),
-                            "category": rec.get("category"),
-                            "system_id": rec["system_id"],
-                            "target_lang": rec["target_lang"],
-                            "validity": rec["validity"]})
-            continue
-        valid.append(rec)
+        counts["invalid"] += 1
+        records.append(_scored_record(
+            "invalid", rec, validity=rec.get("validity") or "transport"))
 
     def assess(rec):
         return qe_mod.score(backend, rec["source"], rec["hypothesis"])
 
     outcomes = _map_ordered(assess, valid, _concurrency(config))
-    scored: dict[tuple, tuple[dict, qe_mod.QEScore]] = {}
+    sides: dict[tuple, tuple] = {}  # (ref, system, lang, kind) -> scored side
     for rec, (result, exc) in zip(valid, outcomes):
         if exc is not None:
-            if isinstance(exc, TransportError):
-                counts["transport_failures"] += 1
-                continue
-            raise exc
-        key = (rec["candidate_ref"], rec["system_id"], rec["target_lang"],
-               rec["kind"], rec["sentence_id"])
-        scored[key] = (rec, result)
+            _kept_failure(exc, counts)
+            continue
         counts["qe_scores"] += 1
-        records.append({"type": "qe", "kind": rec["kind"],
-                        "sentence_id": rec["sentence_id"],
-                        "candidate_ref": rec.get("candidate_ref"),
-                        "category": rec.get("category"),
-                        "system_id": rec["system_id"],
-                        "target_lang": rec["target_lang"],
-                        "metric_id": result.metric_id,
-                        "orientation": result.orientation.value,
-                        "value": result.value})
+        records.append(_scored_record(
+            "qe", rec, metric_id=result.metric_id,
+            orientation=result.orientation.value, value=result.value))
+        if rec["kind"] in ("ori", "para"):
+            sides[(rec["candidate_ref"], rec["system_id"], rec["target_lang"],
+                   rec["kind"])] = (rec, _translation(rec), result)
 
-    # pair ori/para per candidate for the delta experiment
-    by_pair: dict[tuple, dict[str, tuple[dict, qe_mod.QEScore]]] = {}
-    for (cand_ref, system_id, lang, kind, sentence_id), pair in scored.items():
-        if cand_ref is None or kind not in ("ori", "para"):
-            continue
-        by_pair.setdefault((cand_ref, system_id, lang), {})[kind] = pair
-    expected_pairs = {(r["candidate_ref"], r["system_id"], r["target_lang"])
-                      for r in translations
-                      if r.get("candidate_ref") and r.get("kind") in ("ori", "para")}
-    for key in sorted(expected_pairs, key=lambda k: (k[0], k[1], k[2])):
-        sides = by_pair.get(key, {})
-        if "ori" not in sides or "para" not in sides:
+    # the delta experiment: ori and para are scored above, mix here
+    expected = sorted({(r["candidate_ref"], r["system_id"], r["target_lang"])
+                       for r in translations
+                       if r.get("candidate_ref") and r.get("kind") in ("ori", "para")})
+    pairs = [(sides[key + ("ori",)], sides[key + ("para",)]) for key in expected
+             if key + ("ori",) in sides and key + ("para",) in sides]
+    counts["delta_pairs_skipped"] += len(expected) - len(pairs)
+
+    def mix(pair):
+        (_, ori, _), (_, para, _) = pair
+        return qe_mod.mix_score(backend, ori, para)
+
+    mixes = _map_ordered(mix, pairs, _concurrency(config))
+    for ((rec, ori, qe_ori), (_, para, qe_para)), (qe_mix, exc) in zip(pairs, mixes):
+        if exc is not None:
+            _kept_failure(exc, counts)
             counts["delta_pairs_skipped"] += 1
             continue
-        ori_rec, ori_score = sides["ori"]
-        para_rec, para_score = sides["para"]
-        try:
-            mix_score = qe_mod.score(backend, ori_rec["source"],
-                                     para_rec["hypothesis"])
-        except TransportError:
-            counts["transport_failures"] += 1
-            counts["delta_pairs_skipped"] += 1
-            continue
-        delta_mix = stats_mod.delta_improvement(ori_score, mix_score)
-        delta_para = stats_mod.delta_improvement(ori_score, para_score)
+        report = replace(qe_mod.delta_report(ori, para, qe_ori, qe_mix, qe_para),
+                         candidate_ref=rec["candidate_ref"],
+                         category=rec["category"])
         counts["deltas"] += 1
-        records.append({"type": "delta",
-                        "sentence_id": ori_rec["sentence_id"],
-                        "candidate_ref": key[0], "category": ori_rec["category"],
-                        "system_id": key[1], "target_lang": key[2],
-                        "metric_id": ori_score.metric_id,
-                        "orientation": ori_score.orientation.value,
-                        "qe_ori": ori_score.value, "qe_mix": mix_score.value,
-                        "qe_para": para_score.value,
-                        "delta_mix": delta_mix, "delta_para": delta_para})
+        records.append({"type": "delta", **qe_mod.delta_to_dict(report)})
     out = Path(args.stage_out)
     write_jsonl(out, records)
     write_manifest(out, "score", config, {"translations": Path(args.stage_in)},
@@ -566,81 +546,17 @@ def stage_score(config: Config, args) -> int:
     return 2 if counts["transport_failures"] else 0
 
 
-def _rebuild_delta(rec: dict) -> qe_mod.DeltaReport:
-    orientation = stats_mod.Orientation(rec["orientation"])
-    mk = lambda v: qe_mod.QEScore(metric_id=rec["metric_id"],
-                                  orientation=orientation, value=v)
-    return qe_mod.DeltaReport(
-        sentence_id=rec["sentence_id"], system_id=rec["system_id"],
-        target_lang=rec["target_lang"], qe_ori=mk(rec["qe_ori"]),
-        qe_mix=mk(rec["qe_mix"]), qe_para=mk(rec["qe_para"]),
-        delta_mix=rec["delta_mix"], delta_para=rec["delta_para"],
-        candidate_ref=rec.get("candidate_ref") or "",
-        category=rec.get("category") or "")
-
-
 def stage_report(config: Config, args) -> int:
     scored = read_jsonl(Path(args.stage_in))
     out_dir = Path(args.stage_out)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {"scored": Path(args.stage_in)}
-
-    qe_records = [r for r in scored if r["type"] == "qe"]
-    invalid_records = [r for r in scored if r["type"] == "invalid"]
-    delta_records = [r for r in scored if r["type"] == "delta"]
-
-    # error rates and ranking exclusions
-    tallies: dict[tuple[str, str], list[int]] = {}
-    for rec in qe_records + invalid_records:
-        pair = (rec["system_id"], rec["target_lang"])
-        tallies.setdefault(pair, [0, 0])[1] += 1
-    for rec in invalid_records:
-        tallies[(rec["system_id"], rec["target_lang"])][0] += 1
-    flag_pct = float(config.get("exclusion", "flag_pct",
-                                default=report_mod.DEFAULT_FLAG_PCT))
-    exclude_pct = float(config.get("exclusion", "rank_exclude_pct",
-                                   default=report_mod.DEFAULT_EXCLUDE_PCT))
-    error_rows = report_mod.error_rate_rows(
-        {pair: tuple(v) for pair, v in tallies.items()}, flag_pct, exclude_pct)
-    exclusions = [(r.system_id, r.target_lang) for r in error_rows if r.excluded]
-
-    tables: dict[str, object] = {"error_rates": error_rows}
-
-    ori_records = [r for r in qe_records if r["kind"] == "ori"]
-    control_records = [r for r in qe_records if r["kind"] == "control"]
-    if ori_records:
-        orientation = stats_mod.Orientation(ori_records[0]["orientation"])
-        metric_id = ori_records[0]["metric_id"]
-        vmwe_scores: dict[tuple, list[float]] = {}
-        for rec in ori_records:
-            key = (rec["category"], rec["system_id"], rec["target_lang"])
-            vmwe_scores.setdefault(key, []).append(rec["value"])
-        control_pool: dict[tuple, list[float]] = {}
-        for rec in control_records:
-            pair = (rec["system_id"], rec["target_lang"])
-            control_pool.setdefault(pair, []).append(rec["value"])
-        control_scores = {
-            (category, system_id, lang): control_pool[(system_id, lang)]
-            for (category, system_id, lang) in vmwe_scores
-            if (system_id, lang) in control_pool}
-        tables["gap_table"] = report_mod.gap_table(
-            vmwe_scores, control_scores, orientation, metric_id)
-
-        rankings = []
-        for category in sorted({k[0] for k in vmwe_scores},
-                               key=report_mod._category_key):
-            cell_means = {}
-            for (cat, system_id, lang), values in vmwe_scores.items():
-                if cat == category:
-                    cell_means[(system_id, lang)] = stats_mod.fmean(values)
-            rankings.append(report_mod.rank_systems(
-                cell_means, orientation, metric_id, category=category,
-                exclusions=exclusions))
-        tables["ranking"] = rankings
-
-    if delta_records:
-        tables["delta_table"] = report_mod.delta_table(
-            [_rebuild_delta(r) for r in delta_records])
+    tables = report_mod.build_tables(
+        scored,
+        float(config.get("exclusion", "flag_pct",
+                         default=report_mod.DEFAULT_FLAG_PCT)),
+        float(config.get("exclusion", "rank_exclude_pct",
+                         default=report_mod.DEFAULT_EXCLUDE_PCT)))
 
     da_path = config.get("da", "annotations")
     if da_path:
@@ -786,9 +702,6 @@ def main(argv=None) -> int:
             raise ContractViolation(f"{args.command} requires --stage-in")
         config = load_config(args.config)
         return _STAGE_FN[args.command](config, args)
-    except SchemaVersionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ContractViolation
@@ -293,12 +293,6 @@ def sentence_from_dict(obj: dict) -> Sentence:
         )
         for t in obj["tokens"])
     return Sentence(id=str(obj["id"]), tokens=tokens, text=obj.get("text", ""))
-
-
-def corpus_to_jsonl(corpus: Corpus) -> str:
-    """One sentence object per line."""
-    return "".join(
-        json.dumps(sentence_to_dict(s), ensure_ascii=False) + "\n" for s in corpus)
 
 
 def corpus_from_jsonl(lines: Iterable[str], source_label: str = "") -> Corpus:

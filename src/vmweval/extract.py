@@ -7,7 +7,6 @@ genuine, so borderline hits are kept.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -293,11 +292,3 @@ def candidate_from_dict(obj: dict) -> VMWECandidate:
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad candidate record: {exc}") from exc
 
-
-def read_candidates(lines: Iterable[str]) -> list[VMWECandidate]:
-    out = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            out.append(candidate_from_dict(json.loads(line)))
-    return out

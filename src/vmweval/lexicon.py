@@ -7,7 +7,6 @@ would only produce noise.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -124,22 +123,3 @@ def default_verb_lemmas() -> frozenset[str]:
         line.strip() for line in text.splitlines()
         if line.strip() and not line.startswith("#"))
 
-
-def lexicon_to_json(lex: IdiomLexicon) -> str:
-    return json.dumps({
-        "source_label": lex.source_label,
-        "entries": [
-            {"canonical": list(e.canonical), "surface_form": e.surface_form}
-            for e in lex.ordered()
-        ],
-    }, ensure_ascii=False, indent=2)
-
-
-def lexicon_from_json(text: str) -> IdiomLexicon:
-    obj = json.loads(text)
-    entries = frozenset(
-        IdiomEntry(canonical=tuple(e["canonical"]),
-                   surface_form=e["surface_form"],
-                   contains_verb=True)
-        for e in obj["entries"])
-    return IdiomLexicon(entries=entries, source_label=obj.get("source_label", ""))

@@ -19,6 +19,7 @@ from .errors import (BackendContractError, ContractViolation, TransportError,
                      UnparseableResponse)
 from .extract import (Category, LvcEvidence, VMWECandidate, VidEvidence,
                       VpcEvidence)
+from .transport import post_json
 
 CLASSIFY_TEMPERATURE = 0.0
 CLASSIFY_TOP_P = 1.0
@@ -245,30 +246,13 @@ class HttpChatBackend:
         self.timeout = timeout
 
     def complete(self, request: ChatRequest) -> str:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error = None
-        for _ in range(2):
-            try:
-                resp = requests.post(self.base_url, json=request.payload(),
-                                     headers=headers, timeout=self.timeout)
-                if resp.status_code != 200:
-                    last_error = TransportError(
-                        f"chat backend returned HTTP {resp.status_code}")
-                    continue
-                body = resp.json()
-            except (requests.RequestException, ValueError) as exc:
-                last_error = TransportError(f"chat backend unreachable: {exc}")
-                continue
-            try:
-                return body["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as exc:
-                raise BackendContractError(
-                    f"chat response missing choices[0].message.content: {exc}")
-        raise last_error
+        body = post_json(self.base_url, request.payload(), self.api_key,
+                         self.timeout, "chat")
+        try:
+            return body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise BackendContractError(
+                f"chat response missing choices[0].message.content: {exc}")
 
 
 class MockChatBackend:

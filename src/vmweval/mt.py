@@ -17,7 +17,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Protocol, Sequence
 
-from .errors import BackendContractError, ContractViolation, TransportError
+from .errors import BackendContractError, ContractViolation
+from .transport import post_json
 
 TARGET_LANGS = ("cs", "de", "zh", "ru", "ja", "es", "tr")
 
@@ -188,15 +189,19 @@ def validate_translation(record: TranslationRecord,
     return replace(record, validity=status)
 
 
+def error_pct(invalid: int, total: int) -> float:
+    """`invalid` out of `total` outputs, as a percentage."""
+    if total < 1 or not 0 <= invalid <= total:
+        raise ContractViolation(f"bad error counts: {invalid} invalid of {total}")
+    return 100.0 * invalid / total
+
+
 def error_rate(records: Sequence[TranslationRecord]) -> float:
     """Percentage of records whose validity is not ok."""
-    if not records:
-        raise ContractViolation("error_rate needs at least one record")
-    unset = [r for r in records if r.validity is None]
-    if unset:
+    if any(r.validity is None for r in records):
         raise ContractViolation("error_rate saw unvalidated records")
-    invalid = sum(1 for r in records if r.validity is not ValidityStatus.OK)
-    return 100.0 * invalid / len(records)
+    return error_pct(sum(1 for r in records if r.validity is not ValidityStatus.OK),
+                     len(records))
 
 
 # --- backends ---------------------------------------------------------------
@@ -212,29 +217,12 @@ class HttpMTBackend:
         self.timeout = timeout
 
     def translate_text(self, text: str, target_lang: str) -> str:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = {"text": text, "source_lang": "en", "target_lang": target_lang}
-        last_error = None
-        for _ in range(2):
-            try:
-                resp = requests.post(self.base_url, json=payload, headers=headers,
-                                     timeout=self.timeout)
-                if resp.status_code != 200:
-                    last_error = TransportError(
-                        f"mt backend returned HTTP {resp.status_code}")
-                    continue
-                body = resp.json()
-            except (requests.RequestException, ValueError) as exc:
-                last_error = TransportError(f"mt backend unreachable: {exc}")
-                continue
-            if not isinstance(body, dict) or "translation" not in body:
-                raise BackendContractError("mt response missing 'translation'")
-            return body["translation"]
-        raise last_error
+        body = post_json(self.base_url, {"text": text, "source_lang": "en",
+                                         "target_lang": target_lang},
+                         self.api_key, self.timeout, "mt")
+        if not isinstance(body, dict) or "translation" not in body:
+            raise BackendContractError("mt response missing 'translation'")
+        return body["translation"]
 
 
 def _stable_index(text: str, modulus: int) -> int:

@@ -10,12 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-from .errors import BackendContractError, ContractViolation, TransportError
+from .errors import BackendContractError, ContractViolation
 from .mt import TranslationRecord, ValidityStatus
 from .stats import Orientation, delta_improvement
+from .transport import post_json
 
 __all__ = [
-    "Orientation", "QEScore", "DeltaReport", "score", "paraphrase_experiment",
+    "Orientation", "QEScore", "DeltaReport", "score", "mix_score",
+    "delta_report", "paraphrase_experiment", "delta_to_dict", "delta_from_dict",
     "HttpQEBackend", "MockQEBackend",
 ]
 
@@ -73,23 +75,26 @@ def score(backend: QEBackend, source: str, hypothesis: str) -> QEScore:
                    value=float(value))
 
 
-def paraphrase_experiment(backend: QEBackend, ori: TranslationRecord,
-                          para: TranslationRecord) -> DeltaReport:
-    """Score the ori/mix/para triple for one candidate sentence.
+def mix_score(backend: QEBackend, ori: TranslationRecord,
+              para: TranslationRecord) -> QEScore:
+    """Judge the paraphrase's translation against the original source."""
+    return score(backend, ori.source, para.hypothesis)
 
-    `ori` translates the original sentence, `para` the paraphrase.  The
-    mix score judges the paraphrase's translation against the original
-    source, so all three deltas stay anchored to the same meaning.
-    """
+
+def _check_pair(ori: TranslationRecord, para: TranslationRecord):
     for rec, name in ((ori, "original"), (para, "paraphrase")):
         if rec.validity is not ValidityStatus.OK:
             raise ContractViolation(
                 f"{name} record is {rec.validity and rec.validity.value}, not ok")
     if ori.system_id != para.system_id or ori.target_lang != para.target_lang:
         raise ContractViolation("records come from different systems or languages")
-    qe_ori = score(backend, ori.source, ori.hypothesis)
-    qe_mix = score(backend, ori.source, para.hypothesis)
-    qe_para = score(backend, para.source, para.hypothesis)
+
+
+def delta_report(ori: TranslationRecord, para: TranslationRecord,
+                 qe_ori: QEScore, qe_mix: QEScore,
+                 qe_para: QEScore) -> DeltaReport:
+    """The ori/mix/para deltas of one candidate sentence from its scores."""
+    _check_pair(ori, para)
     return DeltaReport(
         sentence_id=ori.sentence_id,
         system_id=ori.system_id,
@@ -100,6 +105,48 @@ def paraphrase_experiment(backend: QEBackend, ori: TranslationRecord,
         delta_mix=delta_improvement(qe_ori, qe_mix),
         delta_para=delta_improvement(qe_ori, qe_para),
     )
+
+
+def paraphrase_experiment(backend: QEBackend, ori: TranslationRecord,
+                          para: TranslationRecord) -> DeltaReport:
+    """Score the ori/mix/para triple for one candidate sentence.
+
+    `ori` translates the original sentence, `para` the paraphrase.  The
+    mix score judges the paraphrase's translation against the original
+    source, so all three deltas stay anchored to the same meaning.
+    """
+    _check_pair(ori, para)  # before any backend call
+    return delta_report(ori, para, score(backend, ori.source, ori.hypothesis),
+                        mix_score(backend, ori, para),
+                        score(backend, para.source, para.hypothesis))
+
+
+def delta_to_dict(report: DeltaReport) -> dict:
+    """The score stage's delta record, less its "type" tag."""
+    return {"sentence_id": report.sentence_id,
+            "candidate_ref": report.candidate_ref, "category": report.category,
+            "system_id": report.system_id, "target_lang": report.target_lang,
+            "metric_id": report.qe_ori.metric_id,
+            "orientation": report.qe_ori.orientation.value,
+            "qe_ori": report.qe_ori.value, "qe_mix": report.qe_mix.value,
+            "qe_para": report.qe_para.value,
+            "delta_mix": report.delta_mix, "delta_para": report.delta_para}
+
+
+def delta_from_dict(rec: dict) -> DeltaReport:
+    """Inverse of delta_to_dict; a "type" tag in `rec` is ignored."""
+    orientation = Orientation(rec["orientation"])
+
+    def qe(value):
+        return QEScore(metric_id=rec["metric_id"], orientation=orientation,
+                       value=value)
+    return DeltaReport(
+        sentence_id=rec["sentence_id"], system_id=rec["system_id"],
+        target_lang=rec["target_lang"], qe_ori=qe(rec["qe_ori"]),
+        qe_mix=qe(rec["qe_mix"]), qe_para=qe(rec["qe_para"]),
+        delta_mix=rec["delta_mix"], delta_para=rec["delta_para"],
+        candidate_ref=rec.get("candidate_ref") or "",
+        category=rec.get("category") or "")
 
 
 class HttpQEBackend:
@@ -114,30 +161,13 @@ class HttpQEBackend:
         self.timeout = timeout
 
     def assess(self, source: str, hypothesis: str) -> float:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = {"source": source, "hypothesis": hypothesis}
-        last_error = None
-        for _ in range(2):
-            try:
-                resp = requests.post(self.base_url, json=payload, headers=headers,
-                                     timeout=self.timeout)
-                if resp.status_code != 200:
-                    last_error = TransportError(
-                        f"qe backend returned HTTP {resp.status_code}")
-                    continue
-                body = resp.json()
-            except (requests.RequestException, ValueError) as exc:
-                last_error = TransportError(f"qe backend unreachable: {exc}")
-                continue
-            if not isinstance(body, dict) or not isinstance(body.get("score"),
-                                                            (int, float)):
-                raise BackendContractError("qe response missing numeric 'score'")
-            return float(body["score"])
-        raise last_error
+        body = post_json(self.base_url,
+                         {"source": source, "hypothesis": hypothesis},
+                         self.api_key, self.timeout, "qe")
+        if not isinstance(body, dict) or not isinstance(body.get("score"),
+                                                        (int, float)):
+            raise BackendContractError("qe response missing numeric 'score'")
+        return float(body["score"])
 
 
 def _char_ngrams(text: str, n: int = 4) -> set[str]:

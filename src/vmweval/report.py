@@ -17,7 +17,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ContractViolation
 from .extract import Category
 from .llm import ClassificationResult
-from .qe import DeltaReport
+from .mt import error_pct
+from .qe import DeltaReport, delta_from_dict
 from .stats import (ConfusionMatrix, ConfusionReport, Orientation, ZScore,
                     confusion_metrics, round_half_up)
 
@@ -251,15 +252,65 @@ def error_rate_rows(counts: Mapping[tuple[str, str], tuple[int, int]],
     rows = []
     for (system_id, lang) in sorted(counts):
         invalid, total = counts[(system_id, lang)]
-        if total < 1 or invalid > total:
-            raise ContractViolation(
-                f"bad counts for ({system_id}, {lang}): {invalid}/{total}")
-        rate = 100.0 * invalid / total
+        rate = error_pct(invalid, total)
         rows.append(ErrorRateRow(system_id=system_id, target_lang=lang,
                                  n_total=total, n_invalid=invalid, rate=rate,
                                  flagged=rate > flag_pct,
                                  excluded=rate > exclude_pct))
     return rows
+
+
+def build_tables(scored: Sequence[dict], flag_pct: float,
+                 exclude_pct: float) -> dict[str, object]:
+    """Aggregate the score stage's records into report tables.
+
+    Returns "error_rates" always; "gap_table" and "ranking" when there are
+    "ori" scores; "delta_table" when there are delta records.  Cells whose
+    error rate exceeds `exclude_pct` are left out of the rankings.
+    """
+    tallies: dict[tuple[str, str], list[int]] = {}
+    for rec in scored:
+        if rec["type"] in ("qe", "invalid"):
+            tally = tallies.setdefault((rec["system_id"], rec["target_lang"]),
+                                       [0, 0])
+            tally[0] += int(rec["type"] == "invalid")
+            tally[1] += 1
+    error_rows = error_rate_rows({pair: tuple(t) for pair, t in tallies.items()},
+                                 flag_pct, exclude_pct)
+    exclusions = [(r.system_id, r.target_lang) for r in error_rows if r.excluded]
+    tables: dict[str, object] = {"error_rates": error_rows}
+
+    ori_records = [r for r in scored if r["type"] == "qe" and r["kind"] == "ori"]
+    if ori_records:
+        orientation = Orientation(ori_records[0]["orientation"])
+        metric_id = ori_records[0]["metric_id"]
+        vmwe_scores: dict[CellKey, list[float]] = {}
+        for rec in ori_records:
+            key = (rec["category"], rec["system_id"], rec["target_lang"])
+            vmwe_scores.setdefault(key, []).append(rec["value"])
+        control_pool: dict[tuple[str, str], list[float]] = {}
+        for rec in scored:
+            if rec["type"] == "qe" and rec["kind"] == "control":
+                pair = (rec["system_id"], rec["target_lang"])
+                control_pool.setdefault(pair, []).append(rec["value"])
+        control_scores = {key: control_pool[key[1:]] for key in vmwe_scores
+                          if key[1:] in control_pool}
+        tables["gap_table"] = gap_table(vmwe_scores, control_scores,
+                                        orientation, metric_id)
+        rankings = []
+        for category in sorted({k[0] for k in vmwe_scores}, key=_category_key):
+            cell_means = {(system_id, lang): fmean(values)
+                          for (cat, system_id, lang), values in vmwe_scores.items()
+                          if cat == category}
+            rankings.append(rank_systems(cell_means, orientation, metric_id,
+                                         category=category,
+                                         exclusions=exclusions))
+        tables["ranking"] = rankings
+
+    deltas = [delta_from_dict(r) for r in scored if r["type"] == "delta"]
+    if deltas:
+        tables["delta_table"] = delta_table(deltas)
+    return tables
 
 
 # --- rendering ---------------------------------------------------------------

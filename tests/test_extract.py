@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -8,7 +7,7 @@ from vmweval.errors import ContractViolation
 from vmweval.extract import (Category, LvcEvidence, VidEvidence, VpcEvidence,
                              candidate_from_dict, candidate_to_dict,
                              extract_all, extract_lvc, extract_vpc,
-                             is_non_vmwe, match_idioms, read_candidates,
+                             is_non_vmwe, match_idioms,
                              rebuild_candidate, sample_non_vmwe)
 from vmweval.lexicon import (default_verb_lemmas, light_verb_set,
                              load_idiom_lexicon)
@@ -172,12 +171,6 @@ def test_candidate_span_contract():
 def test_candidate_dict_round_trip(corpus25, lexicon, light_verbs):
     for cand in _all_candidates(corpus25, lexicon, light_verbs):
         assert candidate_from_dict(candidate_to_dict(cand)) == cand
-
-
-def test_read_candidates(corpus25, lexicon, light_verbs):
-    cands = _all_candidates(corpus25, lexicon, light_verbs)
-    lines = [json.dumps(candidate_to_dict(c)) for c in cands]
-    assert read_candidates(lines) == cands
 
 
 def test_rebuild_candidate_recovers_evidence(corpus25, lexicon, light_verbs):

@@ -2,8 +2,7 @@ import pytest
 
 from vmweval.errors import ContractViolation, ParseError
 from vmweval.lexicon import (IdiomEntry, IdiomLexicon, LightVerbVariant,
-                             default_verb_lemmas, lexicon_from_json,
-                             lexicon_to_json, light_verb_set,
+                             default_verb_lemmas, light_verb_set,
                              load_idiom_lexicon, normalize_idiom)
 
 
@@ -65,14 +64,6 @@ def test_duplicate_canonical_rejected():
     b = IdiomEntry(canonical=("x", "y"), surface_form="X Y", contains_verb=True)
     with pytest.raises(ContractViolation):
         IdiomLexicon(entries=frozenset({a, b}))
-
-
-def test_json_round_trip():
-    lex = load_idiom_lexicon(["spill the beans", "kick the bucket"],
-                             ["spill", "kick"], source_label="demo")
-    back = lexicon_from_json(lexicon_to_json(lex))
-    assert back.entries == lex.entries
-    assert back.source_label == "demo"
 
 
 def test_light_verb_sets():

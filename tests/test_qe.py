@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from vmweval.errors import BackendContractError, ContractViolation
 from vmweval.mt import TranslationRecord, ValidityStatus
 from vmweval.qe import (DeltaReport, MockQEBackend, Orientation, QEScore,
+                        delta_from_dict, delta_report, delta_to_dict,
                         paraphrase_experiment, score)
 from vmweval.stats import round_half_up
 
@@ -110,6 +112,35 @@ def test_delta_report_recompute_consistency():
                     qe_ori=good.qe_ori, qe_mix=good.qe_mix,
                     qe_para=good.qe_para, delta_mix=good.delta_mix,
                     delta_para=-good.delta_para)
+
+
+def test_delta_report_from_given_scores():
+    ori, para = _records()
+    scored = paraphrase_experiment(_table2_backend(ori, para), ori, para)
+    assert delta_report(ori, para, scored.qe_ori, scored.qe_mix,
+                        scored.qe_para) == scored
+    broken = TranslationRecord(
+        sentence_id="s01", source=para.source, target_lang="de",
+        system_id="alpha", hypothesis=para.hypothesis,
+        validity=ValidityStatus.EMPTY)
+    with pytest.raises(ContractViolation):
+        delta_report(ori, broken, scored.qe_ori, scored.qe_mix, scored.qe_para)
+
+
+def test_delta_dict_round_trip():
+    ori, para = _records()
+    report = paraphrase_experiment(_table2_backend(ori, para), ori, para)
+    report = replace(report, candidate_ref="s01#VID#2.3.4", category="VID")
+    record = delta_to_dict(report)
+    assert record == {
+        "sentence_id": "s01", "candidate_ref": "s01#VID#2.3.4",
+        "category": "VID", "system_id": "alpha", "target_lang": "de",
+        "metric_id": "stub", "orientation": "lower_better_0_25",
+        "qe_ori": 7.25, "qe_mix": 5.48, "qe_para": 5.04,
+        "delta_mix": report.delta_mix, "delta_para": report.delta_para}
+    assert delta_from_dict(record) == report
+    # the score stage tags its records; the tag is not part of the report
+    assert delta_from_dict({"type": "delta", **record}) == report
 
 
 def test_qescore_range_contract():

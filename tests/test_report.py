@@ -7,9 +7,9 @@ from vmweval.errors import ContractViolation
 from vmweval.extract import Category
 from vmweval.llm import ClassificationResult
 from vmweval.qe import DeltaReport, Orientation, QEScore
-from vmweval.report import (GapCell, Ranking, classifier_report, delta_table,
-                            emit, error_rate_rows, gap_table, rank_systems,
-                            z_gap_table)
+from vmweval.report import (GapCell, build_tables, classifier_report,
+                            delta_table, emit, error_rate_rows, gap_table,
+                            rank_systems, z_gap_table)
 from vmweval.stats import ConfusionMatrix, ZScore, confusion_metrics
 
 LOWER = Orientation.LOWER_BETTER_0_25
@@ -265,6 +265,72 @@ def test_error_rate_rows_contracts():
         error_rate_rows({("a", "de"): (0, 0)})
     with pytest.raises(ContractViolation):
         error_rate_rows({("a", "de"): (5, 4)})
+
+
+# --- tables from score-stage records ----------------------------------------------
+
+def _scored(record_type, kind, system, lang, **fields):
+    candidate = kind != "control"
+    return {"type": record_type, "kind": kind, "sentence_id": "s1",
+            "candidate_ref": "s1#VID#1.2" if candidate else None,
+            "category": "VID" if candidate else None, "system_id": system,
+            "target_lang": lang, **fields}
+
+
+def _qe_rec(kind, system, lang, value):
+    return _scored("qe", kind, system, lang, metric_id="qe",
+                   orientation=LOWER.value, value=value)
+
+
+def test_build_tables_skips_gap_cell_without_controls(caplog):
+    scored = [_qe_rec("ori", "alpha", "de", 10.0),
+              _qe_rec("ori", "alpha", "cs", 12.0),
+              _qe_rec("control", "alpha", "de", 9.0)]
+    with caplog.at_level(logging.WARNING, logger="vmweval.report"):
+        tables = build_tables(scored, 10.0, 50.0)
+    assert [(c.system_id, c.target_lang, c.gap) for c in tables["gap_table"]] == [
+        ("alpha", "de", 1.0)]
+    assert "no control scores" in caplog.text
+    assert "delta_table" not in tables
+
+
+def test_build_tables_drops_excluded_pair_from_ranking():
+    scored = [_qe_rec("ori", "alpha", "de", 10.0),
+              _qe_rec("ori", "beta", "de", 1.0),
+              _qe_rec("ori", "beta", "cs", 20.0),
+              _scored("invalid", "ori", "beta", "de", validity="empty"),
+              _scored("invalid", "para", "beta", "de", validity="empty")]
+    tables = build_tables(scored, 10.0, 50.0)
+    rates = {(r.system_id, r.target_lang): (r.n_invalid, r.n_total, r.excluded)
+             for r in tables["error_rates"]}
+    assert rates == {("alpha", "de"): (0, 1, False),
+                     ("beta", "cs"): (0, 1, False),
+                     ("beta", "de"): (2, 3, True)}
+    [ranking] = tables["ranking"]
+    assert ranking.category == "VID"
+    # beta's cheap de cell would rank it first; excluded, it ranks last on cs
+    assert [(e.system_id, e.included_pairs) for e in ranking.entries] == [
+        ("alpha", ("de",)), ("beta", ("cs",))]
+
+
+def test_build_tables_rebuilds_delta_rows():
+    def delta(sentence, ori, mix, para):
+        return {"type": "delta", "sentence_id": sentence,
+                "candidate_ref": f"{sentence}#VID#1.2", "category": "VID",
+                "system_id": "alpha", "target_lang": "de", "metric_id": "m",
+                "orientation": LOWER.value, "qe_ori": ori, "qe_mix": mix,
+                "qe_para": para, "delta_mix": ori - mix,
+                "delta_para": ori - para}
+    tables = build_tables([delta("s1", 10.0, 8.0, 7.0),
+                           delta("s2", 12.0, 10.0, 11.0)], 10.0, 50.0)
+    assert tables["error_rates"] == []
+    assert "gap_table" not in tables and "ranking" not in tables
+    assert tables["delta_table"] == delta_table(
+        [_delta("s1", "alpha", "de", 10.0, 8.0, 7.0, category="VID"),
+         _delta("s2", "alpha", "de", 12.0, 10.0, 11.0, category="VID")])
+    row = tables["delta_table"][0]
+    assert (row.n, row.mean_ori, row.mean_delta_mix, row.mean_delta_para) == (
+        2, 11.0, 2.0, 2.0)
 
 
 # --- rendering -------------------------------------------------------------------
