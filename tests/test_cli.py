@@ -172,6 +172,12 @@ def test_stage_extract_category_filter(tmp_path):
     records = read_jsonl_plain(out)
     assert len(records) == 5
     assert {r["category"] for r in records} == {"VID"}
+    # Controls are the sentences no extractor matches, whatever the filter.
+    manifest = read_manifest(out)
+    assert manifest["counts"]["controls"] == 5
+    assert manifest["counts"]["controls_shortfall"] == 0
+    controls = read_jsonl_plain(tmp_path / "vid.controls.jsonl")
+    assert [c["id"] for c in controls] == ["s02", "s08", "s17", "s19", "s25"]
 
 
 def test_stage_extract_is_deterministic(tmp_path):
