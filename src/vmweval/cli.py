@@ -269,21 +269,30 @@ def stage_extract(config: Config, args) -> int:
     categories = _categories(args)
     seed = _seed(config, args)
 
+    n_controls = int(config.get("control_sample", "n", default=0))
+
+    # Controls are the sentences no extractor matches, so with a control
+    # sample every sentence goes through all three, once.
+    scanned = tuple(extract_mod.Category) if n_controls else categories
     records = []
+    clean = []
     per_category = {c.value: 0 for c in extract_mod.Category}
     for sentence in corpus:
-        for cand in extract_mod.extract_all(sentence, lex, light_verbs,
-                                            threshold, categories):
-            per_category[cand.category.value] += 1
-            records.append(extract_mod.candidate_to_dict(cand))
+        found = extract_mod.extract_all(sentence, lex, light_verbs,
+                                        threshold, scanned)
+        if not found:
+            clean.append(sentence)
+        for cand in found:
+            if cand.category in categories:
+                per_category[cand.category.value] += 1
+                records.append(extract_mod.candidate_to_dict(cand))
     out = Path(args.stage_out)
     write_jsonl(out, records)
 
     counts = {"candidates": len(records), **per_category}
-    n_controls = int(config.get("control_sample", "n", default=0))
     if n_controls:
-        controls, shortfall = extract_mod.sample_non_vmwe(
-            corpus, n_controls, seed, lex, light_verbs, threshold)
+        controls, shortfall = extract_mod.sample_sentences(
+            clean, n_controls, seed)
         controls_out = Path(args.controls_out) if args.controls_out else \
             out.with_name(out.stem + ".controls.jsonl")
         write_jsonl(controls_out,

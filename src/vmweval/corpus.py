@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ContractViolation
@@ -94,13 +94,15 @@ class Sentence:
 class Corpus:
     sentences: tuple[Sentence, ...]
     source_label: str = ""
+    _by_id: dict[str, Sentence] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        by_id: dict[str, Sentence] = {}
         for s in self.sentences:
-            if s.id in seen:
+            if s.id in by_id:
                 raise ContractViolation(f"duplicate sentence id {s.id!r}")
-            seen.add(s.id)
+            by_id[s.id] = s
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def has_dependencies(self) -> bool:
@@ -113,10 +115,11 @@ class Corpus:
         return iter(self.sentences)
 
     def by_id(self, sentence_id: str) -> Sentence:
-        for s in self.sentences:
-            if s.id == sentence_id:
-                return s
-        raise ContractViolation(f"unknown sentence id {sentence_id!r}")
+        try:
+            return self._by_id[sentence_id]
+        except KeyError:
+            raise ContractViolation(
+                f"unknown sentence id {sentence_id!r}") from None
 
 
 def sentence_text(s: Sentence | Iterable[Token]) -> str:

@@ -7,9 +7,11 @@ genuine, so borderline hits are kept.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .corpus import Corpus, Sentence
@@ -74,6 +76,44 @@ class VMWECandidate:
         return " ".join(sentence.tokens[i - 1].surface for i in self.span)
 
 
+def _bleu4_bound(length: int, size: int, present: int) -> float:
+    """Upper bound on `bleu4(window, idiom)` for any window of `length`
+    lemmas (length >= size) when at most `present` of the idiom's `size`
+    positions hold a lemma that occurs in the window.
+
+    Clipped n-gram matches map to distinct idiom n-gram starts, which
+    cover at least (matches + n - 1) idiom positions, each holding a
+    window lemma; so matches <= present - n + 1.  The bound takes the
+    most matches each order allows and follows bleu4's own arithmetic,
+    smoothing included; with length >= size there is no brevity penalty.
+    """
+    max_order = min(4, length)
+    log_sum = 0.0
+    for n in range(1, max_order + 1):
+        total = length - n + 1
+        clipped = max(0, min(present - n + 1, total, size - n + 1))
+        if clipped == 0:
+            if n == 1:
+                return 0.0
+            precision = 1.0 / (2.0 * total)
+        else:
+            precision = clipped / total
+        log_sum += math.log(precision)
+    return math.exp(log_sum / max_order)
+
+
+@lru_cache(maxsize=256)
+def _min_present(size: int, threshold: float) -> int:
+    """Fewest present idiom positions with which some window of a
+    `size`-lemma idiom can avoid scoring below `threshold`; size + 1
+    when none can."""
+    for present in range(size + 1):
+        if not all(_bleu4_bound(length, size, present) < threshold
+                   for length in range(size, size + 3)):
+            return present
+    return size + 1
+
+
 def match_idioms(sentence: Sentence, lexicon: IdiomLexicon,
                  threshold: float = DEFAULT_VID_THRESHOLD) -> list[VMWECandidate]:
     """Fuzzy-match lexicon idioms against the sentence lemmas.
@@ -82,12 +122,16 @@ def match_idioms(sentence: Sentence, lexicon: IdiomLexicon,
     slide over the lemmas and are scored with BLEU-4 against the idiom's
     canonical form.  Only the best window per idiom survives, and only if
     it reaches `threshold`.  Ties prefer the shorter, then leftmost
-    window.
+    window.  Idioms with too few lemmas in the sentence to reach
+    `threshold` in any window are skipped unscored (see _bleu4_bound).
     """
     lemmas = sentence.lemmas()
     candidates = []
-    for idiom in lexicon.ordered():
+    for idiom, present in zip(lexicon.ordered(),
+                              lexicon.present_positions(lemmas)):
         size = len(idiom.canonical)
+        if present < _min_present(size, threshold):
+            continue
         best = None
         for length in range(size, min(size + 2, len(lemmas)) + 1):
             for start in range(0, len(lemmas) - length + 1):
@@ -179,10 +223,17 @@ def sample_non_vmwe(corpus: Corpus, n: int, seed: int, lexicon: IdiomLexicon,
     when fewer than `n` sentences qualified (in which case all of them
     are returned).
     """
+    return sample_sentences(
+        [s for s in corpus if is_non_vmwe(s, lexicon, light_verbs, threshold)],
+        n, seed)
+
+
+def sample_sentences(qualifying: list[Sentence], n: int, seed: int,
+                     ) -> tuple[list[Sentence], bool]:
+    """Seeded sample of `n` of the `qualifying` sentences, in their order,
+    plus the shortfall flag; see sample_non_vmwe."""
     if n < 0:
         raise ContractViolation(f"sample size must be >= 0, got {n}")
-    qualifying = [s for s in corpus
-                  if is_non_vmwe(s, lexicon, light_verbs, threshold)]
     if len(qualifying) <= n:
         return list(qualifying), len(qualifying) < n
     order = {s.id: i for i, s in enumerate(qualifying)}

@@ -7,7 +7,8 @@ would only produce noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import Iterable
@@ -59,21 +60,40 @@ class IdiomEntry:
 class IdiomLexicon:
     entries: frozenset[IdiomEntry]
     source_label: str = ""
+    # Built once here for every sentence matched against the lexicon: the
+    # entries in ordered() order, and lemma -> ((position in that order,
+    # occurrences of the lemma in the entry), ...).
+    _order: tuple[IdiomEntry, ...] = field(init=False, repr=False, compare=False)
+    _index: dict[str, list[tuple[int, int]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for entry in self.entries:
-            if entry.canonical in seen:
+        order = tuple(sorted(self.entries, key=lambda e: e.canonical))
+        index: dict[str, list[tuple[int, int]]] = {}
+        for pos, entry in enumerate(order):
+            if pos and entry.canonical == order[pos - 1].canonical:
                 raise ContractViolation(
                     f"duplicate canonical form {entry.canonical!r}")
-            seen.add(entry.canonical)
+            for lemma, count in Counter(entry.canonical).items():
+                index.setdefault(lemma, []).append((pos, count))
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_index", index)
 
     def __len__(self):
         return len(self.entries)
 
-    def ordered(self) -> list[IdiomEntry]:
+    def ordered(self) -> tuple[IdiomEntry, ...]:
         """Entries in a stable order for deterministic matching."""
-        return sorted(self.entries, key=lambda e: e.canonical)
+        return self._order
+
+    def present_positions(self, lemmas: Iterable[str]) -> list[int]:
+        """Per entry of ordered(): how many of its positions hold a lemma
+        from `lemmas`."""
+        counts = [0] * len(self._order)
+        for lemma in set(lemmas):
+            for pos, count in self._index.get(lemma, ()):
+                counts[pos] += count
+        return counts
 
 
 def normalize_idiom(text: str) -> tuple[str, ...]:

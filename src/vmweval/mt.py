@@ -100,19 +100,24 @@ def _trigram_profile(text: str) -> dict[str, float]:
     return {gram: n / total for gram, n in counts.items()}
 
 
-def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
+def _norm(profile: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in profile.values()))
+
+
+def _cosine(a: dict[str, float], norm_a: float,
+            b: dict[str, float], norm_b: float) -> float:
     if not a or not b:
         return 0.0
     dot = sum(weight * b[gram] for gram, weight in a.items() if gram in b)
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
     return dot / (norm_a * norm_b)
 
 
 @lru_cache(maxsize=1)
-def _language_profiles() -> dict[str, dict[str, float]]:
+def _language_profiles() -> dict[str, tuple[dict[str, float], float]]:
+    """Reference trigram profile and its norm, per language."""
     text = resources.files("vmweval").joinpath("data/lang_profiles.json").read_text("utf-8")
-    return json.loads(text)
+    return {lang: (profile, _norm(profile))
+            for lang, profile in json.loads(text).items()}
 
 
 def detect_language(text: str) -> tuple[str, float]:
@@ -138,8 +143,9 @@ def detect_language(text: str) -> tuple[str, float]:
         return ("ru", cyrillic / len(letters))
     profile = _trigram_profile(text)
     best_lang, best_sim = "unknown", 0.0
-    for lang, reference in _language_profiles().items():
-        sim = _cosine(profile, reference)
+    norm = _norm(profile)
+    for lang, (reference, ref_norm) in _language_profiles().items():
+        sim = _cosine(profile, norm, reference, ref_norm)
         if sim > best_sim:
             best_lang, best_sim = lang, sim
     if best_sim < DETECT_THRESHOLD:

@@ -1,16 +1,19 @@
+import itertools
 import random
 
 import pytest
 
 from vmweval.corpus import load_plain
 from vmweval.errors import ContractViolation
-from vmweval.extract import (Category, LvcEvidence, VidEvidence, VpcEvidence,
+from vmweval.extract import (Category, LvcEvidence, VidEvidence, VMWECandidate,
+                             VpcEvidence, _bleu4_bound,
                              candidate_from_dict, candidate_to_dict,
                              extract_all, extract_lvc, extract_vpc,
                              is_non_vmwe, match_idioms,
                              rebuild_candidate, sample_non_vmwe)
-from vmweval.lexicon import (default_verb_lemmas, light_verb_set,
-                             load_idiom_lexicon)
+from vmweval.lexicon import (IdiomEntry, IdiomLexicon, default_verb_lemmas,
+                             light_verb_set, load_idiom_lexicon)
+from vmweval.stats import bleu4
 
 CLEAN_IDS = {"s02", "s08", "s15", "s16", "s17", "s18", "s19", "s20", "s21", "s25"}
 
@@ -113,6 +116,86 @@ def test_match_idioms_works_without_parse(lexicon):
     corpus = load_plain(["He spill the beans"])
     hits = match_idioms(corpus.sentences[0], lexicon)
     assert [c.span for c in hits] == [(2, 3, 4)]
+
+
+def brute_force_match_idioms(sentence, lexicon, threshold):
+    """The matcher before pruning: every idiom, every window, scored."""
+    lemmas = sentence.lemmas()
+    candidates = []
+    for idiom in lexicon.ordered():
+        size = len(idiom.canonical)
+        best = None
+        for length in range(size, min(size + 2, len(lemmas)) + 1):
+            for start in range(0, len(lemmas) - length + 1):
+                score = bleu4(lemmas[start:start + length], list(idiom.canonical))
+                if best is None or score > best[0]:
+                    best = (score, start, length)
+        if best is None or best[0] < threshold:
+            continue
+        score, start, length = best
+        candidates.append(VMWECandidate(
+            sentence_id=sentence.id,
+            category=Category.VID,
+            span=tuple(range(start + 1, start + length + 1)),
+            evidence=VidEvidence(idiom=idiom, match_score=score),
+        ))
+    candidates.sort(key=lambda c: (c.span[0], len(c.span), c.evidence.idiom.canonical))
+    return candidates
+
+
+def _lexicon_of(*idioms):
+    return IdiomLexicon(entries=frozenset(
+        IdiomEntry(canonical=tuple(words), surface_form=" ".join(words),
+                   contains_verb=True)
+        for words in idioms))
+
+
+def test_bleu4_bound_is_an_upper_bound():
+    # Every idiom of up to 3 lemmas and every window it is matched against,
+    # over a 3-lemma alphabet.  Bounding by unigram overlap alone fails
+    # here: idiom "a b a", window "b a b" shares 2 unigrams and 2 bigrams.
+    assert _bleu4_bound(3, 3, 2) < bleu4(["b", "a", "b"], ["a", "b", "a"]) \
+        <= _bleu4_bound(3, 3, 3)
+    for size in (1, 2, 3):
+        for idiom in itertools.product("abc", repeat=size):
+            for length in range(size, size + 3):
+                for window in itertools.product("abc", repeat=length):
+                    present = sum(1 for lemma in idiom if lemma in window)
+                    assert bleu4(window, idiom) <= _bleu4_bound(
+                        length, size, present), (idiom, window)
+
+
+def test_pruned_matching_equals_brute_force():
+    rng = random.Random(3)
+    vocab = ["a", "b", "c", "d", "e", "f"]
+    bounds = sorted({_bleu4_bound(length, size, present)
+                     for size in range(1, 6) for present in range(size + 1)
+                     for length in range(size, size + 3)})
+    cases = [(["b", "a", "b"], [("a", "b", "a")], 0.6)]
+    for _ in range(500):
+        vocab_size = rng.choice((5, 6))
+        idioms = {tuple(rng.choice(vocab[:vocab_size])
+                        for _ in range(rng.randint(1, 5)))
+                  for _ in range(rng.randint(1, 8))}
+        # Fewer lemmas in the sentence than in the lexicon, so some idioms
+        # lack some of theirs and pruning has work to do.
+        in_sentence = vocab[:rng.randint(2, vocab_size)]
+        lemmas = [rng.choice(in_sentence) for _ in range(rng.randint(1, 9))]
+        threshold = rng.choice((
+            rng.choice((-1.0, -0.25, 0.0)), 0.5, rng.choice(bounds),
+            1.0 - rng.random(), 1.0 + rng.random(), None))
+        cases.append((lemmas, sorted(idioms), threshold))
+    for lemmas, idioms, threshold in cases:
+        sentence = load_plain([" ".join(lemmas)]).sentences[0]
+        lexicon = _lexicon_of(*idioms)
+        if threshold is None:
+            # A score some idiom's best window reaches exactly.
+            scores = [c.evidence.match_score for c in
+                      brute_force_match_idioms(sentence, lexicon, 0.0)]
+            threshold = rng.choice(scores) if scores else 0.0
+        assert match_idioms(sentence, lexicon, threshold) == \
+            brute_force_match_idioms(sentence, lexicon, threshold), \
+            (lemmas, idioms, threshold)
 
 
 def test_clean_set_is_exact(corpus25, lexicon, light_verbs):
