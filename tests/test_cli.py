@@ -486,3 +486,24 @@ def test_run_all_smoke(tmp_path):
     # the broken backend in the config drops beta/cs from the ranking
     error_rates = (out / "report" / "error_rates.csv").read_text()
     assert "beta,cs,35,35,100.00,true,true" in error_rates
+
+
+def test_run_all_passes_shared_flags_to_every_stage(tmp_path):
+    cfg = patched_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out),
+                     "--seed", "7", "--category", "vpc", "--target-lang", "de",
+                     "--backend", "alpha"]) == 0
+    for name in ("candidates.jsonl", "classifications.jsonl",
+                 "paraphrases.jsonl"):
+        records = read_jsonl_plain(out / name)
+        assert len(records) == 5, name
+        assert {r["category"] for r in records} == {"VPC"}, name
+    translations = read_jsonl_plain(out / "translations.jsonl")
+    assert {r["target_lang"] for r in translations} == {"de"}
+    # --backend names one stage's backend, so run-all leaves it to the config
+    assert {r["system_id"] for r in translations} == {"alpha", "beta"}
+    for name in ("candidates.jsonl", "classifications.jsonl",
+                 "paraphrases.jsonl", "translations.jsonl", "scored.jsonl",
+                 "report"):
+        assert read_manifest(out / name)["seed"] == 7, name
