@@ -42,6 +42,9 @@ STAGES = ("extract", "classify", "paraphrase", "translate", "score", "report")
 
 # --- config ------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
 @dataclass
 class Config:
     raw: dict
@@ -51,18 +54,15 @@ class Config:
         p = Path(value)
         return p if p.is_absolute() else self.base / p
 
-    def require(self, *keys):
+    def get(self, *keys, default=_REQUIRED):
+        """The value under `keys`; `default` when it is absent, or a
+        ContractViolation when no default is given."""
         node = self.raw
         for key in keys:
             if not isinstance(node, dict) or key not in node:
-                raise ContractViolation(f"config is missing {'.'.join(keys)}")
-            node = node[key]
-        return node
-
-    def get(self, *keys, default=None):
-        node = self.raw
-        for key in keys:
-            if not isinstance(node, dict) or key not in node:
+                if default is _REQUIRED:
+                    raise ContractViolation(
+                        f"config is missing {'.'.join(keys)}")
                 return default
             node = node[key]
         return node
@@ -91,45 +91,46 @@ def _credential(cfg_entry: dict) -> str | None:
 
 
 def build_backend(config: Config, name: str):
-    entry = config.get("backends", name)
+    entry = config.get("backends", name, default=None)
     if entry is None:
         raise ContractViolation(f"backend {name!r} is not defined in the config")
     kind = entry.get("kind")
-    mode = entry.get("mode", "http")
+    if kind not in ("llm", "mt", "qe"):
+        raise ContractViolation(f"backend {name!r} has unknown kind {kind!r}")
+    mock = entry.get("mode", "http") == "mock"
+    http = {} if mock else {"base_url": entry["base_url"],
+                            "api_key": _credential(entry),
+                            "timeout": entry.get("timeout", 60.0)}
     if kind == "llm":
-        if mode == "mock":
+        if mock:
             return llm_mod.MockChatBackend.from_file(
                 config.path(entry["script"]),
                 model_id=entry.get("model_id", "mock-chat"))
-        return llm_mod.HttpChatBackend(
-            base_url=entry["base_url"], model_id=entry["model_id"],
-            api_key=_credential(entry), timeout=entry.get("timeout", 60.0))
+        return llm_mod.HttpChatBackend(model_id=entry["model_id"], **http)
     if kind == "mt":
-        if mode == "mock":
-            return mt_mod.MockMTBackend(
-                system_id=entry.get("system_id", name),
-                break_rules=entry.get("break_rules"))
-        return mt_mod.HttpMTBackend(
-            base_url=entry["base_url"], system_id=entry.get("system_id", name),
-            api_key=_credential(entry), timeout=entry.get("timeout", 60.0))
-    if kind == "qe":
-        orientation = stats_mod.Orientation(entry["orientation"])
-        if mode == "mock":
-            return qe_mod.MockQEBackend(
-                metric_id=entry.get("metric_id", name), orientation=orientation)
-        return qe_mod.HttpQEBackend(
-            base_url=entry["base_url"], metric_id=entry.get("metric_id", name),
-            orientation=orientation, api_key=_credential(entry),
-            timeout=entry.get("timeout", 60.0))
-    raise ContractViolation(f"backend {name!r} has unknown kind {kind!r}")
+        system_id = entry.get("system_id", name)
+        if mock:
+            return mt_mod.MockMTBackend(system_id=system_id,
+                                        break_rules=entry.get("break_rules"))
+        return mt_mod.HttpMTBackend(system_id=system_id, **http)
+    orientation = stats_mod.Orientation(entry["orientation"])
+    metric_id = entry.get("metric_id", name)
+    if mock:
+        return qe_mod.MockQEBackend(metric_id=metric_id, orientation=orientation)
+    return qe_mod.HttpQEBackend(metric_id=metric_id, orientation=orientation,
+                                **http)
 
 
 # --- shared io ---------------------------------------------------------------
 
-def read_jsonl(path: Path) -> list[dict]:
+def _input_file(path: Path) -> Path:
     if not path.is_file():
         raise ContractViolation(f"missing input file: {path}")
-    _check_input_manifest(path)
+    return path
+
+
+def read_jsonl(path: Path) -> list[dict]:
+    _check_input_manifest(_input_file(path))
     records = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -182,6 +183,16 @@ def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path
         fh.write("\n")
 
 
+def _finish(config: Config, args, stage: str, records: list[dict],
+            inputs: dict[str, Path], counts: dict) -> int:
+    """Write a stage's records and manifest; the exit code is 2 when a
+    backend call failed in transport."""
+    out = Path(args.stage_out)
+    write_jsonl(out, records)
+    write_manifest(out, stage, config, inputs, counts, _seed(config, args))
+    return 2 if counts.get("transport_failures") else 0
+
+
 def _map_ordered(fn, items, max_workers: int):
     """Run fn over items concurrently, results joined in input order."""
     results = [None] * len(items)
@@ -215,40 +226,33 @@ def _kept_failure(exc: Exception, counts: dict) -> str:
     raise exc
 
 
-def _load_corpus(config: Config) -> corpus_mod.Corpus:
-    path = config.path(config.require("corpus", "path"))
+def _load_corpus(config: Config) -> tuple[corpus_mod.Corpus, Path]:
+    path = _input_file(config.path(config.get("corpus", "path")))
     fmt = config.get("corpus", "format", default="conllu")
-    if not path.is_file():
-        raise ContractViolation(f"missing input file: {path}")
-    return corpus_mod.load_corpus(path, fmt)
+    return corpus_mod.load_corpus(path, fmt), path
 
 
 def _load_lexicon(config: Config):
-    idioms_path = config.path(config.require("lexicon", "idioms"))
-    if not idioms_path.is_file():
-        raise ContractViolation(f"missing input file: {idioms_path}")
-    verbs_value = config.get("lexicon", "verb_lemmas")
+    idioms_path = _input_file(config.path(config.get("lexicon", "idioms")))
+    verbs_value = config.get("lexicon", "verb_lemmas", default=None)
     if verbs_value:
-        verbs_path = config.path(verbs_value)
-        verb_lemmas = [line.strip() for line
-                       in verbs_path.read_text("utf-8").splitlines()
-                       if line.strip() and not line.startswith("#")]
+        verbs_path = _input_file(config.path(verbs_value))
+        verb_lemmas = lexicon_mod.parse_verb_lemmas(verbs_path.read_text("utf-8"))
     else:
         verb_lemmas = lexicon_mod.default_verb_lemmas()
     with open(idioms_path, encoding="utf-8") as fh:
-        lex = lexicon_mod.load_idiom_lexicon(fh, verb_lemmas,
-                                             source_label=str(idioms_path))
+        lex = lexicon_mod.load_idiom_lexicon(fh, verb_lemmas)
     return lex, idioms_path
 
 
 def _categories(args) -> tuple[extract_mod.Category, ...]:
-    if not getattr(args, "category", None) or args.category == "all":
+    if not args.category or args.category == "all":
         return tuple(extract_mod.Category)
     return (extract_mod.Category(args.category.upper()),)
 
 
 def _seed(config: Config, args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     return config.get("seed", default=0)
 
@@ -260,15 +264,13 @@ def _concurrency(config: Config) -> int:
 # --- stages ------------------------------------------------------------------
 
 def stage_extract(config: Config, args) -> int:
-    corpus = _load_corpus(config)
+    corpus, corpus_path = _load_corpus(config)
     lex, idioms_path = _load_lexicon(config)
     light_verbs = lexicon_mod.light_verb_set(
         config.get("light_verbs", default="dataset_six"))
     threshold = float(config.get("vid_threshold",
                                  default=extract_mod.DEFAULT_VID_THRESHOLD))
     categories = _categories(args)
-    seed = _seed(config, args)
-
     n_controls = int(config.get("control_sample", "n", default=0))
 
     # Controls are the sentences no extractor matches, so with a control
@@ -286,26 +288,22 @@ def stage_extract(config: Config, args) -> int:
             if cand.category in categories:
                 per_category[cand.category.value] += 1
                 records.append(extract_mod.candidate_to_dict(cand))
-    out = Path(args.stage_out)
-    write_jsonl(out, records)
 
     counts = {"candidates": len(records), **per_category}
     if n_controls:
         controls, shortfall = extract_mod.sample_sentences(
-            clean, n_controls, seed)
+            clean, n_controls, _seed(config, args))
+        out = Path(args.stage_out)
         controls_out = Path(args.controls_out) if args.controls_out else \
             out.with_name(out.stem + ".controls.jsonl")
         write_jsonl(controls_out,
                     [corpus_mod.sentence_to_dict(s) for s in controls])
-        counts["controls"] = len(controls)
-        counts["controls_shortfall"] = shortfall
+        counts.update(controls=len(controls), controls_shortfall=shortfall)
         if shortfall:
             print(f"warning: only {len(controls)} of {n_controls} requested "
                   f"control sentences qualify", file=sys.stderr)
-    inputs = {"corpus": config.path(config.require("corpus", "path")),
-              "idioms": idioms_path}
-    write_manifest(out, "extract", config, inputs, counts, seed)
-    return 0
+    return _finish(config, args, "extract", records,
+                   {"corpus": corpus_path, "idioms": idioms_path}, counts)
 
 
 def stage_classify(config: Config, args) -> int:
@@ -313,15 +311,17 @@ def stage_classify(config: Config, args) -> int:
                   for r in read_jsonl(Path(args.stage_in))]
     wanted = set(_categories(args))
     candidates = [c for c in candidates if c.category in wanted]
-    corpus = _load_corpus(config)
-    backend_name = args.backend or config.require("pipeline", "llm")
-    backend = build_backend(config, backend_name)
+    corpus, corpus_path = _load_corpus(config)
+    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
+    jobs = [(cand, corpus.by_id(cand.sentence_id)) for cand in candidates]
+    for cand, sentence in jobs:
+        extract_mod.check_in_range(sentence, cand.token_indices())
 
-    def classify(cand):
-        sentence = corpus.by_id(cand.sentence_id)
+    def classify(job):
+        cand, sentence = job
         return llm_mod.classify_candidate(backend, cand.category, cand, sentence)
 
-    outcomes = _map_ordered(classify, candidates, _concurrency(config))
+    outcomes = _map_ordered(classify, jobs, _concurrency(config))
     records = []
     counts = {"total": len(candidates), "accepted": 0, "rejected": 0,
               "undecided": 0, "transport_failures": 0}
@@ -337,12 +337,9 @@ def stage_classify(config: Config, args) -> int:
                           raw_response=getattr(exc, "raw_response", None),
                           error=_kept_failure(exc, counts))
         records.append(record)
-    out = Path(args.stage_out)
-    write_jsonl(out, records)
-    inputs = {"candidates": Path(args.stage_in),
-              "corpus": config.path(config.require("corpus", "path"))}
-    write_manifest(out, "classify", config, inputs, counts, _seed(config, args))
-    return 2 if counts["transport_failures"] else 0
+    return _finish(config, args, "classify", records,
+                   {"candidates": Path(args.stage_in), "corpus": corpus_path},
+                   counts)
 
 
 def stage_paraphrase(config: Config, args) -> int:
@@ -350,18 +347,20 @@ def stage_paraphrase(config: Config, args) -> int:
     wanted = {c.value for c in _categories(args)}
     accepted = [r for r in classifications
                 if r.get("verdict") is True and r["category"] in wanted]
-    corpus = _load_corpus(config)
-    backend_name = args.backend or config.require("pipeline", "llm")
-    backend = build_backend(config, backend_name)
-
-    def paraphrase(record):
+    corpus, corpus_path = _load_corpus(config)
+    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
+    jobs = []
+    for record in accepted:
         sentence = corpus.by_id(record["sentence_id"])
-        cand = extract_mod.rebuild_candidate(
+        jobs.append((extract_mod.rebuild_candidate(
             sentence, extract_mod.Category(record["category"]),
-            tuple(record["span"]))
+            tuple(record["span"])), sentence))
+
+    def paraphrase(job):
+        cand, sentence = job
         return llm_mod.paraphrase_candidate(backend, cand, sentence)
 
-    outcomes = _map_ordered(paraphrase, accepted, _concurrency(config))
+    outcomes = _map_ordered(paraphrase, jobs, _concurrency(config))
     records = []
     counts = {"total": len(accepted), "paraphrased": 0, "retained_candidate": 0,
               "undecided": 0, "transport_failures": 0}
@@ -380,16 +379,13 @@ def stage_paraphrase(config: Config, args) -> int:
                           raw_response=getattr(exc, "raw_response", None),
                           error=_kept_failure(exc, counts))
         records.append(record)
-    out = Path(args.stage_out)
-    write_jsonl(out, records)
-    inputs = {"classifications": Path(args.stage_in),
-              "corpus": config.path(config.require("corpus", "path"))}
-    write_manifest(out, "paraphrase", config, inputs, counts, _seed(config, args))
-    return 2 if counts["transport_failures"] else 0
+    return _finish(config, args, "paraphrase", records,
+                   {"classifications": Path(args.stage_in), "corpus": corpus_path},
+                   counts)
 
 
 def _target_langs(config: Config, args) -> list[str]:
-    if getattr(args, "target_lang", None):
+    if args.target_lang:
         return [args.target_lang]
     langs = config.get("target_langs", default=list(mt_mod.TARGET_LANGS))
     bad = [lang for lang in langs if lang not in mt_mod.TARGET_LANGS]
@@ -399,9 +395,9 @@ def _target_langs(config: Config, args) -> list[str]:
 
 
 def _mt_backend_names(config: Config, args) -> list[str]:
-    if getattr(args, "backend", None):
+    if args.backend:
         return [args.backend]
-    names = config.require("pipeline", "mt")
+    names = config.get("pipeline", "mt")
     if isinstance(names, str):
         names = [names]
     return list(names)
@@ -418,17 +414,11 @@ def stage_translate(config: Config, args) -> int:
     max_unit = int(config.get("repetition", "max_unit",
                               default=mt_mod.DEFAULT_MAX_UNIT))
 
-    controls: list[corpus_mod.Sentence] = []
-    controls_path = None
+    inputs = {"paraphrases": Path(args.stage_in)}
+    controls = []
     if args.controls_in:
-        controls_path = Path(args.controls_in)
-    elif config.get("controls"):
-        controls_path = config.path(config.get("controls"))
-    if controls_path is not None:
-        if not controls_path.is_file():
-            raise ContractViolation(f"missing input file: {controls_path}")
-        with open(controls_path, encoding="utf-8") as fh:
-            controls = list(corpus_mod.corpus_from_jsonl(fh).sentences)
+        inputs["controls"] = _input_file(Path(args.controls_in))
+        controls = corpus_mod.load_corpus(inputs["controls"], "jsonl")
 
     jobs = []
     for name, backend in sorted(backends.items()):
@@ -465,13 +455,7 @@ def stage_translate(config: Config, args) -> int:
             record.update(hypothesis=None, validity=None,
                           error=_kept_failure(exc, counts))
         records.append(record)
-    out = Path(args.stage_out)
-    write_jsonl(out, records)
-    inputs = {"paraphrases": Path(args.stage_in)}
-    if controls_path is not None:
-        inputs["controls"] = controls_path
-    write_manifest(out, "translate", config, inputs, counts, _seed(config, args))
-    return 2 if counts["transport_failures"] else 0
+    return _finish(config, args, "translate", records, inputs, counts)
 
 
 def _scored_record(record_type: str, rec: dict, **fields) -> dict:
@@ -492,8 +476,7 @@ def _translation(rec: dict) -> mt_mod.TranslationRecord:
 
 def stage_score(config: Config, args) -> int:
     translations = read_jsonl(Path(args.stage_in))
-    backend_name = args.backend or config.require("pipeline", "qe")
-    backend = build_backend(config, backend_name)
+    backend = build_backend(config, args.backend or config.get("pipeline", "qe"))
 
     valid = []
     records = []
@@ -515,7 +498,8 @@ def stage_score(config: Config, args) -> int:
     sides: dict[tuple, tuple] = {}  # (ref, system, lang, kind) -> scored side
     for rec, (result, exc) in zip(valid, outcomes):
         if exc is not None:
-            _kept_failure(exc, counts)
+            records.append(_scored_record(
+                "failed", rec, error=_kept_failure(exc, counts)))
             continue
         counts["qe_scores"] += 1
         records.append(_scored_record(
@@ -540,7 +524,8 @@ def stage_score(config: Config, args) -> int:
     mixes = _map_ordered(mix, pairs, _concurrency(config))
     for ((rec, ori, qe_ori), (_, para, qe_para)), (qe_mix, exc) in zip(pairs, mixes):
         if exc is not None:
-            _kept_failure(exc, counts)
+            records.append(_scored_record(
+                "failed", {**rec, "kind": "mix"}, error=_kept_failure(exc, counts)))
             counts["delta_pairs_skipped"] += 1
             continue
         report = replace(qe_mod.delta_report(ori, para, qe_ori, qe_mix, qe_para),
@@ -548,11 +533,8 @@ def stage_score(config: Config, args) -> int:
                          category=rec["category"])
         counts["deltas"] += 1
         records.append({"type": "delta", **qe_mod.delta_to_dict(report)})
-    out = Path(args.stage_out)
-    write_jsonl(out, records)
-    write_manifest(out, "score", config, {"translations": Path(args.stage_in)},
-                   counts, _seed(config, args))
-    return 2 if counts["transport_failures"] else 0
+    return _finish(config, args, "score", records,
+                   {"translations": Path(args.stage_in)}, counts)
 
 
 def stage_report(config: Config, args) -> int:
@@ -567,7 +549,7 @@ def stage_report(config: Config, args) -> int:
         float(config.get("exclusion", "rank_exclude_pct",
                          default=report_mod.DEFAULT_EXCLUDE_PCT)))
 
-    da_path = config.get("da", "annotations")
+    da_path = config.get("da", "annotations", default=None)
     if da_path:
         da_file = config.path(da_path)
         annotations = [stats_mod.DAAnnotation(
@@ -576,19 +558,18 @@ def stage_report(config: Config, args) -> int:
             for r in read_jsonl(da_file)]
         zscores = stats_mod.znormalize(annotations)
         tables["z_gap_table"] = report_mod.z_gap_table(
-            zscores, config.require("da", "vmwe_ids"),
-            config.require("da", "control_ids"))
+            zscores, config.get("da", "vmwe_ids"),
+            config.get("da", "control_ids"))
         inputs["da_annotations"] = da_file
 
-    gold_path = config.get("classifier_eval", "gold")
-    classifications_in = getattr(args, "classifications_in", None)
-    if gold_path and classifications_in:
+    gold_path = config.get("classifier_eval", "gold", default=None)
+    if gold_path and args.classifications_in:
         gold_file = config.path(gold_path)
         gold = {r["candidate_ref"]: bool(r["label"])
                 for r in read_jsonl(gold_file)}
         predictions = []
         undecided = []
-        for rec in read_jsonl(Path(classifications_in)):
+        for rec in read_jsonl(Path(args.classifications_in)):
             category = extract_mod.Category(rec["category"])
             if rec.get("verdict") is None:
                 undecided.append((rec["candidate_ref"], category))
@@ -600,7 +581,7 @@ def stage_report(config: Config, args) -> int:
         tables["classifier_table"] = report_mod.classifier_report(
             gold, predictions, undecided)
         inputs["gold"] = gold_file
-        inputs["classifications"] = Path(classifications_in)
+        inputs["classifications"] = Path(args.classifications_in)
 
     table_kinds = {"gap_table": "gap", "delta_table": "delta",
                    "ranking": "ranking", "error_rates": "error_rate",
@@ -628,19 +609,14 @@ def stage_run_all(config: Config, args) -> int:
         "scored": out_dir / "scored.jsonl",
         "report": out_dir / "report",
     }
-    worst = 0
 
-    def ns(**kwargs):
-        base = {"config": args.config, "seed": getattr(args, "seed", None),
-                "backend": None, "category": getattr(args, "category", None),
-                "target_lang": getattr(args, "target_lang", None),
-                "stage_in": None, "stage_out": None, "controls_in": None,
-                "controls_out": None, "classifications_in": None}
-        base.update(kwargs)
-        return argparse.Namespace(**base)
+    def ns(**stage_paths):
+        # --backend names one stage's backend; here the config names each.
+        return argparse.Namespace(**{**vars(args), "backend": None,
+                                     "controls_in": None, **stage_paths})
 
-    worst = max(worst, stage_extract(config, ns(
-        stage_out=paths["candidates"], controls_out=paths["controls"])))
+    worst = stage_extract(config, ns(
+        stage_out=paths["candidates"], controls_out=paths["controls"]))
     worst = max(worst, stage_classify(config, ns(
         stage_in=paths["candidates"], stage_out=paths["classifications"])))
     worst = max(worst, stage_paraphrase(config, ns(

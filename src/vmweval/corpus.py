@@ -93,7 +93,6 @@ class Sentence:
 @dataclass(frozen=True)
 class Corpus:
     sentences: tuple[Sentence, ...]
-    source_label: str = ""
     _by_id: dict[str, Sentence] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,7 +159,7 @@ def tokenize_plain(line: str) -> list[str]:
     return out
 
 
-def load_plain(lines: Iterable[str], source_label: str = "") -> Corpus:
+def load_plain(lines: Iterable[str]) -> Corpus:
     """Build an unparsed corpus from raw text, one sentence per line.
 
     Lemmas are lowercased surfaces; blank lines are skipped; ids are the
@@ -177,7 +176,7 @@ def load_plain(lines: Iterable[str], source_label: str = "") -> Corpus:
             Token(index=i, surface=surf, lemma=surf.lower())
             for i, surf in enumerate(tokenize_plain(line), start=1))
         sentences.append(Sentence(id=str(counter), tokens=tokens))
-    return Corpus(sentences=tuple(sentences), source_label=source_label)
+    return Corpus(sentences=tuple(sentences))
 
 
 def _is_int(value: str) -> bool:
@@ -188,7 +187,7 @@ def _is_int(value: str) -> bool:
     return True
 
 
-def parse_conllu(lines: Iterable[str], source_label: str = "") -> Corpus:
+def parse_conllu(lines: Iterable[str]) -> Corpus:
     """Parse CoNLL-U text into a dependency corpus.
 
     Keeps columns 1-2 (index, surface), 3 (lemma), 4 (upos), 7 (head) and
@@ -252,20 +251,18 @@ def parse_conllu(lines: Iterable[str], source_label: str = "") -> Corpus:
         except ContractViolation as exc:
             raise ParseError(str(exc), line=line_no) from exc
     flush(line_no + 1)
-    corpus = Corpus(sentences=tuple(sentences), source_label=source_label)
-    return corpus
+    return Corpus(sentences=tuple(sentences))
 
 
-def load_corpus(path, fmt: str, source_label: str = "") -> Corpus:
+def load_corpus(path, fmt: str) -> Corpus:
     """Load a corpus file in one of the formats: conllu, plain, jsonl."""
-    label = source_label or str(path)
     with open(path, encoding="utf-8") as fh:
         if fmt == "conllu":
-            return parse_conllu(fh, source_label=label)
+            return parse_conllu(fh)
         if fmt == "plain":
-            return load_plain(fh, source_label=label)
+            return load_plain(fh)
         if fmt == "jsonl":
-            return corpus_from_jsonl(fh, source_label=label)
+            return corpus_from_jsonl(fh)
     raise ContractViolation(f"unknown corpus format {fmt!r}")
 
 
@@ -298,7 +295,7 @@ def sentence_from_dict(obj: dict) -> Sentence:
     return Sentence(id=str(obj["id"]), tokens=tokens, text=obj.get("text", ""))
 
 
-def corpus_from_jsonl(lines: Iterable[str], source_label: str = "") -> Corpus:
+def corpus_from_jsonl(lines: Iterable[str]) -> Corpus:
     sentences = []
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
@@ -308,4 +305,4 @@ def corpus_from_jsonl(lines: Iterable[str], source_label: str = "") -> Corpus:
             sentences.append(sentence_from_dict(json.loads(line)))
         except (json.JSONDecodeError, KeyError, ContractViolation) as exc:
             raise ParseError(f"bad sentence record: {exc}", line=line_no) from exc
-    return Corpus(sentences=tuple(sentences), source_label=source_label)
+    return Corpus(sentences=tuple(sentences))

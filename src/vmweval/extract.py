@@ -14,7 +14,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .corpus import Corpus, Sentence
+from .corpus import Sentence
 from .errors import ContractViolation, ParseError
 from .lexicon import IdiomEntry, IdiomLexicon, LightVerbSet
 from .stats import bleu4
@@ -74,6 +74,25 @@ class VMWECandidate:
 
     def surface(self, sentence: Sentence) -> str:
         return " ".join(sentence.tokens[i - 1].surface for i in self.span)
+
+    def token_indices(self) -> tuple[int, ...]:
+        """The span plus the token indices its evidence names."""
+        ev = self.evidence
+        if isinstance(ev, VpcEvidence):
+            return self.span + (ev.verb_index, ev.particle_index)
+        if isinstance(ev, LvcEvidence):
+            return self.span + (ev.verb_index, ev.noun_index)
+        return self.span
+
+
+def check_in_range(sentence: Sentence, indices: Iterable[int]):
+    """Raise ContractViolation unless every 1-based token index in
+    `indices` names a token of `sentence`."""
+    bad = [i for i in indices if not 1 <= i <= len(sentence.tokens)]
+    if bad:
+        raise ContractViolation(
+            f"token index {bad[0]} is out of range for sentence "
+            f"{sentence.id!r} ({len(sentence.tokens)} tokens)")
 
 
 def _bleu4_bound(length: int, size: int, present: int) -> float:
@@ -207,31 +226,22 @@ def extract_lvc(sentence: Sentence, light_verbs: LightVerbSet) -> list[VMWECandi
 
 def is_non_vmwe(sentence: Sentence, lexicon: IdiomLexicon, light_verbs: LightVerbSet,
                 threshold: float = DEFAULT_VID_THRESHOLD) -> bool:
-    """True when no extractor finds anything; used to build control sets."""
+    """True when no extractor finds anything: what makes a sentence a
+    control."""
     return (not match_idioms(sentence, lexicon, threshold)
             and not extract_vpc(sentence)
             and not extract_lvc(sentence, light_verbs))
 
 
-def sample_non_vmwe(corpus: Corpus, n: int, seed: int, lexicon: IdiomLexicon,
-                    light_verbs: LightVerbSet,
-                    threshold: float = DEFAULT_VID_THRESHOLD,
-                    ) -> tuple[list[Sentence], bool]:
-    """Seeded uniform sample of clean sentences, without replacement.
-
-    Returns the sample in corpus order plus a shortfall flag that is True
-    when fewer than `n` sentences qualified (in which case all of them
-    are returned).
-    """
-    return sample_sentences(
-        [s for s in corpus if is_non_vmwe(s, lexicon, light_verbs, threshold)],
-        n, seed)
-
-
 def sample_sentences(qualifying: list[Sentence], n: int, seed: int,
                      ) -> tuple[list[Sentence], bool]:
-    """Seeded sample of `n` of the `qualifying` sentences, in their order,
-    plus the shortfall flag; see sample_non_vmwe."""
+    """Seeded uniform sample of `n` of the `qualifying` sentences, without
+    replacement.
+
+    Returns the sample in the order of `qualifying` plus a shortfall flag
+    that is True when fewer than `n` sentences qualified (in which case
+    all of them are returned).
+    """
     if n < 0:
         raise ContractViolation(f"sample size must be >= 0, got {n}")
     if len(qualifying) <= n:
@@ -264,9 +274,7 @@ def rebuild_candidate(sentence: Sentence, category: Category,
     Stage outputs carry only (sentence_id, category, span); the evidence
     is recovered from the sentence itself.
     """
-    if any(i < 1 or i > len(sentence.tokens) for i in span):
-        raise ContractViolation(
-            f"span {span} is out of range for sentence {sentence.id!r}")
+    check_in_range(sentence, span)
     tokens = [sentence.tokens[i - 1] for i in span]
     if category is Category.VID:
         canonical = tuple(t.lemma for t in tokens)

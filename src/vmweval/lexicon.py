@@ -59,7 +59,6 @@ class IdiomEntry:
 @dataclass(frozen=True)
 class IdiomLexicon:
     entries: frozenset[IdiomEntry]
-    source_label: str = ""
     # Built once here for every sentence matched against the lexicon: the
     # entries in ordered() order, and lemma -> ((position in that order,
     # occurrences of the lemma in the entry), ...).
@@ -108,8 +107,8 @@ def normalize_idiom(text: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def load_idiom_lexicon(lines: Iterable[str], verb_lemmas: Iterable[str],
-                       source_label: str = "") -> IdiomLexicon:
+def load_idiom_lexicon(lines: Iterable[str],
+                       verb_lemmas: Iterable[str]) -> IdiomLexicon:
     """Read one idiom per line, keeping only verb-containing entries.
 
     A line may carry a tab-separated "verb" flag to force retention when
@@ -133,13 +132,19 @@ def load_idiom_lexicon(lines: Iterable[str], verb_lemmas: Iterable[str],
             continue
         entries.setdefault(canonical, IdiomEntry(
             canonical=canonical, surface_form=surface, contains_verb=True))
-    return IdiomLexicon(entries=frozenset(entries.values()), source_label=source_label)
+    return IdiomLexicon(entries=frozenset(entries.values()))
+
+
+def parse_verb_lemmas(text: str) -> frozenset[str]:
+    """Verb lemmas from a file's text: one per line, blank lines and
+    lines starting with "#" skipped."""
+    return frozenset(
+        line.strip() for line in text.splitlines()
+        if line.strip() and not line.startswith("#"))
 
 
 def default_verb_lemmas() -> frozenset[str]:
     """English verb lemmas shipped with the package."""
-    text = resources.files("vmweval").joinpath("data/verb_lemmas.txt").read_text("utf-8")
-    return frozenset(
-        line.strip() for line in text.splitlines()
-        if line.strip() and not line.startswith("#"))
+    path = resources.files("vmweval").joinpath("data/verb_lemmas.txt")
+    return parse_verb_lemmas(path.read_text("utf-8"))
 

@@ -52,12 +52,13 @@ def test_config_lookup_helpers(tmp_path):
     cfg_path = tmp_path / "c.yaml"
     cfg_path.write_text("corpus:\n  path: rel.conllu\nseed: 3\n")
     config = cli.load_config(cfg_path)
-    assert config.require("corpus", "path") == "rel.conllu"
+    assert config.get("corpus", "path") == "rel.conllu"
     assert config.path("rel.conllu") == tmp_path / "rel.conllu"
     assert config.path("/abs/x") == Path("/abs/x")
     assert config.get("corpus", "format", default="conllu") == "conllu"
+    assert config.get("pipeline", "llm", default=None) is None
     with pytest.raises(ContractViolation, match="pipeline.llm"):
-        config.require("pipeline", "llm")
+        config.get("pipeline", "llm")
 
 
 def test_credentials_come_from_environment(tmp_path, monkeypatch):
@@ -108,7 +109,7 @@ def test_jsonl_round_trip_and_manifest(tmp_path):
     records = [{"a": 1}, {"b": "ü"}]
     cli.write_jsonl(out, records)
     config = cli.load_config(patched_config(tmp_path))
-    corpus_path = Path(config.require("corpus", "path"))
+    corpus_path = Path(config.get("corpus", "path"))
     cli.write_manifest(out, "extract", config, {"corpus": corpus_path},
                        {"candidates": 2}, seed=42)
     assert cli.read_jsonl(out) == records
@@ -353,6 +354,27 @@ def test_classify_transport_failure_continues_batch(tmp_path):
     assert counts["undecided"] == 11  # "Yes" is not in the VPC/LVC alphabets
 
 
+def test_token_index_out_of_range_exits_1(tmp_path, capsys):
+    cfg = patched_config(tmp_path)
+    paths, codes = _run_chain(cfg, tmp_path, through="classify")
+    assert codes == [0, 0]
+    lvc = next(r for r in read_jsonl_plain(paths["candidates"])
+               if r["category"] == "LVC")
+    accepted = next(r for r in read_jsonl_plain(paths["classifications"])
+                    if r["category"] == "LVC" and r["verdict"])
+    cases = [("classify", dict(lvc, span=[2, 99])),
+             ("classify", dict(lvc, evidence=dict(lvc["evidence"],
+                                                  noun_index=99))),
+             ("paraphrase", dict(accepted, span=[2, 99]))]
+    for stage, record in cases:
+        src, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+        cli.write_jsonl(src, [record])
+        assert cli.main([stage, "--config", str(cfg), "--stage-in", str(src),
+                         "--stage-out", str(out)]) == 1, record
+        assert "token index 99 is out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _inject_transport_failures(monkeypatch, cls, method, fails):
     """Make cls.method raise TransportError whenever fails(*args) is true."""
     original = getattr(cls, method)
@@ -446,6 +468,13 @@ def test_score_transport_failures_skip_their_delta_pairs(tmp_path, monkeypatch):
     assert read_manifest(paths["scored"])["counts"] == {
         "qe_scores": 33, "deltas": 12, "invalid": 0, "delta_pairs_skipped": 3,
         "transport_failures": 3}
+    # one record per failed call, which the report tables leave out
+    assert [r for r in scored if r["type"] == "failed"] == [
+        {"type": "failed", "kind": kind, "sentence_id": ref.split("#")[0],
+         "candidate_ref": ref, "category": ref.split("#")[1],
+         "system_id": "alpha", "target_lang": "de", "error": "transport"}
+        for ref, kind in (("s01#VID#2.3.4", "ori"), ("s05#VID#4.5.6", "para"),
+                          ("s07#VPC#2.3", "mix"))]
 
 
 def test_main_error_paths(tmp_path, capsys):

@@ -10,7 +10,7 @@ from vmweval.extract import (Category, LvcEvidence, VidEvidence, VMWECandidate,
                              candidate_from_dict, candidate_to_dict,
                              extract_all, extract_lvc, extract_vpc,
                              is_non_vmwe, match_idioms,
-                             rebuild_candidate, sample_non_vmwe)
+                             rebuild_candidate, sample_sentences)
 from vmweval.lexicon import (IdiomEntry, IdiomLexicon, default_verb_lemmas,
                              light_verb_set, load_idiom_lexicon)
 from vmweval.stats import bleu4
@@ -214,9 +214,14 @@ def test_threshold_monotonicity(corpus25, lexicon):
             assert strict <= loose
 
 
+def _non_vmwe(corpus, lexicon, light_verbs):
+    return [s for s in corpus if is_non_vmwe(s, lexicon, light_verbs)]
+
+
 def test_sample_non_vmwe_deterministic(corpus25, lexicon, light_verbs):
-    a, short_a = sample_non_vmwe(corpus25, 5, 42, lexicon, light_verbs)
-    b, short_b = sample_non_vmwe(corpus25, 5, 42, lexicon, light_verbs)
+    clean = _non_vmwe(corpus25, lexicon, light_verbs)
+    a, short_a = sample_sentences(clean, 5, 42)
+    b, short_b = sample_sentences(clean, 5, 42)
     assert [s.id for s in a] == [s.id for s in b]
     assert not short_a and not short_b
     ids = [s.id for s in a]
@@ -225,17 +230,19 @@ def test_sample_non_vmwe_deterministic(corpus25, lexicon, light_verbs):
 
 
 def test_sample_non_vmwe_seed_matters(corpus25, lexicon, light_verbs):
-    seeds = {tuple(s.id for s in sample_non_vmwe(
-        corpus25, 5, seed, lexicon, light_verbs)[0]) for seed in range(8)}
+    clean = _non_vmwe(corpus25, lexicon, light_verbs)
+    seeds = {tuple(s.id for s in sample_sentences(clean, 5, seed)[0])
+             for seed in range(8)}
     assert len(seeds) > 1
 
 
 def test_sample_non_vmwe_shortfall(corpus25, lexicon, light_verbs):
-    picked, shortfall = sample_non_vmwe(corpus25, 99, 0, lexicon, light_verbs)
+    clean = _non_vmwe(corpus25, lexicon, light_verbs)
+    picked, shortfall = sample_sentences(clean, 99, 0)
     assert shortfall
     assert {s.id for s in picked} == CLEAN_IDS
     with pytest.raises(ContractViolation):
-        sample_non_vmwe(corpus25, -1, 0, lexicon, light_verbs)
+        sample_sentences(clean, -1, 0)
 
 
 def test_candidate_ref_and_surface(corpus25, lexicon):

@@ -21,14 +21,13 @@ def test_normalize_idiom_possessive_clitic():
 def test_load_lexicon_from_fixture(fixtures_dir):
     verbs = default_verb_lemmas()
     with open(fixtures_dir / "idioms.txt", encoding="utf-8") as fh:
-        lex = load_idiom_lexicon(fh, verbs, source_label="fixture")
+        lex = load_idiom_lexicon(fh, verbs)
     # "at arm's length" holds no verb and is dropped; the duplicate
     # "spill the beans" collapses.
     assert len(lex) == 5
     canonicals = {e.canonical for e in lex.entries}
     assert ("at", "arm", "'s", "length") not in canonicals
     assert ("spill", "the", "beans") in canonicals
-    assert lex.source_label == "fixture"
 
 
 def test_verb_flag_forces_retention():
