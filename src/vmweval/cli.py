@@ -289,6 +289,7 @@ def stage_extract(config: Config, args) -> int:
                 per_category[cand.category.value] += 1
                 records.append(extract_mod.candidate_to_dict(cand))
 
+    inputs = {"corpus": corpus_path, "idioms": idioms_path}
     counts = {"candidates": len(records), **per_category}
     if n_controls:
         controls, shortfall = extract_mod.sample_sentences(
@@ -298,12 +299,15 @@ def stage_extract(config: Config, args) -> int:
             out.with_name(out.stem + ".controls.jsonl")
         write_jsonl(controls_out,
                     [corpus_mod.sentence_to_dict(s) for s in controls])
-        counts.update(controls=len(controls), controls_shortfall=shortfall)
+        control_counts = {"controls": len(controls),
+                          "controls_shortfall": shortfall}
+        write_manifest(controls_out, "extract", config, inputs,
+                       control_counts, _seed(config, args))
+        counts.update(control_counts)
         if shortfall:
             print(f"warning: only {len(controls)} of {n_controls} requested "
                   f"control sentences qualify", file=sys.stderr)
-    return _finish(config, args, "extract", records,
-                   {"corpus": corpus_path, "idioms": idioms_path}, counts)
+    return _finish(config, args, "extract", records, inputs, counts)
 
 
 def stage_classify(config: Config, args) -> int:
@@ -418,6 +422,7 @@ def stage_translate(config: Config, args) -> int:
     controls = []
     if args.controls_in:
         inputs["controls"] = _input_file(Path(args.controls_in))
+        _check_input_manifest(inputs["controls"])
         controls = corpus_mod.load_corpus(inputs["controls"], "jsonl")
 
     jobs = []

@@ -285,6 +285,23 @@ def test_chain_through_score(tmp_path):
         assert rec["delta_para"] == rec["qe_ori"] - rec["qe_para"]
 
 
+def test_translate_rejects_controls_of_another_schema(tmp_path, capsys):
+    cfg = patched_config(tmp_path)
+    paths, codes = _run_chain(cfg, tmp_path, through="paraphrase")
+    assert codes == [0, 0, 0]
+    manifest = read_manifest(paths["controls"])
+    assert manifest["stage"] == "extract"
+    assert manifest["counts"] == {"controls": 5, "controls_shortfall": 0}
+    manifest["schema_version"] = 99
+    cli._manifest_path(paths["controls"]).write_text(json.dumps(manifest))
+    assert cli.main(["translate", "--config", str(cfg),
+                     "--stage-in", str(paths["paraphrases"]),
+                     "--stage-out", str(tmp_path / "trans.jsonl"),
+                     "--controls-in", str(paths["controls"])]) == 1
+    assert "schema 99" in capsys.readouterr().err
+    assert not (tmp_path / "trans.jsonl").exists()
+
+
 def test_stage_report_outputs(tmp_path):
     cfg = patched_config(tmp_path)
     paths, _ = _run_chain(cfg, tmp_path, through="score")
