@@ -37,8 +37,6 @@ from .errors import (ContractViolation, SchemaVersionError, TransportError,
 
 SCHEMA_VERSION = report_mod.SCHEMA_VERSION
 
-STAGES = ("extract", "classify", "paraphrase", "translate", "score", "report")
-
 
 # --- config ------------------------------------------------------------------
 
@@ -73,7 +71,10 @@ def load_config(path: str | Path) -> Config:
     if not path.is_file():
         raise ContractViolation(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ContractViolation(f"config is not valid YAML: {path}: {exc}")
     if not isinstance(raw, dict):
         raise ContractViolation(f"config must be a mapping: {path}")
     return Config(raw=raw, base=path.parent)
@@ -97,23 +98,27 @@ def build_backend(config: Config, name: str):
     kind = entry.get("kind")
     if kind not in ("llm", "mt", "qe"):
         raise ContractViolation(f"backend {name!r} has unknown kind {kind!r}")
+
+    def need(key):
+        return config.get("backends", name, key)
+
     mock = entry.get("mode", "http") == "mock"
-    http = {} if mock else {"base_url": entry["base_url"],
+    http = {} if mock else {"base_url": need("base_url"),
                             "api_key": _credential(entry),
                             "timeout": entry.get("timeout", 60.0)}
     if kind == "llm":
         if mock:
             return llm_mod.MockChatBackend.from_file(
-                config.path(entry["script"]),
+                config.path(need("script")),
                 model_id=entry.get("model_id", "mock-chat"))
-        return llm_mod.HttpChatBackend(model_id=entry["model_id"], **http)
+        return llm_mod.HttpChatBackend(model_id=need("model_id"), **http)
     if kind == "mt":
         system_id = entry.get("system_id", name)
         if mock:
             return mt_mod.MockMTBackend(system_id=system_id,
                                         break_rules=entry.get("break_rules"))
         return mt_mod.HttpMTBackend(system_id=system_id, **http)
-    orientation = stats_mod.Orientation(entry["orientation"])
+    orientation = stats_mod.Orientation(need("orientation"))
     metric_id = entry.get("metric_id", name)
     if mock:
         return qe_mod.MockQEBackend(metric_id=metric_id, orientation=orientation)
@@ -130,13 +135,17 @@ def _input_file(path: Path) -> Path:
 
 
 def read_jsonl(path: Path) -> list[dict]:
-    _check_input_manifest(_input_file(path))
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open(_stage_input(path), encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ContractViolation(
+                        f"{path} line {line_no}: bad JSON record: {exc.msg} "
+                        f"(column {exc.colno})")
     return records
 
 
@@ -155,15 +164,17 @@ def _manifest_path(out: Path) -> Path:
     return out / "manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
 
 
-def _check_input_manifest(path: Path):
-    manifest = Path(str(path) + ".manifest.json")
-    if not manifest.is_file():
-        return
-    with open(manifest, encoding="utf-8") as fh:
-        recorded = json.load(fh).get("schema_version")
-    if recorded != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"{path} was written under schema {recorded}, expected {SCHEMA_VERSION}")
+def _stage_input(path: Path) -> Path:
+    """`path` once it exists and its manifest, if it has one, names this
+    schema version."""
+    manifest = Path(str(_input_file(path)) + ".manifest.json")
+    if manifest.is_file():
+        with open(manifest, encoding="utf-8") as fh:
+            recorded = json.load(fh).get("schema_version")
+        if recorded != SCHEMA_VERSION:
+            raise SchemaVersionError(f"{path} was written under schema "
+                                     f"{recorded}, expected {SCHEMA_VERSION}")
+    return path
 
 
 def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path],
@@ -183,11 +194,10 @@ def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path
         fh.write("\n")
 
 
-def _finish(config: Config, args, stage: str, records: list[dict],
+def _finish(config: Config, args, stage: str, out: Path, records: list[dict],
             inputs: dict[str, Path], counts: dict) -> int:
-    """Write a stage's records and manifest; the exit code is 2 when a
-    backend call failed in transport."""
-    out = Path(args.stage_out)
+    """Write a stage's records and manifest to `out`; the exit code is 2
+    when a backend call failed in transport."""
     write_jsonl(out, records)
     write_manifest(out, stage, config, inputs, counts, _seed(config, args))
     return 2 if counts.get("transport_failures") else 0
@@ -232,6 +242,13 @@ def _load_corpus(config: Config) -> tuple[corpus_mod.Corpus, Path]:
     return corpus_mod.load_corpus(path, fmt), path
 
 
+def _llm_stage_setup(config: Config, args):
+    """The corpus, its path and the chat backend classify and paraphrase use."""
+    corpus, corpus_path = _load_corpus(config)
+    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
+    return corpus, corpus_path, backend
+
+
 def _load_lexicon(config: Config):
     idioms_path = _input_file(config.path(config.get("lexicon", "idioms")))
     verbs_value = config.get("lexicon", "verb_lemmas", default=None)
@@ -252,9 +269,7 @@ def _categories(args) -> tuple[extract_mod.Category, ...]:
 
 
 def _seed(config: Config, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return config.get("seed", default=0)
+    return args.seed if args.seed is not None else config.get("seed", default=0)
 
 
 def _concurrency(config: Config) -> int:
@@ -294,38 +309,33 @@ def stage_extract(config: Config, args) -> int:
     if n_controls:
         controls, shortfall = extract_mod.sample_sentences(
             clean, n_controls, _seed(config, args))
-        out = Path(args.stage_out)
-        controls_out = Path(args.controls_out) if args.controls_out else \
-            out.with_name(out.stem + ".controls.jsonl")
-        write_jsonl(controls_out,
-                    [corpus_mod.sentence_to_dict(s) for s in controls])
+        controls_out = args.controls_out or args.stage_out.with_name(
+            args.stage_out.stem + ".controls.jsonl")
         control_counts = {"controls": len(controls),
                           "controls_shortfall": shortfall}
-        write_manifest(controls_out, "extract", config, inputs,
-                       control_counts, _seed(config, args))
+        _finish(config, args, "extract", controls_out,
+                [corpus_mod.sentence_to_dict(s) for s in controls],
+                inputs, control_counts)
         counts.update(control_counts)
         if shortfall:
             print(f"warning: only {len(controls)} of {n_controls} requested "
                   f"control sentences qualify", file=sys.stderr)
-    return _finish(config, args, "extract", records, inputs, counts)
+    return _finish(config, args, "extract", args.stage_out, records, inputs, counts)
 
 
 def stage_classify(config: Config, args) -> int:
     candidates = [extract_mod.candidate_from_dict(r)
-                  for r in read_jsonl(Path(args.stage_in))]
+                  for r in read_jsonl(args.stage_in)]
     wanted = set(_categories(args))
     candidates = [c for c in candidates if c.category in wanted]
-    corpus, corpus_path = _load_corpus(config)
-    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
-    jobs = [(cand, corpus.by_id(cand.sentence_id)) for cand in candidates]
-    for cand, sentence in jobs:
+    corpus, corpus_path, backend = _llm_stage_setup(config, args)
+    jobs = [(cand.category, cand, corpus.by_id(cand.sentence_id))
+            for cand in candidates]
+    for _, cand, sentence in jobs:
         extract_mod.check_in_range(sentence, cand.token_indices())
-
-    def classify(job):
-        cand, sentence = job
-        return llm_mod.classify_candidate(backend, cand.category, cand, sentence)
-
-    outcomes = _map_ordered(classify, jobs, _concurrency(config))
+    outcomes = _map_ordered(
+        lambda job: llm_mod.classify_candidate(backend, *job), jobs,
+        _concurrency(config))
     records = []
     counts = {"total": len(candidates), "accepted": 0, "rejected": 0,
               "undecided": 0, "transport_failures": 0}
@@ -341,30 +351,25 @@ def stage_classify(config: Config, args) -> int:
                           raw_response=getattr(exc, "raw_response", None),
                           error=_kept_failure(exc, counts))
         records.append(record)
-    return _finish(config, args, "classify", records,
-                   {"candidates": Path(args.stage_in), "corpus": corpus_path},
-                   counts)
+    return _finish(config, args, "classify", args.stage_out, records,
+                   {"candidates": args.stage_in, "corpus": corpus_path}, counts)
 
 
 def stage_paraphrase(config: Config, args) -> int:
-    classifications = read_jsonl(Path(args.stage_in))
+    classifications = read_jsonl(args.stage_in)
     wanted = {c.value for c in _categories(args)}
     accepted = [r for r in classifications
                 if r.get("verdict") is True and r["category"] in wanted]
-    corpus, corpus_path = _load_corpus(config)
-    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
+    corpus, corpus_path, backend = _llm_stage_setup(config, args)
     jobs = []
     for record in accepted:
         sentence = corpus.by_id(record["sentence_id"])
         jobs.append((extract_mod.rebuild_candidate(
             sentence, extract_mod.Category(record["category"]),
             tuple(record["span"])), sentence))
-
-    def paraphrase(job):
-        cand, sentence = job
-        return llm_mod.paraphrase_candidate(backend, cand, sentence)
-
-    outcomes = _map_ordered(paraphrase, jobs, _concurrency(config))
+    outcomes = _map_ordered(
+        lambda job: llm_mod.paraphrase_candidate(backend, *job), jobs,
+        _concurrency(config))
     records = []
     counts = {"total": len(accepted), "paraphrased": 0, "retained_candidate": 0,
               "undecided": 0, "transport_failures": 0}
@@ -383,9 +388,8 @@ def stage_paraphrase(config: Config, args) -> int:
                           raw_response=getattr(exc, "raw_response", None),
                           error=_kept_failure(exc, counts))
         records.append(record)
-    return _finish(config, args, "paraphrase", records,
-                   {"classifications": Path(args.stage_in), "corpus": corpus_path},
-                   counts)
+    return _finish(config, args, "paraphrase", args.stage_out, records,
+                   {"classifications": args.stage_in, "corpus": corpus_path}, counts)
 
 
 def _target_langs(config: Config, args) -> list[str]:
@@ -402,13 +406,11 @@ def _mt_backend_names(config: Config, args) -> list[str]:
     if args.backend:
         return [args.backend]
     names = config.get("pipeline", "mt")
-    if isinstance(names, str):
-        names = [names]
-    return list(names)
+    return [names] if isinstance(names, str) else list(names)
 
 
 def stage_translate(config: Config, args) -> int:
-    paraphrases = [r for r in read_jsonl(Path(args.stage_in))
+    paraphrases = [r for r in read_jsonl(args.stage_in)
                    if r.get("paraphrased")]
     langs = _target_langs(config, args)
     backends = {name: build_backend(config, name)
@@ -418,11 +420,10 @@ def stage_translate(config: Config, args) -> int:
     max_unit = int(config.get("repetition", "max_unit",
                               default=mt_mod.DEFAULT_MAX_UNIT))
 
-    inputs = {"paraphrases": Path(args.stage_in)}
+    inputs = {"paraphrases": args.stage_in}
     controls = []
     if args.controls_in:
-        inputs["controls"] = _input_file(Path(args.controls_in))
-        _check_input_manifest(inputs["controls"])
+        inputs["controls"] = _stage_input(args.controls_in)
         controls = corpus_mod.load_corpus(inputs["controls"], "jsonl")
 
     jobs = []
@@ -460,7 +461,7 @@ def stage_translate(config: Config, args) -> int:
             record.update(hypothesis=None, validity=None,
                           error=_kept_failure(exc, counts))
         records.append(record)
-    return _finish(config, args, "translate", records, inputs, counts)
+    return _finish(config, args, "translate", args.stage_out, records, inputs, counts)
 
 
 def _scored_record(record_type: str, rec: dict, **fields) -> dict:
@@ -480,7 +481,7 @@ def _translation(rec: dict) -> mt_mod.TranslationRecord:
 
 
 def stage_score(config: Config, args) -> int:
-    translations = read_jsonl(Path(args.stage_in))
+    translations = read_jsonl(args.stage_in)
     backend = build_backend(config, args.backend or config.get("pipeline", "qe"))
 
     valid = []
@@ -538,15 +539,15 @@ def stage_score(config: Config, args) -> int:
                          category=rec["category"])
         counts["deltas"] += 1
         records.append({"type": "delta", **qe_mod.delta_to_dict(report)})
-    return _finish(config, args, "score", records,
-                   {"translations": Path(args.stage_in)}, counts)
+    return _finish(config, args, "score", args.stage_out, records,
+                   {"translations": args.stage_in}, counts)
 
 
 def stage_report(config: Config, args) -> int:
-    scored = read_jsonl(Path(args.stage_in))
-    out_dir = Path(args.stage_out)
+    scored = read_jsonl(args.stage_in)
+    out_dir = args.stage_out
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = {"scored": Path(args.stage_in)}
+    inputs = {"scored": args.stage_in}
     tables = report_mod.build_tables(
         scored,
         float(config.get("exclusion", "flag_pct",
@@ -556,64 +557,35 @@ def stage_report(config: Config, args) -> int:
 
     da_path = config.get("da", "annotations", default=None)
     if da_path:
-        da_file = config.path(da_path)
-        annotations = [stats_mod.DAAnnotation(
-            system_id=r["system_id"], sentence_id=r["sentence_id"],
-            annotator_id=r["annotator_id"], raw_score=r["raw_score"])
-            for r in read_jsonl(da_file)]
-        zscores = stats_mod.znormalize(annotations)
-        tables["z_gap_table"] = report_mod.z_gap_table(
-            zscores, config.get("da", "vmwe_ids"),
-            config.get("da", "control_ids"))
-        inputs["da_annotations"] = da_file
+        inputs["da_annotations"] = config.path(da_path)
+        tables["z_gap_table"] = report_mod.da_gap_table(
+            read_jsonl(inputs["da_annotations"]),
+            config.get("da", "vmwe_ids"), config.get("da", "control_ids"))
 
     gold_path = config.get("classifier_eval", "gold", default=None)
     if gold_path and args.classifications_in:
-        gold_file = config.path(gold_path)
-        gold = {r["candidate_ref"]: bool(r["label"])
-                for r in read_jsonl(gold_file)}
-        predictions = []
-        undecided = []
-        for rec in read_jsonl(Path(args.classifications_in)):
-            category = extract_mod.Category(rec["category"])
-            if rec.get("verdict") is None:
-                undecided.append((rec["candidate_ref"], category))
-                continue
-            predictions.append(llm_mod.ClassificationResult(
-                candidate_ref=rec["candidate_ref"], category=category,
-                verdict=rec["verdict"], raw_choice=rec.get("raw_choice") or "",
-                raw_response=rec.get("raw_response") or ""))
-        tables["classifier_table"] = report_mod.classifier_report(
-            gold, predictions, undecided)
-        inputs["gold"] = gold_file
-        inputs["classifications"] = Path(args.classifications_in)
+        inputs["gold"] = config.path(gold_path)
+        inputs["classifications"] = args.classifications_in
+        tables["classifier_table"] = report_mod.classifier_table(
+            read_jsonl(inputs["gold"]), read_jsonl(inputs["classifications"]))
 
-    table_kinds = {"gap_table": "gap", "delta_table": "delta",
-                   "ranking": "ranking", "error_rates": "error_rate",
-                   "z_gap_table": "gap", "classifier_table": "classifier"}
     counts = {}
     for name, rows in sorted(tables.items()):
-        kind = table_kinds[name]
         for fmt in ("csv", "json"):
-            text = report_mod.emit(rows, fmt, table=kind)
+            text = report_mod.emit(rows, fmt, report_mod.TABLE_KINDS[name])
             (out_dir / f"{name}.{fmt}").write_text(text, encoding="utf-8")
-        counts[name] = len(rows) if isinstance(rows, list) else len(rows.entries)
+        counts[name] = len(rows)
     write_manifest(out_dir, "report", config, inputs, counts, _seed(config, args))
     return 0
 
 
 def stage_run_all(config: Config, args) -> int:
-    out_dir = Path(args.stage_out)
+    out_dir = args.stage_out
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "candidates": out_dir / "candidates.jsonl",
-        "controls": out_dir / "controls.jsonl",
-        "classifications": out_dir / "classifications.jsonl",
-        "paraphrases": out_dir / "paraphrases.jsonl",
-        "translations": out_dir / "translations.jsonl",
-        "scored": out_dir / "scored.jsonl",
-        "report": out_dir / "report",
-    }
+    paths = {name: out_dir / f"{name}.jsonl"
+             for name in ("candidates", "controls", "classifications",
+                          "paraphrases", "translations", "scored")}
+    paths["report"] = out_dir / "report"
 
     def ns(**stage_paths):
         # --backend names one stage's backend; here the config names each.
@@ -640,24 +612,29 @@ def stage_run_all(config: Config, args) -> int:
 
 # --- argument parsing ---------------------------------------------------------
 
+# command -> (stage function, help text)
+_COMMANDS = {
+    "extract": (stage_extract, "find VMWE candidates and sample a control set"),
+    "classify": (stage_classify, "ask the LLM backend to confirm candidates"),
+    "paraphrase": (stage_paraphrase, "rewrite confirmed candidates without the VMWE"),
+    "translate": (stage_translate, "translate originals, paraphrases and controls"),
+    "score": (stage_score, "run quality estimation and the delta experiment"),
+    "report": (stage_report, "aggregate scores into tables"),
+    "run-all": (stage_run_all, "run every stage into one output directory"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vmweval",
         description="VMWE extraction, paraphrasing and MT quality pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("extract", "find VMWE candidates and sample a control set"),
-        ("classify", "ask the LLM backend to confirm candidates"),
-        ("paraphrase", "rewrite confirmed candidates without the VMWE"),
-        ("translate", "translate originals, paraphrases and controls"),
-        ("score", "run quality estimation and the delta experiment"),
-        ("report", "aggregate scores into tables"),
-        ("run-all", "run every stage into one output directory"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="pipeline config (YAML)")
-        p.add_argument("--stage-in", help="JSON Lines input from the previous stage")
-        p.add_argument("--stage-out", required=True,
+        p.add_argument("--stage-in", type=Path,
+                       help="JSON Lines input from the previous stage")
+        p.add_argument("--stage-out", type=Path, required=True,
                        help="output path (directory for report/run-all)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--backend", help="backend name from the config")
@@ -665,33 +642,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict to one VMWE category")
         p.add_argument("--target-lang", choices=list(mt_mod.TARGET_LANGS),
                        help="restrict translation to one target language")
-        p.add_argument("--controls-in", help="control sentences (JSON Lines)")
-        p.add_argument("--controls-out", help="where extract writes controls")
-        p.add_argument("--classifications-in",
+        p.add_argument("--controls-in", type=Path, help="control sentences (JSON Lines)")
+        p.add_argument("--controls-out", type=Path, help="where extract writes controls")
+        p.add_argument("--classifications-in", type=Path,
                        help="classification records for the classifier table")
     return parser
 
 
-_STAGE_FN = {
-    "extract": stage_extract,
-    "classify": stage_classify,
-    "paraphrase": stage_paraphrase,
-    "translate": stage_translate,
-    "score": stage_score,
-    "report": stage_report,
-    "run-all": stage_run_all,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    needs_in = args.command in ("classify", "paraphrase", "translate", "score",
-                                "report")
+    needs_in = args.command not in ("extract", "run-all")
     try:
         if needs_in and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
         config = load_config(args.config)
-        return _STAGE_FN[args.command](config, args)
+        return _COMMANDS[args.command][0](config, args)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,8 +19,9 @@ from .extract import Category
 from .llm import ClassificationResult
 from .mt import error_pct
 from .qe import DeltaReport, delta_from_dict
-from .stats import (ConfusionMatrix, ConfusionReport, Orientation, ZScore,
-                    confusion_metrics, round_half_up)
+from .stats import (ConfusionMatrix, ConfusionReport, DAAnnotation,
+                    Orientation, ZScore, confusion_metrics, round_half_up,
+                    znormalize)
 
 log = logging.getLogger(__name__)
 
@@ -32,6 +33,11 @@ DEFAULT_FLAG_PCT = 10.0
 DEFAULT_EXCLUDE_PCT = 50.0
 
 CellKey = tuple[str, str, str]  # (category, system_id, target_lang)
+
+# Report table name -> the kind `emit` renders it as.
+TABLE_KINDS = {"gap_table": "gap", "delta_table": "delta", "ranking": "ranking",
+               "error_rates": "error_rate", "z_gap_table": "gap",
+               "classifier_table": "classifier"}
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,17 @@ def z_gap_table(zscores: Sequence[ZScore], vmwe_ids: Iterable[str],
     return cells
 
 
+def da_gap_table(records: Iterable[Mapping], vmwe_ids: Iterable[str],
+                 control_ids: Iterable[str]) -> list[GapCell]:
+    """The z-gap table from DA-annotation records (system_id, sentence_id,
+    annotator_id, raw_score), standardized per annotator."""
+    annotations = [DAAnnotation(
+        system_id=r["system_id"], sentence_id=r["sentence_id"],
+        annotator_id=r["annotator_id"], raw_score=r["raw_score"])
+        for r in records]
+    return z_gap_table(znormalize(annotations), vmwe_ids, control_ids)
+
+
 def rank_systems(cell_means: Mapping[tuple[str, str], float],
                  orientation: Orientation, metric_id: str,
                  category: str = "all",
@@ -201,6 +218,26 @@ def classifier_report(gold: Mapping[str, bool],
                                     metrics=confusion_metrics(matrix),
                                     n_undecided=n_undecided.get(name, 0)))
     return cells
+
+
+def classifier_table(gold_records: Iterable[Mapping],
+                     classification_records: Iterable[Mapping],
+                     ) -> list[ClassifierCell]:
+    """The classifier table from gold-label records (candidate_ref, label)
+    and classify-stage records; a record without a verdict is undecided."""
+    gold = {r["candidate_ref"]: bool(r["label"]) for r in gold_records}
+    predictions = []
+    undecided = []
+    for rec in classification_records:
+        category = Category(rec["category"])
+        if rec.get("verdict") is None:
+            undecided.append((rec["candidate_ref"], category))
+            continue
+        predictions.append(ClassificationResult(
+            candidate_ref=rec["candidate_ref"], category=category,
+            verdict=rec["verdict"], raw_choice=rec.get("raw_choice") or "",
+            raw_response=rec.get("raw_response") or ""))
+    return classifier_report(gold, predictions, undecided)
 
 
 @dataclass(frozen=True)
@@ -343,12 +380,9 @@ def _json_table(table: str, rows: list[dict]) -> str:
                        "rows": rows}, ensure_ascii=False, indent=2) + "\n"
 
 
-def emit(report, fmt: str, table: str | None = None) -> str:
-    """Render a report object (or list of them) as csv or json text.
-
-    `table` names the table kind explicitly; it is only required when the
-    row list is empty and the kind cannot be inferred.
-    """
+def emit(rows: list, fmt: str, table: str) -> str:
+    """Render a table's rows as csv or json text; `table` is its kind, one
+    of the values of TABLE_KINDS."""
     if fmt not in ("csv", "json"):
         raise ContractViolation(f"unknown report format {fmt!r}")
     emitters = {
@@ -358,17 +392,9 @@ def emit(report, fmt: str, table: str | None = None) -> str:
         "error_rate": _emit_error_rates,
         "classifier": _emit_classifier,
     }
-    kinds = {GapCell: "gap", DeltaRow: "delta", Ranking: "ranking",
-             ErrorRateRow: "error_rate", ClassifierCell: "classifier"}
-    if isinstance(report, Ranking):
-        report = [report]
-    if table is None:
-        if not isinstance(report, list) or not report:
-            raise ContractViolation("cannot infer table kind, pass table=")
-        table = kinds.get(type(report[0]))
     if table not in emitters:
         raise ContractViolation(f"cannot emit table {table!r}")
-    return emitters[table](report, fmt)
+    return emitters[table](rows, fmt)
 
 
 def _emit_gap(cells: list[GapCell], fmt: str) -> str:

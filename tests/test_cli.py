@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -506,6 +509,58 @@ def test_main_error_paths(tmp_path, capsys):
                      "--stage-in", str(tmp_path / "absent.jsonl"),
                      "--stage-out", str(tmp_path / "z.jsonl")]) == 1
     assert "missing input file" in capsys.readouterr().err
+
+
+def _bad_yaml(tmp_path):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("seed: [1\n", encoding="utf-8")
+    return cfg, ["extract"]
+
+
+def _truncated_stage_in(tmp_path):
+    cfg = patched_config(tmp_path)
+    cands = tmp_path / "cands.jsonl"
+    cands.write_text('{"candidate_ref": "s01#VID#2.3.4"}\n{"candidate_ref": "s0',
+                     encoding="utf-8")
+    return cfg, ["classify", "--stage-in", str(cands)]
+
+
+def _mt_without_base_url(tmp_path):
+    cfg = patched_config(tmp_path, lambda raw: raw["backends"].update(
+        alpha={"kind": "mt", "mode": "http", "system_id": "alpha"}))
+    paraphrases = tmp_path / "para.jsonl"
+    paraphrases.write_text("", encoding="utf-8")
+    return cfg, ["translate", "--stage-in", str(paraphrases)]
+
+
+def _qe_without_orientation(tmp_path):
+    cfg = patched_config(
+        tmp_path, lambda raw: raw["backends"]["mock_qe"].pop("orientation"))
+    translations = tmp_path / "trans.jsonl"
+    translations.write_text("", encoding="utf-8")
+    return cfg, ["score", "--stage-in", str(translations)]
+
+
+@pytest.mark.parametrize("make_case, message", [
+    (_bad_yaml, "bad.yaml"),
+    (_truncated_stage_in, "cands.jsonl line 2"),
+    (_mt_without_base_url, "backends.alpha.base_url"),
+    (_qe_without_orientation, "backends.mock_qe.orientation"),
+], ids=["bad-yaml", "truncated-jsonl", "mt-no-base-url", "qe-no-orientation"])
+def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message):
+    cfg, command = make_case(tmp_path)
+    out = tmp_path / "out.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "vmweval.cli", *command, "--config", str(cfg),
+         "--stage-out", str(out)], env=env, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+    assert not cli._manifest_path(out).exists()
 
 
 def test_main_schema_mismatch_exit_code(tmp_path, capsys):

@@ -8,8 +8,9 @@ from vmweval.extract import Category
 from vmweval.llm import ClassificationResult
 from vmweval.qe import DeltaReport, Orientation, QEScore
 from vmweval.report import (GapCell, build_tables, classifier_report,
-                            delta_table, emit, error_rate_rows, gap_table,
-                            rank_systems, z_gap_table)
+                            classifier_table, da_gap_table, delta_table, emit,
+                            error_rate_rows, gap_table, rank_systems,
+                            z_gap_table)
 from vmweval.stats import ConfusionMatrix, ZScore, confusion_metrics
 
 LOWER = Orientation.LOWER_BETTER_0_25
@@ -111,6 +112,19 @@ def test_z_gap_rejects_overlapping_ids():
         z_gap_table([], ["v1", "shared"], ["shared", "c1"])
 
 
+def test_da_gap_table_from_dict_records():
+    def record(system, sentence, annotator, raw):
+        return {"system_id": system, "sentence_id": sentence,
+                "annotator_id": annotator, "raw_score": raw}
+    # a1: mean 70, std 10, so v1 -> -1 and c1 -> +1; a2 has no variance
+    records = [record("alpha", "v1", "a1", 60), record("alpha", "c1", "a1", 80),
+               record("beta", "v1", "a2", 30), record("beta", "c1", "a2", 30)]
+    cells = da_gap_table(records, ["v1"], ["c1"])
+    assert [(c.system_id, c.gap, c.n_vmwe, c.n_control) for c in cells] == [
+        ("alpha", 2.0, 1, 1), ("beta", 0.0, 1, 1)]
+    assert cells[0].metric_id == "da_z"
+
+
 # --- rankings -------------------------------------------------------------------
 
 def test_rank_lower_better():
@@ -197,6 +211,29 @@ def test_classifier_report_requires_gold():
         classifier_report({}, [_pred("r9", Category.VID, True)])
     with pytest.raises(ContractViolation):
         classifier_report({"r1": True}, [], undecided=[("r9", Category.VID)])
+
+
+def test_classifier_table_from_records():
+    gold = [{"candidate_ref": "r1", "label": True},
+            {"candidate_ref": "r2", "label": False},
+            {"candidate_ref": "r3", "label": 1}]
+    records = [
+        {"candidate_ref": "r1", "category": "VID", "verdict": True,
+         "raw_choice": "A", "raw_response": "Final Answer: A"},
+        {"candidate_ref": "r2", "category": "VID", "verdict": False,
+         "raw_choice": "B", "raw_response": "Final Answer: B"},
+        {"candidate_ref": "r3", "category": "VID", "verdict": None,
+         "raw_choice": None, "raw_response": "mumble", "error": "unparseable"}]
+    cells = classifier_table(gold, records)
+    assert [c.category for c in cells] == ["VID"]
+    vid = cells[0]
+    assert (vid.matrix.tp, vid.matrix.fn, vid.matrix.fp, vid.matrix.tn) == \
+        (1, 0, 0, 1)
+    assert vid.n_undecided == 1
+    assert cells == classifier_report(
+        {"r1": True, "r2": False, "r3": True},
+        [_pred("r1", Category.VID, True), _pred("r2", Category.VID, False)],
+        undecided=[("r3", Category.VID)])
 
 
 def test_classifier_report_skips_undecided_only_category(caplog):
@@ -337,7 +374,7 @@ def test_build_tables_rebuilds_delta_rows():
 
 def test_emit_gap_csv_format():
     vmwe, control = _gap_inputs()
-    text = emit(gap_table(vmwe, control, LOWER, "qe"), "csv")
+    text = emit(gap_table(vmwe, control, LOWER, "qe"), "csv", "gap")
     lines = text.splitlines()
     assert lines[0] == ("category,system_id,target_lang,metric_id,gap,"
                         "n_vmwe,n_control")
@@ -348,21 +385,21 @@ def test_emit_gap_csv_format():
 def test_emit_never_renders_negative_zero():
     cell = GapCell(category="VID", system_id="a", target_lang="de",
                    metric_id="qe", gap=-0.004, n_vmwe=1, n_control=1)
-    text = emit([cell], "csv")
+    text = emit([cell], "csv", "gap")
     assert "+0.00" in text
     assert "-0.00" not in text
 
 
 def test_emit_delta_csv_signs():
     rows = delta_table([_delta("s1", "alpha", "de", 10.0, 8.0, 12.0)])
-    text = emit(rows, "csv")
+    text = emit(rows, "csv", "delta")
     assert text.splitlines()[1] == "all,alpha,de,m,1,10.00,+2.00,-2.00"
 
 
-def test_emit_ranking_accepts_bare_object():
+def test_emit_ranking_csv_format():
     ranking = rank_systems({("alpha", "de"): 10.0, ("alpha", "cs"): 11.0},
                            LOWER, "qe", category="VID")
-    text = emit(ranking, "csv")
+    text = emit([ranking], "csv", "ranking")
     lines = text.splitlines()
     assert lines[0] == ("metric_id,category,rank,system_id,mean_score,"
                         "included_pairs")
@@ -370,14 +407,14 @@ def test_emit_ranking_accepts_bare_object():
 
 
 def test_emit_error_rate_csv_booleans():
-    text = emit(error_rate_rows({("b", "de"): (51, 100)}), "csv")
+    text = emit(error_rate_rows({("b", "de"): (51, 100)}), "csv", "error_rate")
     assert text.splitlines()[1] == "b,de,100,51,51.00,true,true"
 
 
 def test_emit_classifier_csv_row():
     gold = {f"p{i}": i < 4 for i in range(5)}
     preds = [_pred(f"p{i}", Category.VPC, True) for i in range(5)]
-    text = emit(classifier_report(gold, preds), "csv")
+    text = emit(classifier_report(gold, preds), "csv", "classifier")
     lines = text.splitlines()
     assert lines[0] == ("category,n,undecided,accuracy,macro_f1,pos_precision,"
                         "pos_recall,pos_f1,neg_precision,neg_recall,neg_f1")
@@ -386,7 +423,7 @@ def test_emit_classifier_csv_row():
 
 def test_emit_json_envelope():
     vmwe, control = _gap_inputs()
-    text = emit(gap_table(vmwe, control, LOWER, "qe"), "json")
+    text = emit(gap_table(vmwe, control, LOWER, "qe"), "json", "gap")
     body = json.loads(text)
     assert body["schema_version"] == 1
     assert body["table"] == "gap"
@@ -397,8 +434,6 @@ def test_emit_json_envelope():
 
 
 def test_emit_empty_list_needs_table_hint():
-    with pytest.raises(ContractViolation):
-        emit([], "csv")
     header_only = emit([], "csv", table="gap")
     assert header_only.splitlines() == [
         "category,system_id,target_lang,metric_id,gap,n_vmwe,n_control"]
@@ -410,7 +445,3 @@ def test_emit_rejects_unknown_kinds():
         emit([], "xml", table="gap")
     with pytest.raises(ContractViolation):
         emit([], "csv", table="bogus")
-    vmwe, control = _gap_inputs()
-    single_cell = gap_table(vmwe, control, LOWER, "qe")[0]
-    with pytest.raises(ContractViolation):
-        emit(single_cell, "csv")  # bare non-ranking object, kind unknown
