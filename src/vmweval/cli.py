@@ -118,7 +118,14 @@ def build_backend(config: Config, name: str):
             return mt_mod.MockMTBackend(system_id=system_id,
                                         break_rules=entry.get("break_rules"))
         return mt_mod.HttpMTBackend(system_id=system_id, **http)
-    orientation = stats_mod.Orientation(need("orientation"))
+    orientation = need("orientation")
+    try:
+        orientation = stats_mod.Orientation(orientation)
+    except ValueError:
+        allowed = ", ".join(o.value for o in stats_mod.Orientation)
+        raise ContractViolation(
+            f"backends.{name}.orientation is {orientation!r}; "
+            f"allowed: {allowed}") from None
     metric_id = entry.get("metric_id", name)
     if mock:
         return qe_mod.MockQEBackend(metric_id=metric_id, orientation=orientation)
@@ -139,13 +146,18 @@ def read_jsonl(path: Path) -> list[dict]:
     with open(_stage_input(path), encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ContractViolation(
-                        f"{path} line {line_no}: bad JSON record: {exc.msg} "
-                        f"(column {exc.colno})")
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ContractViolation(
+                    f"{path} line {line_no}: bad JSON record: {exc.msg} "
+                    f"(column {exc.colno})")
+            if not isinstance(record, dict):
+                raise ContractViolation(
+                    f"{path} line {line_no}: record is not a JSON object")
+            records.append(record)
     return records
 
 
@@ -203,8 +215,20 @@ def _finish(config: Config, args, stage: str, out: Path, records: list[dict],
     return 2 if counts.get("transport_failures") else 0
 
 
-def _map_ordered(fn, items, max_workers: int):
-    """Run fn over items concurrently, results joined in input order."""
+def _map_ordered(fn, items, max_workers: int, key=None):
+    """Run fn over items concurrently, (result, exc) pairs in input order.
+
+    With `key`, fn runs once per distinct key(item), on the first item that
+    has it, and that call's outcome is returned for every item sharing it.
+    """
+    if key is not None:
+        keys = [key(item) for item in items]
+        first: dict = {}
+        for k, item in zip(keys, items):
+            first.setdefault(k, item)
+        outcomes = dict(zip(first, _map_ordered(fn, list(first.values()),
+                                                max_workers)))
+        return [outcomes[k] for k in keys]
     results = [None] * len(items)
     if not items:
         return results
@@ -443,7 +467,9 @@ def stage_translate(config: Config, args) -> int:
                                   sentence_id=rec["sentence_id"])
         return mt_mod.validate_translation(record, min_repeats, max_unit)
 
-    outcomes = _map_ordered(run, jobs, _concurrency(config))
+    # one call per (system, language, source)
+    outcomes = _map_ordered(run, jobs, _concurrency(config),
+                            key=lambda job: (job[0].system_id, job[1], job[3]))
     records = []
     counts = {"total": len(jobs), "transport_failures": 0,
               **{v.value: 0 for v in mt_mod.ValidityStatus}}
@@ -500,7 +526,8 @@ def stage_score(config: Config, args) -> int:
     def assess(rec):
         return qe_mod.score(backend, rec["source"], rec["hypothesis"])
 
-    outcomes = _map_ordered(assess, valid, _concurrency(config))
+    outcomes = _map_ordered(assess, valid, _concurrency(config),
+                            key=lambda rec: (rec["source"], rec["hypothesis"]))
     sides: dict[tuple, tuple] = {}  # (ref, system, lang, kind) -> scored side
     for rec, (result, exc) in zip(valid, outcomes):
         if exc is not None:
@@ -527,7 +554,10 @@ def stage_score(config: Config, args) -> int:
         (_, ori, _), (_, para, _) = pair
         return qe_mod.mix_score(backend, ori, para)
 
-    mixes = _map_ordered(mix, pairs, _concurrency(config))
+    # one call per (ori source, para hypothesis), the pair mix_score sends
+    mixes = _map_ordered(
+        mix, pairs, _concurrency(config),
+        key=lambda pair: (pair[0][1].source, pair[1][1].hypothesis))
     for ((rec, ori, qe_ori), (_, para, qe_para)), (qe_mix, exc) in zip(pairs, mixes):
         if exc is not None:
             records.append(_scored_record(

@@ -1,4 +1,5 @@
-"""The one HTTP call every backend makes: POST a JSON payload, retry once.
+"""The one HTTP call every backend makes: POST a JSON payload, retry once
+when the failure may pass.
 
 Backends check the shape of the decoded body themselves and raise
 BackendContractError, without a retry, when it is wrong.
@@ -15,14 +16,18 @@ from urllib.parse import urlsplit
 
 from .errors import TransportError
 
+# Client errors that may pass on a second attempt: timeout, rate limit.
+_RETRIED_4XX = (408, 429)
+
 
 def post_json(url: str, payload: dict, api_key: str | None, timeout: float,
               what: str):
     """POST `payload` to `url` and return the decoded JSON body.
 
     Two attempts; a non-200 status, a connection error or an undecodable
-    body on the last one raises TransportError.  `what` names the backend
-    in the message ("chat", "mt", "qe").
+    body on the last one raises TransportError.  A 4xx status other than
+    408 and 429 says the request itself is wrong, so it raises at once.
+    `what` names the backend in the message ("chat", "mt", "qe").
     """
     import http.client  # deferred: importing it slows every CLI start-up
 
@@ -51,6 +56,8 @@ def post_json(url: str, payload: dict, api_key: str | None, timeout: float,
             if resp.status != 200:
                 last_error = TransportError(
                     f"{what} backend returned HTTP {resp.status}")
+                if 400 <= resp.status < 500 and resp.status not in _RETRIED_4XX:
+                    raise last_error
                 continue
             return json.loads(data)
         except (OSError, http.client.HTTPException, ValueError) as exc:

@@ -497,6 +497,121 @@ def test_score_transport_failures_skip_their_delta_pairs(tmp_path, monkeypatch):
                           ("s07#VPC#2.3", "mix"))]
 
 
+# --- one backend call per distinct request -----------------------------------
+
+def _count_calls(monkeypatch, cls, method, key):
+    """Record key(self, *args) for every call of cls.method."""
+    calls = []
+    original = getattr(cls, method)
+
+    def counted(self, *args):
+        calls.append(key(self, *args))
+        return original(self, *args)
+    monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+def _translate_and_score(cfg, upstream, out_dir):
+    """Exit codes and output bytes of translate then score, both systems
+    and both languages, into out_dir."""
+    out_dir.mkdir()
+    trans, scored = out_dir / "trans.jsonl", out_dir / "scored.jsonl"
+    codes = [cli.main(["translate", "--config", str(cfg),
+                       "--stage-in", str(upstream["paraphrases"]),
+                       "--controls-in", str(upstream["controls"]),
+                       "--stage-out", str(trans)]),
+             cli.main(["score", "--config", str(cfg), "--stage-in", str(trans),
+                       "--stage-out", str(scored)])]
+    return codes, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def _shared_against_per_record(tmp_path, monkeypatch):
+    """Run translate and score with shared calls, then again through the
+    per-record mapping as the oracle; both must write the same bytes.
+
+    beta's break rule is dropped, so alpha and beta agree on every
+    hypothesis, and s04 holds two candidates, so keys repeat both ways.
+    Returns the exit codes, the shared run's records and the (MT, QE)
+    calls of each run.
+    """
+    cfg = patched_config(
+        tmp_path, lambda raw: raw["backends"]["beta"].pop("break_rules"))
+    upstream, codes = _run_chain(cfg, tmp_path, through="paraphrase")
+    assert codes == [0, 0, 0]
+    calls = (_count_calls(monkeypatch, MockMTBackend, "translate_text",
+                          lambda self, text, lang: (self.system_id, lang, text)),
+             _count_calls(monkeypatch, MockQEBackend, "assess",
+                          lambda self, source, hypothesis: (source, hypothesis)))
+    codes, shared = _translate_and_score(cfg, upstream, tmp_path / "shared")
+    shared_calls = tuple(list(c) for c in calls)
+    for c in calls:
+        c.clear()
+    keyed = cli._map_ordered
+    monkeypatch.setattr(cli, "_map_ordered",
+                        lambda fn, items, max_workers, key=None:
+                        keyed(fn, items, max_workers))
+    oracle_codes, oracle = _translate_and_score(cfg, upstream,
+                                                tmp_path / "per_record")
+    assert codes == oracle_codes
+    assert shared == oracle
+    records = {name: [json.loads(line) for line in data.splitlines()]
+               for name, data in shared.items() if name.endswith(".jsonl")}
+    return codes, records, shared_calls, calls
+
+
+def test_each_distinct_request_is_sent_once(tmp_path, monkeypatch):
+    codes, records, (mt_calls, qe_calls), (mt_oracle, qe_oracle) = \
+        _shared_against_per_record(tmp_path, monkeypatch)
+    assert codes == [0, 0]
+    translations = records["trans.jsonl"]
+    assert {r["validity"] for r in translations} == {"ok"}
+    assert sorted(mt_calls) == sorted(
+        {(r["system_id"], r["target_lang"], r["source"]) for r in translations})
+    sides = {(r["candidate_ref"], r["system_id"], r["target_lang"], r["kind"]): r
+             for r in translations if r["kind"] in ("ori", "para")}
+    qe_keys = {(r["source"], r["hypothesis"]) for r in translations}
+    mix_keys = {(ori["source"], sides[ref, system, lang, "para"]["hypothesis"])
+                for (ref, system, lang, kind), ori in sides.items()
+                if kind == "ori"}
+    assert sorted(qe_calls) == sorted([*qe_keys, *mix_keys])
+    # the oracle sends one call per record: 35 sources x 2 systems x 2 langs,
+    # then 140 QE calls and 60 mixes
+    assert (len(mt_oracle), len(qe_oracle)) == (140, 200)
+    assert (len(mt_calls), len(qe_calls)) == (136, 98)
+
+
+def test_a_failed_shared_request_fails_every_record_that_shares_it(
+        tmp_path, monkeypatch):
+    source = "He took the lion 's share of the profit."
+    de_hypothesis = MockMTBackend("any").translate_text(source, "de")
+    _inject_transport_failures(
+        monkeypatch, MockMTBackend, "translate_text",
+        lambda text, lang: (text, lang) == (source, "cs"))
+    _inject_transport_failures(
+        monkeypatch, MockQEBackend, "assess",
+        lambda src, hypothesis: (src, hypothesis) == (source, de_hypothesis))
+    codes, records, (mt_calls, qe_calls), _ = _shared_against_per_record(
+        tmp_path, monkeypatch)
+    assert codes == [2, 2]
+    originals = [r["original"] for r in read_jsonl_plain(tmp_path / "para.jsonl")]
+    assert originals.count(source) == 2
+    assert mt_calls.count(("alpha", "cs", source)) == 1
+    assert qe_calls.count((source, de_hypothesis)) == 1
+
+    # two candidates x two systems share each failed call
+    failed = [(r["system_id"], r["target_lang"]) for r in records["trans.jsonl"]
+              if r.get("error") == "transport"]
+    assert sorted(failed) == [("alpha", "cs")] * 2 + [("beta", "cs")] * 2
+    assert read_manifest(tmp_path / "shared" / "trans.jsonl")["counts"][
+        "transport_failures"] == 4
+    failed = [(r["system_id"], r["target_lang"], r["kind"])
+              for r in records["scored.jsonl"] if r["type"] == "failed"]
+    assert sorted(failed) == [("alpha", "de", "ori")] * 2 + \
+        [("beta", "de", "ori")] * 2
+    assert read_manifest(tmp_path / "shared" / "scored.jsonl")["counts"][
+        "transport_failures"] == 4
+
+
 def test_main_error_paths(tmp_path, capsys):
     cfg = patched_config(tmp_path)
     assert cli.main(["classify", "--config", str(cfg),
@@ -541,12 +656,31 @@ def _qe_without_orientation(tmp_path):
     return cfg, ["score", "--stage-in", str(translations)]
 
 
+def _non_object_stage_in(tmp_path):
+    cfg = patched_config(tmp_path)
+    cands = tmp_path / "cands.jsonl"
+    cands.write_text("[1]\n", encoding="utf-8")
+    return cfg, ["classify", "--stage-in", str(cands)]
+
+
+def _qe_unknown_orientation(tmp_path):
+    cfg = patched_config(tmp_path, lambda raw: raw["backends"]["mock_qe"].update(
+        orientation="lower"))
+    translations = tmp_path / "trans.jsonl"
+    translations.write_text("", encoding="utf-8")
+    return cfg, ["score", "--stage-in", str(translations)]
+
+
 @pytest.mark.parametrize("make_case, message", [
     (_bad_yaml, "bad.yaml"),
     (_truncated_stage_in, "cands.jsonl line 2"),
+    (_non_object_stage_in, "cands.jsonl line 1: record is not a JSON object"),
     (_mt_without_base_url, "backends.alpha.base_url"),
     (_qe_without_orientation, "backends.mock_qe.orientation"),
-], ids=["bad-yaml", "truncated-jsonl", "mt-no-base-url", "qe-no-orientation"])
+    (_qe_unknown_orientation, "backends.mock_qe.orientation is 'lower'; "
+                              "allowed: lower_better_0_25, higher_better_0_1"),
+], ids=["bad-yaml", "truncated-jsonl", "non-object-jsonl", "mt-no-base-url",
+        "qe-no-orientation", "qe-unknown-orientation"])
 def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message):
     cfg, command = make_case(tmp_path)
     out = tmp_path / "out.jsonl"

@@ -1,6 +1,7 @@
 """post_json on http.client, checked against the requests-based version it
 replaced: same bytes on the wire, same results, same errors, same request
-counts.  Plus the import hygiene that keeps the CLI start-up lean.
+counts.  Plus which statuses get a second attempt, and the import hygiene
+that keeps the CLI start-up lean.
 """
 import http.server
 import json
@@ -164,6 +165,16 @@ def test_one_connection_per_attempt():
     assert len(sent) == 2
     assert server.connections == 2
     assert [server.header(i, "Connection") for i in range(2)] == ["close"] * 2
+
+
+@pytest.mark.parametrize("status, attempts", [
+    (400, 1), (404, 1), (408, 2), (429, 2), (500, 2), (503, 2)])
+def test_only_retriable_statuses_are_retried(status, attempts):
+    outcome, sent, server = _exchange(post_json, [(status, _json({}))], "/qe",
+                                      QE[2], None, "qe")
+    assert outcome == ("error", f"qe backend returned HTTP {status}")
+    assert len(sent) == attempts
+    assert server.connections == attempts
 
 
 @pytest.mark.parametrize("fn", [post_json, post_json_requests],
