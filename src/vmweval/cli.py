@@ -207,9 +207,11 @@ def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path
 
 
 def _finish(config: Config, args, stage: str, out: Path, records: list[dict],
-            inputs: dict[str, Path], counts: dict) -> int:
-    """Write a stage's records and manifest to `out`; the exit code is 2
-    when a backend call failed in transport."""
+            inputs: dict[str, Path], counts: dict, kept: tuple = ()) -> int:
+    """Write a stage's records and manifest, with each `kept` failure counted
+    from the records; the exit code is 2 when a call failed in transport."""
+    for _, tag, counter in kept:
+        counts[counter] = sum(r.get("error") == tag for r in records)
     write_jsonl(out, records)
     write_manifest(out, stage, config, inputs, counts, _seed(config, args))
     return 2 if counts.get("transport_failures") else 0
@@ -218,46 +220,45 @@ def _finish(config: Config, args, stage: str, out: Path, records: list[dict],
 def _map_ordered(fn, items, max_workers: int, key=None):
     """Run fn over items concurrently, (result, exc) pairs in input order.
 
-    With `key`, fn runs once per distinct key(item), on the first item that
-    has it, and that call's outcome is returned for every item sharing it.
+    fn runs once per distinct key(item), by default its position, on the
+    first item that has it; every item sharing the key gets that outcome.
     """
-    if key is not None:
-        keys = [key(item) for item in items]
-        first: dict = {}
-        for k, item in zip(keys, items):
-            first.setdefault(k, item)
-        outcomes = dict(zip(first, _map_ordered(fn, list(first.values()),
-                                                max_workers)))
-        return [outcomes[k] for k in keys]
-    results = [None] * len(items)
-    if not items:
-        return results
+    keys = [key(item) for item in items] if key is not None else range(len(items))
+    first: dict = {}
+    for k, item in zip(keys, items):
+        first.setdefault(k, item)
+
+    def outcome(item):
+        try:
+            return fn(item), None
+        except Exception as exc:  # noqa: BLE001 - recorded per item
+            return None, exc
     with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        future_to_idx = {pool.submit(fn, item): i for i, item in enumerate(items)}
-        for future in future_to_idx:
-            idx = future_to_idx[future]
-            try:
-                results[idx] = (future.result(), None)
-            except Exception as exc:  # noqa: BLE001 - recorded per item
-                results[idx] = (None, exc)
-    return results
+        outcomes = dict(zip(first, pool.map(outcome, first.values())))
+    return [outcomes[k] for k in keys]
 
 
-# A failed backend call a stage keeps as a record: (error, record tag, count).
-_KEPT_FAILURES = ((UnparseableResponse, "unparseable", "undecided"),
-                  (TransportError, "transport", "transport_failures"))
+# The failed backend calls a stage keeps as records: (error, record tag, count).
+_KEPT_TRANSPORT = ((TransportError, "transport", "transport_failures"),)
+_KEPT_LLM = ((UnparseableResponse, "unparseable", "undecided"), *_KEPT_TRANSPORT)
 
 
-def _kept_failure(exc: Exception, counts: dict) -> str:
-    """Count a failed backend call in `counts` and return its record tag.
-
-    Any other error, or one the stage has no count for, is re-raised.
-    """
-    for kind, tag, counter in _KEPT_FAILURES:
-        if isinstance(exc, kind) and counter in counts:
-            counts[counter] += 1
-            return tag
-    raise exc
+def _call_each(config: Config, call, jobs: list, ok, failed, kept: tuple,
+               key=None) -> list[dict]:
+    """One record per job, in order: ok(job, result) when call(job) worked,
+    else failed(job, exc) with its `error` tag from `kept`, which must hold
+    the failure's kind or it is re-raised.  Calls are shared by `key`."""
+    records = []
+    outcomes = _map_ordered(call, jobs, _concurrency(config), key=key)
+    for job, (result, exc) in zip(jobs, outcomes):
+        if exc is None:
+            records.append(ok(job, result))
+            continue
+        tag = next((tag for kind, tag, _ in kept if isinstance(exc, kind)), None)
+        if tag is None:
+            raise exc
+        records.append({**failed(job, exc), "error": tag})
+    return records
 
 
 def _load_corpus(config: Config) -> tuple[corpus_mod.Corpus, Path]:
@@ -317,19 +318,19 @@ def stage_extract(config: Config, args) -> int:
     scanned = tuple(extract_mod.Category) if n_controls else categories
     records = []
     clean = []
-    per_category = {c.value: 0 for c in extract_mod.Category}
     for sentence in corpus:
         found = extract_mod.extract_all(sentence, lex, light_verbs,
                                         threshold, scanned)
         if not found:
             clean.append(sentence)
-        for cand in found:
-            if cand.category in categories:
-                per_category[cand.category.value] += 1
-                records.append(extract_mod.candidate_to_dict(cand))
+        records += [extract_mod.candidate_to_dict(cand) for cand in found
+                    if cand.category in categories]
 
     inputs = {"corpus": corpus_path, "idioms": idioms_path}
-    counts = {"candidates": len(records), **per_category}
+    found_categories = [r["category"] for r in records]
+    counts = {"candidates": len(records),
+              **{c.value: found_categories.count(c.value)
+                 for c in extract_mod.Category}}
     if n_controls:
         controls, shortfall = extract_mod.sample_sentences(
             clean, n_controls, _seed(config, args))
@@ -357,26 +358,24 @@ def stage_classify(config: Config, args) -> int:
             for cand in candidates]
     for _, cand, sentence in jobs:
         extract_mod.check_in_range(sentence, cand.token_indices())
-    outcomes = _map_ordered(
-        lambda job: llm_mod.classify_candidate(backend, *job), jobs,
-        _concurrency(config))
-    records = []
-    counts = {"total": len(candidates), "accepted": 0, "rejected": 0,
-              "undecided": 0, "transport_failures": 0}
-    for cand, (result, exc) in zip(candidates, outcomes):
-        record = {"candidate_ref": cand.ref, "sentence_id": cand.sentence_id,
-                  "category": cand.category.value, "span": list(cand.span)}
-        if exc is None:
-            record.update(verdict=result.verdict, raw_choice=result.raw_choice,
-                          raw_response=result.raw_response)
-            counts["accepted" if result.verdict else "rejected"] += 1
-        else:
-            record.update(verdict=None, raw_choice=None,
-                          raw_response=getattr(exc, "raw_response", None),
-                          error=_kept_failure(exc, counts))
-        records.append(record)
+
+    def record(job, verdict=None, raw_choice=None, raw_response=None):
+        cand = job[1]
+        return {"candidate_ref": cand.ref, "sentence_id": cand.sentence_id,
+                "category": cand.category.value, "span": list(cand.span),
+                "verdict": verdict, "raw_choice": raw_choice,
+                "raw_response": raw_response}
+    records = _call_each(
+        config, lambda job: llm_mod.classify_candidate(backend, *job), jobs,
+        lambda job, res: record(job, res.verdict, res.raw_choice, res.raw_response),
+        lambda job, exc: record(job, raw_response=getattr(exc, "raw_response", None)),
+        _KEPT_LLM)
+    verdicts = [r["verdict"] for r in records]
+    counts = {"total": len(candidates), "accepted": verdicts.count(True),
+              "rejected": verdicts.count(False)}
     return _finish(config, args, "classify", args.stage_out, records,
-                   {"candidates": args.stage_in, "corpus": corpus_path}, counts)
+                   {"candidates": args.stage_in, "corpus": corpus_path}, counts,
+                   _KEPT_LLM)
 
 
 def stage_paraphrase(config: Config, args) -> int:
@@ -386,34 +385,31 @@ def stage_paraphrase(config: Config, args) -> int:
                 if r.get("verdict") is True and r["category"] in wanted]
     corpus, corpus_path, backend = _llm_stage_setup(config, args)
     jobs = []
-    for record in accepted:
-        sentence = corpus.by_id(record["sentence_id"])
-        jobs.append((extract_mod.rebuild_candidate(
-            sentence, extract_mod.Category(record["category"]),
-            tuple(record["span"])), sentence))
-    outcomes = _map_ordered(
-        lambda job: llm_mod.paraphrase_candidate(backend, *job), jobs,
-        _concurrency(config))
-    records = []
-    counts = {"total": len(accepted), "paraphrased": 0, "retained_candidate": 0,
-              "undecided": 0, "transport_failures": 0}
-    for source, (result, exc) in zip(accepted, outcomes):
-        record = {"candidate_ref": source["candidate_ref"],
-                  "sentence_id": source["sentence_id"],
-                  "category": source["category"]}
-        if exc is None:
-            record.update(original=result.original, paraphrased=result.paraphrased,
-                          retains_candidate=result.retains_candidate,
-                          raw_response=result.raw_response)
-            counts["paraphrased"] += 1
-            counts["retained_candidate"] += result.retains_candidate
-        else:
-            record.update(original=None, paraphrased=None,
-                          raw_response=getattr(exc, "raw_response", None),
-                          error=_kept_failure(exc, counts))
-        records.append(record)
+    for rec in accepted:
+        sentence = corpus.by_id(rec["sentence_id"])
+        jobs.append((rec, extract_mod.rebuild_candidate(
+            sentence, extract_mod.Category(rec["category"]),
+            tuple(rec["span"])), sentence))
+
+    def record(job, **fields):
+        return {**{k: job[0][k] for k in ("candidate_ref", "sentence_id",
+                                          "category")}, **fields}
+    records = _call_each(
+        config, lambda job: llm_mod.paraphrase_candidate(backend, *job[1:]), jobs,
+        lambda job, res: record(job, original=res.original,
+                                paraphrased=res.paraphrased,
+                                retains_candidate=res.retains_candidate,
+                                raw_response=res.raw_response),
+        lambda job, exc: record(job, original=None, paraphrased=None,
+                                raw_response=getattr(exc, "raw_response", None)),
+        _KEPT_LLM)
+    counts = {"total": len(accepted),
+              "paraphrased": sum("error" not in r for r in records),
+              "retained_candidate": sum(r.get("retains_candidate", False)
+                                        for r in records)}
     return _finish(config, args, "paraphrase", args.stage_out, records,
-                   {"classifications": args.stage_in, "corpus": corpus_path}, counts)
+                   {"classifications": args.stage_in, "corpus": corpus_path},
+                   counts, _KEPT_LLM)
 
 
 def _target_langs(config: Config, args) -> list[str]:
@@ -467,27 +463,24 @@ def stage_translate(config: Config, args) -> int:
                                   sentence_id=rec["sentence_id"])
         return mt_mod.validate_translation(record, min_repeats, max_unit)
 
+    def record(job, hypothesis=None, validity=None):
+        backend, lang, kind, text, rec = job
+        return {"sentence_id": rec["sentence_id"],
+                "candidate_ref": rec.get("candidate_ref"),
+                "category": rec.get("category"), "kind": kind, "source": text,
+                "target_lang": lang, "system_id": backend.system_id,
+                "hypothesis": hypothesis, "validity": validity}
     # one call per (system, language, source)
-    outcomes = _map_ordered(run, jobs, _concurrency(config),
-                            key=lambda job: (job[0].system_id, job[1], job[3]))
-    records = []
-    counts = {"total": len(jobs), "transport_failures": 0,
-              **{v.value: 0 for v in mt_mod.ValidityStatus}}
-    for (backend, lang, kind, text, rec), (result, exc) in zip(jobs, outcomes):
-        record = {"sentence_id": rec["sentence_id"],
-                  "candidate_ref": rec.get("candidate_ref"),
-                  "category": rec.get("category"), "kind": kind,
-                  "source": text, "target_lang": lang,
-                  "system_id": backend.system_id}
-        if exc is None:
-            record.update(hypothesis=result.hypothesis,
-                          validity=result.validity.value)
-            counts[result.validity.value] += 1
-        else:
-            record.update(hypothesis=None, validity=None,
-                          error=_kept_failure(exc, counts))
-        records.append(record)
-    return _finish(config, args, "translate", args.stage_out, records, inputs, counts)
+    records = _call_each(
+        config, run, jobs,
+        lambda job, res: record(job, res.hypothesis, res.validity.value),
+        lambda job, exc: record(job), _KEPT_TRANSPORT,
+        key=lambda job: (job[0].system_id, job[1], job[3]))
+    validity = [r["validity"] for r in records]
+    counts = {"total": len(jobs),
+              **{v.value: validity.count(v.value) for v in mt_mod.ValidityStatus}}
+    return _finish(config, args, "translate", args.stage_out, records, inputs,
+                   counts, _KEPT_TRANSPORT)
 
 
 def _scored_record(record_type: str, rec: dict, **fields) -> dict:
@@ -512,35 +505,28 @@ def stage_score(config: Config, args) -> int:
 
     valid = []
     records = []
-    counts = {"qe_scores": 0, "deltas": 0, "invalid": 0, "delta_pairs_skipped": 0,
-              "transport_failures": 0}
     for rec in translations:
         if (rec.get("validity") == mt_mod.ValidityStatus.OK.value
                 and rec.get("error") != "transport"):
             valid.append(rec)
             continue
-        counts["invalid"] += 1
         records.append(_scored_record(
             "invalid", rec, validity=rec.get("validity") or "transport"))
 
-    def assess(rec):
-        return qe_mod.score(backend, rec["source"], rec["hypothesis"])
-
-    outcomes = _map_ordered(assess, valid, _concurrency(config),
-                            key=lambda rec: (rec["source"], rec["hypothesis"]))
-    sides: dict[tuple, tuple] = {}  # (ref, system, lang, kind) -> scored side
-    for rec, (result, exc) in zip(valid, outcomes):
-        if exc is not None:
-            records.append(_scored_record(
-                "failed", rec, error=_kept_failure(exc, counts)))
-            continue
-        counts["qe_scores"] += 1
-        records.append(_scored_record(
+    scores = _call_each(
+        config, lambda rec: qe_mod.score(backend, rec["source"], rec["hypothesis"]),
+        valid, lambda rec, result: _scored_record(
             "qe", rec, metric_id=result.metric_id,
-            orientation=result.orientation.value, value=result.value))
-        if rec["kind"] in ("ori", "para"):
-            sides[(rec["candidate_ref"], rec["system_id"], rec["target_lang"],
-                   rec["kind"])] = (rec, _translation(rec), result)
+            orientation=result.orientation.value, value=result.value),
+        lambda rec, exc: _scored_record("failed", rec),
+        _KEPT_TRANSPORT, key=lambda rec: (rec["source"], rec["hypothesis"]))
+    records += scores
+    sides = {  # (ref, system, lang, kind) -> scored side
+        (rec["candidate_ref"], rec["system_id"], rec["target_lang"], rec["kind"]):
+        (rec, _translation(rec),
+         qe_mod.QEScore(out["metric_id"], backend.orientation, out["value"]))
+        for rec, out in zip(valid, scores)
+        if out["type"] == "qe" and rec["kind"] in ("ori", "para")}
 
     # the delta experiment: ori and para are scored above, mix here
     expected = sorted({(r["candidate_ref"], r["system_id"], r["target_lang"])
@@ -548,29 +534,27 @@ def stage_score(config: Config, args) -> int:
                        if r.get("candidate_ref") and r.get("kind") in ("ori", "para")})
     pairs = [(sides[key + ("ori",)], sides[key + ("para",)]) for key in expected
              if key + ("ori",) in sides and key + ("para",) in sides]
-    counts["delta_pairs_skipped"] += len(expected) - len(pairs)
 
-    def mix(pair):
-        (_, ori, _), (_, para, _) = pair
-        return qe_mod.mix_score(backend, ori, para)
-
-    # one call per (ori source, para hypothesis), the pair mix_score sends
-    mixes = _map_ordered(
-        mix, pairs, _concurrency(config),
-        key=lambda pair: (pair[0][1].source, pair[1][1].hypothesis))
-    for ((rec, ori, qe_ori), (_, para, qe_para)), (qe_mix, exc) in zip(pairs, mixes):
-        if exc is not None:
-            records.append(_scored_record(
-                "failed", {**rec, "kind": "mix"}, error=_kept_failure(exc, counts)))
-            counts["delta_pairs_skipped"] += 1
-            continue
+    def delta(pair, qe_mix):
+        (rec, ori, qe_ori), (_, para, qe_para) = pair
         report = replace(qe_mod.delta_report(ori, para, qe_ori, qe_mix, qe_para),
                          candidate_ref=rec["candidate_ref"],
                          category=rec["category"])
-        counts["deltas"] += 1
-        records.append({"type": "delta", **qe_mod.delta_to_dict(report)})
+        return {"type": "delta", **qe_mod.delta_to_dict(report)}
+
+    # one call per (ori source, para hypothesis), the pair mix_score sends
+    records += _call_each(
+        config, lambda pair: qe_mod.mix_score(backend, pair[0][1], pair[1][1]),
+        pairs, delta,
+        lambda pair, exc: _scored_record("failed", {**pair[0][0], "kind": "mix"}),
+        _KEPT_TRANSPORT,
+        key=lambda pair: (pair[0][1].source, pair[1][1].hypothesis))
+    types = [r["type"] for r in records]
+    counts = {"qe_scores": types.count("qe"), "deltas": types.count("delta"),
+              "invalid": types.count("invalid"),
+              "delta_pairs_skipped": len(expected) - types.count("delta")}
     return _finish(config, args, "score", args.stage_out, records,
-                   {"translations": args.stage_in}, counts)
+                   {"translations": args.stage_in}, counts, _KEPT_TRANSPORT)
 
 
 def stage_report(config: Config, args) -> int:

@@ -303,6 +303,6 @@ def corpus_from_jsonl(lines: Iterable[str]) -> Corpus:
             continue
         try:
             sentences.append(sentence_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ContractViolation) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ContractViolation) as exc:
             raise ParseError(f"bad sentence record: {exc}", line=line_no) from exc
     return Corpus(sentences=tuple(sentences))

@@ -348,6 +348,6 @@ def candidate_from_dict(obj: dict) -> VMWECandidate:
                                    noun_index=ev["noun_index"])
         return VMWECandidate(sentence_id=obj["sentence_id"], category=category,
                              span=span, evidence=evidence)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad candidate record: {exc}") from exc
 

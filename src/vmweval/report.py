@@ -91,9 +91,10 @@ def gap_table(vmwe_scores: Mapping[CellKey, Sequence[float]],
         if not vmwe or not control:
             log.warning("gap cell %s has an empty side, skipping", key)
             continue
-        gap = fmean(vmwe) - fmean(control)
-        if not orientation.lower_is_better:
-            gap = -gap
+        if orientation.lower_is_better:
+            gap = fmean(vmwe) - fmean(control)
+        else:  # not the negation, which turns a tie into -0.0
+            gap = fmean(control) - fmean(vmwe)
         cells.append(GapCell(category=key[0], system_id=key[1], target_lang=key[2],
                              metric_id=metric_id, gap=gap,
                              n_vmwe=len(vmwe), n_control=len(control)))
@@ -101,10 +102,9 @@ def gap_table(vmwe_scores: Mapping[CellKey, Sequence[float]],
 
 
 def z_gap_table(zscores: Sequence[ZScore], vmwe_ids: Iterable[str],
-                control_ids: Iterable[str], category: str = "all",
-                target_lang: str = "all",
-                metric_id: str = "da_z") -> list[GapCell]:
-    """Human-score gap per system over standardized judgments.
+                control_ids: Iterable[str]) -> list[GapCell]:
+    """Human-score gap per system over standardized judgments, in cells
+    ("all", system, "all") of metric "da_z".
 
     Sentence ids decide side membership; judgments outside both sets are
     ignored.  Standardized scores are higher-better, so the gap is
@@ -114,25 +114,15 @@ def z_gap_table(zscores: Sequence[ZScore], vmwe_ids: Iterable[str],
     overlap = vmwe_ids & control_ids
     if overlap:
         raise ContractViolation(f"ids on both sides: {sorted(overlap)[:5]}")
-    vmwe: dict[str, list[float]] = {}
-    control: dict[str, list[float]] = {}
+    vmwe: dict[CellKey, list[float]] = {}
+    control: dict[CellKey, list[float]] = {}
     for z in zscores:
+        key = ("all", z.system_id, "all")
         if z.sentence_id in vmwe_ids:
-            vmwe.setdefault(z.system_id, []).append(z.z)
+            vmwe.setdefault(key, []).append(z.z)
         elif z.sentence_id in control_ids:
-            control.setdefault(z.system_id, []).append(z.z)
-    cells = []
-    for system_id in sorted(set(vmwe) | set(control)):
-        if system_id not in vmwe or system_id not in control:
-            log.warning("system %s lacks judgments on one side, skipping",
-                        system_id)
-            continue
-        cells.append(GapCell(
-            category=category, system_id=system_id, target_lang=target_lang,
-            metric_id=metric_id,
-            gap=fmean(control[system_id]) - fmean(vmwe[system_id]),
-            n_vmwe=len(vmwe[system_id]), n_control=len(control[system_id])))
-    return cells
+            control.setdefault(key, []).append(z.z)
+    return gap_table(vmwe, control, Orientation.HIGHER_BETTER_0_1, "da_z")
 
 
 def da_gap_table(records: Iterable[Mapping], vmwe_ids: Iterable[str],

@@ -1,15 +1,23 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 import yaml
 
 from vmweval import cli
-from vmweval.errors import ContractViolation, SchemaVersionError, TransportError
+from vmweval import llm as llm_mod
+from vmweval import mt as mt_mod
+from vmweval import qe as qe_mod
+from vmweval.errors import (BackendContractError, ContractViolation,
+                            SchemaVersionError, TransportError,
+                            UnparseableResponse)
 from vmweval.llm import MockChatBackend
 from vmweval.mt import MockMTBackend
 from vmweval.qe import MockQEBackend, Orientation
@@ -497,6 +505,51 @@ def test_score_transport_failures_skip_their_delta_pairs(tmp_path, monkeypatch):
                           ("s07#VPC#2.3", "mix"))]
 
 
+def test_paraphrase_counts_agree_with_their_records(tmp_path):
+    script = json.loads((FIXTURES / "mock_llm_script.json").read_text())
+    script["rules"][:0] = [
+        {"match": "Sentence: He spilled the beans. || Phrase:",
+         "response": "Rephrased Sentence: He spilled the beans at last."},
+        {"match": "Sentence: The old farmer kicked the bucket. || Phrase:",
+         "response": "no marker"},
+        {"match": "Sentence: She gave up smoking last year. || Phrase:",
+         "fail": True}]
+    (tmp_path / "script.json").write_text(json.dumps(script))
+    cfg = patched_config(tmp_path, lambda raw: raw["backends"]["mock_llm"].update(
+        script=str(tmp_path / "script.json")))
+    paths, codes = _run_chain(cfg, tmp_path, through="paraphrase")
+    assert codes == [0, 0, 2]
+    paraphrases = read_jsonl_plain(paths["paraphrases"])
+    assert read_manifest(paths["paraphrases"])["counts"] == {
+        "total": 15, "paraphrased": 13, "retained_candidate": 1,
+        "undecided": 1, "transport_failures": 1}
+    assert [r["candidate_ref"] for r in paraphrases
+            if r.get("retains_candidate")] == ["s01#VID#2.3.4"]
+    assert sorted(r["error"] for r in paraphrases if "error" in r) == [
+        "transport", "unparseable"]
+
+
+@pytest.mark.parametrize("through, module, call, error, out", [
+    ("classify", llm_mod, "classify_candidate", BackendContractError("odd"),
+     "classifications"),
+    ("paraphrase", llm_mod, "paraphrase_candidate", BackendContractError("odd"),
+     "paraphrases"),
+    ("translate", mt_mod, "translate", UnparseableResponse("no answer"),
+     "translations"),
+    ("score", qe_mod, "score", UnparseableResponse("no answer"), "scored"),
+], ids=["classify", "paraphrase", "translate", "score"])
+def test_a_failure_the_stage_keeps_no_count_for_aborts_it(
+        tmp_path, monkeypatch, capsys, through, module, call, error, out):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(module, call, fail)
+    paths, codes = _run_chain(patched_config(tmp_path), tmp_path, through=through)
+    assert codes == [0] * (len(codes) - 1) + [1]
+    assert capsys.readouterr().err.endswith(f"error: {error}\n")
+    assert not paths[out].exists()
+    assert not cli._manifest_path(paths[out]).exists()
+
+
 # --- one backend call per distinct request -----------------------------------
 
 def _count_calls(monkeypatch, cls, method, key):
@@ -612,6 +665,59 @@ def test_a_failed_shared_request_fails_every_record_that_shares_it(
         "transport_failures"] == 4
 
 
+def _map_ordered_oracle(fn, items, max_workers, key=None):
+    """_map_ordered as it was before it keyed unkeyed calls by position:
+    a keyed call recursed into the unkeyed path, one future per item."""
+    if key is not None:
+        keys = [key(item) for item in items]
+        first = {}
+        for k, item in zip(keys, items):
+            first.setdefault(k, item)
+        outcomes = dict(zip(first, _map_ordered_oracle(
+            fn, list(first.values()), max_workers)))
+        return [outcomes[k] for k in keys]
+    results = [None] * len(items)
+    if not items:
+        return results
+    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
+        future_to_idx = {pool.submit(fn, item): i for i, item in enumerate(items)}
+        for future in future_to_idx:
+            idx = future_to_idx[future]
+            try:
+                results[idx] = (future.result(), None)
+            except Exception as exc:  # noqa: BLE001 - recorded per item
+                results[idx] = (None, exc)
+    return results
+
+
+@pytest.mark.parametrize("max_workers", [1, 2, 8])
+def test_map_ordered_matches_its_oracle(max_workers):
+    def outcome_view(pairs):
+        return [(result, exc and (type(exc), exc.args)) for result, exc in pairs]
+
+    def fn(item):
+        calls.append(item)
+        if item % 7 == 3:
+            raise TransportError(f"item {item}")
+        if item % 11 == 5:
+            raise ValueError(item, "bad")
+        time.sleep(0.0005 * (item % 3))  # finish out of order
+        return item * item
+
+    rng = random.Random(max_workers)
+    cases = [([], None), ([], lambda item: item % 4), (list(range(40)), None),
+             ([rng.randrange(30) for _ in range(60)], None),
+             ([rng.randrange(30) for _ in range(60)], lambda item: item),
+             ([rng.randrange(30) for _ in range(60)], lambda item: item % 5)]
+    for items, key in cases:
+        outcomes = []
+        for mapper in (cli._map_ordered, _map_ordered_oracle):
+            calls = []
+            pairs = mapper(fn, items, max_workers, key=key)
+            outcomes.append((outcome_view(pairs), sorted(calls)))
+        assert outcomes[0] == outcomes[1], (items, key)
+
+
 def test_main_error_paths(tmp_path, capsys):
     cfg = patched_config(tmp_path)
     assert cli.main(["classify", "--config", str(cfg),
@@ -671,6 +777,27 @@ def _qe_unknown_orientation(tmp_path):
     return cfg, ["score", "--stage-in", str(translations)]
 
 
+def _controls_line(line):
+    def make_case(tmp_path):
+        cfg = patched_config(tmp_path)
+        paraphrases, controls = tmp_path / "para.jsonl", tmp_path / "controls.jsonl"
+        paraphrases.write_text("", encoding="utf-8")
+        controls.write_text(line + "\n", encoding="utf-8")
+        return cfg, ["translate", "--stage-in", str(paraphrases),
+                     "--controls-in", str(controls)]
+    return make_case
+
+
+def _candidate(**fields):
+    def make_case(tmp_path):
+        cfg = patched_config(tmp_path)
+        cands = tmp_path / "cands.jsonl"
+        cli.write_jsonl(cands, [{"sentence_id": "s01", "category": "VID",
+                                 "span": [2, 3, 4], **fields}])
+        return cfg, ["classify", "--stage-in", str(cands)]
+    return make_case
+
+
 @pytest.mark.parametrize("make_case, message", [
     (_bad_yaml, "bad.yaml"),
     (_truncated_stage_in, "cands.jsonl line 2"),
@@ -679,8 +806,14 @@ def _qe_unknown_orientation(tmp_path):
     (_qe_without_orientation, "backends.mock_qe.orientation"),
     (_qe_unknown_orientation, "backends.mock_qe.orientation is 'lower'; "
                               "allowed: lower_better_0_25, higher_better_0_1"),
+    (_controls_line("[1]"), "line 1: bad sentence record"),
+    (_controls_line('{"id": "c1", "tokens": [1]}'), "line 1: bad sentence record"),
+    (_candidate(span=5), "bad candidate record"),
+    (_candidate(evidence=[1]), "bad candidate record"),
 ], ids=["bad-yaml", "truncated-jsonl", "non-object-jsonl", "mt-no-base-url",
-        "qe-no-orientation", "qe-unknown-orientation"])
+        "qe-no-orientation", "qe-unknown-orientation", "control-not-object",
+        "control-token-not-object", "candidate-span-not-list",
+        "candidate-evidence-not-object"])
 def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message):
     cfg, command = make_case(tmp_path)
     out = tmp_path / "out.jsonl"

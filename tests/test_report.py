@@ -1,5 +1,7 @@
 import json
 import logging
+import random
+from statistics import fmean
 
 import pytest
 
@@ -110,6 +112,59 @@ def test_z_gap_skips_one_sided_system(caplog):
 def test_z_gap_rejects_overlapping_ids():
     with pytest.raises(ContractViolation):
         z_gap_table([], ["v1", "shared"], ["shared", "c1"])
+
+
+def _z_gap_table_oracle(zscores, vmwe_ids, control_ids, category="all",
+                        target_lang="all", metric_id="da_z"):
+    """z_gap_table as it was before it went through gap_table: its own
+    grouping by system, control mean minus VMWE mean."""
+    vmwe_ids, control_ids = set(vmwe_ids), set(control_ids)
+    overlap = vmwe_ids & control_ids
+    if overlap:
+        raise ContractViolation(f"ids on both sides: {sorted(overlap)[:5]}")
+    vmwe, control = {}, {}
+    for z in zscores:
+        if z.sentence_id in vmwe_ids:
+            vmwe.setdefault(z.system_id, []).append(z.z)
+        elif z.sentence_id in control_ids:
+            control.setdefault(z.system_id, []).append(z.z)
+    cells = []
+    for system_id in sorted(set(vmwe) | set(control)):
+        if system_id not in vmwe or system_id not in control:
+            continue
+        cells.append(GapCell(
+            category=category, system_id=system_id, target_lang=target_lang,
+            metric_id=metric_id,
+            gap=fmean(control[system_id]) - fmean(vmwe[system_id]),
+            n_vmwe=len(vmwe[system_id]), n_control=len(control[system_id])))
+    return cells
+
+
+def test_z_gap_table_matches_its_oracle():
+    vmwe_ids = [f"v{i}" for i in range(6)]
+    control_ids = [f"c{i}" for i in range(6)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        zs = []
+        for system in ("alpha", "beta", "gamma", "delta", "eps"):
+            for ids in rng.choice([(vmwe_ids, control_ids), (vmwe_ids,),
+                                   (control_ids,)]):
+                for sid in rng.sample(ids + ["x1", "x2"], rng.randint(1, 7)):
+                    zs.append(_z(system, sid, round(rng.uniform(-2.5, 2.5),
+                                                    rng.choice([1, 3, 17]))))
+        # an exact tie: the same judgments on both sides, in another order
+        tie = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 5))]
+        zs += [_z("tied", vmwe_ids[i], v) for i, v in enumerate(tie)]
+        zs += [_z("tied", control_ids[i], v) for i, v in enumerate(reversed(tie))]
+        rng.shuffle(zs)
+
+        cells = z_gap_table(zs, vmwe_ids, control_ids)
+        oracle = _z_gap_table_oracle(zs, vmwe_ids, control_ids)
+        assert cells == oracle, seed
+        assert [c.gap for c in cells if c.system_id == "tied"] == [0.0]
+        # -0.0 == 0.0, so compare the rendered tables too
+        for fmt in ("json", "csv"):
+            assert emit(cells, fmt, "gap") == emit(oracle, fmt, "gap"), seed
 
 
 def test_da_gap_table_from_dict_records():
