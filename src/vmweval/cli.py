@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -64,6 +66,22 @@ class Config:
                 return default
             node = node[key]
         return node
+
+    def number(self, *keys, default, kind=float, minimum=None):
+        """The value under `keys` (or `default`) as `kind`; a
+        ContractViolation when it is not one or is below `minimum`."""
+        value = self.get(*keys, default=default)
+        name = ".".join(keys)
+        try:
+            number = kind(value)
+        except (TypeError, ValueError):
+            raise ContractViolation(
+                f"config {name} must be {'an integer' if kind is int else 'a number'}, "
+                f"not {value!r}") from None
+        if minimum is not None and number < minimum:
+            raise ContractViolation(
+                f"config {name} must be at least {minimum}, not {value!r}")
+        return number
 
 
 def load_config(path: str | Path) -> Config:
@@ -161,11 +179,28 @@ def read_jsonl(path: Path) -> list[dict]:
     return records
 
 
-def write_jsonl(path: Path, records: list[dict]):
+@contextmanager
+def _replacing(path: Path):
+    """A text file to write that replaces `path` only once the block
+    completes; a failure leaves `path` as it was and no temp file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+# json.dumps(record, ensure_ascii=False) without a new encoder per record
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def write_jsonl(path: Path, records: list[dict]):
+    with _replacing(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_encode(record) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -199,9 +234,7 @@ def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path
         "config": config.raw,
         "counts": counts,
     }
-    path = _manifest_path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(_manifest_path(out)) as fh:
         json.dump(manifest, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -222,20 +255,42 @@ def _map_ordered(fn, items, max_workers: int, key=None):
 
     fn runs once per distinct key(item), by default its position, on the
     first item that has it; every item sharing the key gets that outcome.
+    The calling thread and at most max_workers - 1 more take the distinct
+    items in turn, so with one worker no thread starts.  A BaseException
+    in any of them stops the others taking items and is raised here.
     """
     keys = [key(item) for item in items] if key is not None else range(len(items))
     first: dict = {}
     for k, item in zip(keys, items):
         first.setdefault(k, item)
+    distinct = list(first.values())
+    outcomes: list = [None] * len(distinct)
+    taken = itertools.count()  # next() on it is atomic under the GIL
+    aborted: list[BaseException] = []
 
-    def outcome(item):
+    def work():
         try:
-            return fn(item), None
-        except Exception as exc:  # noqa: BLE001 - recorded per item
-            return None, exc
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        outcomes = dict(zip(first, pool.map(outcome, first.values())))
-    return [outcomes[k] for k in keys]
+            for i in taken:
+                if i >= len(distinct) or aborted:
+                    return
+                try:
+                    outcomes[i] = (fn(distinct[i]), None)
+                except Exception as exc:  # noqa: BLE001 - recorded per item
+                    outcomes[i] = (None, exc)
+        except BaseException as exc:  # re-raised by the calling thread
+            aborted.append(exc)
+
+    extra = [threading.Thread(target=work, daemon=True)
+             for _ in range(min(max_workers, len(distinct)) - 1)]
+    for thread in extra:
+        thread.start()
+    work()
+    for thread in extra:
+        thread.join()
+    if aborted:
+        raise aborted[0]
+    by_key = dict(zip(first, outcomes))
+    return [by_key[k] for k in keys]
 
 
 # The failed backend calls a stage keeps as records: (error, record tag, count).
@@ -298,7 +353,7 @@ def _seed(config: Config, args) -> int:
 
 
 def _concurrency(config: Config) -> int:
-    return int(config.get("concurrency", default=4))
+    return config.number("concurrency", default=4, kind=int, minimum=1)
 
 
 # --- stages ------------------------------------------------------------------
@@ -308,10 +363,11 @@ def stage_extract(config: Config, args) -> int:
     lex, idioms_path = _load_lexicon(config)
     light_verbs = lexicon_mod.light_verb_set(
         config.get("light_verbs", default="dataset_six"))
-    threshold = float(config.get("vid_threshold",
-                                 default=extract_mod.DEFAULT_VID_THRESHOLD))
+    threshold = config.number("vid_threshold",
+                              default=extract_mod.DEFAULT_VID_THRESHOLD)
     categories = _categories(args)
-    n_controls = int(config.get("control_sample", "n", default=0))
+    n_controls = config.number("control_sample", "n", default=0, kind=int,
+                               minimum=0)
 
     # Controls are the sentences no extractor matches, so with a control
     # sample every sentence goes through all three, once.
@@ -435,10 +491,10 @@ def stage_translate(config: Config, args) -> int:
     langs = _target_langs(config, args)
     backends = {name: build_backend(config, name)
                 for name in _mt_backend_names(config, args)}
-    min_repeats = int(config.get("repetition", "min_repeats",
-                                 default=mt_mod.DEFAULT_MIN_REPEATS))
-    max_unit = int(config.get("repetition", "max_unit",
-                              default=mt_mod.DEFAULT_MAX_UNIT))
+    min_repeats = config.number("repetition", "min_repeats", kind=int,
+                                minimum=1, default=mt_mod.DEFAULT_MIN_REPEATS)
+    max_unit = config.number("repetition", "max_unit", kind=int, minimum=1,
+                             default=mt_mod.DEFAULT_MAX_UNIT)
 
     inputs = {"paraphrases": args.stage_in}
     controls = []
@@ -459,9 +515,17 @@ def stage_translate(config: Config, args) -> int:
 
     def run(job):
         backend, lang, kind, text, rec = job
-        record = mt_mod.translate(backend, text, lang,
-                                  sentence_id=rec["sentence_id"])
-        return mt_mod.validate_translation(record, min_repeats, max_unit)
+        return mt_mod.translate(backend, text, lang, sentence_id=rec["sentence_id"])
+
+    screened = {}  # (source, hypothesis, language) -> ValidityStatus
+
+    def screen(translation):
+        triple = (translation.source, translation.hypothesis,
+                  translation.target_lang)
+        if triple not in screened:
+            screened[triple] = mt_mod.validate_translation(
+                translation, min_repeats, max_unit).validity
+        return screened[triple].value
 
     def record(job, hypothesis=None, validity=None):
         backend, lang, kind, text, rec = job
@@ -473,7 +537,7 @@ def stage_translate(config: Config, args) -> int:
     # one call per (system, language, source)
     records = _call_each(
         config, run, jobs,
-        lambda job, res: record(job, res.hypothesis, res.validity.value),
+        lambda job, res: record(job, res.hypothesis, screen(res)),
         lambda job, exc: record(job), _KEPT_TRANSPORT,
         key=lambda job: (job[0].system_id, job[1], job[3]))
     validity = [r["validity"] for r in records]
@@ -559,15 +623,13 @@ def stage_score(config: Config, args) -> int:
 
 def stage_report(config: Config, args) -> int:
     scored = read_jsonl(args.stage_in)
-    out_dir = args.stage_out
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {"scored": args.stage_in}
     tables = report_mod.build_tables(
         scored,
-        float(config.get("exclusion", "flag_pct",
-                         default=report_mod.DEFAULT_FLAG_PCT)),
-        float(config.get("exclusion", "rank_exclude_pct",
-                         default=report_mod.DEFAULT_EXCLUDE_PCT)))
+        config.number("exclusion", "flag_pct",
+                      default=report_mod.DEFAULT_FLAG_PCT),
+        config.number("exclusion", "rank_exclude_pct",
+                      default=report_mod.DEFAULT_EXCLUDE_PCT))
 
     da_path = config.get("da", "annotations", default=None)
     if da_path:
@@ -583,11 +645,14 @@ def stage_report(config: Config, args) -> int:
         tables["classifier_table"] = report_mod.classifier_table(
             read_jsonl(inputs["gold"]), read_jsonl(inputs["classifications"]))
 
+    out_dir = args.stage_out
+    out_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name, rows in sorted(tables.items()):
         for fmt in ("csv", "json"):
             text = report_mod.emit(rows, fmt, report_mod.TABLE_KINDS[name])
-            (out_dir / f"{name}.{fmt}").write_text(text, encoding="utf-8")
+            with _replacing(out_dir / f"{name}.{fmt}") as fh:
+                fh.write(text)
         counts[name] = len(rows)
     write_manifest(out_dir, "report", config, inputs, counts, _seed(config, args))
     return 0

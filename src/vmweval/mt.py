@@ -75,15 +75,10 @@ def translate(backend: MTBackend, text: str, target_lang: str,
 
 # --- language detection ----------------------------------------------------
 
-def _script_of(ch: str) -> str:
-    cp = ord(ch)
-    if 0x3040 <= cp <= 0x30FF:
-        return "kana"
-    if 0x4E00 <= cp <= 0x9FFF or 0x3400 <= cp <= 0x4DBF:
-        return "han"
-    if 0x0400 <= cp <= 0x04FF:
-        return "cyrillic"
-    return "other"
+# Script classes of the letters detect_language counts.
+_KANA = re.compile("[\u3040-\u30ff]")
+_HAN = re.compile("[\u4e00-\u9fff\u3400-\u4dbf]")
+_CYRILLIC = re.compile("[\u0400-\u04ff]")
 
 
 def _trigram_profile(text: str) -> dict[str, float]:
@@ -104,20 +99,23 @@ def _norm(profile: dict[str, float]) -> float:
     return math.sqrt(sum(w * w for w in profile.values()))
 
 
-def _cosine(a: dict[str, float], norm_a: float,
-            b: dict[str, float], norm_b: float) -> float:
-    if not a or not b:
-        return 0.0
-    dot = sum(weight * b[gram] for gram, weight in a.items() if gram in b)
-    return dot / (norm_a * norm_b)
-
-
 @lru_cache(maxsize=1)
 def _language_profiles() -> dict[str, tuple[dict[str, float], float]]:
     """Reference trigram profile and its norm, per language."""
     text = resources.files("vmweval").joinpath("data/lang_profiles.json").read_text("utf-8")
     return {lang: (profile, _norm(profile))
             for lang, profile in json.loads(text).items()}
+
+
+@lru_cache(maxsize=1)
+def _trigram_index() -> dict[str, tuple[tuple[int, float], ...]]:
+    """Trigram -> (position in _language_profiles(), reference weight)
+    for every language whose profile holds it."""
+    index: dict[str, list[tuple[int, float]]] = {}
+    for position, (reference, _) in enumerate(_language_profiles().values()):
+        for gram, weight in reference.items():
+            index.setdefault(gram, []).append((position, weight))
+    return {gram: tuple(entries) for gram, entries in index.items()}
 
 
 def detect_language(text: str) -> tuple[str, float]:
@@ -128,24 +126,34 @@ def detect_language(text: str) -> tuple[str, float]:
     Russian.  Latin-script text is matched against shipped character
     trigram profiles; a weak best match comes back as ("unknown", ...).
     """
-    letters = [ch for ch in text if ch.isalpha()]
+    letters = "".join(filter(str.isalpha, text))
     if not letters:
         return ("unknown", 0.0)
-    scripts = [_script_of(ch) for ch in letters]
-    kana = scripts.count("kana")
-    han = scripts.count("han")
-    cyrillic = scripts.count("cyrillic")
+    kana = len(_KANA.findall(letters))
+    han = len(_HAN.findall(letters))
+    cyrillic = len(_CYRILLIC.findall(letters))
     if kana:
         return ("ja", (kana + han) / len(letters))
     if han / len(letters) >= 0.5:
         return ("zh", han / len(letters))
     if cyrillic / len(letters) >= 0.5:
         return ("ru", cyrillic / len(letters))
+    # Cosine similarity against every language in one pass over the
+    # profile: each language's products are summed in the profile's order,
+    # so sum() rounds them exactly as a per-language dot product would.
     profile = _trigram_profile(text)
+    references = _language_profiles()
+    products: list[list[float]] = [[] for _ in references]
+    index = _trigram_index()
+    for gram, weight in profile.items():
+        for position, ref_weight in index.get(gram, ()):
+            products[position].append(weight * ref_weight)
     best_lang, best_sim = "unknown", 0.0
     norm = _norm(profile)
-    for lang, (reference, ref_norm) in _language_profiles().items():
-        sim = _cosine(profile, norm, reference, ref_norm)
+    for (lang, (_, ref_norm)), terms in zip(references.items(), products):
+        if not terms:
+            continue
+        sim = sum(terms) / (norm * ref_norm)
         if sim > best_sim:
             best_lang, best_sim = lang, sim
     if best_sim < DETECT_THRESHOLD:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -665,6 +666,30 @@ def test_a_failed_shared_request_fails_every_record_that_shares_it(
         "transport_failures"] == 4
 
 
+def test_translate_screens_each_distinct_hypothesis_once(tmp_path, monkeypatch):
+    cfg = patched_config(tmp_path)
+    paths, codes = _run_chain(cfg, tmp_path, through="paraphrase")
+    assert codes == [0, 0, 0]
+    screened = []
+    validate = mt_mod.validate_translation
+
+    def counted(record, *args):
+        screened.append((record.source, record.hypothesis, record.target_lang))
+        return validate(record, *args)
+    monkeypatch.setattr(mt_mod, "validate_translation", counted)
+    assert cli.main(["translate", "--config", str(cfg),
+                     "--stage-in", str(paths["paraphrases"]),
+                     "--controls-in", str(paths["controls"]),
+                     "--stage-out", str(paths["translations"])]) == 0
+    records = read_jsonl_plain(paths["translations"])
+    triples = [(r["source"], r["hypothesis"], r["target_lang"]) for r in records]
+    assert sorted(screened) == sorted(set(triples))
+    assert len(screened) < len(records)
+    for (source, hypothesis, lang), record in zip(triples, records):
+        assert record["validity"] == mt_mod.classify_validity(
+            source, hypothesis, lang).value
+
+
 def _map_ordered_oracle(fn, items, max_workers, key=None):
     """_map_ordered as it was before it keyed unkeyed calls by position:
     a keyed call recursed into the unkeyed path, one future per item."""
@@ -697,6 +722,7 @@ def test_map_ordered_matches_its_oracle(max_workers):
 
     def fn(item):
         calls.append(item)
+        threads.add(threading.current_thread())
         if item % 7 == 3:
             raise TransportError(f"item {item}")
         if item % 11 == 5:
@@ -712,10 +738,59 @@ def test_map_ordered_matches_its_oracle(max_workers):
     for items, key in cases:
         outcomes = []
         for mapper in (cli._map_ordered, _map_ordered_oracle):
-            calls = []
+            calls, threads = [], set()
             pairs = mapper(fn, items, max_workers, key=key)
             outcomes.append((outcome_view(pairs), sorted(calls)))
+            if mapper is cli._map_ordered:
+                mapped_on = threads
         assert outcomes[0] == outcomes[1], (items, key)
+        # the calling thread works too, and at 1 worker alone
+        if max_workers == 1:
+            assert mapped_on <= {threading.current_thread()}
+        assert len(mapped_on) <= max_workers
+
+
+def test_map_ordered_hands_out_each_item_once_under_contention():
+    """More workers than cores and a short switch interval: a lost or
+    doubled hand-out of an index would lose or repeat a call."""
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pairs = cli._map_ordered(lambda item: calls.append(item) or -item,
+                                 list(range(3000)), 16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(3000))
+    assert pairs == [(-item, None) for item in range(3000)]
+
+
+class _Stop(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("on_extra_thread", [True, False])
+def test_map_ordered_raises_a_base_exception_from_any_worker(on_extra_thread):
+    """A BaseException is not an outcome: it stops the mapping and reaches
+    the caller, from the calling thread or an extra one."""
+    raised = threading.Event()
+    caller = threading.current_thread()
+    calls = []
+
+    def fn(item):
+        calls.append(item)
+        if (threading.current_thread() is caller) != on_extra_thread:
+            raised.set()
+            raise _Stop(item)
+        assert raised.wait(10)
+        return item
+
+    threads_before = threading.active_count()
+    with pytest.raises(_Stop):
+        cli._map_ordered(fn, list(range(50)), 2)
+    # the other worker finished the item it held and took no more
+    assert len(calls) <= 2
+    assert threading.active_count() == threads_before
 
 
 def test_main_error_paths(tmp_path, capsys):
@@ -798,6 +873,22 @@ def _candidate(**fields):
     return make_case
 
 
+def _config_value(keys, value, command):
+    """The config with `value` under `keys`, and `command` on empty input."""
+    def make_case(tmp_path):
+        def mutate(raw):
+            node = raw
+            for key in keys[:-1]:
+                node = node.setdefault(key, {})
+            node[keys[-1]] = value
+        cfg = patched_config(tmp_path, mutate)
+        stage_in = tmp_path / "in.jsonl"
+        stage_in.write_text("", encoding="utf-8")
+        return cfg, [command] + (["--stage-in", str(stage_in)]
+                                 if command != "extract" else [])
+    return make_case
+
+
 @pytest.mark.parametrize("make_case, message", [
     (_bad_yaml, "bad.yaml"),
     (_truncated_stage_in, "cands.jsonl line 2"),
@@ -810,10 +901,29 @@ def _candidate(**fields):
     (_controls_line('{"id": "c1", "tokens": [1]}'), "line 1: bad sentence record"),
     (_candidate(span=5), "bad candidate record"),
     (_candidate(evidence=[1]), "bad candidate record"),
+    (_config_value(["concurrency"], "two", "classify"),
+     "config concurrency must be an integer, not 'two'"),
+    (_config_value(["concurrency"], 0, "classify"),
+     "config concurrency must be at least 1, not 0"),
+    (_config_value(["vid_threshold"], "high", "extract"),
+     "config vid_threshold must be a number, not 'high'"),
+    (_config_value(["control_sample", "n"], [10], "extract"),
+     "config control_sample.n must be an integer, not [10]"),
+    (_config_value(["repetition", "min_repeats"], "eight", "translate"),
+     "config repetition.min_repeats must be an integer, not 'eight'"),
+    (_config_value(["repetition", "max_unit"], 0, "translate"),
+     "config repetition.max_unit must be at least 1, not 0"),
+    (_config_value(["exclusion", "flag_pct"], "five", "report"),
+     "config exclusion.flag_pct must be a number, not 'five'"),
+    (_config_value(["exclusion", "rank_exclude_pct"], None, "report"),
+     "config exclusion.rank_exclude_pct must be a number, not None"),
 ], ids=["bad-yaml", "truncated-jsonl", "non-object-jsonl", "mt-no-base-url",
         "qe-no-orientation", "qe-unknown-orientation", "control-not-object",
         "control-token-not-object", "candidate-span-not-list",
-        "candidate-evidence-not-object"])
+        "candidate-evidence-not-object", "concurrency-not-int",
+        "concurrency-below-1", "vid-threshold-not-number",
+        "control-n-not-int", "min-repeats-not-int", "max-unit-below-1",
+        "flag-pct-not-number", "rank-exclude-pct-null"])
 def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message):
     cfg, command = make_case(tmp_path)
     out = tmp_path / "out.jsonl"
@@ -828,6 +938,69 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message)
     assert "Traceback" not in done.stderr
     assert not out.exists()
     assert not cli._manifest_path(out).exists()
+
+
+class _WriteFailed(Exception):
+    pass
+
+
+def _break_jsonl(monkeypatch):
+    """The first paraphrase translation raises, the second record of
+    translations.jsonl."""
+    encode = cli._encode
+
+    def encode_broken(record):
+        if record.get("kind") == "para":
+            raise _WriteFailed
+        return encode(record)
+    monkeypatch.setattr(cli, "_encode", encode_broken)
+    return _WriteFailed
+
+
+def _break_manifest(monkeypatch):
+    """Each manifest's config ends in a value JSON cannot encode."""
+    load_config = cli.load_config
+
+    def load(path):
+        config = load_config(path)
+        config.raw["zz_last"] = object()
+        return config
+    monkeypatch.setattr(cli, "load_config", load)
+    return TypeError
+
+
+def _break_report_table(monkeypatch):
+    """The third report table ends in a lone surrogate, which UTF-8 cannot
+    encode."""
+    emit, calls = cli.report_mod.emit, []
+
+    def emit_3rd_broken(*args):
+        calls.append(args)
+        text = emit(*args)
+        return text + "\ud800" if len(calls) == 3 else text
+    monkeypatch.setattr(cli.report_mod, "emit", emit_3rd_broken)
+    return UnicodeEncodeError
+
+
+@pytest.mark.parametrize("break_write", [
+    _break_jsonl, _break_manifest, _break_report_table],
+    ids=["jsonl-record", "manifest", "report-table"])
+def test_a_write_that_fails_partway_leaves_the_previous_output(
+        tmp_path, monkeypatch, break_write):
+    cfg = patched_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out)]) == 0
+
+    def tree():
+        return {str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+    before = tree()
+    raised = break_write(monkeypatch)
+    with pytest.raises(raised):
+        cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out)])
+    # each file was rewritten whole with the same bytes, or not at all,
+    # and no temp file is left beside them
+    assert tree() == before
 
 
 def test_main_schema_mismatch_exit_code(tmp_path, capsys):

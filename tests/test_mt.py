@@ -1,5 +1,10 @@
+import random
+from pathlib import Path
+
 import pytest
 
+from vmweval import mt as mt_mod
+from vmweval.corpus import load_corpus
 from vmweval.errors import BackendContractError, ContractViolation
 from vmweval.mt import (DEFAULT_MAX_UNIT, DEFAULT_MIN_REPEATS, TARGET_LANGS,
                         MockMTBackend, TranslationRecord, ValidityStatus,
@@ -37,6 +42,105 @@ def test_detect_language_edge_inputs():
     # kana anywhere wins over han mass
     assert detect_language("漢字漢字漢字は")[0] == "ja"
     assert detect_language("xq zv qx vz")[0] == "unknown"  # below threshold
+
+
+# --- the detector against its oracle -----------------------------------------
+
+def _script_of_oracle(ch):
+    cp = ord(ch)
+    if 0x3040 <= cp <= 0x30FF:
+        return "kana"
+    if 0x4E00 <= cp <= 0x9FFF or 0x3400 <= cp <= 0x4DBF:
+        return "han"
+    if 0x0400 <= cp <= 0x04FF:
+        return "cyrillic"
+    return "other"
+
+
+def _cosine_oracle(a, norm_a, b, norm_b):
+    if not a or not b:
+        return 0.0
+    dot = sum(weight * b[gram] for gram, weight in a.items() if gram in b)
+    return dot / (norm_a * norm_b)
+
+
+def _detect_language_oracle(text):
+    """detect_language as it was before the one-pass index: a script per
+    letter, then one cosine per language profile."""
+    letters = [ch for ch in text if ch.isalpha()]
+    if not letters:
+        return ("unknown", 0.0)
+    scripts = [_script_of_oracle(ch) for ch in letters]
+    kana = scripts.count("kana")
+    han = scripts.count("han")
+    cyrillic = scripts.count("cyrillic")
+    if kana:
+        return ("ja", (kana + han) / len(letters))
+    if han / len(letters) >= 0.5:
+        return ("zh", han / len(letters))
+    if cyrillic / len(letters) >= 0.5:
+        return ("ru", cyrillic / len(letters))
+    profile = mt_mod._trigram_profile(text)
+    best_lang, best_sim = "unknown", 0.0
+    norm = mt_mod._norm(profile)
+    for lang, (reference, ref_norm) in mt_mod._language_profiles().items():
+        sim = _cosine_oracle(profile, norm, reference, ref_norm)
+        if sim > best_sim:
+            best_lang, best_sim = lang, sim
+    if best_sim < mt_mod.DETECT_THRESHOLD:
+        return ("unknown", best_sim)
+    return (best_lang, best_sim)
+
+
+def _fixture_hypotheses():
+    """What the mock systems make of the fixture corpus in every language,
+    broken or not, plus the detector fixtures."""
+    corpus = load_corpus(Path(__file__).parent / "fixtures" / "corpus_25.conllu",
+                         "conllu")
+    systems = [MockMTBackend("ok")] + [
+        MockMTBackend(failure, break_rules=[{"target_lang": "*",
+                                             "failure": failure}])
+        for failure in ("untranslated", "repetitive", "wrong_language")]
+    hypotheses = list(DETECT_FIXTURES.values())
+    for sentence in corpus:
+        for lang in TARGET_LANGS:
+            hypotheses += [s.translate_text(sentence.text, lang) for s in systems]
+    return hypotheses
+
+
+# Letters of every script the detector tells apart, the first and last
+# letters of each script range and letters just outside them, and
+# characters that are not letters: kana marks, a superscript, a Roman
+# numeral, digits and "_".
+_MIXED = ("abcdefghijklmnopqrstuvwxyz ABCXYZ äöüßčěřšžůñçğışé "
+          "абвгдежзийклмнопрстуя 政府法律环境語 ぁあいうかきアイウカキー "
+          "\u0400\u04ff\u0500\u3041\u30ff\u31f0\u3005 "
+          "\u3400\u4dbf\u4e00\u9fff\ua000 "
+          "・゙²Ⅳ0123456789_.,!?'-   ")
+
+
+def _mixed_script_text(rng, hypotheses):
+    """Random characters, or two hypothesis slices spliced with some."""
+    noise = "".join(rng.choice(_MIXED) for _ in range(rng.randrange(12)))
+    if rng.random() < 0.4:
+        return noise + "".join(rng.choice(_MIXED) for _ in range(rng.randrange(40)))
+    a, b = rng.choice(hypotheses), rng.choice(hypotheses)
+    return (a[rng.randrange(len(a) + 1):] + noise
+            + b[:rng.randrange(len(b) + 1)])
+
+
+def test_detect_language_matches_its_oracle():
+    hypotheses = _fixture_hypotheses()
+    rng = random.Random(20250610)
+    probes = hypotheses + ["", " ", "・゙²Ⅳ", "_12_", "Ⅳ²・゙ka"] + [
+        _mixed_script_text(rng, hypotheses) for _ in range(1500)]
+    labels = set()
+    for text in probes:
+        got = detect_language(text)
+        assert got == _detect_language_oracle(text), text
+        labels.add(got[0])
+    # every branch ran: each script rule, each profile and "unknown"
+    assert labels == {"unknown", "en", *TARGET_LANGS}
 
 
 # --- validity taxonomy -------------------------------------------------------
