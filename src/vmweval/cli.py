@@ -1,13 +1,12 @@
 """Staged command-line pipeline.
 
-Stages communicate through JSON Lines files so any of them can be rerun
-or inspected in isolation:
-
     extract -> classify -> paraphrase -> translate -> score -> report
 
-Every stage writes a manifest next to its output (input hashes, config
-snapshot, record counts, seed) and nothing else non-deterministic, so a
-rerun with the same config, seed and mock backends is byte-identical.
+Each stage takes its input records, writes its output as JSON Lines with a
+manifest beside it (input hashes, config snapshot, record counts, seed;
+nothing else non-deterministic) and returns the records.  A single-stage
+command reads its inputs from such files, so a stage can be rerun or
+inspected alone; `run-all` hands each stage's records to the next.
 
 Exit codes: 0 success, 1 contract violation, 2 transport failures.
 """
@@ -22,6 +21,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import yaml
@@ -82,6 +82,16 @@ class Config:
             raise ContractViolation(
                 f"config {name} must be at least {minimum}, not {value!r}")
         return number
+
+    @property
+    def corpus_path(self) -> Path:
+        return self.path(self.get("corpus", "path"))
+
+    @cached_property
+    def corpus(self) -> corpus_mod.Corpus:
+        """The corpus the config names, parsed once."""
+        fmt = self.get("corpus", "format", default="conllu")
+        return corpus_mod.load_corpus(_input_file(self.corpus_path), fmt)
 
 
 def load_config(path: str | Path) -> Config:
@@ -240,14 +250,14 @@ def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path
 
 
 def _finish(config: Config, args, stage: str, out: Path, records: list[dict],
-            inputs: dict[str, Path], counts: dict, kept: tuple = ()) -> int:
+            inputs: dict[str, Path], counts: dict, kept: tuple = ()):
     """Write a stage's records and manifest, with each `kept` failure counted
-    from the records; the exit code is 2 when a call failed in transport."""
+    from the records; (exit code, 2 when a call failed in transport, records)."""
     for _, tag, counter in kept:
         counts[counter] = sum(r.get("error") == tag for r in records)
     write_jsonl(out, records)
     write_manifest(out, stage, config, inputs, counts, _seed(config, args))
-    return 2 if counts.get("transport_failures") else 0
+    return (2 if counts.get("transport_failures") else 0), records
 
 
 def _map_ordered(fn, items, max_workers: int, key=None):
@@ -316,19 +326,6 @@ def _call_each(config: Config, call, jobs: list, ok, failed, kept: tuple,
     return records
 
 
-def _load_corpus(config: Config) -> tuple[corpus_mod.Corpus, Path]:
-    path = _input_file(config.path(config.get("corpus", "path")))
-    fmt = config.get("corpus", "format", default="conllu")
-    return corpus_mod.load_corpus(path, fmt), path
-
-
-def _llm_stage_setup(config: Config, args):
-    """The corpus, its path and the chat backend classify and paraphrase use."""
-    corpus, corpus_path = _load_corpus(config)
-    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
-    return corpus, corpus_path, backend
-
-
 def _load_lexicon(config: Config):
     idioms_path = _input_file(config.path(config.get("lexicon", "idioms")))
     verbs_value = config.get("lexicon", "verb_lemmas", default=None)
@@ -358,8 +355,8 @@ def _concurrency(config: Config) -> int:
 
 # --- stages ------------------------------------------------------------------
 
-def stage_extract(config: Config, args) -> int:
-    corpus, corpus_path = _load_corpus(config)
+def stage_extract(config: Config, args):
+    """(exit code, candidates, control sentences or None without a sample)."""
     lex, idioms_path = _load_lexicon(config)
     light_verbs = lexicon_mod.light_verb_set(
         config.get("light_verbs", default="dataset_six"))
@@ -374,7 +371,7 @@ def stage_extract(config: Config, args) -> int:
     scanned = tuple(extract_mod.Category) if n_controls else categories
     records = []
     clean = []
-    for sentence in corpus:
+    for sentence in config.corpus:
         found = extract_mod.extract_all(sentence, lex, light_verbs,
                                         threshold, scanned)
         if not found:
@@ -382,11 +379,12 @@ def stage_extract(config: Config, args) -> int:
         records += [extract_mod.candidate_to_dict(cand) for cand in found
                     if cand.category in categories]
 
-    inputs = {"corpus": corpus_path, "idioms": idioms_path}
+    inputs = {"corpus": config.corpus_path, "idioms": idioms_path}
     found_categories = [r["category"] for r in records]
     counts = {"candidates": len(records),
               **{c.value: found_categories.count(c.value)
                  for c in extract_mod.Category}}
+    controls = None
     if n_controls:
         controls, shortfall = extract_mod.sample_sentences(
             clean, n_controls, _seed(config, args))
@@ -401,16 +399,16 @@ def stage_extract(config: Config, args) -> int:
         if shortfall:
             print(f"warning: only {len(controls)} of {n_controls} requested "
                   f"control sentences qualify", file=sys.stderr)
-    return _finish(config, args, "extract", args.stage_out, records, inputs, counts)
+    return (*_finish(config, args, "extract", args.stage_out, records, inputs,
+                     counts), controls)
 
 
-def stage_classify(config: Config, args) -> int:
-    candidates = [extract_mod.candidate_from_dict(r)
-                  for r in read_jsonl(args.stage_in)]
+def stage_classify(config: Config, args, candidates: list[dict]):
+    candidates = [extract_mod.candidate_from_dict(r) for r in candidates]
     wanted = set(_categories(args))
     candidates = [c for c in candidates if c.category in wanted]
-    corpus, corpus_path, backend = _llm_stage_setup(config, args)
-    jobs = [(cand.category, cand, corpus.by_id(cand.sentence_id))
+    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
+    jobs = [(cand.category, cand, config.corpus.by_id(cand.sentence_id))
             for cand in candidates]
     for _, cand, sentence in jobs:
         extract_mod.check_in_range(sentence, cand.token_indices())
@@ -430,19 +428,18 @@ def stage_classify(config: Config, args) -> int:
     counts = {"total": len(candidates), "accepted": verdicts.count(True),
               "rejected": verdicts.count(False)}
     return _finish(config, args, "classify", args.stage_out, records,
-                   {"candidates": args.stage_in, "corpus": corpus_path}, counts,
-                   _KEPT_LLM)
+                   {"candidates": args.stage_in, "corpus": config.corpus_path},
+                   counts, _KEPT_LLM)
 
 
-def stage_paraphrase(config: Config, args) -> int:
-    classifications = read_jsonl(args.stage_in)
+def stage_paraphrase(config: Config, args, classifications: list[dict]):
     wanted = {c.value for c in _categories(args)}
     accepted = [r for r in classifications
                 if r.get("verdict") is True and r["category"] in wanted]
-    corpus, corpus_path, backend = _llm_stage_setup(config, args)
+    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
     jobs = []
     for rec in accepted:
-        sentence = corpus.by_id(rec["sentence_id"])
+        sentence = config.corpus.by_id(rec["sentence_id"])
         jobs.append((rec, extract_mod.rebuild_candidate(
             sentence, extract_mod.Category(rec["category"]),
             tuple(rec["span"])), sentence))
@@ -464,7 +461,7 @@ def stage_paraphrase(config: Config, args) -> int:
               "retained_candidate": sum(r.get("retains_candidate", False)
                                         for r in records)}
     return _finish(config, args, "paraphrase", args.stage_out, records,
-                   {"classifications": args.stage_in, "corpus": corpus_path},
+                   {"classifications": args.stage_in, "corpus": config.corpus_path},
                    counts, _KEPT_LLM)
 
 
@@ -485,9 +482,9 @@ def _mt_backend_names(config: Config, args) -> list[str]:
     return [names] if isinstance(names, str) else list(names)
 
 
-def stage_translate(config: Config, args) -> int:
-    paraphrases = [r for r in read_jsonl(args.stage_in)
-                   if r.get("paraphrased")]
+def stage_translate(config: Config, args, paraphrases: list[dict], controls):
+    """`controls` are the control sentences, None without any."""
+    paraphrases = [r for r in paraphrases if r.get("paraphrased")]
     langs = _target_langs(config, args)
     backends = {name: build_backend(config, name)
                 for name in _mt_backend_names(config, args)}
@@ -497,10 +494,8 @@ def stage_translate(config: Config, args) -> int:
                              default=mt_mod.DEFAULT_MAX_UNIT)
 
     inputs = {"paraphrases": args.stage_in}
-    controls = []
     if args.controls_in:
-        inputs["controls"] = _stage_input(args.controls_in)
-        controls = corpus_mod.load_corpus(inputs["controls"], "jsonl")
+        inputs["controls"] = args.controls_in
 
     jobs = []
     for name, backend in sorted(backends.items()):
@@ -508,7 +503,7 @@ def stage_translate(config: Config, args) -> int:
             for rec in paraphrases:
                 jobs.append((backend, lang, "ori", rec["original"], rec))
                 jobs.append((backend, lang, "para", rec["paraphrased"], rec))
-            for sentence in controls:
+            for sentence in controls or ():
                 jobs.append((backend, lang, "control", sentence.text,
                              {"sentence_id": sentence.id, "candidate_ref": None,
                               "category": None}))
@@ -563,8 +558,7 @@ def _translation(rec: dict) -> mt_mod.TranslationRecord:
         validity=mt_mod.ValidityStatus(rec["validity"]))
 
 
-def stage_score(config: Config, args) -> int:
-    translations = read_jsonl(args.stage_in)
+def stage_score(config: Config, args, translations: list[dict]):
     backend = build_backend(config, args.backend or config.get("pipeline", "qe"))
 
     valid = []
@@ -621,8 +615,8 @@ def stage_score(config: Config, args) -> int:
                    {"translations": args.stage_in}, counts, _KEPT_TRANSPORT)
 
 
-def stage_report(config: Config, args) -> int:
-    scored = read_jsonl(args.stage_in)
+def stage_report(config: Config, args, scored: list[dict], classifications):
+    """(exit code, the tables); the classifier table needs `classifications`."""
     inputs = {"scored": args.stage_in}
     tables = report_mod.build_tables(
         scored,
@@ -639,11 +633,11 @@ def stage_report(config: Config, args) -> int:
             config.get("da", "vmwe_ids"), config.get("da", "control_ids"))
 
     gold_path = config.get("classifier_eval", "gold", default=None)
-    if gold_path and args.classifications_in:
+    if gold_path and classifications is not None:
         inputs["gold"] = config.path(gold_path)
         inputs["classifications"] = args.classifications_in
         tables["classifier_table"] = report_mod.classifier_table(
-            read_jsonl(inputs["gold"]), read_jsonl(inputs["classifications"]))
+            read_jsonl(inputs["gold"]), classifications)
 
     out_dir = args.stage_out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -655,38 +649,37 @@ def stage_report(config: Config, args) -> int:
                 fh.write(text)
         counts[name] = len(rows)
     write_manifest(out_dir, "report", config, inputs, counts, _seed(config, args))
-    return 0
+    return 0, tables
 
 
-def stage_run_all(config: Config, args) -> int:
-    out_dir = args.stage_out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {name: out_dir / f"{name}.jsonl"
-             for name in ("candidates", "controls", "classifications",
-                          "paraphrases", "translations", "scored")}
-    paths["report"] = out_dir / "report"
+def stage_run_all(config: Config, args):
+    """Chain the stages in memory: (worst exit code, the report's tables)."""
+    out = {name: args.stage_out / f"{name}.jsonl"
+           for name in ("candidates", "controls", "classifications",
+                        "paraphrases", "translations", "scored")}
+    out["report"] = args.stage_out / "report"
+    codes = []
 
-    def ns(**stage_paths):
+    def run(stage, src, dst, *records, **paths):
         # --backend names one stage's backend; here the config names each.
-        return argparse.Namespace(**{**vars(args), "backend": None,
-                                     "controls_in": None, **stage_paths})
+        code, *outputs = stage(config, argparse.Namespace(**{
+            **vars(args), "backend": None, "controls_in": None,
+            "stage_in": out.get(src), "stage_out": out[dst], **paths}), *records)
+        codes.append(code)
+        return outputs
 
-    worst = stage_extract(config, ns(
-        stage_out=paths["candidates"], controls_out=paths["controls"]))
-    worst = max(worst, stage_classify(config, ns(
-        stage_in=paths["candidates"], stage_out=paths["classifications"])))
-    worst = max(worst, stage_paraphrase(config, ns(
-        stage_in=paths["classifications"], stage_out=paths["paraphrases"])))
-    controls_in = paths["controls"] if paths["controls"].is_file() else None
-    worst = max(worst, stage_translate(config, ns(
-        stage_in=paths["paraphrases"], stage_out=paths["translations"],
-        controls_in=controls_in)))
-    worst = max(worst, stage_score(config, ns(
-        stage_in=paths["translations"], stage_out=paths["scored"])))
-    worst = max(worst, stage_report(config, ns(
-        stage_in=paths["scored"], stage_out=paths["report"],
-        classifications_in=paths["classifications"])))
-    return worst
+    candidates, controls = run(stage_extract, None, "candidates",
+                               controls_out=out["controls"])
+    [classified] = run(stage_classify, "candidates", "classifications", candidates)
+    [paraphrases] = run(stage_paraphrase, "classifications", "paraphrases",
+                        classified)
+    [translations] = run(stage_translate, "paraphrases", "translations",
+                         paraphrases, controls,
+                         controls_in=None if controls is None else out["controls"])
+    [scored] = run(stage_score, "translations", "scored", translations)
+    [tables] = run(stage_report, "scored", "report", scored, classified,
+                   classifications_in=out["classifications"])
+    return max(codes), tables
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -735,7 +728,14 @@ def main(argv=None) -> int:
         if needs_in and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
         config = load_config(args.config)
-        return _COMMANDS[args.command][0](config, args)
+        inputs = [read_jsonl(args.stage_in)] if needs_in else []
+        if args.command == "translate":
+            inputs.append(args.controls_in and corpus_mod.load_corpus(
+                _stage_input(args.controls_in), "jsonl"))
+        if args.command == "report":
+            inputs.append(args.classifications_in
+                          and read_jsonl(args.classifications_in))
+        return _COMMANDS[args.command][0](config, args, *inputs)[0]
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1048,3 +1048,134 @@ def test_run_all_passes_shared_flags_to_every_stage(tmp_path):
                  "paraphrases.jsonl", "translations.jsonl", "scored.jsonl",
                  "report"):
         assert read_manifest(out / name)["seed"] == 7, name
+
+
+# --- run-all hands records over in memory ------------------------------------
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _fail_some_calls(monkeypatch):
+    """One transport failure in each of paraphrase, translate and score."""
+    _inject_transport_failures(
+        monkeypatch, MockChatBackend, "complete",
+        lambda request: "Sentence: He spilled the beans. || Phrase:"
+        in request.last_user_content())
+    _inject_transport_failures(
+        monkeypatch, MockMTBackend, "translate_text",
+        lambda text, lang: (text, lang) == ("She gave up smoking last year.", "de"))
+    _inject_transport_failures(
+        monkeypatch, MockQEBackend, "assess",
+        lambda source, hypothesis: source.startswith("The old farmer"))
+
+
+@pytest.mark.parametrize("failing", [False, True],
+                         ids=["clean", "transport-failures"])
+def test_run_all_writes_what_the_single_stage_commands_write(
+        tmp_path, monkeypatch, failing):
+    """The six commands, each reading the files the one before wrote, are
+    the oracle of run-all's in-memory chain, manifests included."""
+    if failing:
+        _fail_some_calls(monkeypatch)
+    cfg = patched_config(tmp_path)
+    chained, staged = tmp_path / "chained", tmp_path / "staged"
+    code = cli.main(["run-all", "--config", str(cfg), "--stage-out", str(chained)])
+    path = {name: staged / f"{name}.jsonl"
+            for name in ("candidates", "controls", "classifications",
+                         "paraphrases", "translations", "scored")}
+    steps = [
+        ["extract", "--stage-out", path["candidates"],
+         "--controls-out", path["controls"]],
+        ["classify", "--stage-in", path["candidates"],
+         "--stage-out", path["classifications"]],
+        ["paraphrase", "--stage-in", path["classifications"],
+         "--stage-out", path["paraphrases"]],
+        ["translate", "--stage-in", path["paraphrases"],
+         "--stage-out", path["translations"], "--controls-in", path["controls"]],
+        ["score", "--stage-in", path["translations"], "--stage-out", path["scored"]],
+        ["report", "--stage-in", path["scored"], "--stage-out", staged / "report",
+         "--classifications-in", path["classifications"]],
+    ]
+    codes = [cli.main([str(arg) for arg in step] + ["--config", str(cfg)])
+             for step in steps]
+    assert codes == ([0, 0, 2, 2, 2, 0] if failing else [0] * 6)
+    assert code == max(codes)
+    assert _tree(chained) == _tree(staged)
+
+
+@pytest.mark.parametrize("failing", [False, True],
+                         ids=["clean", "transport-failures"])
+def test_every_stage_returns_records_equal_to_their_json(
+        tmp_path, monkeypatch, failing):
+    """A record handed on in memory is the one the next stage would read
+    from the file: no tuples, shared keys of another type or the like."""
+    if failing:
+        _fail_some_calls(monkeypatch)
+    returned = {}
+    for name in ("stage_extract", "stage_classify", "stage_paraphrase",
+                 "stage_translate", "stage_score"):
+        def recorded(*args, _stage=getattr(cli, name), _name=name):
+            outputs = _stage(*args)
+            returned[_name] = outputs[1]
+            return outputs
+        monkeypatch.setattr(cli, name, recorded)
+    out = tmp_path / "run"
+    cli.main(["run-all", "--config", str(patched_config(tmp_path)),
+              "--stage-out", str(out)])
+    files = ["candidates", "classifications", "paraphrases", "translations",
+             "scored"]
+    assert list(returned) == [f"stage_{n}" for n in
+                              ("extract", "classify", "paraphrase", "translate",
+                               "score")]
+    for (name, records), file in zip(returned.items(), files):
+        assert records, name
+        assert read_jsonl_plain(out / f"{file}.jsonl") == records, name
+        for record in records:
+            text = cli._encode(record)
+            assert json.loads(text) == record, (name, record)
+            assert cli._encode(json.loads(text)) == text, (name, record)
+
+
+def test_run_all_translates_only_the_controls_it_sampled(tmp_path):
+    """A controls.jsonl an earlier run with a control sample left behind is
+    not this run's: with control_sample.n at 0, a rerun into the same
+    directory writes what a fresh directory gets."""
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
+                     "--stage-out", str(reused)]) == 0
+    assert "controls" in read_manifest(reused / "translations.jsonl")["inputs"]
+    cfg = patched_config(tmp_path, lambda raw: raw["control_sample"].update(n=0))
+    for out in (reused, fresh):
+        assert cli.main(["run-all", "--config", str(cfg),
+                         "--stage-out", str(out)]) == 0
+    assert (reused / "controls.jsonl").is_file()
+    assert not (fresh / "controls.jsonl").exists()
+    for name in ("translations.jsonl", "scored.jsonl"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def tables(out):
+        return {p.name: p.read_bytes() for p in (out / "report").iterdir()
+                if p.name != "manifest.json"}
+    assert tables(reused) == tables(fresh)
+    assert "control" not in {r["kind"] for r in
+                             read_jsonl_plain(fresh / "translations.jsonl")}
+    assert "controls" not in read_manifest(reused / "translations.jsonl")["inputs"]
+
+
+def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
+        tmp_path, monkeypatch):
+    loaded, read = [], []
+    load_corpus, read_jsonl = cli.corpus_mod.load_corpus, cli.read_jsonl
+    monkeypatch.setattr(cli.corpus_mod, "load_corpus",
+                        lambda *args: loaded.append(args) or load_corpus(*args))
+    monkeypatch.setattr(cli, "read_jsonl",
+                        lambda path: read.append(path) or read_jsonl(path))
+    assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
+                     "--stage-out", str(tmp_path / "run")]) == 0
+    assert [(Path(path).resolve(), fmt) for path, fmt in loaded] == [
+        ((FIXTURES / "corpus_25.conllu").resolve(), "conllu")]
+    assert [Path(path).resolve() for path in read] == [
+        (FIXTURES / "da_annotations.jsonl").resolve(),
+        (FIXTURES / "gold_labels.jsonl").resolve()]
