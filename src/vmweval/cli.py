@@ -44,6 +44,18 @@ SCHEMA_VERSION = report_mod.SCHEMA_VERSION
 
 _REQUIRED = object()
 
+# numeric config key -> (kind, default, minimum); load_config checks each one
+_NUMBERS = {
+    ("concurrency",): (int, 4, 1),
+    ("seed",): (int, 0, None),
+    ("vid_threshold",): (float, extract_mod.DEFAULT_VID_THRESHOLD, None),
+    ("control_sample", "n"): (int, 0, 0),
+    ("repetition", "min_repeats"): (int, mt_mod.DEFAULT_MIN_REPEATS, 1),
+    ("repetition", "max_unit"): (int, mt_mod.DEFAULT_MAX_UNIT, 1),
+    ("exclusion", "flag_pct"): (float, report_mod.DEFAULT_FLAG_PCT, None),
+    ("exclusion", "rank_exclude_pct"): (float, report_mod.DEFAULT_EXCLUDE_PCT, None),
+}
+
 
 @dataclass
 class Config:
@@ -67,9 +79,10 @@ class Config:
             node = node[key]
         return node
 
-    def number(self, *keys, default, kind=float, minimum=None):
-        """The value under `keys` (or `default`) as `kind`; a
-        ContractViolation when it is not one or is below `minimum`."""
+    def number(self, *keys):
+        """The numeric key `keys` of _NUMBERS (or its default) as its kind; a
+        ContractViolation when it is not one or is below its minimum."""
+        kind, default, minimum = _NUMBERS[keys]
         value = self.get(*keys, default=default)
         name = ".".join(keys)
         try:
@@ -98,14 +111,17 @@ def load_config(path: str | Path) -> Config:
     path = Path(path)
     if not path.is_file():
         raise ContractViolation(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with _text_input(path) as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ContractViolation(f"config is not valid YAML: {path}: {exc}")
     if not isinstance(raw, dict):
         raise ContractViolation(f"config must be a mapping: {path}")
-    return Config(raw=raw, base=path.parent)
+    config = Config(raw=raw, base=path.parent)
+    for keys in _NUMBERS:
+        config.number(*keys)
+    return config
 
 
 def _credential(cfg_entry: dict) -> str | None:
@@ -123,6 +139,9 @@ def build_backend(config: Config, name: str):
     entry = config.get("backends", name, default=None)
     if entry is None:
         raise ContractViolation(f"backend {name!r} is not defined in the config")
+    if not isinstance(entry, dict):
+        raise ContractViolation(f"config backends.{name} must be a mapping, "
+                                f"not {entry!r}")
     kind = entry.get("kind")
     if kind not in ("llm", "mt", "qe"):
         raise ContractViolation(f"backend {name!r} has unknown kind {kind!r}")
@@ -137,7 +156,7 @@ def build_backend(config: Config, name: str):
     if kind == "llm":
         if mock:
             return llm_mod.MockChatBackend.from_file(
-                config.path(need("script")),
+                _input_file(config.path(need("script"))),
                 model_id=entry.get("model_id", "mock-chat"))
         return llm_mod.HttpChatBackend(model_id=need("model_id"), **http)
     if kind == "mt":
@@ -169,9 +188,21 @@ def _input_file(path: Path) -> Path:
     return path
 
 
+@contextmanager
+def _text_input(path: Path):
+    """`path`, which must exist, open as UTF-8 text; a byte that is not
+    UTF-8 is a ContractViolation naming the file."""
+    with open(_input_file(path), encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ContractViolation(
+                f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def read_jsonl(path: Path) -> list[dict]:
     records = []
-    with open(_stage_input(path), encoding="utf-8") as fh:
+    with _text_input(_stage_input(path)) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -226,8 +257,14 @@ def _stage_input(path: Path) -> Path:
     schema version."""
     manifest = Path(str(_input_file(path)) + ".manifest.json")
     if manifest.is_file():
-        with open(manifest, encoding="utf-8") as fh:
-            recorded = json.load(fh).get("schema_version")
+        with _text_input(manifest) as fh:
+            try:
+                fields = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ContractViolation(f"{manifest} is not JSON: {exc}") from None
+        if not isinstance(fields, dict):
+            raise ContractViolation(f"{manifest} is not a JSON object")
+        recorded = fields.get("schema_version")
         if recorded != SCHEMA_VERSION:
             raise SchemaVersionError(f"{path} was written under schema "
                                      f"{recorded}, expected {SCHEMA_VERSION}")
@@ -314,7 +351,7 @@ def _call_each(config: Config, call, jobs: list, ok, failed, kept: tuple,
     else failed(job, exc) with its `error` tag from `kept`, which must hold
     the failure's kind or it is re-raised.  Calls are shared by `key`."""
     records = []
-    outcomes = _map_ordered(call, jobs, _concurrency(config), key=key)
+    outcomes = _map_ordered(call, jobs, config.number("concurrency"), key=key)
     for job, (result, exc) in zip(jobs, outcomes):
         if exc is None:
             records.append(ok(job, result))
@@ -327,14 +364,14 @@ def _call_each(config: Config, call, jobs: list, ok, failed, kept: tuple,
 
 
 def _load_lexicon(config: Config):
-    idioms_path = _input_file(config.path(config.get("lexicon", "idioms")))
+    idioms_path = config.path(config.get("lexicon", "idioms"))
     verbs_value = config.get("lexicon", "verb_lemmas", default=None)
     if verbs_value:
-        verbs_path = _input_file(config.path(verbs_value))
-        verb_lemmas = lexicon_mod.parse_verb_lemmas(verbs_path.read_text("utf-8"))
+        with _text_input(config.path(verbs_value)) as fh:
+            verb_lemmas = lexicon_mod.parse_verb_lemmas(fh.read())
     else:
         verb_lemmas = lexicon_mod.default_verb_lemmas()
-    with open(idioms_path, encoding="utf-8") as fh:
+    with _text_input(idioms_path) as fh:
         lex = lexicon_mod.load_idiom_lexicon(fh, verb_lemmas)
     return lex, idioms_path
 
@@ -346,11 +383,7 @@ def _categories(args) -> tuple[extract_mod.Category, ...]:
 
 
 def _seed(config: Config, args) -> int:
-    return args.seed if args.seed is not None else config.get("seed", default=0)
-
-
-def _concurrency(config: Config) -> int:
-    return config.number("concurrency", default=4, kind=int, minimum=1)
+    return args.seed if args.seed is not None else config.number("seed")
 
 
 # --- stages ------------------------------------------------------------------
@@ -360,11 +393,9 @@ def stage_extract(config: Config, args):
     lex, idioms_path = _load_lexicon(config)
     light_verbs = lexicon_mod.light_verb_set(
         config.get("light_verbs", default="dataset_six"))
-    threshold = config.number("vid_threshold",
-                              default=extract_mod.DEFAULT_VID_THRESHOLD)
+    threshold = config.number("vid_threshold")
     categories = _categories(args)
-    n_controls = config.number("control_sample", "n", default=0, kind=int,
-                               minimum=0)
+    n_controls = config.number("control_sample", "n")
 
     # Controls are the sentences no extractor matches, so with a control
     # sample every sentence goes through all three, once.
@@ -479,7 +510,12 @@ def _mt_backend_names(config: Config, args) -> list[str]:
     if args.backend:
         return [args.backend]
     names = config.get("pipeline", "mt")
-    return [names] if isinstance(names, str) else list(names)
+    if isinstance(names, str):
+        return [names]
+    if not isinstance(names, list):
+        raise ContractViolation("config pipeline.mt must be a backend name or "
+                                f"a list of them, not {names!r}")
+    return names
 
 
 def stage_translate(config: Config, args, paraphrases: list[dict], controls):
@@ -488,10 +524,8 @@ def stage_translate(config: Config, args, paraphrases: list[dict], controls):
     langs = _target_langs(config, args)
     backends = {name: build_backend(config, name)
                 for name in _mt_backend_names(config, args)}
-    min_repeats = config.number("repetition", "min_repeats", kind=int,
-                                minimum=1, default=mt_mod.DEFAULT_MIN_REPEATS)
-    max_unit = config.number("repetition", "max_unit", kind=int, minimum=1,
-                             default=mt_mod.DEFAULT_MAX_UNIT)
+    min_repeats = config.number("repetition", "min_repeats")
+    max_unit = config.number("repetition", "max_unit")
 
     inputs = {"paraphrases": args.stage_in}
     if args.controls_in:
@@ -620,10 +654,8 @@ def stage_report(config: Config, args, scored: list[dict], classifications):
     inputs = {"scored": args.stage_in}
     tables = report_mod.build_tables(
         scored,
-        config.number("exclusion", "flag_pct",
-                      default=report_mod.DEFAULT_FLAG_PCT),
-        config.number("exclusion", "rank_exclude_pct",
-                      default=report_mod.DEFAULT_EXCLUDE_PCT))
+        config.number("exclusion", "flag_pct"),
+        config.number("exclusion", "rank_exclude_pct"))
 
     da_path = config.get("da", "annotations", default=None)
     if da_path:

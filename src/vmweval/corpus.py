@@ -257,12 +257,16 @@ def parse_conllu(lines: Iterable[str]) -> Corpus:
 def load_corpus(path, fmt: str) -> Corpus:
     """Load a corpus file in one of the formats: conllu, plain, jsonl."""
     with open(path, encoding="utf-8") as fh:
-        if fmt == "conllu":
-            return parse_conllu(fh)
-        if fmt == "plain":
-            return load_plain(fh)
-        if fmt == "jsonl":
-            return corpus_from_jsonl(fh)
+        try:
+            if fmt == "conllu":
+                return parse_conllu(fh)
+            if fmt == "plain":
+                return load_plain(fh)
+            if fmt == "jsonl":
+                return corpus_from_jsonl(fh)
+        except UnicodeDecodeError as exc:
+            raise ContractViolation(
+                f"{path} is not UTF-8 text ({exc.reason})") from None
     raise ContractViolation(f"unknown corpus format {fmt!r}")
 
 

@@ -271,7 +271,12 @@ class MockChatBackend:
     @classmethod
     def from_file(cls, path, model_id: str = "mock-chat"):
         with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh), model_id=model_id)
+            try:
+                script = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ContractViolation(
+                    f"mock chat script {path} is not JSON: {exc}") from None
+        return cls(script, model_id=model_id)
 
     def complete(self, request: ChatRequest) -> str:
         prompt = request.last_user_content()

@@ -889,41 +889,125 @@ def _config_value(keys, value, command):
     return make_case
 
 
-@pytest.mark.parametrize("make_case, message", [
-    (_bad_yaml, "bad.yaml"),
-    (_truncated_stage_in, "cands.jsonl line 2"),
-    (_non_object_stage_in, "cands.jsonl line 1: record is not a JSON object"),
-    (_mt_without_base_url, "backends.alpha.base_url"),
-    (_qe_without_orientation, "backends.mock_qe.orientation"),
+def _stage_in_manifest(text):
+    """A candidates file whose manifest holds `text`."""
+    def make_case(tmp_path):
+        cfg = patched_config(tmp_path)
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text("", encoding="utf-8")
+        (tmp_path / "cands.jsonl.manifest.json").write_text(text, encoding="utf-8")
+        return cfg, ["classify", "--stage-in", str(cands)]
+    return make_case
+
+
+def _not_utf8(name):
+    """A byte that is not UTF-8 in the stage input, the controls, the
+    config, the corpus or the idiom list."""
+    def make_case(tmp_path):
+        bad = tmp_path / name
+        sources = {"corpus.conllu": FIXTURES / "corpus_25.conllu",
+                   "idioms.txt": FIXTURES / "idioms.txt"}
+        data = sources[name].read_bytes() if name in sources else b"{}\n"
+        bad.write_bytes(data + b"\xff\n")
+
+        def point_at_bad(raw):
+            if name == "corpus.conllu":
+                raw["corpus"]["path"] = str(bad)
+            if name == "idioms.txt":
+                raw["lexicon"]["idioms"] = str(bad)
+        cfg = patched_config(tmp_path, point_at_bad)
+        if name == "config.yaml":
+            cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        return cfg, {"cands.jsonl": ["classify", "--stage-in", str(bad)],
+                     "controls.jsonl": ["translate", "--stage-in", str(empty),
+                                        "--controls-in", str(bad)]
+                     }.get(name, ["extract"])
+    return make_case
+
+
+def _mock_script(text):
+    """The mock chat script holds `text`, or is absent when it is None."""
+    def make_case(tmp_path):
+        script = tmp_path / "script.json"
+        if text is not None:
+            script.write_text(text, encoding="utf-8")
+        cfg = patched_config(tmp_path, lambda raw: raw["backends"]["mock_llm"]
+                             .update(script=str(script)))
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text("", encoding="utf-8")
+        return cfg, ["classify", "--stage-in", str(cands)]
+    return make_case
+
+
+# (keys, malformed value, a command, message, id); each case runs through
+# its command and through run-all
+_BAD_NUMBERS = [
+    (["concurrency"], "two", "classify",
+     "config concurrency must be an integer, not 'two'", "concurrency-not-int"),
+    (["concurrency"], 0, "classify",
+     "config concurrency must be at least 1, not 0", "concurrency-below-1"),
+    (["vid_threshold"], "high", "extract",
+     "config vid_threshold must be a number, not 'high'",
+     "vid-threshold-not-number"),
+    (["control_sample", "n"], [10], "extract",
+     "config control_sample.n must be an integer, not [10]", "control-n-not-int"),
+    (["repetition", "min_repeats"], "eight", "translate",
+     "config repetition.min_repeats must be an integer, not 'eight'",
+     "min-repeats-not-int"),
+    (["repetition", "max_unit"], 0, "translate",
+     "config repetition.max_unit must be at least 1, not 0", "max-unit-below-1"),
+    (["exclusion", "flag_pct"], "five", "report",
+     "config exclusion.flag_pct must be a number, not 'five'",
+     "flag-pct-not-number"),
+    (["exclusion", "rank_exclude_pct"], None, "report",
+     "config exclusion.rank_exclude_pct must be a number, not None",
+     "rank-exclude-pct-null"),
+    (["seed"], "x", "extract", "config seed must be an integer, not 'x'",
+     "seed-not-int"),
+]
+
+# (make_case, message, id)
+_MALFORMED = [
+    (_bad_yaml, "bad.yaml", "bad-yaml"),
+    (_truncated_stage_in, "cands.jsonl line 2", "truncated-jsonl"),
+    (_non_object_stage_in, "cands.jsonl line 1: record is not a JSON object",
+     "non-object-jsonl"),
+    (_mt_without_base_url, "backends.alpha.base_url", "mt-no-base-url"),
+    (_qe_without_orientation, "backends.mock_qe.orientation", "qe-no-orientation"),
     (_qe_unknown_orientation, "backends.mock_qe.orientation is 'lower'; "
-                              "allowed: lower_better_0_25, higher_better_0_1"),
-    (_controls_line("[1]"), "line 1: bad sentence record"),
-    (_controls_line('{"id": "c1", "tokens": [1]}'), "line 1: bad sentence record"),
-    (_candidate(span=5), "bad candidate record"),
-    (_candidate(evidence=[1]), "bad candidate record"),
-    (_config_value(["concurrency"], "two", "classify"),
-     "config concurrency must be an integer, not 'two'"),
-    (_config_value(["concurrency"], 0, "classify"),
-     "config concurrency must be at least 1, not 0"),
-    (_config_value(["vid_threshold"], "high", "extract"),
-     "config vid_threshold must be a number, not 'high'"),
-    (_config_value(["control_sample", "n"], [10], "extract"),
-     "config control_sample.n must be an integer, not [10]"),
-    (_config_value(["repetition", "min_repeats"], "eight", "translate"),
-     "config repetition.min_repeats must be an integer, not 'eight'"),
-    (_config_value(["repetition", "max_unit"], 0, "translate"),
-     "config repetition.max_unit must be at least 1, not 0"),
-    (_config_value(["exclusion", "flag_pct"], "five", "report"),
-     "config exclusion.flag_pct must be a number, not 'five'"),
-    (_config_value(["exclusion", "rank_exclude_pct"], None, "report"),
-     "config exclusion.rank_exclude_pct must be a number, not None"),
-], ids=["bad-yaml", "truncated-jsonl", "non-object-jsonl", "mt-no-base-url",
-        "qe-no-orientation", "qe-unknown-orientation", "control-not-object",
-        "control-token-not-object", "candidate-span-not-list",
-        "candidate-evidence-not-object", "concurrency-not-int",
-        "concurrency-below-1", "vid-threshold-not-number",
-        "control-n-not-int", "min-repeats-not-int", "max-unit-below-1",
-        "flag-pct-not-number", "rank-exclude-pct-null"])
+                              "allowed: lower_better_0_25, higher_better_0_1",
+     "qe-unknown-orientation"),
+    (_controls_line("[1]"), "line 1: bad sentence record", "control-not-object"),
+    (_controls_line('{"id": "c1", "tokens": [1]}'), "line 1: bad sentence record",
+     "control-token-not-object"),
+    (_candidate(span=5), "bad candidate record", "candidate-span-not-list"),
+    (_candidate(evidence=[1]), "bad candidate record",
+     "candidate-evidence-not-object"),
+    *[(_config_value(keys, value, command), message, case_id)
+      for keys, value, command, message, case_id in _BAD_NUMBERS],
+    (_stage_in_manifest("{"), "cands.jsonl.manifest.json is not JSON",
+     "manifest-not-json"),
+    (_stage_in_manifest("[1]"), "cands.jsonl.manifest.json is not a JSON object",
+     "manifest-not-object"),
+    *[(_not_utf8(name), f"{name} is not UTF-8 text", f"{name}-not-utf8")
+      for name in ("cands.jsonl", "controls.jsonl", "config.yaml",
+                   "corpus.conllu", "idioms.txt")],
+    (_config_value(["backends", "alpha"], "fast", "translate"),
+     "config backends.alpha must be a mapping, not 'fast'",
+     "backend-not-mapping"),
+    (_config_value(["pipeline", "mt"], 5, "translate"),
+     "config pipeline.mt must be a backend name or a list of them, not 5",
+     "pipeline-mt-not-names"),
+    (_mock_script(None), "missing input file", "mock-script-missing"),
+    (_mock_script("{"), "script.json is not JSON", "mock-script-not-json"),
+]
+
+
+@pytest.mark.parametrize("make_case, message",
+                         [case[:2] for case in _MALFORMED],
+                         ids=[case[2] for case in _MALFORMED])
 def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message):
     cfg, command = make_case(tmp_path)
     out = tmp_path / "out.jsonl"
@@ -938,6 +1022,20 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message)
     assert "Traceback" not in done.stderr
     assert not out.exists()
     assert not cli._manifest_path(out).exists()
+
+
+@pytest.mark.parametrize("keys, value, message",
+                         [(keys, value, message)
+                          for keys, value, _, message, _ in _BAD_NUMBERS],
+                         ids=[case[-1] for case in _BAD_NUMBERS])
+def test_run_all_checks_every_number_before_it_writes(
+        tmp_path, capsys, keys, value, message):
+    cfg, _ = _config_value(keys, value, "run-all")(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists() or not any(out.rglob("*"))
 
 
 class _WriteFailed(Exception):
