@@ -289,7 +289,8 @@ def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path
 def _finish(config: Config, args, stage: str, out: Path, records: list[dict],
             inputs: dict[str, Path], counts: dict, kept: tuple = ()):
     """Write a stage's records and manifest, with each `kept` failure counted
-    from the records; (exit code, 2 when a call failed in transport, records)."""
+    from the records; (exit code, records), the code 2 when a call failed in
+    transport."""
     for _, tag, counter in kept:
         counts[counter] = sum(r.get("error") == tag for r in records)
     write_jsonl(out, records)
@@ -515,7 +516,7 @@ def _mt_backend_names(config: Config, args) -> list[str]:
     if not isinstance(names, list):
         raise ContractViolation("config pipeline.mt must be a backend name or "
                                 f"a list of them, not {names!r}")
-    return names
+    return list(names)
 
 
 def stage_translate(config: Config, args, paraphrases: list[dict], controls):

@@ -907,7 +907,7 @@ def _not_utf8(name):
         bad = tmp_path / name
         sources = {"corpus.conllu": FIXTURES / "corpus_25.conllu",
                    "idioms.txt": FIXTURES / "idioms.txt"}
-        data = sources[name].read_bytes() if name in sources else b"{}\n"
+        data = sources[name].read_bytes() if name in sources else b""
         bad.write_bytes(data + b"\xff\n")
 
         def point_at_bad(raw):
