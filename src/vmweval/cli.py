@@ -113,7 +113,9 @@ def load_config(path: str | Path) -> Config:
         raise ContractViolation(f"config file not found: {path}")
     with _text_input(path) as fh:
         try:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser when PyYAML was built with it; the same safe
+            # constructor either way
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ContractViolation(f"config is not valid YAML: {path}: {exc}")
     if not isinstance(raw, dict):
@@ -121,7 +123,40 @@ def load_config(path: str | Path) -> Config:
     config = Config(raw=raw, base=path.parent)
     for keys in _NUMBERS:
         config.number(*keys)
+    _check_lists(config)
     return config
+
+
+def _check_lists(config: Config):
+    """A ContractViolation unless the lists the stages iterate have their
+    shape: target_langs, the DA id lists and each backend's break_rules."""
+    langs = config.get("target_langs", default=[])
+    if not isinstance(langs, list):
+        raise ContractViolation(
+            f"config target_langs must be a list of language codes, not {langs!r}")
+    bad = [lang for lang in langs if lang not in mt_mod.TARGET_LANGS]
+    if bad:
+        raise ContractViolation(f"unsupported target language(s): {bad}")
+    if config.get("da", "annotations", default=None):
+        for key in ("vmwe_ids", "control_ids"):
+            ids = config.get("da", key)
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise ContractViolation(
+                    f"config da.{key} must be a list of sentence ids, not {ids!r}")
+    backends = config.get("backends", default={})
+    for name, entry in backends.items() if isinstance(backends, dict) else ():
+        rules = entry.get("break_rules") if isinstance(entry, dict) else None
+        if rules is None:  # no rules, as MockMTBackend reads it
+            continue
+        if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
+            raise ContractViolation(f"config backends.{name}.break_rules must be "
+                                    f"a list of mappings, not {rules!r}")
+        for rule in rules:
+            if rule.get("failure") not in mt_mod.BREAK_FAILURES:
+                raise ContractViolation(
+                    f"config backends.{name}.break_rules has unknown failure "
+                    f"{rule.get('failure')!r}; allowed: "
+                    f"{', '.join(mt_mod.BREAK_FAILURES)}")
 
 
 def _credential(cfg_entry: dict) -> str | None:
@@ -500,11 +535,7 @@ def stage_paraphrase(config: Config, args, classifications: list[dict]):
 def _target_langs(config: Config, args) -> list[str]:
     if args.target_lang:
         return [args.target_lang]
-    langs = config.get("target_langs", default=list(mt_mod.TARGET_LANGS))
-    bad = [lang for lang in langs if lang not in mt_mod.TARGET_LANGS]
-    if bad:
-        raise ContractViolation(f"unsupported target language(s): {bad}")
-    return list(langs)
+    return list(config.get("target_langs", default=mt_mod.TARGET_LANGS))
 
 
 def _mt_backend_names(config: Config, args) -> list[str]:
@@ -703,6 +734,9 @@ def stage_run_all(config: Config, args):
 
     candidates, controls = run(stage_extract, None, "candidates",
                                controls_out=out["controls"])
+    if controls is None:  # an earlier run's sample is not this run's
+        for path in (out["controls"], _manifest_path(out["controls"])):
+            path.unlink(missing_ok=True)
     [classified] = run(stage_classify, "candidates", "classifications", candidates)
     [paraphrases] = run(stage_paraphrase, "classifications", "paraphrases",
                         classified)

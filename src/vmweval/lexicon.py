@@ -7,7 +7,6 @@ would only produce noise.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -60,21 +59,20 @@ class IdiomEntry:
 class IdiomLexicon:
     entries: frozenset[IdiomEntry]
     # Built once here for every sentence matched against the lexicon: the
-    # entries in ordered() order, and lemma -> ((position in that order,
-    # occurrences of the lemma in the entry), ...).
+    # entries in ordered() order, and lemma -> [position in that order, ...]
+    # with a position listed once per occurrence of the lemma in its entry.
     _order: tuple[IdiomEntry, ...] = field(init=False, repr=False, compare=False)
-    _index: dict[str, list[tuple[int, int]]] = field(
-        init=False, repr=False, compare=False)
+    _index: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = tuple(sorted(self.entries, key=lambda e: e.canonical))
-        index: dict[str, list[tuple[int, int]]] = {}
+        index: dict[str, list[int]] = {}
         for pos, entry in enumerate(order):
             if pos and entry.canonical == order[pos - 1].canonical:
                 raise ContractViolation(
                     f"duplicate canonical form {entry.canonical!r}")
-            for lemma, count in Counter(entry.canonical).items():
-                index.setdefault(lemma, []).append((pos, count))
+            for lemma in entry.canonical:
+                index.setdefault(lemma, []).append(pos)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_index", index)
 
@@ -90,15 +88,18 @@ class IdiomLexicon:
         from `lemmas`."""
         counts = [0] * len(self._order)
         for lemma in set(lemmas):
-            for pos, count in self._index.get(lemma, ()):
-                counts[pos] += count
+            for pos in self._index.get(lemma, ()):
+                counts[pos] += 1
         return counts
 
 
 def normalize_idiom(text: str) -> tuple[str, ...]:
     """Lowercase and split an idiom line, detaching possessive clitics."""
+    lowered = text.lower()
+    if "'s" not in lowered:  # no chunk can end in 's
+        return tuple(lowered.split())
     parts: list[str] = []
-    for chunk in text.lower().split():
+    for chunk in lowered.split():
         if len(chunk) > 2 and chunk.endswith("'s"):
             parts.append(chunk[:-2])
             parts.append("'s")
@@ -127,11 +128,13 @@ def load_idiom_lexicon(lines: Iterable[str],
         if not surface:
             raise ParseError("idiom line holds only a flag", line=line_no)
         canonical = normalize_idiom(surface)
-        contains_verb = marked or any(part in verbs for part in canonical)
-        if not contains_verb:
+        # the first kept line of a canonical form wins
+        if canonical in entries:
             continue
-        entries.setdefault(canonical, IdiomEntry(
-            canonical=canonical, surface_form=surface, contains_verb=True))
+        if not marked and verbs.isdisjoint(canonical):
+            continue
+        entries[canonical] = IdiomEntry(
+            canonical=canonical, surface_form=surface, contains_verb=True)
     return IdiomLexicon(entries=frozenset(entries.values()))
 
 

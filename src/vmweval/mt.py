@@ -306,6 +306,10 @@ _PHRASEBOOK: dict[str, tuple[str, ...]] = {
 }
 
 
+# the failure modes a MockMTBackend break rule can force
+BREAK_FAILURES = ("untranslated", "empty", "repetitive", "wrong_language")
+
+
 class MockMTBackend:
     """Deterministic stand-in translator.
 

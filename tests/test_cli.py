@@ -73,6 +73,31 @@ def test_config_lookup_helpers(tmp_path):
         config.get("pipeline", "llm")
 
 
+def _flow_config(tmp_path):
+    """The fixture config as a JSON document, the way the benchmark's
+    workload generator writes its configs, with more kinds of values."""
+    raw = yaml.safe_load((FIXTURES / "runall_config.yaml").read_text("utf-8"))
+    raw["notes"] = {"name": "Zürich — 東京", "empty": [], "nothing": None,
+                    "flags": [True, False], "numbers": [0.5, -3, 1e-05, 10.0]}
+    path = tmp_path / "flow.yaml"
+    path.write_text(json.dumps(raw, indent=1) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", [
+    *sorted(str(p.relative_to(FIXTURES)) for p in FIXTURES.rglob("*.yaml")),
+    "json-flow"])
+def test_load_config_reads_what_the_python_loader_reads(tmp_path, name):
+    """load_config parses with libyaml when PyYAML has it; the config it
+    returns, and so every manifest, equals the pure-Python SafeLoader's."""
+    path = _flow_config(tmp_path) if name == "json-flow" else FIXTURES / name
+    with open(path, encoding="utf-8") as fh:
+        expected = yaml.load(fh, Loader=yaml.SafeLoader)
+    raw = cli.load_config(path).raw
+    assert raw == expected
+    assert json.dumps(raw, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def test_credentials_come_from_environment(tmp_path, monkeypatch):
     def add_remote(raw):
         raw["backends"]["remote"] = {
@@ -968,6 +993,33 @@ _BAD_NUMBERS = [
      "seed-not-int"),
 ]
 
+# (keys, malformed value, a command, message, id) of a list the stages
+# iterate; each case runs through its command and through run-all
+_BAD_LISTS = [
+    (["target_langs"], 5, "translate",
+     "config target_langs must be a list of language codes, not 5",
+     "target-langs-not-list"),
+    (["target_langs"], ["de", "fr"], "translate",
+     "unsupported target language(s): ['fr']", "target-langs-unsupported"),
+    (["da", "vmwe_ids"], 5, "report",
+     "config da.vmwe_ids must be a list of sentence ids, not 5",
+     "da-vmwe-ids-not-list"),
+    (["da", "control_ids"], ["s15", 16], "report",
+     "config da.control_ids must be a list of sentence ids, not ['s15', 16]",
+     "da-control-ids-not-strings"),
+    (["backends", "beta", "break_rules"], 5, "translate",
+     "config backends.beta.break_rules must be a list of mappings, not 5",
+     "break-rules-not-list"),
+    (["backends", "beta", "break_rules"], ["cs"], "translate",
+     "config backends.beta.break_rules must be a list of mappings, not ['cs']",
+     "break-rule-not-mapping"),
+    (["backends", "beta", "break_rules"],
+     [{"target_lang": "cs", "failure": "melted"}], "translate",
+     "config backends.beta.break_rules has unknown failure 'melted'; allowed: "
+     "untranslated, empty, repetitive, wrong_language",
+     "break-rule-unknown-failure"),
+]
+
 # (make_case, message, id)
 _MALFORMED = [
     (_bad_yaml, "bad.yaml", "bad-yaml"),
@@ -986,7 +1038,7 @@ _MALFORMED = [
     (_candidate(evidence=[1]), "bad candidate record",
      "candidate-evidence-not-object"),
     *[(_config_value(keys, value, command), message, case_id)
-      for keys, value, command, message, case_id in _BAD_NUMBERS],
+      for keys, value, command, message, case_id in _BAD_NUMBERS + _BAD_LISTS],
     (_stage_in_manifest("{"), "cands.jsonl.manifest.json is not JSON",
      "manifest-not-json"),
     (_stage_in_manifest("[1]"), "cands.jsonl.manifest.json is not a JSON object",
@@ -1024,18 +1076,31 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message)
     assert not cli._manifest_path(out).exists()
 
 
-@pytest.mark.parametrize("keys, value, message",
-                         [(keys, value, message)
-                          for keys, value, _, message, _ in _BAD_NUMBERS],
-                         ids=[case[-1] for case in _BAD_NUMBERS])
-def test_run_all_checks_every_number_before_it_writes(
-        tmp_path, capsys, keys, value, message):
+def _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message):
     cfg, _ = _config_value(keys, value, "run-all")(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists() or not any(out.rglob("*"))
+
+
+@pytest.mark.parametrize("keys, value, message",
+                         [(keys, value, message)
+                          for keys, value, _, message, _ in _BAD_NUMBERS],
+                         ids=[case[-1] for case in _BAD_NUMBERS])
+def test_run_all_checks_every_number_before_it_writes(
+        tmp_path, capsys, keys, value, message):
+    _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message)
+
+
+@pytest.mark.parametrize("keys, value, message",
+                         [(keys, value, message)
+                          for keys, value, _, message, _ in _BAD_LISTS],
+                         ids=[case[-1] for case in _BAD_LISTS])
+def test_run_all_checks_every_list_before_it_writes(
+        tmp_path, capsys, keys, value, message):
+    _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message)
 
 
 class _WriteFailed(Exception):
@@ -1248,8 +1313,9 @@ def test_run_all_translates_only_the_controls_it_sampled(tmp_path):
     for out in (reused, fresh):
         assert cli.main(["run-all", "--config", str(cfg),
                          "--stage-out", str(out)]) == 0
-    assert (reused / "controls.jsonl").is_file()
-    assert not (fresh / "controls.jsonl").exists()
+    for out in (reused, fresh):
+        assert not (out / "controls.jsonl").exists()
+        assert not cli._manifest_path(out / "controls.jsonl").exists()
     for name in ("translations.jsonl", "scored.jsonl"):
         assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
 
