@@ -67,11 +67,14 @@ class Config:
         return p if p.is_absolute() else self.base / p
 
     def get(self, *keys, default=_REQUIRED):
-        """The value under `keys`; `default` when it is absent, or a
-        ContractViolation when no default is given."""
+        """The value under `keys`, else `default`; a ContractViolation when
+        there is neither or a node on the path is not a mapping."""
         node = self.raw
-        for key in keys:
-            if not isinstance(node, dict) or key not in node:
+        for depth, key in enumerate(keys):
+            if not isinstance(node, dict):
+                raise ContractViolation(f"config {'.'.join(keys[:depth])} must be "
+                                        f"a mapping, not {node!r}")
+            if key not in node:
                 if default is _REQUIRED:
                     raise ContractViolation(
                         f"config is missing {'.'.join(keys)}")
@@ -123,6 +126,7 @@ def load_config(path: str | Path) -> Config:
     config = Config(raw=raw, base=path.parent)
     for keys in _NUMBERS:
         config.number(*keys)
+    config.get("classifier_eval", "gold", default=None)  # a mapping, if given
     _check_lists(config)
     return config
 
@@ -174,10 +178,7 @@ def build_backend(config: Config, name: str):
     entry = config.get("backends", name, default=None)
     if entry is None:
         raise ContractViolation(f"backend {name!r} is not defined in the config")
-    if not isinstance(entry, dict):
-        raise ContractViolation(f"config backends.{name} must be a mapping, "
-                                f"not {entry!r}")
-    kind = entry.get("kind")
+    kind = config.get("backends", name, "kind", default=None)  # entry is a mapping
     if kind not in ("llm", "mt", "qe"):
         raise ContractViolation(f"backend {name!r} has unknown kind {kind!r}")
 
@@ -684,10 +685,8 @@ def stage_score(config: Config, args, translations: list[dict]):
 def stage_report(config: Config, args, scored: list[dict], classifications):
     """(exit code, the tables); the classifier table needs `classifications`."""
     inputs = {"scored": args.stage_in}
-    tables = report_mod.build_tables(
-        scored,
-        config.number("exclusion", "flag_pct"),
-        config.number("exclusion", "rank_exclude_pct"))
+    tables = report_mod.build_tables(scored, config.number("exclusion", "flag_pct"),
+                                     config.number("exclusion", "rank_exclude_pct"))
 
     da_path = config.get("da", "annotations", default=None)
     if da_path:
@@ -765,26 +764,27 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="vmweval",
-        description="VMWE extraction, paraphrasing and MT quality pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="pipeline config (YAML)")
-        p.add_argument("--stage-in", type=Path,
-                       help="JSON Lines input from the previous stage")
-        p.add_argument("--stage-out", type=Path, required=True,
-                       help="output path (directory for report/run-all)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--backend", help="backend name from the config")
-        p.add_argument("--category", choices=["vid", "vpc", "lvc", "all"],
-                       help="restrict to one VMWE category")
-        p.add_argument("--target-lang", choices=list(mt_mod.TARGET_LANGS),
-                       help="restrict translation to one target language")
-        p.add_argument("--controls-in", type=Path, help="control sentences (JSON Lines)")
-        p.add_argument("--controls-out", type=Path, help="where extract writes controls")
-        p.add_argument("--classifications-in", type=Path,
-                       help="classification records for the classifier table")
+        prog="vmweval", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="VMWE extraction, paraphrasing and MT quality pipeline",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<12}{help_text}" for name, (_, help_text) in _COMMANDS.items()))
+    add = parser.add_argument
+    add("command", choices=_COMMANDS, metavar="command",
+        help="one of the commands below")
+    add("--config", required=True, help="pipeline config (YAML)")
+    add("--stage-in", type=Path, help="JSON Lines input from the previous stage")
+    add("--stage-out", type=Path, required=True,
+        help="output path (directory for report/run-all)")
+    add("--seed", type=int, help="override the config seed")
+    add("--backend", help="backend name from the config")
+    add("--category", choices=["vid", "vpc", "lvc", "all"],
+        help="restrict to one VMWE category")
+    add("--target-lang", choices=list(mt_mod.TARGET_LANGS),
+        help="restrict translation to one target language")
+    add("--controls-in", type=Path, help="control sentences (JSON Lines)")
+    add("--controls-out", type=Path, help="where extract writes controls")
+    add("--classifications-in", type=Path,
+        help="classification records for the classifier table")
     return parser
 
 

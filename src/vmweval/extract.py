@@ -142,30 +142,34 @@ def match_idioms(sentence: Sentence, lexicon: IdiomLexicon,
     canonical form.  Only the best window per idiom survives, and only if
     it reaches `threshold`.  Ties prefer the shorter, then leftmost
     window.  Idioms with too few lemmas in the sentence to reach
-    `threshold` in any window are skipped unscored (see _bleu4_bound).
+    `threshold` in any window are skipped unscored (see _bleu4_bound),
+    one bound per idiom length.
     """
     lemmas = sentence.lemmas()
+    counts = lexicon.present_positions(lemmas)
     candidates = []
-    for idiom, present in zip(lexicon.ordered(),
-                              lexicon.present_positions(lemmas)):
-        size = len(idiom.canonical)
-        if present < _min_present(size, threshold):
-            continue
-        best = None
-        for length in range(size, min(size + 2, len(lemmas)) + 1):
-            for start in range(0, len(lemmas) - length + 1):
-                score = bleu4(lemmas[start:start + length], list(idiom.canonical))
-                if best is None or score > best[0]:
-                    best = (score, start, length)
-        if best is None or best[0] < threshold:
-            continue
-        score, start, length = best
-        candidates.append(VMWECandidate(
-            sentence_id=sentence.id,
-            category=Category.VID,
-            span=tuple(range(start + 1, start + length + 1)),
-            evidence=VidEvidence(idiom=idiom, match_score=score),
-        ))
+    for size, positions in lexicon.by_length.items():
+        need = _min_present(size, threshold)
+        for pos in [pos for pos in positions if counts[pos] >= need]:
+            canonical = lexicon.canonicals[pos]
+            best = None
+            for length in range(size, min(size + 2, len(lemmas)) + 1):
+                for start in range(0, len(lemmas) - length + 1):
+                    score = bleu4(lemmas[start:start + length], canonical)
+                    if best is None or score > best[0]:
+                        best = (score, start, length)
+            if best is None or best[0] < threshold:
+                continue
+            score, start, length = best
+            entry = IdiomEntry(canonical=canonical,
+                               surface_form=lexicon.surface_forms[canonical],
+                               contains_verb=True)
+            candidates.append(VMWECandidate(
+                sentence_id=sentence.id,
+                category=Category.VID,
+                span=tuple(range(start + 1, start + length + 1)),
+                evidence=VidEvidence(idiom=entry, match_score=score),
+            ))
     candidates.sort(key=lambda c: (c.span[0], len(c.span), c.evidence.idiom.canonical))
     return candidates
 

@@ -57,36 +57,51 @@ class IdiomEntry:
 
 @dataclass(frozen=True)
 class IdiomLexicon:
-    entries: frozenset[IdiomEntry]
+    # canonical form -> surface form of the first kept line
+    surface_forms: dict[tuple[str, ...], str]
     # Built once here for every sentence matched against the lexicon: the
-    # entries in ordered() order, and lemma -> [position in that order, ...]
-    # with a position listed once per occurrence of the lemma in its entry.
-    _order: tuple[IdiomEntry, ...] = field(init=False, repr=False, compare=False)
+    # canonical forms in sorted order; lemma -> [position in that order, ...]
+    # with a position listed once per occurrence of the lemma in its form;
+    # and idiom length -> the positions of the forms of that length.
+    canonicals: tuple[tuple[str, ...], ...] = field(init=False, repr=False,
+                                                    compare=False)
+    by_length: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     _index: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = tuple(sorted(self.entries, key=lambda e: e.canonical))
+        canonicals = tuple(sorted(self.surface_forms))
+        by_length: dict[int, list[int]] = {}
         index: dict[str, list[int]] = {}
-        for pos, entry in enumerate(order):
-            if pos and entry.canonical == order[pos - 1].canonical:
+        for pos, canonical in enumerate(canonicals):
+            if not canonical or not all(canonical):
                 raise ContractViolation(
-                    f"duplicate canonical form {entry.canonical!r}")
-            for lemma in entry.canonical:
+                    f"idiom {self.surface_forms[canonical]!r} has an empty "
+                    f"canonical form")
+            by_length.setdefault(len(canonical), []).append(pos)
+            for lemma in canonical:
                 index.setdefault(lemma, []).append(pos)
-        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "canonicals", canonicals)
+        object.__setattr__(self, "by_length", by_length)
         object.__setattr__(self, "_index", index)
 
-    def __len__(self):
-        return len(self.entries)
+    @classmethod
+    def from_entries(cls, entries: Iterable[IdiomEntry]) -> IdiomLexicon:
+        """The lexicon of `entries`, whose canonical forms must differ."""
+        surface_forms: dict[tuple[str, ...], str] = {}
+        for entry in entries:
+            if entry.canonical in surface_forms:
+                raise ContractViolation(
+                    f"duplicate canonical form {entry.canonical!r}")
+            surface_forms[entry.canonical] = entry.surface_form
+        return cls(surface_forms)
 
-    def ordered(self) -> tuple[IdiomEntry, ...]:
-        """Entries in a stable order for deterministic matching."""
-        return self._order
+    def __len__(self):
+        return len(self.surface_forms)
 
     def present_positions(self, lemmas: Iterable[str]) -> list[int]:
-        """Per entry of ordered(): how many of its positions hold a lemma
-        from `lemmas`."""
-        counts = [0] * len(self._order)
+        """Per canonical form in `canonicals`: how many of its positions
+        hold a lemma from `lemmas`."""
+        counts = [0] * len(self.canonicals)
         for lemma in set(lemmas):
             for pos in self._index.get(lemma, ()):
                 counts[pos] += 1
@@ -117,7 +132,7 @@ def load_idiom_lexicon(lines: Iterable[str],
     normalization) collapse silently; verbless entries are dropped.
     """
     verbs = {v.strip().lower() for v in verb_lemmas if v.strip()}
-    entries: dict[tuple[str, ...], IdiomEntry] = {}
+    surface_forms: dict[tuple[str, ...], str] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -129,13 +144,12 @@ def load_idiom_lexicon(lines: Iterable[str],
             raise ParseError("idiom line holds only a flag", line=line_no)
         canonical = normalize_idiom(surface)
         # the first kept line of a canonical form wins
-        if canonical in entries:
+        if canonical in surface_forms:
             continue
         if not marked and verbs.isdisjoint(canonical):
             continue
-        entries[canonical] = IdiomEntry(
-            canonical=canonical, surface_form=surface, contains_verb=True)
-    return IdiomLexicon(entries=frozenset(entries.values()))
+        surface_forms[canonical] = surface
+    return IdiomLexicon(surface_forms)
 
 
 def parse_verb_lemmas(text: str) -> frozenset[str]:

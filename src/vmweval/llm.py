@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Protocol
 
@@ -102,6 +103,7 @@ class ChatBackend(Protocol):
     def complete(self, request: ChatRequest) -> str: ...
 
 
+@cache  # six templates, each read once per process
 def _load_template(name: str) -> str:
     return resources.files("vmweval").joinpath(f"templates/{name}.txt").read_text("utf-8")
 

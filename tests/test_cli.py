@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -1020,6 +1021,14 @@ _BAD_LISTS = [
      "break-rule-unknown-failure"),
 ]
 
+# (keys, malformed value, a command, message, id) of a section the stages
+# look keys up in; each case runs through its command and through run-all
+_BAD_SECTIONS = [
+    (["da"], 5, "report", "config da must be a mapping, not 5", "da-not-mapping"),
+    (["classifier_eval"], 5, "report", "config classifier_eval must be a mapping, "
+     "not 5", "classifier-eval-not-mapping"),
+]
+
 # (make_case, message, id)
 _MALFORMED = [
     (_bad_yaml, "bad.yaml", "bad-yaml"),
@@ -1038,7 +1047,8 @@ _MALFORMED = [
     (_candidate(evidence=[1]), "bad candidate record",
      "candidate-evidence-not-object"),
     *[(_config_value(keys, value, command), message, case_id)
-      for keys, value, command, message, case_id in _BAD_NUMBERS + _BAD_LISTS],
+      for keys, value, command, message, case_id
+      in _BAD_NUMBERS + _BAD_LISTS + _BAD_SECTIONS],
     (_stage_in_manifest("{"), "cands.jsonl.manifest.json is not JSON",
      "manifest-not-json"),
     (_stage_in_manifest("[1]"), "cands.jsonl.manifest.json is not a JSON object",
@@ -1099,6 +1109,15 @@ def test_run_all_checks_every_number_before_it_writes(
                           for keys, value, _, message, _ in _BAD_LISTS],
                          ids=[case[-1] for case in _BAD_LISTS])
 def test_run_all_checks_every_list_before_it_writes(
+        tmp_path, capsys, keys, value, message):
+    _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message)
+
+
+@pytest.mark.parametrize("keys, value, message",
+                         [(keys, value, message)
+                          for keys, value, _, message, _ in _BAD_SECTIONS],
+                         ids=[case[-1] for case in _BAD_SECTIONS])
+def test_run_all_checks_every_section_before_it_writes(
         tmp_path, capsys, keys, value, message):
     _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message)
 
@@ -1343,3 +1362,49 @@ def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
     assert [Path(path).resolve() for path in read] == [
         (FIXTURES / "da_annotations.jsonl").resolve(),
         (FIXTURES / "gold_labels.jsonl").resolve()]
+
+
+# --- argument parsing against the per-command parsers it replaced ------------
+
+def _subcommand_parser():
+    """The parser as it was: one subparser per command, each with the same
+    ten options."""
+    parser = argparse.ArgumentParser(prog="vmweval")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--stage-in", type=Path)
+        p.add_argument("--stage-out", type=Path, required=True)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--backend")
+        p.add_argument("--category", choices=["vid", "vpc", "lvc", "all"])
+        p.add_argument("--target-lang", choices=list(mt_mod.TARGET_LANGS))
+        p.add_argument("--controls-in", type=Path)
+        p.add_argument("--controls-out", type=Path)
+        p.add_argument("--classifications-in", type=Path)
+    return parser
+
+
+_ALL_OPTIONS = ["--config", "c.yaml", "--stage-in", "in.jsonl", "--stage-out", "out",
+                "--seed", "7", "--backend", "alpha", "--category", "vid",
+                "--target-lang", "de", "--controls-in", "controls.jsonl",
+                "--controls-out", "sample.jsonl", "--classifications-in", "cls.jsonl"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("options", [_ALL_OPTIONS,
+                                     ["--config", "c.yaml", "--stage-out", "out"]],
+                         ids=["all-options", "required-only"])
+def test_parser_equals_the_subcommand_parser(command, options):
+    argv = [command, *options]
+    assert cli.build_parser().parse_args(argv) == _subcommand_parser().parse_args(argv)
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, help_text) in cli._COMMANDS.items():
+        assert f"  {name}" in out and help_text in out, name

@@ -122,7 +122,9 @@ def brute_force_match_idioms(sentence, lexicon, threshold):
     """The matcher before pruning: every idiom, every window, scored."""
     lemmas = sentence.lemmas()
     candidates = []
-    for idiom in lexicon.ordered():
+    for canonical, surface in lexicon.surface_forms.items():
+        idiom = IdiomEntry(canonical=canonical, surface_form=surface,
+                           contains_verb=True)
         size = len(idiom.canonical)
         best = None
         for length in range(size, min(size + 2, len(lemmas)) + 1):
@@ -144,10 +146,10 @@ def brute_force_match_idioms(sentence, lexicon, threshold):
 
 
 def _lexicon_of(*idioms):
-    return IdiomLexicon(entries=frozenset(
+    return IdiomLexicon.from_entries(
         IdiomEntry(canonical=tuple(words), surface_form=" ".join(words),
                    contains_verb=True)
-        for words in idioms))
+        for words in idioms)
 
 
 def test_bleu4_bound_is_an_upper_bound():

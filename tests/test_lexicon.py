@@ -3,11 +3,14 @@ from collections import Counter
 
 import pytest
 
+from vmweval import extract as extract_mod
 from vmweval.errors import ContractViolation, ParseError
-from vmweval.extract import match_idioms
+from vmweval.extract import (Category, VidEvidence, VMWECandidate, _min_present,
+                             candidate_to_dict, match_idioms)
 from vmweval.lexicon import (IdiomEntry, IdiomLexicon, LightVerbVariant,
                              default_verb_lemmas, light_verb_set,
                              load_idiom_lexicon, normalize_idiom)
+from vmweval.stats import bleu4
 
 
 def test_normalize_idiom_basic():
@@ -29,7 +32,7 @@ def test_load_lexicon_from_fixture(fixtures_dir):
     # "at arm's length" holds no verb and is dropped; the duplicate
     # "spill the beans" collapses.
     assert len(lex) == 5
-    canonicals = {e.canonical for e in lex.entries}
+    canonicals = set(lex.surface_forms)
     assert ("at", "arm", "'s", "length") not in canonicals
     assert ("spill", "the", "beans") in canonicals
 
@@ -54,7 +57,7 @@ def test_blank_lines_skipped():
 def test_ordered_is_stable():
     lex = load_idiom_lexicon(["kick the bucket", "hit the road"],
                              ["kick", "hit"])
-    assert [e.canonical[0] for e in lex.ordered()] == ["hit", "kick"]
+    assert [canonical[0] for canonical in lex.canonicals] == ["hit", "kick"]
 
 
 def test_empty_canonical_rejected():
@@ -66,7 +69,13 @@ def test_duplicate_canonical_rejected():
     a = IdiomEntry(canonical=("x", "y"), surface_form="x y", contains_verb=True)
     b = IdiomEntry(canonical=("x", "y"), surface_form="X Y", contains_verb=True)
     with pytest.raises(ContractViolation):
-        IdiomLexicon(entries=frozenset({a, b}))
+        IdiomLexicon.from_entries([a, b])
+
+
+@pytest.mark.parametrize("canonical", [(), ("x", ""), ("", "y")])
+def test_lexicon_rejects_an_empty_canonical_form(canonical):
+    with pytest.raises(ContractViolation, match="empty canonical form"):
+        IdiomLexicon({("a", "b"): "a b", canonical: "x"})
 
 
 def test_light_verb_sets():
@@ -122,14 +131,14 @@ class _CounterLexicon(IdiomLexicon):
     per lemma, summed into a dense count list."""
 
     def ordered(self):
-        return tuple(sorted(self.entries, key=lambda e: e.canonical))
+        return tuple(sorted(self.surface_forms))
 
     def present_positions(self, lemmas):
         index = {}
-        for pos, entry in enumerate(self.ordered()):
-            for lemma, count in Counter(entry.canonical).items():
+        for pos, canonical in enumerate(self.ordered()):
+            for lemma, count in Counter(canonical).items():
                 index.setdefault(lemma, []).append((pos, count))
-        counts = [0] * len(self.entries)
+        counts = [0] * len(self.surface_forms)
         for lemma in set(lemmas):
             for pos, count in index.get(lemma, ()):
                 counts[pos] += count
@@ -139,18 +148,28 @@ class _CounterLexicon(IdiomLexicon):
 def _generated_idioms(corpus25, size=2000):
     """ "verb the noun" lines drawn from the verb list and the corpus lemmas,
     with duplicates, flagged verbless lines, 's clitics, a repeated lemma
-    and blank lines among them."""
+    and blank lines among them; and flagged runs of 2 to 6 lemmas cut from
+    a corpus sentence, as they are or with one lemma replaced, so that
+    idioms of every length match some sentence."""
     rng = random.Random(7)
     verbs = sorted(default_verb_lemmas())
     nouns = sorted({lemma for s in corpus25 for lemma in s.lemmas()})
+    sentences = [s.lemmas() for s in corpus25]
     lines = ["an eye for an eye\tv", "give an eye for an eye", "at arm's length",
              "at arm's length\tv", "the cat's pyjamas\tverb", "", "  "]
     while len(lines) < size:
         verb, noun, other = rng.choice(verbs), rng.choice(nouns), rng.choice(nouns)
+        lemmas = rng.choice(sentences)
+        length = rng.randint(2, min(6, len(lemmas)))
+        start = rng.randrange(len(lemmas) - length + 1)
+        run = lemmas[start:start + length]
+        changed = list(run)
+        changed[rng.randrange(length)] = noun
         lines.append(rng.choice([
             f"{verb} the {noun}", f"{verb} the {noun}", f"{verb.upper()} The {noun}",
             f"{verb} the {noun}'s {other}", f"{noun} of {other}\tv",
-            f"{noun} of {other}", f"{verb} {noun} {verb} {noun}", ""]))
+            f"{noun} of {other}", f"{verb} {noun} {verb} {noun}", "",
+            " ".join(run) + "\tv", " ".join(changed) + "\tv"]))
     return lines
 
 
@@ -162,15 +181,15 @@ def test_lexicon_index_equals_the_counter_oracle(fixtures_dir, corpus25, source)
         lines = _generated_idioms(corpus25)
     verbs = default_verb_lemmas()
     lex = load_idiom_lexicon(lines, verbs)
-    oracle = _CounterLexicon(entries=_entries_oracle(lines, verbs))
-    assert lex.entries == oracle.entries
-    assert lex.ordered() == oracle.ordered()
+    oracle = _CounterLexicon.from_entries(_entries_oracle(lines, verbs))
+    assert lex.surface_forms == oracle.surface_forms
+    assert lex.canonicals == oracle.ordered()
     for sentence in corpus25:
         assert lex.present_positions(sentence.lemmas()) == \
             oracle.present_positions(sentence.lemmas()), sentence.id
     if source == "generated":
         assert len(lex) > 1000
-        assert ("an", "eye", "for", "an", "eye") in {e.canonical for e in lex.entries}
+        assert ("an", "eye", "for", "an", "eye") in lex.surface_forms
         surfaces = {}
         for line in lines:
             surfaces.setdefault(_normalize_oracle(line.partition("\t")[0]),
@@ -185,3 +204,98 @@ def test_lexicon_index_equals_the_counter_oracle(fixtures_dir, corpus25, source)
         for sentence in sentences:
             assert match_idioms(sentence, lex, threshold) == \
                 match_idioms(sentence, oracle, threshold), (sentence.id, threshold)
+
+
+# --- the matcher against the one it replaced ------------------------------------
+
+class _EntryLexicon:
+    """The lexicon as it was: a frozenset of entries, their sorted order and
+    a dense count per entry."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self._order = tuple(sorted(entries, key=lambda e: e.canonical))
+        self._index = {}
+        for pos, entry in enumerate(self._order):
+            for lemma in entry.canonical:
+                self._index.setdefault(lemma, []).append(pos)
+
+    def ordered(self):
+        return self._order
+
+    def present_positions(self, lemmas):
+        counts = [0] * len(self._order)
+        for lemma in set(lemmas):
+            for pos in self._index.get(lemma, ()):
+                counts[pos] += 1
+        return counts
+
+
+def _match_idioms_oracle(sentence, lexicon, threshold):
+    """match_idioms as it was, every idiom of lexicon.ordered() in turn and
+    each with its own bound: (candidates, number of bleu4 calls)."""
+    lemmas = sentence.lemmas()
+    candidates = []
+    calls = 0
+    for idiom, present in zip(lexicon.ordered(),
+                              lexicon.present_positions(lemmas)):
+        size = len(idiom.canonical)
+        if present < _min_present(size, threshold):
+            continue
+        best = None
+        for length in range(size, min(size + 2, len(lemmas)) + 1):
+            for start in range(0, len(lemmas) - length + 1):
+                score = bleu4(lemmas[start:start + length], list(idiom.canonical))
+                calls += 1
+                if best is None or score > best[0]:
+                    best = (score, start, length)
+        if best is None or best[0] < threshold:
+            continue
+        score, start, length = best
+        candidates.append(VMWECandidate(
+            sentence_id=sentence.id,
+            category=Category.VID,
+            span=tuple(range(start + 1, start + length + 1)),
+            evidence=VidEvidence(idiom=idiom, match_score=score),
+        ))
+    candidates.sort(key=lambda c: (c.span[0], len(c.span), c.evidence.idiom.canonical))
+    return candidates, calls
+
+
+@pytest.mark.parametrize("source", ["fixture", "generated"])
+def test_match_idioms_equals_the_entry_lexicon_oracle(monkeypatch, fixtures_dir,
+                                                      corpus25, source):
+    """Equal candidates from an equal number of bleu4 calls: the same idioms
+    are scored, none pruned that the per-idiom bound kept."""
+    calls = []
+
+    def counted_bleu4(hypothesis, reference):
+        calls.append(None)
+        return bleu4(hypothesis, reference)
+    monkeypatch.setattr(extract_mod, "bleu4", counted_bleu4)
+
+    if source == "fixture":
+        lines = (fixtures_dir / "idioms.txt").read_text("utf-8").splitlines()
+    else:
+        lines = _generated_idioms(corpus25)
+    verbs = default_verb_lemmas()
+    lex = load_idiom_lexicon(lines, verbs)
+    oracle = _EntryLexicon(_entries_oracle(lines, verbs))
+    if source == "generated":
+        assert set(lex.by_length) == {2, 3, 4, 5, 6}
+    # Below 0.6, and at NaN, nothing is pruned and every idiom is scored in
+    # every window, so the generated list is matched there on the shortest
+    # sentence only.
+    shortest = min(corpus25, key=lambda s: len(s.lemmas()))
+    found = 0
+    for threshold in (0.6, 0, -1, float("nan")):
+        sentences = corpus25 if source == "fixture" or threshold == 0.6 else [shortest]
+        for sentence in sentences:
+            calls.clear()
+            got = [candidate_to_dict(c) for c in match_idioms(sentence, lex, threshold)]
+            expected, expected_calls = _match_idioms_oracle(sentence, oracle, threshold)
+            assert got == [candidate_to_dict(c) for c in expected], \
+                (sentence.id, threshold)
+            assert len(calls) == expected_calls, (sentence.id, threshold)
+            found += len(got)
+    assert found > len(lex)  # every idiom at a threshold of 0, and more

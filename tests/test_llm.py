@@ -1,8 +1,13 @@
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
+from vmweval import llm
 from vmweval.errors import (BackendContractError, ContractViolation,
                             TransportError, UnparseableResponse)
-from vmweval.extract import Category, match_idioms, extract_lvc, extract_vpc
+from vmweval.extract import (Category, extract_all, extract_lvc, extract_vpc,
+                             match_idioms)
 from vmweval.lexicon import (default_verb_lemmas, light_verb_set,
                              load_idiom_lexicon)
 from vmweval.llm import (ACCEPT_CHOICE, CLASSIFY_TEMPERATURE, CLASSIFY_TOP_P,
@@ -214,6 +219,36 @@ def test_paraphrase_retention_flag(corpus25, lexicon):
     backend = RecordingBackend(
         "Rephrased Sentence: He spilled the beans again.")
     assert paraphrase_candidate(backend, vid, s01).retains_candidate is True
+
+
+def test_each_template_is_read_once(monkeypatch, corpus25, lexicon):
+    reads = Counter()
+    files = llm.resources.files
+
+    class CountingPath:
+        def __init__(self, path):
+            self.path = path
+
+        def joinpath(self, name):
+            return CountingPath(self.path.joinpath(name))
+
+        def read_text(self, encoding):
+            reads[self.path.name] += 1
+            return self.path.read_text(encoding)
+
+    monkeypatch.setattr(llm, "resources", SimpleNamespace(
+        files=lambda package: CountingPath(files(package))))
+    llm._load_template.cache_clear()
+    candidates = [(cand, sentence) for sentence in corpus25 for cand in
+                  extract_all(sentence, lexicon, light_verb_set("dataset_six"))]
+    assert all(n > 1 for n in Counter(c.category for c, _ in candidates).values())
+    for cand, sentence in candidates:
+        backend = RecordingBackend(f"Final Answer: {ACCEPT_CHOICE[cand.category]}\n"
+                                   f"Rephrased Sentence: Something else.")
+        assert classify_candidate(backend, cand.category, cand, sentence).verdict
+        assert paraphrase_candidate(backend, cand, sentence).paraphrased
+    assert reads == {f"{step}_{category.value.lower()}.txt": 1
+                     for step in ("classify", "paraphrase") for category in Category}
 
 
 # --- mock backend ------------------------------------------------------------
