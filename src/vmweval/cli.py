@@ -50,7 +50,7 @@ _NUMBERS = {
     ("seed",): (int, 0, None),
     ("vid_threshold",): (float, extract_mod.DEFAULT_VID_THRESHOLD, None),
     ("control_sample", "n"): (int, 0, 0),
-    ("repetition", "min_repeats"): (int, mt_mod.DEFAULT_MIN_REPEATS, 1),
+    ("repetition", "min_repeats"): (int, mt_mod.DEFAULT_MIN_REPEATS, 2),
     ("repetition", "max_unit"): (int, mt_mod.DEFAULT_MAX_UNIT, 1),
     ("exclusion", "flag_pct"): (float, report_mod.DEFAULT_FLAG_PCT, None),
     ("exclusion", "rank_exclude_pct"): (float, report_mod.DEFAULT_EXCLUDE_PCT, None),
@@ -266,8 +266,9 @@ def _replacing(path: Path):
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 # json.dumps(record, ensure_ascii=False) without a new encoder per record
@@ -280,8 +281,16 @@ def write_jsonl(path: Path, records: list[dict]):
             fh.write(_encode(record) + "\n")
 
 
+_HASH_BLOCK = 1 << 16
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex sha256 of the file at `path`, read a block at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _manifest_path(out: Path) -> Path:
@@ -317,9 +326,9 @@ def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path
         "config": config.raw,
         "counts": counts,
     }
+    text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
     with _replacing(_manifest_path(out)) as fh:
-        json.dump(manifest, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _finish(config: Config, args, stage: str, out: Path, records: list[dict],
@@ -409,7 +418,10 @@ def _load_lexicon(config: Config):
     else:
         verb_lemmas = lexicon_mod.default_verb_lemmas()
     with _text_input(idioms_path) as fh:
-        lex = lexicon_mod.load_idiom_lexicon(fh, verb_lemmas)
+        text = fh.read()
+    # Split on "\n" alone, as iterating the file would: splitlines() also
+    # splits on characters such as "\x85" and "\u2028" inside a line.
+    lex = lexicon_mod.load_idiom_lexicon(text.split("\n"), verb_lemmas)
     return lex, idioms_path
 
 

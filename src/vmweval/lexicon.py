@@ -133,15 +133,19 @@ def load_idiom_lexicon(lines: Iterable[str],
     """
     verbs = {v.strip().lower() for v in verb_lemmas if v.strip()}
     surface_forms: dict[tuple[str, ...], str] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        surface, _, flag = line.partition("\t")
-        surface = surface.strip()
-        marked = flag.strip().lower() in {"v", "verb"}
-        if not surface:
-            raise ParseError("idiom line holds only a flag", line=line_no)
+    for line_no, line in enumerate(lines, start=1):
+        if "\t" in line:
+            surface, _, flag = line.partition("\t")
+            surface, flag = surface.strip(), flag.strip()
+            if not surface:
+                if flag:
+                    raise ParseError("idiom line holds only a flag", line=line_no)
+                continue
+            marked = flag.lower() in {"v", "verb"}
+        else:
+            surface, marked = line.strip(), False
+            if not surface:
+                continue
         canonical = normalize_idiom(surface)
         # the first kept line of a canonical form wins
         if canonical in surface_forms:

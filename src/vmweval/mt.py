@@ -81,7 +81,9 @@ _HAN = re.compile("[\u4e00-\u9fff\u3400-\u4dbf]")
 _CYRILLIC = re.compile("[\u0400-\u04ff]")
 
 
-def _trigram_profile(text: str) -> dict[str, float]:
+def _trigram_counts(text: str) -> dict[str, int]:
+    """How often each character trigram of the padded lowercase words of
+    `text` occurs, in first-seen order."""
     counts: dict[str, int] = {}
     cleaned = "".join(ch if ch.isalpha() else " " for ch in text.lower())
     for word in cleaned.split():
@@ -89,6 +91,11 @@ def _trigram_profile(text: str) -> dict[str, float]:
         for i in range(len(padded) - 2):
             gram = padded[i:i + 3]
             counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def _trigram_profile(text: str) -> dict[str, float]:
+    counts = _trigram_counts(text)
     total = sum(counts.values())
     if not total:
         return {}
@@ -101,21 +108,29 @@ def _norm(profile: dict[str, float]) -> float:
 
 @lru_cache(maxsize=1)
 def _language_profiles() -> dict[str, tuple[dict[str, float], float]]:
-    """Reference trigram profile and its norm, per language."""
+    """Reference trigram profile and its norm, per language.
+
+    The shipped file holds, per language, the sample's trigram `total`, the
+    kept trigrams concatenated in sorted order (each is 3 characters) and
+    their `counts`; a weight is count / total, as _trigram_profile gives it.
+    Norms are computed here, not stored, so they round as this Python's
+    sum() rounds.
+    """
     text = resources.files("vmweval").joinpath("data/lang_profiles.json").read_text("utf-8")
-    return {lang: (profile, _norm(profile))
-            for lang, profile in json.loads(text).items()}
+    profiles = {}
+    for lang, stored in json.loads(text).items():
+        grams, total = stored["grams"], stored["total"]
+        profile = {grams[i:i + 3]: n / total
+                   for i, n in zip(range(0, len(grams), 3), stored["counts"])}
+        profiles[lang] = (profile, _norm(profile))
+    return profiles
 
 
-@lru_cache(maxsize=1)
-def _trigram_index() -> dict[str, tuple[tuple[int, float], ...]]:
-    """Trigram -> (position in _language_profiles(), reference weight)
-    for every language whose profile holds it."""
-    index: dict[str, list[tuple[int, float]]] = {}
-    for position, (reference, _) in enumerate(_language_profiles().values()):
-        for gram, weight in reference.items():
-            index.setdefault(gram, []).append((position, weight))
-    return {gram: tuple(entries) for gram, entries in index.items()}
+# Trigram -> (position in _language_profiles(), reference weight) for every
+# language whose profile holds it, () for none.  detect_language fills it as
+# it meets trigrams; it depends on the shipped profiles alone.
+_GRAM_ENTRIES: dict[str, tuple[tuple[int, float], ...]] = {}
+_MISS = object()
 
 
 def detect_language(text: str) -> tuple[str, float]:
@@ -144,9 +159,14 @@ def detect_language(text: str) -> tuple[str, float]:
     profile = _trigram_profile(text)
     references = _language_profiles()
     products: list[list[float]] = [[] for _ in references]
-    index = _trigram_index()
     for gram, weight in profile.items():
-        for position, ref_weight in index.get(gram, ()):
+        entries = _GRAM_ENTRIES.get(gram, _MISS)
+        if entries is _MISS:
+            entries = _GRAM_ENTRIES[gram] = tuple(
+                (position, reference[gram])
+                for position, (reference, _) in enumerate(references.values())
+                if gram in reference)
+        for position, ref_weight in entries:
             products[position].append(weight * ref_weight)
     best_lang, best_sim = "unknown", 0.0
     norm = _norm(profile)

@@ -18,8 +18,9 @@ from vmweval import llm as llm_mod
 from vmweval import mt as mt_mod
 from vmweval import qe as qe_mod
 from vmweval.errors import (BackendContractError, ContractViolation,
-                            SchemaVersionError, TransportError,
+                            ParseError, SchemaVersionError, TransportError,
                             UnparseableResponse)
+from vmweval.lexicon import default_verb_lemmas, normalize_idiom
 from vmweval.llm import MockChatBackend
 from vmweval.mt import MockMTBackend
 from vmweval.qe import MockQEBackend, Orientation
@@ -170,6 +171,72 @@ def test_manifest_path_for_directories(tmp_path):
     assert cli._manifest_path(d) == d / "manifest.json"
     assert cli._manifest_path(tmp_path / "x.jsonl") == \
         tmp_path / "x.jsonl.manifest.json"
+
+
+@pytest.mark.parametrize("size", [0, 1, cli._HASH_BLOCK - 1, cli._HASH_BLOCK,
+                                  cli._HASH_BLOCK + 1, 3 * cli._HASH_BLOCK + 7])
+def test_sha256_in_blocks_equals_the_whole_file_digest(tmp_path, size):
+    path = tmp_path / "data.bin"
+    path.write_bytes(random.Random(size).getrandbits(8 * size).to_bytes(size, "big"))
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _line_loader_oracle(lines, verb_lemmas):
+    """load_idiom_lexicon's surface forms as it built them from the lines of
+    an open file, each still ending in its newline."""
+    verbs = {v.strip().lower() for v in verb_lemmas if v.strip()}
+    surface_forms = {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        surface, _, flag = line.partition("\t")
+        surface = surface.strip()
+        marked = flag.strip().lower() in {"v", "verb"}
+        if not surface:
+            raise ParseError("idiom line holds only a flag", line=line_no)
+        canonical = normalize_idiom(surface)
+        if canonical in surface_forms:
+            continue
+        if not marked and verbs.isdisjoint(canonical):
+            continue
+        surface_forms[canonical] = surface
+    return surface_forms
+
+
+# idiom files whose lines a split on anything but "\n" would change
+_IDIOM_TEXTS = {
+    "crlf": "kick the bucket\r\nspill the beans\r\n\r\nhit the road\r\n",
+    "lone-cr": "kick the bucket\rspill the beans\n",
+    "x85-u2028-in-surface": "take\x85a walk\nmake\u2028amends\n"
+                            "give\x0cup the ghost\x1c\nkick\x1dthe\x1ebucket",
+    "flags": "at arm's length\tv\nin the soup\tVerb \nkick the bucket\tno\n"
+             "cold feet\t\nspill the beans \t v\r\n",
+    "clitics": "bite one's tongue\nbreak someone's heart\tv\nat arm's length\n"
+               "Bite One'S tongue\n's\n",
+    "blank-lines": "\n   \n \t \nkick the bucket\n\x85\n\u2028\t\n\n",
+    "duplicates": "Kick the bucket\nkick  the bucket\tv\nKICK THE BUCKET\n",
+    "flag-only": "kick the bucket\n\tv\n",
+    "flag-only-after-x85": "take\x85a walk\x85\nmake\u2028amends\n \tverb\n",
+}
+
+
+@pytest.mark.parametrize("text", _IDIOM_TEXTS.values(), ids=_IDIOM_TEXTS.keys())
+def test_load_lexicon_equals_the_line_loader_oracle(tmp_path, text):
+    idioms = tmp_path / "idioms.txt"
+    idioms.write_bytes(text.encode("utf-8"))
+    config = cli.Config(raw={"lexicon": {"idioms": "idioms.txt"}}, base=tmp_path)
+    try:
+        with open(idioms, encoding="utf-8") as fh:
+            expected = _line_loader_oracle(fh, default_verb_lemmas())
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            cli._load_lexicon(config)
+        assert str(got.value) == str(exc)
+        return
+    lex, path = cli._load_lexicon(config)
+    assert path == idioms
+    assert list(lex.surface_forms.items()) == list(expected.items())
 
 
 def test_schema_version_check(tmp_path):
@@ -982,6 +1049,9 @@ _BAD_NUMBERS = [
     (["repetition", "min_repeats"], "eight", "translate",
      "config repetition.min_repeats must be an integer, not 'eight'",
      "min-repeats-not-int"),
+    (["repetition", "min_repeats"], 1, "translate",
+     "config repetition.min_repeats must be at least 2, not 1",
+     "min-repeats-below-2"),
     (["repetition", "max_unit"], 0, "translate",
      "config repetition.max_unit must be at least 1, not 0", "max-unit-below-1"),
     (["exclusion", "flag_pct"], "five", "report",

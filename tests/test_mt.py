@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,6 +144,54 @@ def test_detect_language_matches_its_oracle():
         labels.add(got[0])
     # every branch ran: each script rule, each profile and "unknown"
     assert labels == {"unknown", "en", *TARGET_LANGS}
+
+
+ROOT = Path(__file__).parents[1]
+BUILD_SCRIPT = ROOT / "scripts" / "build_language_profiles.py"
+
+
+def _weight_profiles_oracle():
+    """The profiles as the shipped file held them when it stored weights:
+    per sample, the top 400 trigrams of _trigram_profile by (-weight,
+    trigram), in trigram order."""
+    profiles = {}
+    for path in sorted((ROOT / "scripts" / "language_samples").glob("*.txt")):
+        full = mt_mod._trigram_profile(path.read_text(encoding="utf-8"))
+        top = sorted(full.items(), key=lambda kv: (-kv[1], kv[0]))[:400]
+        profiles[path.stem] = dict(sorted(top))
+    return profiles
+
+
+def test_language_profiles_equal_the_weight_oracle():
+    oracle = _weight_profiles_oracle()
+    loaded = mt_mod._language_profiles()
+    assert list(loaded) == list(oracle)
+    for lang, reference in oracle.items():
+        profile, norm = loaded[lang]
+        assert list(profile) == list(reference), lang
+        # equal floats, not close ones: the cosine sums them in this order
+        assert list(profile.values()) == list(reference.values()), lang
+        assert norm == mt_mod._norm(reference), lang
+
+
+def test_shipped_profiles_are_what_the_samples_give():
+    done = subprocess.run([sys.executable, str(BUILD_SCRIPT), "--check"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_profile_check_fails_on_a_stale_file(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("build_profiles", BUILD_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    stale = tmp_path / "lang_profiles.json"
+    text = script.OUT.read_text(encoding="utf-8").replace('"total": ', '"total": 1', 1)
+    stale.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(script, "OUT", stale)
+    assert script.main(["--check"]) == 1
+    assert stale.read_text(encoding="utf-8") == text
+    assert script.main([]) == 0
+    assert script.main(["--check"]) == 0
 
 
 # --- validity taxonomy -------------------------------------------------------
