@@ -127,8 +127,9 @@ def load_idiom_lexicon(lines: Iterable[str],
                        verb_lemmas: Iterable[str]) -> IdiomLexicon:
     """Read one idiom per line, keeping only verb-containing entries.
 
-    A line may carry a tab-separated "verb" flag to force retention when
-    none of its words is in `verb_lemmas`.  Duplicates (after
+    A line may end in its newline.  It may carry a tab-separated "verb"
+    flag to force retention when none of its words is in `verb_lemmas`;
+    a line with a flag and no idiom is a ParseError.  Duplicates (after
     normalization) collapse silently; verbless entries are dropped.
     """
     verbs = {v.strip().lower() for v in verb_lemmas if v.strip()}

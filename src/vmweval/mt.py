@@ -130,7 +130,6 @@ def _language_profiles() -> dict[str, tuple[dict[str, float], float]]:
 # language whose profile holds it, () for none.  detect_language fills it as
 # it meets trigrams; it depends on the shipped profiles alone.
 _GRAM_ENTRIES: dict[str, tuple[tuple[int, float], ...]] = {}
-_MISS = object()
 
 
 def detect_language(text: str) -> tuple[str, float]:
@@ -160,8 +159,11 @@ def detect_language(text: str) -> tuple[str, float]:
     references = _language_profiles()
     products: list[list[float]] = [[] for _ in references]
     for gram, weight in profile.items():
-        entries = _GRAM_ENTRIES.get(gram, _MISS)
-        if entries is _MISS:
+        # subscript and catch the rare miss: cheaper than get() on the hits,
+        # which are nearly all lookups
+        try:
+            entries = _GRAM_ENTRIES[gram]
+        except KeyError:
             entries = _GRAM_ENTRIES[gram] = tuple(
                 (position, reference[gram])
                 for position, (reference, _) in enumerate(references.values())
