@@ -20,8 +20,8 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from pathlib import Path
 
 import yaml
@@ -42,75 +42,97 @@ SCHEMA_VERSION = report_mod.SCHEMA_VERSION
 
 # --- config ------------------------------------------------------------------
 
-_REQUIRED = object()
+# The config's sections; each, when given, must be a mapping.
+_SECTIONS = ("corpus", "lexicon", "control_sample", "repetition", "exclusion",
+             "pipeline", "backends", "da", "classifier_eval")
 
-# numeric config key -> (kind, default, minimum); load_config checks each one
+# Config attribute -> (config key, kind, default, minimum) of each number
 _NUMBERS = {
-    ("concurrency",): (int, 4, 1),
-    ("seed",): (int, 0, None),
-    ("vid_threshold",): (float, extract_mod.DEFAULT_VID_THRESHOLD, None),
-    ("control_sample", "n"): (int, 0, 0),
-    ("repetition", "min_repeats"): (int, mt_mod.DEFAULT_MIN_REPEATS, 2),
-    ("repetition", "max_unit"): (int, mt_mod.DEFAULT_MAX_UNIT, 1),
-    ("exclusion", "flag_pct"): (float, report_mod.DEFAULT_FLAG_PCT, None),
-    ("exclusion", "rank_exclude_pct"): (float, report_mod.DEFAULT_EXCLUDE_PCT, None),
+    "concurrency": ("concurrency", int, 4, 1),
+    "seed": ("seed", int, 0, None),
+    "vid_threshold": ("vid_threshold", float, extract_mod.DEFAULT_VID_THRESHOLD, None),
+    "control_n": ("control_sample.n", int, 0, 0),
+    "min_repeats": ("repetition.min_repeats", int, mt_mod.DEFAULT_MIN_REPEATS, 2),
+    "max_unit": ("repetition.max_unit", int, mt_mod.DEFAULT_MAX_UNIT, 1),
+    "flag_pct": ("exclusion.flag_pct", float, report_mod.DEFAULT_FLAG_PCT, None),
+    "rank_exclude_pct": ("exclusion.rank_exclude_pct", float,
+                         report_mod.DEFAULT_EXCLUDE_PCT, None),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    raw: dict
-    base: Path
+    """A config load_config checked whole, paths resolved against its
+    directory.  A path only some commands need is None when absent."""
+    raw: dict  # as parsed; each manifest records it
+    concurrency: int
+    seed: int
+    vid_threshold: float
+    control_n: int
+    min_repeats: int
+    max_unit: int
+    flag_pct: float
+    rank_exclude_pct: float
+    corpus_file: Path | None
+    corpus_format: str
+    idioms_file: Path | None
+    verb_lemmas_file: Path | None
+    light_verbs: lexicon_mod.LightVerbSet
+    target_langs: tuple[str, ...]
+    pipeline: dict  # "llm"/"qe" -> a backend name, "mt" -> a tuple of them
+    da_file: Path | None
+    da_vmwe_ids: tuple[str, ...]
+    da_control_ids: tuple[str, ...]
+    gold_file: Path | None
+    backends: dict  # name -> (kind, a function that builds the backend once)
 
-    def path(self, value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else self.base / p
+    def role(self, role: str):
+        """What pipeline.`role` names."""
+        return _required(self.pipeline.get(role), f"pipeline.{role}")
 
-    def get(self, *keys, default=_REQUIRED):
-        """The value under `keys`, else `default`; a ContractViolation when
-        there is neither or a node on the path is not a mapping."""
-        node = self.raw
-        for depth, key in enumerate(keys):
-            if not isinstance(node, dict):
-                raise ContractViolation(f"config {'.'.join(keys[:depth])} must be "
-                                        f"a mapping, not {node!r}")
-            if key not in node:
-                if default is _REQUIRED:
-                    raise ContractViolation(
-                        f"config is missing {'.'.join(keys)}")
-                return default
-            node = node[key]
-        return node
-
-    def number(self, *keys):
-        """The numeric key `keys` of _NUMBERS (or its default) as its kind; a
-        ContractViolation when it is not one or is below its minimum."""
-        kind, default, minimum = _NUMBERS[keys]
-        value = self.get(*keys, default=default)
-        name = ".".join(keys)
-        try:
-            number = kind(value)
-        except (TypeError, ValueError):
-            raise ContractViolation(
-                f"config {name} must be {'an integer' if kind is int else 'a number'}, "
-                f"not {value!r}") from None
-        if minimum is not None and number < minimum:
-            raise ContractViolation(
-                f"config {name} must be at least {minimum}, not {value!r}")
-        return number
-
-    @property
-    def corpus_path(self) -> Path:
-        return self.path(self.get("corpus", "path"))
+    def backend(self, kind: str, name: str | None = None):
+        """The backend `name`, which must be of `kind`, built once; by default
+        the one pipeline.`kind` names (pipeline.mt is a list of names)."""
+        return _builder(self.backends, name or self.role(kind), kind)()
 
     @cached_property
     def corpus(self) -> corpus_mod.Corpus:
         """The corpus the config names, parsed once."""
-        fmt = self.get("corpus", "format", default="conllu")
-        return corpus_mod.load_corpus(_input_file(self.corpus_path), fmt)
+        path = _required(self.corpus_file, "corpus.path")
+        return corpus_mod.load_corpus(_input_file(path), self.corpus_format)
+
+
+def _builder(backends: dict, name, kind: str):
+    """The builder of backend `name`, which must be defined and of `kind`."""
+    if name not in backends:
+        raise ContractViolation(f"backend {name!r} is not defined in the config")
+    if backends[name][0] != kind:
+        raise ContractViolation(
+            f"backend {name!r} is of kind {backends[name][0]}, not {kind}")
+    return backends[name][1]
+
+
+def _required(value, key: str):
+    if value is None:
+        raise ContractViolation(f"config is missing {key}")
+    return value
+
+
+def _number(value, key: str, kind, minimum):
+    try:
+        number = kind(value)
+    except (TypeError, ValueError):
+        raise ContractViolation(
+            f"config {key} must be {'an integer' if kind is int else 'a number'}, "
+            f"not {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ContractViolation(
+            f"config {key} must be at least {minimum}, not {value!r}")
+    return number
 
 
 def load_config(path: str | Path) -> Config:
+    """The config at `path`, every key checked; reads no other file."""
     path = Path(path)
     if not path.is_file():
         raise ContractViolation(f"config file not found: {path}")
@@ -123,44 +145,72 @@ def load_config(path: str | Path) -> Config:
             raise ContractViolation(f"config is not valid YAML: {path}: {exc}")
     if not isinstance(raw, dict):
         raise ContractViolation(f"config must be a mapping: {path}")
-    config = Config(raw=raw, base=path.parent)
-    for keys in _NUMBERS:
-        config.number(*keys)
-    config.get("classifier_eval", "gold", default=None)  # a mapping, if given
-    _check_lists(config)
-    return config
+    nodes = {"": raw}  # dotted path -> section
+    for key in _SECTIONS:
+        nodes[key] = raw.get(key, {})
+        if not isinstance(nodes[key], dict):
+            raise ContractViolation(
+                f"config {key} must be a mapping, not {nodes[key]!r}")
 
+    def value_of(key: str, default=None):
+        section, _, leaf = key.rpartition(".")
+        return nodes[section].get(leaf, default)
 
-def _check_lists(config: Config):
-    """A ContractViolation unless the lists the stages iterate have their
-    shape: target_langs, the DA id lists and each backend's break_rules."""
-    langs = config.get("target_langs", default=[])
+    def path_of(key: str) -> Path | None:
+        """The path under `key` resolved against the config's directory."""
+        value = value_of(key)
+        if value and not isinstance(value, str):
+            raise ContractViolation(f"config {key} must be a path, not {value!r}")
+        return path.parent / value if value else None
+
+    numbers = {attr: _number(value_of(key, default), key, kind, minimum)
+               for attr, (key, kind, default, minimum) in _NUMBERS.items()}
+    langs = value_of("target_langs", list(mt_mod.TARGET_LANGS))
     if not isinstance(langs, list):
         raise ContractViolation(
             f"config target_langs must be a list of language codes, not {langs!r}")
     bad = [lang for lang in langs if lang not in mt_mod.TARGET_LANGS]
     if bad:
         raise ContractViolation(f"unsupported target language(s): {bad}")
-    if config.get("da", "annotations", default=None):
-        for key in ("vmwe_ids", "control_ids"):
-            ids = config.get("da", key)
-            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-                raise ContractViolation(
-                    f"config da.{key} must be a list of sentence ids, not {ids!r}")
-    backends = config.get("backends", default={})
-    for name, entry in backends.items() if isinstance(backends, dict) else ():
-        rules = entry.get("break_rules") if isinstance(entry, dict) else None
-        if rules is None:  # no rules, as MockMTBackend reads it
+    da_file = path_of("da.annotations")
+    ids = {key: _required(value_of(key), key) if da_file else []
+           for key in ("da.vmwe_ids", "da.control_ids")}
+    for key, value in ids.items():
+        if not isinstance(value, list) or not all(isinstance(i, str) for i in value):
+            raise ContractViolation(
+                f"config {key} must be a list of sentence ids, not {value!r}")
+    backends = {name: _backend_builder(name, entry, path.parent)
+                for name, entry in nodes["backends"].items()}
+    return Config(
+        raw=raw, **numbers, corpus_file=path_of("corpus.path"),
+        corpus_format=value_of("corpus.format", "conllu"),
+        idioms_file=path_of("lexicon.idioms"),
+        verb_lemmas_file=path_of("lexicon.verb_lemmas"),
+        light_verbs=lexicon_mod.light_verb_set(value_of("light_verbs", "dataset_six")),
+        target_langs=tuple(langs), pipeline=_pipeline(nodes["pipeline"], backends),
+        da_file=da_file, da_vmwe_ids=tuple(ids["da.vmwe_ids"]),
+        da_control_ids=tuple(ids["da.control_ids"]),
+        gold_file=path_of("classifier_eval.gold"), backends=backends)
+
+
+def _pipeline(section: dict, backends: dict) -> dict:
+    """The backends pipeline names per role, each defined and of that kind."""
+    roles = {}
+    for role in ("llm", "mt", "qe"):
+        if role not in section:
             continue
-        if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
-            raise ContractViolation(f"config backends.{name}.break_rules must be "
-                                    f"a list of mappings, not {rules!r}")
-        for rule in rules:
-            if rule.get("failure") not in mt_mod.BREAK_FAILURES:
-                raise ContractViolation(
-                    f"config backends.{name}.break_rules has unknown failure "
-                    f"{rule.get('failure')!r}; allowed: "
-                    f"{', '.join(mt_mod.BREAK_FAILURES)}")
+        value = section[role]
+        names = [value] if isinstance(value, str) else value
+        if role != "mt" and not isinstance(value, str):
+            raise ContractViolation(
+                f"config pipeline.{role} must be a backend name, not {value!r}")
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ContractViolation("config pipeline.mt must be a backend name or "
+                                    f"a list of them, not {value!r}")
+        for name in names:
+            _builder(backends, name, role)
+        roles[role] = tuple(names) if role == "mt" else value
+    return roles
 
 
 def _credential(cfg_entry: dict) -> str | None:
@@ -174,46 +224,73 @@ def _credential(cfg_entry: dict) -> str | None:
     return value
 
 
-def build_backend(config: Config, name: str):
-    entry = config.get("backends", name, default=None)
-    if entry is None:
-        raise ContractViolation(f"backend {name!r} is not defined in the config")
-    kind = config.get("backends", name, "kind", default=None)  # entry is a mapping
+def _backend_builder(name: str, entry, base: Path):
+    """Check the config entry of backend `name`; its kind and a function that
+    builds the backend on its first call, reading its credential or script
+    only then."""
+    key = f"backends.{name}"
+    if not isinstance(entry, dict):
+        raise ContractViolation(f"config {key} must be a mapping, not {entry!r}")
+    kind, mode = entry.get("kind"), entry.get("mode", "http")
     if kind not in ("llm", "mt", "qe"):
         raise ContractViolation(f"backend {name!r} has unknown kind {kind!r}")
-
-    def need(key):
-        return config.get("backends", name, key)
-
-    mock = entry.get("mode", "http") == "mock"
-    http = {} if mock else {"base_url": need("base_url"),
-                            "api_key": _credential(entry),
-                            "timeout": entry.get("timeout", 60.0)}
-    if kind == "llm":
-        if mock:
-            return llm_mod.MockChatBackend.from_file(
-                _input_file(config.path(need("script"))),
-                model_id=entry.get("model_id", "mock-chat"))
-        return llm_mod.HttpChatBackend(model_id=need("model_id"), **http)
-    if kind == "mt":
-        system_id = entry.get("system_id", name)
-        if mock:
-            return mt_mod.MockMTBackend(system_id=system_id,
-                                        break_rules=entry.get("break_rules"))
-        return mt_mod.HttpMTBackend(system_id=system_id, **http)
-    orientation = need("orientation")
-    try:
-        orientation = stats_mod.Orientation(orientation)
-    except ValueError:
-        allowed = ", ".join(o.value for o in stats_mod.Orientation)
+    if mode not in ("mock", "http"):
+        raise ContractViolation(f"{key}.mode is {mode!r}; allowed: mock, http")
+    mock = mode == "mock"
+    needed = {"llm": ["script" if mock else "model_id"], "mt": [],
+              "qe": ["orientation"]}[kind]
+    for need in needed if mock else ["base_url", *needed]:
+        if not entry.get(need):
+            raise ContractViolation(f"config is missing {key}.{need}")
+        if not isinstance(entry[need], str):
+            raise ContractViolation(
+                f"config {key}.{need} must be a string, not {entry[need]!r}")
+    script = base / entry["script"] if "script" in needed else None
+    orientation = entry.get("orientation")
+    if kind == "qe":
+        try:
+            orientation = stats_mod.Orientation(orientation)
+        except ValueError:
+            allowed = ", ".join(o.value for o in stats_mod.Orientation)
+            raise ContractViolation(f"{key}.orientation is {orientation!r}; "
+                                    f"allowed: {allowed}") from None
+    rules = entry.get("break_rules")
+    if rules is not None:  # None is no rules, as MockMTBackend reads it
+        if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
+            raise ContractViolation(f"config {key}.break_rules must be "
+                                    f"a list of mappings, not {rules!r}")
+        for rule in rules:
+            if rule.get("failure") not in mt_mod.BREAK_FAILURES:
+                raise ContractViolation(
+                    f"config {key}.break_rules has unknown failure "
+                    f"{rule.get('failure')!r}; allowed: "
+                    f"{', '.join(mt_mod.BREAK_FAILURES)}")
+    timeout = entry.get("timeout", 60.0)
+    if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+            or not 0 < timeout < float("inf")):
         raise ContractViolation(
-            f"backends.{name}.orientation is {orientation!r}; "
-            f"allowed: {allowed}") from None
-    metric_id = entry.get("metric_id", name)
-    if mock:
-        return qe_mod.MockQEBackend(metric_id=metric_id, orientation=orientation)
-    return qe_mod.HttpQEBackend(metric_id=metric_id, orientation=orientation,
-                                **http)
+            f"config {key}.timeout must be a positive number, not {timeout!r}")
+
+    @cache
+    def build():
+        http = {} if mock else {"base_url": entry["base_url"],
+                                "api_key": _credential(entry), "timeout": timeout}
+        if kind == "llm":
+            if mock:
+                return llm_mod.MockChatBackend.from_file(
+                    _input_file(script), model_id=entry.get("model_id", "mock-chat"))
+            return llm_mod.HttpChatBackend(model_id=entry["model_id"], **http)
+        if kind == "mt":
+            system_id = entry.get("system_id", name)
+            if mock:
+                return mt_mod.MockMTBackend(system_id=system_id, break_rules=rules)
+            return mt_mod.HttpMTBackend(system_id=system_id, **http)
+        metric_id = entry.get("metric_id", name)
+        if mock:
+            return qe_mod.MockQEBackend(metric_id=metric_id, orientation=orientation)
+        return qe_mod.HttpQEBackend(metric_id=metric_id, orientation=orientation,
+                                    **http)
+    return kind, build
 
 
 # --- shared io ---------------------------------------------------------------
@@ -397,7 +474,7 @@ def _call_each(config: Config, call, jobs: list, ok, failed, kept: tuple,
     else failed(job, exc) with its `error` tag from `kept`, which must hold
     the failure's kind or it is re-raised.  Calls are shared by `key`."""
     records = []
-    outcomes = _map_ordered(call, jobs, config.number("concurrency"), key=key)
+    outcomes = _map_ordered(call, jobs, config.concurrency, key=key)
     for job, (result, exc) in zip(jobs, outcomes):
         if exc is None:
             records.append(ok(job, result))
@@ -410,10 +487,9 @@ def _call_each(config: Config, call, jobs: list, ok, failed, kept: tuple,
 
 
 def _load_lexicon(config: Config):
-    idioms_path = config.path(config.get("lexicon", "idioms"))
-    verbs_value = config.get("lexicon", "verb_lemmas", default=None)
-    if verbs_value:
-        with _text_input(config.path(verbs_value)) as fh:
+    idioms_path = _required(config.idioms_file, "lexicon.idioms")
+    if config.verb_lemmas_file:
+        with _text_input(config.verb_lemmas_file) as fh:
             verb_lemmas = lexicon_mod.parse_verb_lemmas(fh.read())
     else:
         verb_lemmas = lexicon_mod.default_verb_lemmas()
@@ -421,8 +497,7 @@ def _load_lexicon(config: Config):
         text = fh.read()
     # Split on "\n" alone, as iterating the file would: splitlines() also
     # splits on characters such as "\x85" and "\u2028" inside a line.
-    lex = lexicon_mod.load_idiom_lexicon(text.split("\n"), verb_lemmas)
-    return lex, idioms_path
+    return lexicon_mod.load_idiom_lexicon(text.split("\n"), verb_lemmas)
 
 
 def _categories(args) -> tuple[extract_mod.Category, ...]:
@@ -432,42 +507,38 @@ def _categories(args) -> tuple[extract_mod.Category, ...]:
 
 
 def _seed(config: Config, args) -> int:
-    return args.seed if args.seed is not None else config.number("seed")
+    return args.seed if args.seed is not None else config.seed
 
 
 # --- stages ------------------------------------------------------------------
 
 def stage_extract(config: Config, args):
     """(exit code, candidates, control sentences or None without a sample)."""
-    lex, idioms_path = _load_lexicon(config)
-    light_verbs = lexicon_mod.light_verb_set(
-        config.get("light_verbs", default="dataset_six"))
-    threshold = config.number("vid_threshold")
+    lex = _load_lexicon(config)
     categories = _categories(args)
-    n_controls = config.number("control_sample", "n")
 
     # Controls are the sentences no extractor matches, so with a control
     # sample every sentence goes through all three, once.
-    scanned = tuple(extract_mod.Category) if n_controls else categories
+    scanned = tuple(extract_mod.Category) if config.control_n else categories
     records = []
     clean = []
     for sentence in config.corpus:
-        found = extract_mod.extract_all(sentence, lex, light_verbs,
-                                        threshold, scanned)
+        found = extract_mod.extract_all(sentence, lex, config.light_verbs,
+                                        config.vid_threshold, scanned)
         if not found:
             clean.append(sentence)
         records += [extract_mod.candidate_to_dict(cand) for cand in found
                     if cand.category in categories]
 
-    inputs = {"corpus": config.corpus_path, "idioms": idioms_path}
+    inputs = {"corpus": config.corpus_file, "idioms": config.idioms_file}
     found_categories = [r["category"] for r in records]
     counts = {"candidates": len(records),
               **{c.value: found_categories.count(c.value)
                  for c in extract_mod.Category}}
     controls = None
-    if n_controls:
+    if config.control_n:
         controls, shortfall = extract_mod.sample_sentences(
-            clean, n_controls, _seed(config, args))
+            clean, config.control_n, _seed(config, args))
         controls_out = args.controls_out or args.stage_out.with_name(
             args.stage_out.stem + ".controls.jsonl")
         control_counts = {"controls": len(controls),
@@ -477,7 +548,7 @@ def stage_extract(config: Config, args):
                 inputs, control_counts)
         counts.update(control_counts)
         if shortfall:
-            print(f"warning: only {len(controls)} of {n_controls} requested "
+            print(f"warning: only {len(controls)} of {config.control_n} requested "
                   f"control sentences qualify", file=sys.stderr)
     return (*_finish(config, args, "extract", args.stage_out, records, inputs,
                      counts), controls)
@@ -487,8 +558,9 @@ def stage_classify(config: Config, args, candidates: list[dict]):
     candidates = [extract_mod.candidate_from_dict(r) for r in candidates]
     wanted = set(_categories(args))
     candidates = [c for c in candidates if c.category in wanted]
-    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
-    jobs = [(cand.category, cand, config.corpus.by_id(cand.sentence_id))
+    backend = config.backend("llm", args.backend)
+    corpus = config.corpus
+    jobs = [(cand.category, cand, corpus.by_id(cand.sentence_id))
             for cand in candidates]
     for _, cand, sentence in jobs:
         extract_mod.check_in_range(sentence, cand.token_indices())
@@ -508,7 +580,7 @@ def stage_classify(config: Config, args, candidates: list[dict]):
     counts = {"total": len(candidates), "accepted": verdicts.count(True),
               "rejected": verdicts.count(False)}
     return _finish(config, args, "classify", args.stage_out, records,
-                   {"candidates": args.stage_in, "corpus": config.corpus_path},
+                   {"candidates": args.stage_in, "corpus": config.corpus_file},
                    counts, _KEPT_LLM)
 
 
@@ -516,10 +588,11 @@ def stage_paraphrase(config: Config, args, classifications: list[dict]):
     wanted = {c.value for c in _categories(args)}
     accepted = [r for r in classifications
                 if r.get("verdict") is True and r["category"] in wanted]
-    backend = build_backend(config, args.backend or config.get("pipeline", "llm"))
+    backend = config.backend("llm", args.backend)
+    corpus = config.corpus
     jobs = []
     for rec in accepted:
-        sentence = config.corpus.by_id(rec["sentence_id"])
+        sentence = corpus.by_id(rec["sentence_id"])
         jobs.append((rec, extract_mod.rebuild_candidate(
             sentence, extract_mod.Category(rec["category"]),
             tuple(rec["span"])), sentence))
@@ -541,36 +614,16 @@ def stage_paraphrase(config: Config, args, classifications: list[dict]):
               "retained_candidate": sum(r.get("retains_candidate", False)
                                         for r in records)}
     return _finish(config, args, "paraphrase", args.stage_out, records,
-                   {"classifications": args.stage_in, "corpus": config.corpus_path},
+                   {"classifications": args.stage_in, "corpus": config.corpus_file},
                    counts, _KEPT_LLM)
-
-
-def _target_langs(config: Config, args) -> list[str]:
-    if args.target_lang:
-        return [args.target_lang]
-    return list(config.get("target_langs", default=mt_mod.TARGET_LANGS))
-
-
-def _mt_backend_names(config: Config, args) -> list[str]:
-    if args.backend:
-        return [args.backend]
-    names = config.get("pipeline", "mt")
-    if isinstance(names, str):
-        return [names]
-    if not isinstance(names, list):
-        raise ContractViolation("config pipeline.mt must be a backend name or "
-                                f"a list of them, not {names!r}")
-    return list(names)
 
 
 def stage_translate(config: Config, args, paraphrases: list[dict], controls):
     """`controls` are the control sentences, None without any."""
     paraphrases = [r for r in paraphrases if r.get("paraphrased")]
-    langs = _target_langs(config, args)
-    backends = {name: build_backend(config, name)
-                for name in _mt_backend_names(config, args)}
-    min_repeats = config.number("repetition", "min_repeats")
-    max_unit = config.number("repetition", "max_unit")
+    langs = [args.target_lang] if args.target_lang else config.target_langs
+    backends = {name: config.backend("mt", name)
+                for name in ([args.backend] if args.backend else config.role("mt"))}
 
     inputs = {"paraphrases": args.stage_in}
     if args.controls_in:
@@ -598,7 +651,7 @@ def stage_translate(config: Config, args, paraphrases: list[dict], controls):
                   translation.target_lang)
         if triple not in screened:
             screened[triple] = mt_mod.validate_translation(
-                translation, min_repeats, max_unit).validity
+                translation, config.min_repeats, config.max_unit).validity
         return screened[triple].value
 
     def record(job, hypothesis=None, validity=None):
@@ -638,7 +691,7 @@ def _translation(rec: dict) -> mt_mod.TranslationRecord:
 
 
 def stage_score(config: Config, args, translations: list[dict]):
-    backend = build_backend(config, args.backend or config.get("pipeline", "qe"))
+    backend = config.backend("qe", args.backend)
 
     valid = []
     records = []
@@ -674,9 +727,9 @@ def stage_score(config: Config, args, translations: list[dict]):
 
     def delta(pair, qe_mix):
         (rec, ori, qe_ori), (_, para, qe_para) = pair
-        report = replace(qe_mod.delta_report(ori, para, qe_ori, qe_mix, qe_para),
-                         candidate_ref=rec["candidate_ref"],
-                         category=rec["category"])
+        report = qe_mod.delta_report(ori, para, qe_ori, qe_mix, qe_para,
+                                     candidate_ref=rec["candidate_ref"],
+                                     category=rec["category"])
         return {"type": "delta", **qe_mod.delta_to_dict(report)}
 
     # one call per (ori source, para hypothesis), the pair mix_score sends
@@ -697,22 +750,19 @@ def stage_score(config: Config, args, translations: list[dict]):
 def stage_report(config: Config, args, scored: list[dict], classifications):
     """(exit code, the tables); the classifier table needs `classifications`."""
     inputs = {"scored": args.stage_in}
-    tables = report_mod.build_tables(scored, config.number("exclusion", "flag_pct"),
-                                     config.number("exclusion", "rank_exclude_pct"))
+    tables = report_mod.build_tables(scored, config.flag_pct,
+                                     config.rank_exclude_pct)
 
-    da_path = config.get("da", "annotations", default=None)
-    if da_path:
-        inputs["da_annotations"] = config.path(da_path)
+    if config.da_file:
+        inputs["da_annotations"] = config.da_file
         tables["z_gap_table"] = report_mod.da_gap_table(
-            read_jsonl(inputs["da_annotations"]),
-            config.get("da", "vmwe_ids"), config.get("da", "control_ids"))
+            read_jsonl(config.da_file), config.da_vmwe_ids, config.da_control_ids)
 
-    gold_path = config.get("classifier_eval", "gold", default=None)
-    if gold_path and classifications is not None:
-        inputs["gold"] = config.path(gold_path)
+    if config.gold_file and classifications is not None:
+        inputs["gold"] = config.gold_file
         inputs["classifications"] = args.classifications_in
         tables["classifier_table"] = report_mod.classifier_table(
-            read_jsonl(inputs["gold"]), classifications)
+            read_jsonl(config.gold_file), classifications)
 
     out_dir = args.stage_out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -743,6 +793,11 @@ def stage_run_all(config: Config, args):
         codes.append(code)
         return outputs
 
+    # A backend that cannot be built fails the run before its first write.
+    config.backend("llm")
+    for name in config.role("mt"):
+        config.backend("mt", name)
+    config.backend("qe")
     candidates, controls = run(stage_extract, None, "candidates",
                                controls_out=out["controls"])
     if controls is None:  # an earlier run's sample is not this run's

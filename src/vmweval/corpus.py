@@ -103,10 +103,6 @@ class Corpus:
             by_id[s.id] = s
         object.__setattr__(self, "_by_id", by_id)
 
-    @property
-    def has_dependencies(self) -> bool:
-        return bool(self.sentences) and all(s.has_dependencies for s in self.sentences)
-
     def __len__(self):
         return len(self.sentences)
 

@@ -162,8 +162,7 @@ def match_idioms(sentence: Sentence, lexicon: IdiomLexicon,
                 continue
             score, start, length = best
             entry = IdiomEntry(canonical=canonical,
-                               surface_form=lexicon.surface_forms[canonical],
-                               contains_verb=True)
+                               surface_form=lexicon.surface_forms[canonical])
             candidates.append(VMWECandidate(
                 sentence_id=sentence.id,
                 category=Category.VID,
@@ -284,8 +283,7 @@ def rebuild_candidate(sentence: Sentence, category: Category,
         canonical = tuple(t.lemma for t in tokens)
         evidence: Evidence = VidEvidence(
             idiom=IdiomEntry(canonical=canonical,
-                             surface_form=" ".join(canonical),
-                             contains_verb=True),
+                             surface_form=" ".join(canonical)),
             match_score=1.0)
     elif category is Category.VPC:
         if len(span) != 2:
@@ -340,8 +338,7 @@ def candidate_from_dict(obj: dict) -> VMWECandidate:
         ev = obj["evidence"]
         if category is Category.VID:
             idiom = IdiomEntry(canonical=tuple(ev["idiom"]["canonical"]),
-                               surface_form=ev["idiom"]["surface_form"],
-                               contains_verb=True)
+                               surface_form=ev["idiom"]["surface_form"])
             evidence: Evidence = VidEvidence(idiom=idiom,
                                              match_score=obj["match_score"])
         elif category is Category.VPC:

@@ -47,7 +47,6 @@ def light_verb_set(variant: LightVerbVariant | str) -> LightVerbSet:
 class IdiomEntry:
     canonical: tuple[str, ...]
     surface_form: str
-    contains_verb: bool
 
     def __post_init__(self):
         if not self.canonical or any(not part for part in self.canonical):
@@ -83,17 +82,6 @@ class IdiomLexicon:
         object.__setattr__(self, "canonicals", canonicals)
         object.__setattr__(self, "by_length", by_length)
         object.__setattr__(self, "_index", index)
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[IdiomEntry]) -> IdiomLexicon:
-        """The lexicon of `entries`, whose canonical forms must differ."""
-        surface_forms: dict[tuple[str, ...], str] = {}
-        for entry in entries:
-            if entry.canonical in surface_forms:
-                raise ContractViolation(
-                    f"duplicate canonical form {entry.canonical!r}")
-            surface_forms[entry.canonical] = entry.surface_form
-        return cls(surface_forms)
 
     def __len__(self):
         return len(self.surface_forms)

@@ -91,8 +91,8 @@ def _check_pair(ori: TranslationRecord, para: TranslationRecord):
 
 
 def delta_report(ori: TranslationRecord, para: TranslationRecord,
-                 qe_ori: QEScore, qe_mix: QEScore,
-                 qe_para: QEScore) -> DeltaReport:
+                 qe_ori: QEScore, qe_mix: QEScore, qe_para: QEScore, *,
+                 candidate_ref: str = "", category: str = "") -> DeltaReport:
     """The ori/mix/para deltas of one candidate sentence from its scores."""
     _check_pair(ori, para)
     return DeltaReport(
@@ -104,6 +104,8 @@ def delta_report(ori: TranslationRecord, para: TranslationRecord,
         qe_para=qe_para,
         delta_mix=delta_improvement(qe_ori, qe_mix),
         delta_para=delta_improvement(qe_ori, qe_para),
+        candidate_ref=candidate_ref,
+        category=category,
     )
 
 

@@ -64,15 +64,17 @@ def test_load_config_errors(tmp_path):
 
 def test_config_lookup_helpers(tmp_path):
     cfg_path = tmp_path / "c.yaml"
-    cfg_path.write_text("corpus:\n  path: rel.conllu\nseed: 3\n")
+    cfg_path.write_text("corpus:\n  path: rel.conllu\nseed: 3\n"
+                        "lexicon:\n  idioms: /abs/x\n")
     config = cli.load_config(cfg_path)
-    assert config.get("corpus", "path") == "rel.conllu"
-    assert config.path("rel.conllu") == tmp_path / "rel.conllu"
-    assert config.path("/abs/x") == Path("/abs/x")
-    assert config.get("corpus", "format", default="conllu") == "conllu"
-    assert config.get("pipeline", "llm", default=None) is None
+    assert config.corpus_file == tmp_path / "rel.conllu"
+    assert config.idioms_file == Path("/abs/x")
+    assert config.corpus_format == "conllu"
+    assert (config.seed, config.concurrency) == (3, 4)
+    assert config.target_langs == mt_mod.TARGET_LANGS
+    assert config.da_file is None and config.gold_file is None
     with pytest.raises(ContractViolation, match="pipeline.llm"):
-        config.get("pipeline", "llm")
+        config.role("llm")
 
 
 def _flow_config(tmp_path):
@@ -100,6 +102,23 @@ def test_load_config_reads_what_the_python_loader_reads(tmp_path, name):
     assert json.dumps(raw, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def test_load_config_opens_no_file_but_the_config(tmp_path):
+    """A backend is built, and its script read, only when a stage asks."""
+    cfg = patched_config(tmp_path)
+    program = ("import sys\n"
+               "from vmweval import cli\n"
+               "opened = []\n"
+               "sys.addaudithook(lambda event, args: event == 'open'\n"
+               "                 and opened.append(str(args[0])))\n"
+               "cli.load_config(sys.argv[1])\n"
+               "print(*opened, sep='\\n')\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", program, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [str(cfg)]
+
+
 def test_credentials_come_from_environment(tmp_path, monkeypatch):
     def add_remote(raw):
         raw["backends"]["remote"] = {
@@ -108,9 +127,9 @@ def test_credentials_come_from_environment(tmp_path, monkeypatch):
     config = cli.load_config(patched_config(tmp_path, add_remote))
     monkeypatch.delenv("VMWEVAL_TEST_KEY", raising=False)
     with pytest.raises(ContractViolation, match="VMWEVAL_TEST_KEY"):
-        cli.build_backend(config, "remote")
+        config.backend("llm", "remote")
     monkeypatch.setenv("VMWEVAL_TEST_KEY", "sekrit")
-    backend = cli.build_backend(config, "remote")
+    backend = config.backend("llm", "remote")
     assert backend.api_key == "sekrit"
     # no credential_env entry means no credential, never a config value
     assert cli._credential({"base_url": "http://x"}) is None
@@ -118,27 +137,30 @@ def test_credentials_come_from_environment(tmp_path, monkeypatch):
 
 def test_build_backend_dispatch(tmp_path):
     config = cli.load_config(patched_config(tmp_path))
-    llm = cli.build_backend(config, "mock_llm")
+    llm = config.backend("llm", "mock_llm")
     assert isinstance(llm, MockChatBackend)
     assert llm.model_id == "scripted-chat"
-    alpha = cli.build_backend(config, "alpha")
+    assert config.backend("llm") is llm  # the pipeline's, built once per config
+    alpha = config.backend("mt", "alpha")
     assert isinstance(alpha, MockMTBackend)
     assert alpha.system_id == "alpha"
-    beta = cli.build_backend(config, "beta")
+    beta = config.backend("mt", "beta")
     assert beta.translate_text("Some text here.", "cs") == "Some text here."
-    qe = cli.build_backend(config, "mock_qe")
+    qe = config.backend("qe", "mock_qe")
     assert isinstance(qe, MockQEBackend)
     assert qe.metric_id == "overlap_qe"
     assert qe.orientation is Orientation.LOWER_BETTER_0_25
-    with pytest.raises(ContractViolation):
-        cli.build_backend(config, "missing")
+    with pytest.raises(ContractViolation, match="'missing' is not defined"):
+        config.backend("mt", "missing")
+    with pytest.raises(ContractViolation, match="'alpha' is of kind mt, not qe"):
+        config.backend("qe", "alpha")
 
 
 def test_build_backend_unknown_kind(tmp_path):
-    config = cli.load_config(patched_config(
-        tmp_path, lambda raw: raw["backends"].update(odd={"kind": "fax"})))
-    with pytest.raises(ContractViolation):
-        cli.build_backend(config, "odd")
+    cfg = patched_config(
+        tmp_path, lambda raw: raw["backends"].update(odd={"kind": "fax"}))
+    with pytest.raises(ContractViolation, match="backend 'odd' has unknown kind"):
+        cli.load_config(cfg)
 
 
 # --- jsonl and manifests ---------------------------------------------------------
@@ -148,8 +170,7 @@ def test_jsonl_round_trip_and_manifest(tmp_path):
     records = [{"a": 1}, {"b": "ü"}]
     cli.write_jsonl(out, records)
     config = cli.load_config(patched_config(tmp_path))
-    corpus_path = Path(config.get("corpus", "path"))
-    cli.write_manifest(out, "extract", config, {"corpus": corpus_path},
+    cli.write_manifest(out, "extract", config, {"corpus": config.corpus_file},
                        {"candidates": 2}, seed=42)
     assert cli.read_jsonl(out) == records
     manifest = read_manifest(out)
@@ -158,7 +179,7 @@ def test_jsonl_round_trip_and_manifest(tmp_path):
     assert manifest["seed"] == 42
     assert manifest["counts"] == {"candidates": 2}
     assert manifest["config"] == config.raw
-    expected = hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+    expected = hashlib.sha256(config.corpus_file.read_bytes()).hexdigest()
     assert manifest["inputs"]["corpus"] == expected
     # no timestamps or machine state anywhere
     assert set(manifest) == {"schema_version", "stage", "seed", "inputs",
@@ -225,7 +246,10 @@ _IDIOM_TEXTS = {
 def test_load_lexicon_equals_the_line_loader_oracle(tmp_path, text):
     idioms = tmp_path / "idioms.txt"
     idioms.write_bytes(text.encode("utf-8"))
-    config = cli.Config(raw={"lexicon": {"idioms": "idioms.txt"}}, base=tmp_path)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("lexicon:\n  idioms: idioms.txt\n", encoding="utf-8")
+    config = cli.load_config(cfg)
+    assert config.idioms_file == idioms
     try:
         with open(idioms, encoding="utf-8") as fh:
             expected = _line_loader_oracle(fh, default_verb_lemmas())
@@ -234,8 +258,7 @@ def test_load_lexicon_equals_the_line_loader_oracle(tmp_path, text):
             cli._load_lexicon(config)
         assert str(got.value) == str(exc)
         return
-    lex, path = cli._load_lexicon(config)
-    assert path == idioms
+    lex = cli._load_lexicon(config)
     assert list(lex.surface_forms.items()) == list(expected.items())
 
 
@@ -1099,17 +1122,44 @@ _BAD_SECTIONS = [
      "not 5", "classifier-eval-not-mapping"),
 ]
 
+# (make_case, message, id) of a backend entry or a pipeline name; each case
+# runs through its command and through run-all
+_BAD_BACKENDS = [
+    (_mt_without_base_url, "backends.alpha.base_url", "mt-no-base-url"),
+    (_qe_without_orientation, "backends.mock_qe.orientation", "qe-no-orientation"),
+    (_qe_unknown_orientation, "backends.mock_qe.orientation is 'lower'; "
+                              "allowed: lower_better_0_25, higher_better_0_1",
+     "qe-unknown-orientation"),
+    (_config_value(["backends", "alpha"], "fast", "translate"),
+     "config backends.alpha must be a mapping, not 'fast'",
+     "backend-not-mapping"),
+    (_config_value(["pipeline", "mt"], 5, "translate"),
+     "config pipeline.mt must be a backend name or a list of them, not 5",
+     "pipeline-mt-not-names"),
+    (_mock_script(None), "missing input file", "mock-script-missing"),
+    (_mock_script("{"), "script.json is not JSON", "mock-script-not-json"),
+    (_config_value(["pipeline", "qe"], "nowhere", "extract"),
+     "backend 'nowhere' is not defined in the config", "pipeline-qe-undefined"),
+    (_config_value(["pipeline", "qe"], "alpha", "extract"),
+     "backend 'alpha' is of kind mt, not qe", "pipeline-qe-names-mt"),
+    (_config_value(["backends", "alpha"], {"kind": "mt", "base_url": 5}, "translate"),
+     "config backends.alpha.base_url must be a string, not 5",
+     "backend-base-url-not-string"),
+    (_config_value(["backends", "alpha", "mode"], "grpc", "translate"),
+     "backends.alpha.mode is 'grpc'; allowed: mock, http", "backend-unknown-mode"),
+    (_config_value(["backends", "alpha"],
+                   {"kind": "mt", "mode": "http", "base_url": "http://127.0.0.1:9",
+                    "timeout": "fast"}, "translate"),
+     "config backends.alpha.timeout must be a positive number, not 'fast'",
+     "backend-timeout-not-number"),
+]
+
 # (make_case, message, id)
 _MALFORMED = [
     (_bad_yaml, "bad.yaml", "bad-yaml"),
     (_truncated_stage_in, "cands.jsonl line 2", "truncated-jsonl"),
     (_non_object_stage_in, "cands.jsonl line 1: record is not a JSON object",
      "non-object-jsonl"),
-    (_mt_without_base_url, "backends.alpha.base_url", "mt-no-base-url"),
-    (_qe_without_orientation, "backends.mock_qe.orientation", "qe-no-orientation"),
-    (_qe_unknown_orientation, "backends.mock_qe.orientation is 'lower'; "
-                              "allowed: lower_better_0_25, higher_better_0_1",
-     "qe-unknown-orientation"),
     (_controls_line("[1]"), "line 1: bad sentence record", "control-not-object"),
     (_controls_line('{"id": "c1", "tokens": [1]}'), "line 1: bad sentence record",
      "control-token-not-object"),
@@ -1126,14 +1176,9 @@ _MALFORMED = [
     *[(_not_utf8(name), f"{name} is not UTF-8 text", f"{name}-not-utf8")
       for name in ("cands.jsonl", "controls.jsonl", "config.yaml",
                    "corpus.conllu", "idioms.txt")],
-    (_config_value(["backends", "alpha"], "fast", "translate"),
-     "config backends.alpha must be a mapping, not 'fast'",
-     "backend-not-mapping"),
-    (_config_value(["pipeline", "mt"], 5, "translate"),
-     "config pipeline.mt must be a backend name or a list of them, not 5",
-     "pipeline-mt-not-names"),
-    (_mock_script(None), "missing input file", "mock-script-missing"),
-    (_mock_script("{"), "script.json is not JSON", "mock-script-not-json"),
+    (_config_value(["lexicon", "idioms"], 5, "extract"),
+     "config lexicon.idioms must be a path, not 5", "idioms-path-not-string"),
+    *_BAD_BACKENDS,
 ]
 
 
@@ -1156,8 +1201,8 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message)
     assert not cli._manifest_path(out).exists()
 
 
-def _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message):
-    cfg, _ = _config_value(keys, value, "run-all")(tmp_path)
+def _run_all_fails_before_it_writes(tmp_path, capsys, make_case, message):
+    cfg, _ = make_case(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -1171,7 +1216,8 @@ def _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message):
                          ids=[case[-1] for case in _BAD_NUMBERS])
 def test_run_all_checks_every_number_before_it_writes(
         tmp_path, capsys, keys, value, message):
-    _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message)
+    _run_all_fails_before_it_writes(
+        tmp_path, capsys, _config_value(keys, value, "run-all"), message)
 
 
 @pytest.mark.parametrize("keys, value, message",
@@ -1180,7 +1226,18 @@ def test_run_all_checks_every_number_before_it_writes(
                          ids=[case[-1] for case in _BAD_LISTS])
 def test_run_all_checks_every_list_before_it_writes(
         tmp_path, capsys, keys, value, message):
-    _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message)
+    _run_all_fails_before_it_writes(
+        tmp_path, capsys, _config_value(keys, value, "run-all"), message)
+
+
+@pytest.mark.parametrize("make_case, message",
+                         [case[:2] for case in _BAD_BACKENDS],
+                         ids=[case[2] for case in _BAD_BACKENDS])
+def test_run_all_checks_every_backend_before_it_writes(
+        tmp_path, capsys, make_case, message):
+    """run-all builds the backends the pipeline names before extract, so a
+    script it cannot read fails it before any write, like a bad entry."""
+    _run_all_fails_before_it_writes(tmp_path, capsys, make_case, message)
 
 
 @pytest.mark.parametrize("keys, value, message",
@@ -1189,7 +1246,8 @@ def test_run_all_checks_every_list_before_it_writes(
                          ids=[case[-1] for case in _BAD_SECTIONS])
 def test_run_all_checks_every_section_before_it_writes(
         tmp_path, capsys, keys, value, message):
-    _run_all_fails_before_it_writes(tmp_path, capsys, keys, value, message)
+    _run_all_fails_before_it_writes(
+        tmp_path, capsys, _config_value(keys, value, "run-all"), message)
 
 
 class _WriteFailed(Exception):
@@ -1253,6 +1311,30 @@ def test_a_write_that_fails_partway_leaves_the_previous_output(
     # each file was rewritten whole with the same bytes, or not at all,
     # and no temp file is left beside them
     assert tree() == before
+
+
+def test_report_writes_all_of_its_output_or_none(tmp_path, capsys):
+    """A gold-label file that lacks a decided candidate's label fails the
+    classifier table, the last one built: report/ keeps the earlier run's
+    bytes, run alone or through run-all."""
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
+                     "--stage-out", str(out)]) == 0
+    before = _tree(out / "report")
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("".join(
+        line for line in (FIXTURES / "gold_labels.jsonl").read_text("utf-8")
+        .splitlines(keepends=True) if "s01#VID#2.3.4" not in line), encoding="utf-8")
+    (tmp_path / "bad").mkdir()
+    cfg = patched_config(tmp_path / "bad", lambda raw: raw["classifier_eval"]
+                         .update(gold=str(gold)))
+    for command in (["report", "--stage-in", out / "scored.jsonl",
+                     "--classifications-in", out / "classifications.jsonl",
+                     "--stage-out", out / "report"],
+                    ["run-all", "--stage-out", out]):
+        assert cli.main([str(arg) for arg in command] + ["--config", str(cfg)]) == 1
+        assert "prediction s01#VID#2.3.4 has no gold label" in capsys.readouterr().err
+        assert _tree(out / "report") == before, command[0]
 
 
 def test_main_schema_mismatch_exit_code(tmp_path, capsys):
@@ -1432,6 +1514,19 @@ def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
     assert [Path(path).resolve() for path in read] == [
         (FIXTURES / "da_annotations.jsonl").resolve(),
         (FIXTURES / "gold_labels.jsonl").resolve()]
+
+
+def test_run_all_builds_each_backend_once(tmp_path, monkeypatch):
+    """classify and paraphrase share the chat backend: its script is read
+    once a run."""
+    read, from_file = [], MockChatBackend.from_file.__func__
+    monkeypatch.setattr(MockChatBackend, "from_file", classmethod(
+        lambda cls, *args, **kwargs: read.append(args) or from_file(cls, *args,
+                                                                    **kwargs)))
+    assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
+                     "--stage-out", str(tmp_path / "run")]) == 0
+    assert [Path(path).resolve() for path, in read] == [
+        (FIXTURES / "mock_llm_script.json").resolve()]
 
 
 # --- argument parsing against the per-command parsers it replaced ------------

@@ -13,7 +13,7 @@ from vmweval.errors import ContractViolation, ParseError
 def test_fixture_parses(corpus25):
     assert len(corpus25) == 25
     assert [s.id for s in corpus25] == [f"s{i:02d}" for i in range(1, 26)]
-    assert corpus25.has_dependencies
+    assert all(s.has_dependencies for s in corpus25)
 
 
 def test_fixture_text_rendering(corpus25):
@@ -94,7 +94,7 @@ def test_load_plain():
     first = corpus.sentences[0]
     assert [t.surface for t in first.tokens] == ["The", "cat", "sat", "."]
     assert [t.lemma for t in first.tokens] == ["the", "cat", "sat", "."]
-    assert not corpus.has_dependencies
+    assert not any(s.has_dependencies for s in corpus)
 
 
 def test_parse_conllu_column_count():

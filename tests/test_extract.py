@@ -123,8 +123,7 @@ def brute_force_match_idioms(sentence, lexicon, threshold):
     lemmas = sentence.lemmas()
     candidates = []
     for canonical, surface in lexicon.surface_forms.items():
-        idiom = IdiomEntry(canonical=canonical, surface_form=surface,
-                           contains_verb=True)
+        idiom = IdiomEntry(canonical=canonical, surface_form=surface)
         size = len(idiom.canonical)
         best = None
         for length in range(size, min(size + 2, len(lemmas)) + 1):
@@ -146,10 +145,7 @@ def brute_force_match_idioms(sentence, lexicon, threshold):
 
 
 def _lexicon_of(*idioms):
-    return IdiomLexicon.from_entries(
-        IdiomEntry(canonical=tuple(words), surface_form=" ".join(words),
-                   contains_verb=True)
-        for words in idioms)
+    return IdiomLexicon({tuple(words): " ".join(words) for words in idioms})
 
 
 def test_bleu4_bound_is_an_upper_bound():
