@@ -101,6 +101,16 @@ class Config:
         path = _required(self.corpus_file, "corpus.path")
         return corpus_mod.load_corpus(_input_file(path), self.corpus_format)
 
+    @cached_property
+    def da_records(self) -> list[dict] | None:
+        """The DA annotations the config names, if any, read and checked once."""
+        return self.da_file and _report_records(self.da_file, _DA_FIELDS)
+
+    @cached_property
+    def gold_records(self) -> list[dict] | None:
+        """The gold labels the config names, if any, read and checked once."""
+        return self.gold_file and _report_records(self.gold_file, _GOLD_FIELDS)
+
 
 def _builder(backends: dict, name, kind: str):
     """The builder of backend `name`, which must be defined and of `kind`."""
@@ -179,6 +189,10 @@ def load_config(path: str | Path) -> Config:
         if not isinstance(value, list) or not all(isinstance(i, str) for i in value):
             raise ContractViolation(
                 f"config {key} must be a list of sentence ids, not {value!r}")
+    shared = set(ids["da.vmwe_ids"]) & set(ids["da.control_ids"])
+    if shared:
+        raise ContractViolation("config da.vmwe_ids and da.control_ids share "
+                                f"{sorted(shared)[:5]}")
     backends = {name: _backend_builder(name, entry, path.parent)
                 for name, entry in nodes["backends"].items()}
     return Config(
@@ -330,6 +344,25 @@ def read_jsonl(path: Path) -> list[dict]:
                 raise ContractViolation(
                     f"{path} line {line_no}: record is not a JSON object")
             records.append(record)
+    return records
+
+
+# field -> the JSON types it may hold, in each record of a DA or gold file
+_DA_FIELDS = {"system_id": (str,), "sentence_id": (str,), "annotator_id": (str,),
+              "raw_score": (int, float)}
+_GOLD_FIELDS = {"candidate_ref": (str,), "label": (bool, int)}
+
+
+def _report_records(path: Path, fields: dict) -> list[dict]:
+    """The records of `path`, each holding every one of `fields`."""
+    records = read_jsonl(path)
+    for number, record in enumerate(records, start=1):
+        for field, kinds in fields.items():
+            if type(record.get(field)) not in kinds:
+                raise ContractViolation(
+                    f"{path} record {number}: {field} must be of type "
+                    f"{' or '.join(k.__name__ for k in kinds)}, "
+                    f"not {record.get(field)!r}")
     return records
 
 
@@ -756,13 +789,13 @@ def stage_report(config: Config, args, scored: list[dict], classifications):
     if config.da_file:
         inputs["da_annotations"] = config.da_file
         tables["z_gap_table"] = report_mod.da_gap_table(
-            read_jsonl(config.da_file), config.da_vmwe_ids, config.da_control_ids)
+            config.da_records, config.da_vmwe_ids, config.da_control_ids)
 
     if config.gold_file and classifications is not None:
         inputs["gold"] = config.gold_file
         inputs["classifications"] = args.classifications_in
         tables["classifier_table"] = report_mod.classifier_table(
-            read_jsonl(config.gold_file), classifications)
+            config.gold_records, classifications)
 
     out_dir = args.stage_out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -793,11 +826,13 @@ def stage_run_all(config: Config, args):
         codes.append(code)
         return outputs
 
-    # A backend that cannot be built fails the run before its first write.
+    # A backend that cannot be built, or a report input that cannot be read,
+    # fails the run before its first write.
     config.backend("llm")
     for name in config.role("mt"):
         config.backend("mt", name)
     config.backend("qe")
+    config.da_records, config.gold_records
     candidates, controls = run(stage_extract, None, "candidates",
                                controls_out=out["controls"])
     if controls is None:  # an earlier run's sample is not this run's

@@ -278,6 +278,15 @@ class MockChatBackend:
             except ValueError as exc:  # not JSON, or not UTF-8
                 raise ContractViolation(
                     f"mock chat script {path} is not JSON: {exc}") from None
+        rules = script.get("rules", []) if isinstance(script, dict) else None
+        if not isinstance(rules, list) or not all(
+                isinstance(rule, dict) and isinstance(rule.get("match"), str)
+                and (isinstance(rule.get("response"), str) or rule.get("fail") is True)
+                for rule in rules) or not isinstance(script.get("default", ""), str):
+            raise ContractViolation(
+                f"mock chat script {path} must be an object whose rules each hold "
+                'a string "match" and a string "response" or "fail": true, and '
+                'whose "default", if any, is a string')
         return cls(script, model_id=model_id)
 
     def complete(self, request: ChatRequest) -> str:

@@ -342,143 +342,98 @@ def build_tables(scored: Sequence[dict], flag_pct: float,
 
 # --- rendering ---------------------------------------------------------------
 
-def _fmt(value: float, ndigits: int, signed: bool = False) -> str:
-    rounded = round_half_up(value, ndigits)
-    if rounded == 0.0:
-        rounded = 0.0  # avoid "-0.00"
-    text = f"{rounded:.{ndigits}f}"
-    if signed and not text.startswith("-"):
-        text = "+" + text
-    return text
+def _json_rows(rows: list, table: str) -> list[dict]:
+    """A table's rows as the objects its JSON holds, each float rounded
+    once, half up: to 1 decimal for percents, to 2 for the rest."""
+    if table == "gap":
+        return [{"category": c.category, "system_id": c.system_id,
+                 "target_lang": c.target_lang, "metric_id": c.metric_id,
+                 "gap": round_half_up(c.gap, 2), "n_vmwe": c.n_vmwe,
+                 "n_control": c.n_control} for c in rows]
+    if table == "delta":
+        return [{"category": r.category, "system_id": r.system_id,
+                 "target_lang": r.target_lang, "metric_id": r.metric_id, "n": r.n,
+                 "ori": round_half_up(r.mean_ori, 2),
+                 "delta_mix": round_half_up(r.mean_delta_mix, 2),
+                 "delta_para": round_half_up(r.mean_delta_para, 2)} for r in rows]
+    if table == "ranking":
+        return [{"metric_id": ranking.metric_id, "category": ranking.category,
+                 "rank": e.rank, "system_id": e.system_id,
+                 "mean_score": round_half_up(e.mean_score, 2),
+                 "included_pairs": list(e.included_pairs)}
+                for ranking in rows for e in ranking.entries]
+    if table == "error_rate":
+        return [{"system_id": r.system_id, "target_lang": r.target_lang,
+                 "n_total": r.n_total, "n_invalid": r.n_invalid,
+                 "error_rate": round_half_up(r.rate, 2), "flagged": r.flagged,
+                 "excluded": r.excluded} for r in rows]
+
+    def pct(fraction: float) -> float:
+        return round_half_up(fraction * 100.0, 1)
+
+    def sides(report) -> dict:
+        return {"precision": pct(report.precision), "recall": pct(report.recall),
+                "f1": pct(report.f1)}
+    return [{"category": c.category, "n": c.matrix.total, "undecided": c.n_undecided,
+             "matrix": {"tp": c.matrix.tp, "fn": c.matrix.fn, "fp": c.matrix.fp,
+                        "tn": c.matrix.tn},
+             "accuracy": pct(c.metrics.accuracy), "macro_f1": pct(c.metrics.macro_f1),
+             "positive": sides(c.metrics.positive),
+             "negative": sides(c.metrics.negative)} for c in rows]
 
 
-def _pct(fraction: float) -> str:
-    return _fmt(fraction * 100.0, 1)
+# Table kind -> its CSV columns.  A name is both the header and the JSON
+# row's key; a float column is (header, key or dotted path in the JSON row,
+# decimals, whether a non-negative value carries a "+").
+_CSV_COLUMNS = {
+    "gap": ["category", "system_id", "target_lang", "metric_id",
+            ("gap", "gap", 2, True), "n_vmwe", "n_control"],
+    "delta": ["category", "system_id", "target_lang", "metric_id", "n",
+              ("ori", "ori", 2, False), ("delta_mix", "delta_mix", 2, True),
+              ("delta_para", "delta_para", 2, True)],
+    "ranking": ["metric_id", "category", "rank", "system_id",
+                ("mean_score", "mean_score", 2, False), "included_pairs"],
+    "error_rate": ["system_id", "target_lang", "n_total", "n_invalid",
+                   ("error_rate", "error_rate", 2, False), "flagged", "excluded"],
+    "classifier": ["category", "n", "undecided", ("accuracy", "accuracy", 1, False),
+                   ("macro_f1", "macro_f1", 1, False),
+                   *[(f"{side[:3]}_{name}", f"{side}.{name}", 1, False)
+                     for side in ("positive", "negative")
+                     for name in ("precision", "recall", "f1")]],
+}
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _json_table(table: str, rows: list[dict]) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, "table": table,
-                       "rows": rows}, ensure_ascii=False, indent=2) + "\n"
+def _csv_cell(row: dict, path: str, digits: int = 0, signed: bool = False):
+    """The CSV text of the value at `path` in a JSON row; a float is already
+    rounded to `digits`."""
+    value = row
+    for key in path.split("."):
+        value = value[key]
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(value)
+    if not isinstance(value, float):
+        return value
+    text = f"{value + 0.0:.{digits}f}"  # + 0.0 turns -0.0 into 0.0
+    return "+" + text if signed and not text.startswith("-") else text
 
 
 def emit(rows: list, fmt: str, table: str) -> str:
     """Render a table's rows as csv or json text; `table` is its kind, one
-    of the values of TABLE_KINDS."""
+    of the values of TABLE_KINDS.  The CSV is formatted from the JSON rows."""
     if fmt not in ("csv", "json"):
         raise ContractViolation(f"unknown report format {fmt!r}")
-    emitters = {
-        "gap": _emit_gap,
-        "delta": _emit_delta,
-        "ranking": _emit_rankings,
-        "error_rate": _emit_error_rates,
-        "classifier": _emit_classifier,
-    }
-    if table not in emitters:
+    if table not in _CSV_COLUMNS:
         raise ContractViolation(f"cannot emit table {table!r}")
-    return emitters[table](rows, fmt)
-
-
-def _emit_gap(cells: list[GapCell], fmt: str) -> str:
-    if fmt == "csv":
-        return _csv(
-            ["category", "system_id", "target_lang", "metric_id", "gap",
-             "n_vmwe", "n_control"],
-            [[c.category, c.system_id, c.target_lang, c.metric_id,
-              _fmt(c.gap, 2, signed=True), c.n_vmwe, c.n_control]
-             for c in cells])
-    return _json_table("gap", [{
-        "category": c.category, "system_id": c.system_id,
-        "target_lang": c.target_lang, "metric_id": c.metric_id,
-        "gap": round_half_up(c.gap, 2), "n_vmwe": c.n_vmwe,
-        "n_control": c.n_control} for c in cells])
-
-
-def _emit_delta(rows: list[DeltaRow], fmt: str) -> str:
-    if fmt == "csv":
-        return _csv(
-            ["category", "system_id", "target_lang", "metric_id", "n", "ori",
-             "delta_mix", "delta_para"],
-            [[r.category, r.system_id, r.target_lang, r.metric_id, r.n,
-              _fmt(r.mean_ori, 2), _fmt(r.mean_delta_mix, 2, signed=True),
-              _fmt(r.mean_delta_para, 2, signed=True)] for r in rows])
-    return _json_table("delta", [{
-        "category": r.category, "system_id": r.system_id,
-        "target_lang": r.target_lang, "metric_id": r.metric_id, "n": r.n,
-        "ori": round_half_up(r.mean_ori, 2),
-        "delta_mix": round_half_up(r.mean_delta_mix, 2),
-        "delta_para": round_half_up(r.mean_delta_para, 2)} for r in rows])
-
-
-def _emit_rankings(rankings: list[Ranking], fmt: str) -> str:
-    if fmt == "csv":
-        rows = []
-        for ranking in rankings:
-            for e in ranking.entries:
-                rows.append([ranking.metric_id, ranking.category, e.rank,
-                             e.system_id, _fmt(e.mean_score, 2),
-                             ";".join(e.included_pairs)])
-        return _csv(["metric_id", "category", "rank", "system_id",
-                     "mean_score", "included_pairs"], rows)
-    return _json_table("ranking", [{
-        "metric_id": ranking.metric_id, "category": ranking.category,
-        "rank": e.rank, "system_id": e.system_id,
-        "mean_score": round_half_up(e.mean_score, 2),
-        "included_pairs": list(e.included_pairs)}
-        for ranking in rankings for e in ranking.entries])
-
-
-def _emit_error_rates(rows: list[ErrorRateRow], fmt: str) -> str:
-    if fmt == "csv":
-        return _csv(
-            ["system_id", "target_lang", "n_total", "n_invalid", "error_rate",
-             "flagged", "excluded"],
-            [[r.system_id, r.target_lang, r.n_total, r.n_invalid,
-              _fmt(r.rate, 2), str(r.flagged).lower(), str(r.excluded).lower()]
-             for r in rows])
-    return _json_table("error_rate", [{
-        "system_id": r.system_id, "target_lang": r.target_lang,
-        "n_total": r.n_total, "n_invalid": r.n_invalid,
-        "error_rate": round_half_up(r.rate, 2), "flagged": r.flagged,
-        "excluded": r.excluded} for r in rows])
-
-
-def _emit_classifier(cells: list[ClassifierCell], fmt: str) -> str:
-    if fmt == "csv":
-        rows = []
-        for c in cells:
-            m = c.metrics
-            rows.append([c.category, c.matrix.total, c.n_undecided,
-                         _pct(m.accuracy), _pct(m.macro_f1),
-                         _pct(m.positive.precision), _pct(m.positive.recall),
-                         _pct(m.positive.f1), _pct(m.negative.precision),
-                         _pct(m.negative.recall), _pct(m.negative.f1)])
-        return _csv(["category", "n", "undecided", "accuracy", "macro_f1",
-                     "pos_precision", "pos_recall", "pos_f1", "neg_precision",
-                     "neg_recall", "neg_f1"], rows)
-    out = []
-    for c in cells:
-        m = c.metrics
-        out.append({
-            "category": c.category, "n": c.matrix.total,
-            "undecided": c.n_undecided,
-            "matrix": {"tp": c.matrix.tp, "fn": c.matrix.fn,
-                       "fp": c.matrix.fp, "tn": c.matrix.tn},
-            "accuracy": round_half_up(m.accuracy * 100.0, 1),
-            "macro_f1": round_half_up(m.macro_f1 * 100.0, 1),
-            "positive": {"precision": round_half_up(m.positive.precision * 100.0, 1),
-                         "recall": round_half_up(m.positive.recall * 100.0, 1),
-                         "f1": round_half_up(m.positive.f1 * 100.0, 1)},
-            "negative": {"precision": round_half_up(m.negative.precision * 100.0, 1),
-                         "recall": round_half_up(m.negative.recall * 100.0, 1),
-                         "f1": round_half_up(m.negative.f1 * 100.0, 1)},
-        })
-    return _json_table("classifier", out)
+    json_rows = _json_rows(rows, table)
+    if fmt == "json":
+        return json.dumps({"schema_version": SCHEMA_VERSION, "table": table,
+                           "rows": json_rows}, ensure_ascii=False, indent=2) + "\n"
+    columns = [c if isinstance(c, tuple) else (c, c) for c in _CSV_COLUMNS[table]]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([header for header, *_ in columns])
+    writer.writerows([_csv_cell(row, *spec) for _, *spec in columns]
+                     for row in json_rows)
+    return buf.getvalue()

@@ -1057,6 +1057,40 @@ def _mock_script(text):
     return make_case
 
 
+def _fixture_script(mutate):
+    """The fixture's mock chat script, its first rule changed by `mutate`."""
+    script = json.loads((FIXTURES / "mock_llm_script.json").read_text("utf-8"))
+    mutate(script["rules"][0])
+    return json.dumps(script)
+
+
+def _report_input(mutate):
+    """Report on empty scored and classification records, under the config
+    that `mutate(raw, tmp_path)` changes."""
+    def make_case(tmp_path):
+        cfg = patched_config(tmp_path, lambda raw: mutate(raw, tmp_path))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        return cfg, ["report", "--stage-in", str(empty),
+                     "--classifications-in", str(empty)]
+    return make_case
+
+
+def _report_file(section, key, records=None):
+    """Config `section`.`key` names a file of `records`, or one that is
+    absent when they are None."""
+    def mutate(raw, tmp_path):
+        path = tmp_path / f"{section}.jsonl"
+        if records is not None:
+            cli.write_jsonl(path, records)
+        raw[section][key] = str(path)
+    return _report_input(mutate)
+
+
+_DA_RECORDS = read_jsonl_plain(FIXTURES / "da_annotations.jsonl")
+_GOLD_RECORDS = read_jsonl_plain(FIXTURES / "gold_labels.jsonl")
+
+
 # (keys, malformed value, a command, message, id); each case runs through
 # its command and through run-all
 _BAD_NUMBERS = [
@@ -1138,6 +1172,15 @@ _BAD_BACKENDS = [
      "pipeline-mt-not-names"),
     (_mock_script(None), "missing input file", "mock-script-missing"),
     (_mock_script("{"), "script.json is not JSON", "mock-script-not-json"),
+    *[(_mock_script(text), "script.json must be an object whose rules each hold "
+       'a string "match" and a string "response" or "fail": true', case_id)
+      for text, case_id in [
+          ("[1]", "mock-script-not-object"),
+          (_fixture_script(lambda rule: rule.pop("match")), "mock-rule-without-match"),
+          (_fixture_script(lambda rule: rule.update(response=5)),
+           "mock-response-not-string"),
+          ('{"rules": {"match": "x"}}', "mock-rules-not-list"),
+          ('{"rules": [], "default": 5}', "mock-default-not-string")]],
     (_config_value(["pipeline", "qe"], "nowhere", "extract"),
      "backend 'nowhere' is not defined in the config", "pipeline-qe-undefined"),
     (_config_value(["pipeline", "qe"], "alpha", "extract"),
@@ -1152,6 +1195,35 @@ _BAD_BACKENDS = [
                     "timeout": "fast"}, "translate"),
      "config backends.alpha.timeout must be a positive number, not 'fast'",
      "backend-timeout-not-number"),
+]
+
+# (make_case, message, id) of a report input the config names; each case
+# runs through report and through run-all
+_BAD_REPORT_INPUTS = [
+    (_report_file("da", "annotations"), "missing input file", "da-file-missing"),
+    (_report_file("classifier_eval", "gold"), "missing input file",
+     "gold-file-missing"),
+    (_report_input(lambda raw, _: raw["da"].update(control_ids=["s15", "s01"])),
+     "config da.vmwe_ids and da.control_ids share ['s01']", "da-ids-shared"),
+    (_report_file("da", "annotations", [
+        {k: v for k, v in _DA_RECORDS[0].items() if k != "raw_score"},
+        *_DA_RECORDS[1:]]),
+     "da.jsonl record 1: raw_score must be of type int or float, not None",
+     "da-no-raw-score"),
+    (_report_file("da", "annotations", [*_DA_RECORDS[:2], {
+        **_DA_RECORDS[2], "annotator_id": 1}]),
+     "da.jsonl record 3: annotator_id must be of type str, not 1",
+     "da-annotator-not-string"),
+    (_report_file("da", "annotations", [{**_DA_RECORDS[0], "raw_score": True}]),
+     "da.jsonl record 1: raw_score must be of type int or float, not True",
+     "da-raw-score-bool"),
+    (_report_file("classifier_eval", "gold", [
+        *_GOLD_RECORDS[:1], {**_GOLD_RECORDS[1], "label": "yes"}]),
+     "classifier_eval.jsonl record 2: label must be of type bool or int, "
+     "not 'yes'", "gold-label-not-bool"),
+    (_report_file("classifier_eval", "gold", [{"label": True}]),
+     "classifier_eval.jsonl record 1: candidate_ref must be of type str, not None",
+     "gold-no-candidate-ref"),
 ]
 
 # (make_case, message, id)
@@ -1179,6 +1251,7 @@ _MALFORMED = [
     (_config_value(["lexicon", "idioms"], 5, "extract"),
      "config lexicon.idioms must be a path, not 5", "idioms-path-not-string"),
     *_BAD_BACKENDS,
+    *_BAD_REPORT_INPUTS,
 ]
 
 
@@ -1237,6 +1310,16 @@ def test_run_all_checks_every_backend_before_it_writes(
         tmp_path, capsys, make_case, message):
     """run-all builds the backends the pipeline names before extract, so a
     script it cannot read fails it before any write, like a bad entry."""
+    _run_all_fails_before_it_writes(tmp_path, capsys, make_case, message)
+
+
+@pytest.mark.parametrize("make_case, message",
+                         [case[:2] for case in _BAD_REPORT_INPUTS],
+                         ids=[case[2] for case in _BAD_REPORT_INPUTS])
+def test_run_all_checks_every_report_input_before_it_writes(
+        tmp_path, capsys, make_case, message):
+    """run-all reads and checks the DA and gold-label files before extract,
+    so one it cannot use fails it before any write."""
     _run_all_fails_before_it_writes(tmp_path, capsys, make_case, message)
 
 

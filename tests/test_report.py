@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import logging
 import random
@@ -9,11 +11,13 @@ from vmweval.errors import ContractViolation
 from vmweval.extract import Category
 from vmweval.llm import ClassificationResult
 from vmweval.qe import DeltaReport, Orientation, QEScore
-from vmweval.report import (GapCell, build_tables, classifier_report,
-                            classifier_table, da_gap_table, delta_table, emit,
-                            error_rate_rows, gap_table, rank_systems,
-                            z_gap_table)
-from vmweval.stats import ConfusionMatrix, ZScore, confusion_metrics
+from vmweval.report import (ClassifierCell, DeltaRow, ErrorRateRow, GapCell,
+                            RankedSystem, Ranking, build_tables,
+                            classifier_report, classifier_table, da_gap_table,
+                            delta_table, emit, error_rate_rows, gap_table,
+                            rank_systems, z_gap_table)
+from vmweval.stats import (ClassMetrics, ConfusionMatrix, ConfusionReport,
+                           ZScore, confusion_metrics, round_half_up)
 
 LOWER = Orientation.LOWER_BETTER_0_25
 HIGHER = Orientation.HIGHER_BETTER_0_1
@@ -500,3 +504,221 @@ def test_emit_rejects_unknown_kinds():
         emit([], "xml", table="gap")
     with pytest.raises(ContractViolation):
         emit([], "csv", table="bogus")
+
+
+# --- rendering against the per-format emitters it replaced -----------------------
+
+def _oracle_fmt(value, ndigits, signed=False):
+    rounded = round_half_up(value, ndigits)
+    if rounded == 0.0:
+        rounded = 0.0  # avoid "-0.00"
+    text = f"{rounded:.{ndigits}f}"
+    if signed and not text.startswith("-"):
+        text = "+" + text
+    return text
+
+
+def _oracle_pct(fraction):
+    return _oracle_fmt(fraction * 100.0, 1)
+
+
+def _oracle_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _oracle_json_table(table, rows):
+    return json.dumps({"schema_version": 1, "table": table, "rows": rows},
+                      ensure_ascii=False, indent=2) + "\n"
+
+
+def _oracle_gap(cells, fmt):
+    if fmt == "csv":
+        return _oracle_csv(
+            ["category", "system_id", "target_lang", "metric_id", "gap",
+             "n_vmwe", "n_control"],
+            [[c.category, c.system_id, c.target_lang, c.metric_id,
+              _oracle_fmt(c.gap, 2, signed=True), c.n_vmwe, c.n_control]
+             for c in cells])
+    return _oracle_json_table("gap", [{
+        "category": c.category, "system_id": c.system_id,
+        "target_lang": c.target_lang, "metric_id": c.metric_id,
+        "gap": round_half_up(c.gap, 2), "n_vmwe": c.n_vmwe,
+        "n_control": c.n_control} for c in cells])
+
+
+def _oracle_delta(rows, fmt):
+    if fmt == "csv":
+        return _oracle_csv(
+            ["category", "system_id", "target_lang", "metric_id", "n", "ori",
+             "delta_mix", "delta_para"],
+            [[r.category, r.system_id, r.target_lang, r.metric_id, r.n,
+              _oracle_fmt(r.mean_ori, 2), _oracle_fmt(r.mean_delta_mix, 2, signed=True),
+              _oracle_fmt(r.mean_delta_para, 2, signed=True)] for r in rows])
+    return _oracle_json_table("delta", [{
+        "category": r.category, "system_id": r.system_id,
+        "target_lang": r.target_lang, "metric_id": r.metric_id, "n": r.n,
+        "ori": round_half_up(r.mean_ori, 2),
+        "delta_mix": round_half_up(r.mean_delta_mix, 2),
+        "delta_para": round_half_up(r.mean_delta_para, 2)} for r in rows])
+
+
+def _oracle_rankings(rankings, fmt):
+    if fmt == "csv":
+        rows = []
+        for ranking in rankings:
+            for e in ranking.entries:
+                rows.append([ranking.metric_id, ranking.category, e.rank,
+                             e.system_id, _oracle_fmt(e.mean_score, 2),
+                             ";".join(e.included_pairs)])
+        return _oracle_csv(["metric_id", "category", "rank", "system_id",
+                            "mean_score", "included_pairs"], rows)
+    return _oracle_json_table("ranking", [{
+        "metric_id": ranking.metric_id, "category": ranking.category,
+        "rank": e.rank, "system_id": e.system_id,
+        "mean_score": round_half_up(e.mean_score, 2),
+        "included_pairs": list(e.included_pairs)}
+        for ranking in rankings for e in ranking.entries])
+
+
+def _oracle_error_rates(rows, fmt):
+    if fmt == "csv":
+        return _oracle_csv(
+            ["system_id", "target_lang", "n_total", "n_invalid", "error_rate",
+             "flagged", "excluded"],
+            [[r.system_id, r.target_lang, r.n_total, r.n_invalid,
+              _oracle_fmt(r.rate, 2), str(r.flagged).lower(), str(r.excluded).lower()]
+             for r in rows])
+    return _oracle_json_table("error_rate", [{
+        "system_id": r.system_id, "target_lang": r.target_lang,
+        "n_total": r.n_total, "n_invalid": r.n_invalid,
+        "error_rate": round_half_up(r.rate, 2), "flagged": r.flagged,
+        "excluded": r.excluded} for r in rows])
+
+
+def _oracle_classifier(cells, fmt):
+    if fmt == "csv":
+        rows = []
+        for c in cells:
+            m = c.metrics
+            rows.append([c.category, c.matrix.total, c.n_undecided,
+                         _oracle_pct(m.accuracy), _oracle_pct(m.macro_f1),
+                         _oracle_pct(m.positive.precision),
+                         _oracle_pct(m.positive.recall), _oracle_pct(m.positive.f1),
+                         _oracle_pct(m.negative.precision),
+                         _oracle_pct(m.negative.recall), _oracle_pct(m.negative.f1)])
+        return _oracle_csv(["category", "n", "undecided", "accuracy", "macro_f1",
+                            "pos_precision", "pos_recall", "pos_f1",
+                            "neg_precision", "neg_recall", "neg_f1"], rows)
+    out = []
+    for c in cells:
+        m = c.metrics
+        out.append({
+            "category": c.category, "n": c.matrix.total,
+            "undecided": c.n_undecided,
+            "matrix": {"tp": c.matrix.tp, "fn": c.matrix.fn,
+                       "fp": c.matrix.fp, "tn": c.matrix.tn},
+            "accuracy": round_half_up(m.accuracy * 100.0, 1),
+            "macro_f1": round_half_up(m.macro_f1 * 100.0, 1),
+            "positive": {"precision": round_half_up(m.positive.precision * 100.0, 1),
+                         "recall": round_half_up(m.positive.recall * 100.0, 1),
+                         "f1": round_half_up(m.positive.f1 * 100.0, 1)},
+            "negative": {"precision": round_half_up(m.negative.precision * 100.0, 1),
+                         "recall": round_half_up(m.negative.recall * 100.0, 1),
+                         "f1": round_half_up(m.negative.f1 * 100.0, 1)},
+        })
+    return _oracle_json_table("classifier", out)
+
+
+# The emitters `emit` replaced, one per table kind.  Their JSON keeps a
+# rounded negative zero as -0.0 while their CSV prints it as 0.00; `emit`
+# keeps both until the JSON tables fold it too (ROADMAP item 1), which then
+# changes the oracle's JSON with them.
+_ORACLES = {"gap": _oracle_gap, "delta": _oracle_delta, "ranking": _oracle_rankings,
+            "error_rate": _oracle_error_rates, "classifier": _oracle_classifier}
+
+# exact ties that round half up (0.125 -> 0.13, 80.45 -> 80.5), of 1 and 2
+# decimals and of either sign
+_TIES = [0.125, -0.125, 2.675, -2.675, 0.005, -0.005, 80.45, -80.45, 0.05, 99.95]
+
+
+def _random_float(rng, scale=1.0):
+    pick = rng.randrange(6)
+    if pick == 0:
+        return rng.choice(_TIES) * scale
+    if pick == 1:  # rounds to zero from below
+        return -rng.uniform(0.0, 0.0049) * scale
+    if pick == 2:
+        return rng.uniform(-1e7, 1e7)
+    if pick == 3:
+        return float(rng.randint(-3, 3))
+    return rng.uniform(-3.0, 3.0) * scale
+
+
+def _random_name(rng):
+    return rng.choice(["VID", "alpha", "de", "cs", "qe", "all", "a,b", 'say "x"',
+                       "ß"])
+
+
+def _random_fraction(rng):
+    return rng.choice([0.0, 1.0, 0.8045, 0.00125, 0.5, rng.random()])
+
+
+def _random_table(rng, kind):
+    n_rows = rng.choice([0, 1, 2, 5])
+    if kind == "gap":
+        return [GapCell(category=_random_name(rng), system_id=_random_name(rng),
+                        target_lang=_random_name(rng), metric_id=_random_name(rng),
+                        gap=_random_float(rng), n_vmwe=rng.randint(1, 9),
+                        n_control=rng.randint(1, 9)) for _ in range(n_rows)]
+    if kind == "delta":
+        return [DeltaRow(category=_random_name(rng), system_id=_random_name(rng),
+                         target_lang=_random_name(rng), metric_id=_random_name(rng),
+                         n=rng.randint(1, 50), mean_ori=_random_float(rng),
+                         mean_delta_mix=_random_float(rng),
+                         mean_delta_para=_random_float(rng)) for _ in range(n_rows)]
+    if kind == "ranking":
+        return [Ranking(metric_id=_random_name(rng), category=_random_name(rng),
+                        orientation=rng.choice([LOWER, HIGHER]),
+                        entries=tuple(RankedSystem(
+                            rank=i, system_id=_random_name(rng),
+                            mean_score=_random_float(rng),
+                            included_pairs=tuple(rng.sample(
+                                ["cs", "de", "es", "tr"], rng.randint(0, 3))))
+                            for i in range(1, rng.randint(0, 4) + 1)))
+                for _ in range(n_rows)]
+    if kind == "error_rate":
+        return [ErrorRateRow(system_id=_random_name(rng), target_lang=_random_name(rng),
+                             n_total=rng.randint(0, 9999), n_invalid=rng.randint(0, 99),
+                             rate=abs(_random_float(rng, scale=100.0)),
+                             flagged=rng.random() < 0.5, excluded=rng.random() < 0.5)
+                for _ in range(n_rows)]
+    cells = []
+    for _ in range(n_rows):
+        # zero denominators: no predicted or no actual positives/negatives
+        counts = [rng.choice([0, 0, 1, 3, 7]) for _ in range(4)]
+        counts[rng.randrange(4)] += 1
+        matrix = ConfusionMatrix(*counts)
+        metrics = confusion_metrics(matrix)
+        if rng.random() < 0.5:
+            sides = [ClassMetrics(*(_random_fraction(rng) for _ in range(3)))
+                     for _ in range(2)]
+            metrics = ConfusionReport(accuracy=_random_fraction(rng),
+                                      positive=sides[0], negative=sides[1],
+                                      macro_f1=_random_fraction(rng))
+        cells.append(ClassifierCell(category=_random_name(rng), matrix=matrix,
+                                    metrics=metrics, n_undecided=rng.randint(0, 4)))
+    return cells
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLES))
+def test_emit_equals_the_per_format_emitters(kind):
+    for seed in range(200):
+        rows = _random_table(random.Random(seed), kind)
+        for fmt in ("csv", "json"):
+            assert emit(rows, fmt, kind) == _ORACLES[kind](rows, fmt), (seed, fmt)
+
