@@ -2,17 +2,20 @@
 
     extract -> classify -> paraphrase -> translate -> score -> report
 
-Each stage takes its input records, writes its output as JSON Lines with a
-manifest beside it (input hashes, config snapshot, record counts, seed;
-nothing else non-deterministic) and returns the records.  A single-stage
-command reads its inputs from such files, so a stage can be rerun or
-inspected alone; `run-all` hands each stage's records to the next.
+Each stage takes the config, its output path and its input records with
+their sha256.  It writes its output as JSON Lines with a manifest beside it
+(input hashes, config snapshot, record counts, seed; nothing else
+non-deterministic) and returns the records with the sha256 of the bytes it
+wrote.  A single-stage command reads and hashes its inputs from such files,
+so a stage can be rerun or inspected alone; `run-all` hands each stage's
+records and digest to the next.  `main` narrows the config with the flags.
 
 Exit codes: 0 success, 1 contract violation, 2 transport failures.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -20,7 +23,6 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -60,7 +62,7 @@ _NUMBERS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Config:
     """A config load_config checked whole, paths resolved against its
     directory.  A path only some commands need is None when absent."""
@@ -85,6 +87,8 @@ class Config:
     da_control_ids: tuple[str, ...]
     gold_file: Path | None
     backends: dict  # name -> (kind, a function that builds the backend once)
+    # what --category narrows; the config file has no such key
+    categories: tuple[extract_mod.Category, ...] = tuple(extract_mod.Category)
 
     def role(self, role: str):
         """What pipeline.`role` names."""
@@ -182,6 +186,7 @@ def load_config(path: str | Path) -> Config:
     bad = [lang for lang in langs if lang not in mt_mod.TARGET_LANGS]
     if bad:
         raise ContractViolation(f"unsupported target language(s): {bad}")
+    _once_each(langs, "target_langs lists")
     da_file = path_of("da.annotations")
     ids = {key: _required(value_of(key), key) if da_file else []
            for key in ("da.vmwe_ids", "da.control_ids")}
@@ -195,16 +200,27 @@ def load_config(path: str | Path) -> Config:
                                 f"{sorted(shared)[:5]}")
     backends = {name: _backend_builder(name, entry, path.parent)
                 for name, entry in nodes["backends"].items()}
+    pipeline = _pipeline(nodes["pipeline"], backends)
+    # translations are shared by system_id, so each MT system needs its own
+    _once_each([nodes["backends"][name].get("system_id", name)
+                for name in pipeline.get("mt", ())], "pipeline.mt names system_id")
     return Config(
         raw=raw, **numbers, corpus_file=path_of("corpus.path"),
         corpus_format=value_of("corpus.format", "conllu"),
         idioms_file=path_of("lexicon.idioms"),
         verb_lemmas_file=path_of("lexicon.verb_lemmas"),
         light_verbs=lexicon_mod.light_verb_set(value_of("light_verbs", "dataset_six")),
-        target_langs=tuple(langs), pipeline=_pipeline(nodes["pipeline"], backends),
+        target_langs=tuple(langs), pipeline=pipeline,
         da_file=da_file, da_vmwe_ids=tuple(ids["da.vmwe_ids"]),
         da_control_ids=tuple(ids["da.control_ids"]),
         gold_file=path_of("classifier_eval.gold"), backends=backends)
+
+
+def _once_each(values: list, what: str):
+    """Raise unless no two of `values`, which config `what`, are equal."""
+    repeated = [value for i, value in enumerate(values) if values.index(value) < i]
+    if repeated:
+        raise ContractViolation(f"config {what} {repeated[0]!r} more than once")
 
 
 def _pipeline(section: dict, backends: dict) -> dict:
@@ -385,10 +401,15 @@ def _replacing(path: Path):
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_jsonl(path: Path, records: list[dict]):
+def write_jsonl(path: Path, records: list[dict]) -> str:
+    """Write `records` to `path`; the hex sha256 of the bytes written."""
+    digest = hashlib.sha256()
     with _replacing(path) as fh:
         for record in records:
-            fh.write(_encode(record) + "\n")
+            line = _encode(record) + "\n"
+            fh.write(line)
+            digest.update(line.encode("utf-8"))
+    return digest.hexdigest()
 
 
 _HASH_BLOCK = 1 << 16
@@ -426,31 +447,27 @@ def _stage_input(path: Path) -> Path:
     return path
 
 
-def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, Path],
-                   counts: dict, seed):
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "stage": stage,
-        "seed": seed,
-        "inputs": {name: _sha256(path) for name, path in sorted(inputs.items())},
-        "config": config.raw,
-        "counts": counts,
-    }
+def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, str],
+                   counts: dict):
+    """The manifest of `out`; `inputs` maps each input's name to the hex
+    sha256 of the bytes the stage was handed."""
+    manifest = {"schema_version": SCHEMA_VERSION, "stage": stage, "seed": config.seed,
+                "inputs": inputs, "config": config.raw, "counts": counts}
     text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
     with _replacing(_manifest_path(out)) as fh:
         fh.write(text + "\n")
 
 
-def _finish(config: Config, args, stage: str, out: Path, records: list[dict],
-            inputs: dict[str, Path], counts: dict, kept: tuple = ()):
+def _finish(config: Config, stage: str, out: Path, records: list[dict],
+            inputs: dict[str, str], counts: dict, kept: tuple = ()):
     """Write a stage's records and manifest, with each `kept` failure counted
-    from the records; (exit code, records), the code 2 when a call failed in
-    transport."""
+    from the records; (exit code, records, the sha256 of their bytes), the
+    code 2 when a call failed in transport."""
     for _, tag, counter in kept:
         counts[counter] = sum(r.get("error") == tag for r in records)
-    write_jsonl(out, records)
-    write_manifest(out, stage, config, inputs, counts, _seed(config, args))
-    return (2 if counts.get("transport_failures") else 0), records
+    sha256 = write_jsonl(out, records)
+    write_manifest(out, stage, config, inputs, counts)
+    return (2 if counts.get("transport_failures") else 0), records, sha256
 
 
 def _map_ordered(fn, items, max_workers: int, key=None):
@@ -533,26 +550,29 @@ def _load_lexicon(config: Config):
     return lexicon_mod.load_idiom_lexicon(text.split("\n"), verb_lemmas)
 
 
-def _categories(args) -> tuple[extract_mod.Category, ...]:
-    if not args.category or args.category == "all":
-        return tuple(extract_mod.Category)
-    return (extract_mod.Category(args.category.upper()),)
-
-
-def _seed(config: Config, args) -> int:
-    return args.seed if args.seed is not None else config.seed
+def _candidate_jobs(config: Config, records: list[dict]) -> list[tuple]:
+    """(category, candidate, sentence) of each candidate record in one of
+    config.categories, the token indices it names checked in its sentence."""
+    corpus = config.corpus
+    jobs = []
+    for cand in map(extract_mod.candidate_from_dict, records):
+        if cand.category in config.categories:
+            sentence = corpus.by_id(cand.sentence_id)
+            extract_mod.check_in_range(sentence, cand.token_indices())
+            jobs.append((cand.category, cand, sentence))
+    return jobs
 
 
 # --- stages ------------------------------------------------------------------
 
-def stage_extract(config: Config, args):
-    """(exit code, candidates, control sentences or None without a sample)."""
+def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
+    """(exit code, candidates, their sha256, control sentences, theirs), the
+    last two None without a sample; it goes to `controls_out` or beside `out`."""
     lex = _load_lexicon(config)
-    categories = _categories(args)
 
     # Controls are the sentences no extractor matches, so with a control
     # sample every sentence goes through all three, once.
-    scanned = tuple(extract_mod.Category) if config.control_n else categories
+    scanned = tuple(extract_mod.Category) if config.control_n else config.categories
     records = []
     clean = []
     for sentence in config.corpus:
@@ -561,78 +581,63 @@ def stage_extract(config: Config, args):
         if not found:
             clean.append(sentence)
         records += [extract_mod.candidate_to_dict(cand) for cand in found
-                    if cand.category in categories]
+                    if cand.category in config.categories]
 
-    inputs = {"corpus": config.corpus_file, "idioms": config.idioms_file}
+    inputs = {"corpus": _sha256(config.corpus_file),
+              "idioms": _sha256(config.idioms_file)}
     found_categories = [r["category"] for r in records]
     counts = {"candidates": len(records),
               **{c.value: found_categories.count(c.value)
                  for c in extract_mod.Category}}
-    controls = None
+    controls = controls_sha256 = None
     if config.control_n:
         controls, shortfall = extract_mod.sample_sentences(
-            clean, config.control_n, _seed(config, args))
-        controls_out = args.controls_out or args.stage_out.with_name(
-            args.stage_out.stem + ".controls.jsonl")
+            clean, config.control_n, config.seed)
         control_counts = {"controls": len(controls),
                           "controls_shortfall": shortfall}
-        _finish(config, args, "extract", controls_out,
-                [corpus_mod.sentence_to_dict(s) for s in controls],
-                inputs, control_counts)
+        _, _, controls_sha256 = _finish(
+            config, "extract",
+            controls_out or out.with_name(out.stem + ".controls.jsonl"),
+            [corpus_mod.sentence_to_dict(s) for s in controls], inputs,
+            control_counts)
         counts.update(control_counts)
         if shortfall:
             print(f"warning: only {len(controls)} of {config.control_n} requested "
                   f"control sentences qualify", file=sys.stderr)
-    return (*_finish(config, args, "extract", args.stage_out, records, inputs,
-                     counts), controls)
+    return (*_finish(config, "extract", out, records, inputs, counts),
+            controls, controls_sha256)
 
 
-def stage_classify(config: Config, args, candidates: list[dict]):
-    candidates = [extract_mod.candidate_from_dict(r) for r in candidates]
-    wanted = set(_categories(args))
-    candidates = [c for c in candidates if c.category in wanted]
-    backend = config.backend("llm", args.backend)
-    corpus = config.corpus
-    jobs = [(cand.category, cand, corpus.by_id(cand.sentence_id))
-            for cand in candidates]
-    for _, cand, sentence in jobs:
-        extract_mod.check_in_range(sentence, cand.token_indices())
+def stage_classify(config: Config, out: Path, candidates: list[dict], sha256: str):
+    backend = config.backend("llm")
+    jobs = _candidate_jobs(config, candidates)
 
     def record(job, verdict=None, raw_choice=None, raw_response=None):
-        cand = job[1]
-        return {"candidate_ref": cand.ref, "sentence_id": cand.sentence_id,
-                "category": cand.category.value, "span": list(cand.span),
-                "verdict": verdict, "raw_choice": raw_choice,
-                "raw_response": raw_response}
+        return {**extract_mod.candidate_to_dict(job[1]), "verdict": verdict,
+                "raw_choice": raw_choice, "raw_response": raw_response}
     records = _call_each(
         config, lambda job: llm_mod.classify_candidate(backend, *job), jobs,
         lambda job, res: record(job, res.verdict, res.raw_choice, res.raw_response),
         lambda job, exc: record(job, raw_response=getattr(exc, "raw_response", None)),
         _KEPT_LLM)
     verdicts = [r["verdict"] for r in records]
-    counts = {"total": len(candidates), "accepted": verdicts.count(True),
+    counts = {"total": len(jobs), "accepted": verdicts.count(True),
               "rejected": verdicts.count(False)}
-    return _finish(config, args, "classify", args.stage_out, records,
-                   {"candidates": args.stage_in, "corpus": config.corpus_file},
+    return _finish(config, "classify", out, records,
+                   {"candidates": sha256, "corpus": _sha256(config.corpus_file)},
                    counts, _KEPT_LLM)
 
 
-def stage_paraphrase(config: Config, args, classifications: list[dict]):
-    wanted = {c.value for c in _categories(args)}
-    accepted = [r for r in classifications
-                if r.get("verdict") is True and r["category"] in wanted]
-    backend = config.backend("llm", args.backend)
-    corpus = config.corpus
-    jobs = []
-    for rec in accepted:
-        sentence = corpus.by_id(rec["sentence_id"])
-        jobs.append((rec, extract_mod.rebuild_candidate(
-            sentence, extract_mod.Category(rec["category"]),
-            tuple(rec["span"])), sentence))
+def stage_paraphrase(config: Config, out: Path, classifications: list[dict],
+                     sha256: str):
+    backend = config.backend("llm")
+    jobs = _candidate_jobs(config, [r for r in classifications
+                                    if r.get("verdict") is True])
 
     def record(job, **fields):
-        return {**{k: job[0][k] for k in ("candidate_ref", "sentence_id",
-                                          "category")}, **fields}
+        cand = job[1]
+        return {"candidate_ref": cand.ref, "sentence_id": cand.sentence_id,
+                "category": cand.category.value, **fields}
     records = _call_each(
         config, lambda job: llm_mod.paraphrase_candidate(backend, *job[1:]), jobs,
         lambda job, res: record(job, original=res.original,
@@ -642,29 +647,30 @@ def stage_paraphrase(config: Config, args, classifications: list[dict]):
         lambda job, exc: record(job, original=None, paraphrased=None,
                                 raw_response=getattr(exc, "raw_response", None)),
         _KEPT_LLM)
-    counts = {"total": len(accepted),
+    counts = {"total": len(jobs),
               "paraphrased": sum("error" not in r for r in records),
               "retained_candidate": sum(r.get("retains_candidate", False)
                                         for r in records)}
-    return _finish(config, args, "paraphrase", args.stage_out, records,
-                   {"classifications": args.stage_in, "corpus": config.corpus_file},
+    return _finish(config, "paraphrase", out, records,
+                   {"classifications": sha256,
+                    "corpus": _sha256(config.corpus_file)},
                    counts, _KEPT_LLM)
 
 
-def stage_translate(config: Config, args, paraphrases: list[dict], controls):
-    """`controls` are the control sentences, None without any."""
+def stage_translate(config: Config, out: Path, paraphrases: list[dict],
+                    sha256: str, controls=None, controls_sha256: str | None = None):
+    """`controls` are the control sentences and `controls_sha256` their
+    digest, both None without any."""
     paraphrases = [r for r in paraphrases if r.get("paraphrased")]
-    langs = [args.target_lang] if args.target_lang else config.target_langs
-    backends = {name: config.backend("mt", name)
-                for name in ([args.backend] if args.backend else config.role("mt"))}
+    backends = {name: config.backend("mt", name) for name in config.role("mt")}
 
-    inputs = {"paraphrases": args.stage_in}
-    if args.controls_in:
-        inputs["controls"] = args.controls_in
+    inputs = {"paraphrases": sha256}
+    if controls is not None:
+        inputs["controls"] = controls_sha256
 
     jobs = []
     for name, backend in sorted(backends.items()):
-        for lang in langs:
+        for lang in config.target_langs:
             for rec in paraphrases:
                 jobs.append((backend, lang, "ori", rec["original"], rec))
                 jobs.append((backend, lang, "para", rec["paraphrased"], rec))
@@ -703,8 +709,8 @@ def stage_translate(config: Config, args, paraphrases: list[dict], controls):
     validity = [r["validity"] for r in records]
     counts = {"total": len(jobs),
               **{v.value: validity.count(v.value) for v in mt_mod.ValidityStatus}}
-    return _finish(config, args, "translate", args.stage_out, records, inputs,
-                   counts, _KEPT_TRANSPORT)
+    return _finish(config, "translate", out, records, inputs, counts,
+                   _KEPT_TRANSPORT)
 
 
 def _scored_record(record_type: str, rec: dict, **fields) -> dict:
@@ -723,8 +729,8 @@ def _translation(rec: dict) -> mt_mod.TranslationRecord:
         validity=mt_mod.ValidityStatus(rec["validity"]))
 
 
-def stage_score(config: Config, args, translations: list[dict]):
-    backend = config.backend("qe", args.backend)
+def stage_score(config: Config, out: Path, translations: list[dict], sha256: str):
+    backend = config.backend("qe")
 
     valid = []
     records = []
@@ -776,53 +782,48 @@ def stage_score(config: Config, args, translations: list[dict]):
     counts = {"qe_scores": types.count("qe"), "deltas": types.count("delta"),
               "invalid": types.count("invalid"),
               "delta_pairs_skipped": len(expected) - types.count("delta")}
-    return _finish(config, args, "score", args.stage_out, records,
-                   {"translations": args.stage_in}, counts, _KEPT_TRANSPORT)
+    return _finish(config, "score", out, records, {"translations": sha256},
+                   counts, _KEPT_TRANSPORT)
 
 
-def stage_report(config: Config, args, scored: list[dict], classifications):
+def stage_report(config: Config, out: Path, scored: list[dict], sha256: str,
+                 classifications=None, classifications_sha256: str | None = None):
     """(exit code, the tables); the classifier table needs `classifications`."""
-    inputs = {"scored": args.stage_in}
+    inputs = {"scored": sha256}
     tables = report_mod.build_tables(scored, config.flag_pct,
                                      config.rank_exclude_pct)
 
     if config.da_file:
-        inputs["da_annotations"] = config.da_file
         tables["z_gap_table"] = report_mod.da_gap_table(
             config.da_records, config.da_vmwe_ids, config.da_control_ids)
+        inputs["da_annotations"] = _sha256(config.da_file)
 
     if config.gold_file and classifications is not None:
-        inputs["gold"] = config.gold_file
-        inputs["classifications"] = args.classifications_in
         tables["classifier_table"] = report_mod.classifier_table(
             config.gold_records, classifications)
+        inputs["gold"] = _sha256(config.gold_file)
+        inputs["classifications"] = classifications_sha256
 
-    out_dir = args.stage_out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name, rows in sorted(tables.items()):
         for fmt in ("csv", "json"):
             text = report_mod.emit(rows, fmt, report_mod.TABLE_KINDS[name])
-            with _replacing(out_dir / f"{name}.{fmt}") as fh:
+            with _replacing(out / f"{name}.{fmt}") as fh:
                 fh.write(text)
         counts[name] = len(rows)
-    write_manifest(out_dir, "report", config, inputs, counts, _seed(config, args))
+    write_manifest(out, "report", config, inputs, counts)
     return 0, tables
 
 
-def stage_run_all(config: Config, args):
-    """Chain the stages in memory: (worst exit code, the report's tables)."""
-    out = {name: args.stage_out / f"{name}.jsonl"
-           for name in ("candidates", "controls", "classifications",
-                        "paraphrases", "translations", "scored")}
-    out["report"] = args.stage_out / "report"
+def stage_run_all(config: Config, out_dir: Path):
+    """Chain the stages in memory, each handed the records and sha256 the
+    one before returned: (worst exit code, the report's tables)."""
+    controls_out = out_dir / "controls.jsonl"
     codes = []
 
-    def run(stage, src, dst, *records, **paths):
-        # --backend names one stage's backend; here the config names each.
-        code, *outputs = stage(config, argparse.Namespace(**{
-            **vars(args), "backend": None, "controls_in": None,
-            "stage_in": out.get(src), "stage_out": out[dst], **paths}), *records)
+    def run(stage, name, *handed):
+        code, *outputs = stage(config, out_dir / name, *handed)
         codes.append(code)
         return outputs
 
@@ -833,20 +834,17 @@ def stage_run_all(config: Config, args):
         config.backend("mt", name)
     config.backend("qe")
     config.da_records, config.gold_records
-    candidates, controls = run(stage_extract, None, "candidates",
-                               controls_out=out["controls"])
-    if controls is None:  # an earlier run's sample is not this run's
-        for path in (out["controls"], _manifest_path(out["controls"])):
+    extracted = run(stage_extract, "candidates.jsonl", controls_out)
+    candidates, controls = extracted[:2], extracted[2:]  # each (records, sha256)
+    if controls[0] is None:  # an earlier run's sample is not this run's
+        for path in (controls_out, _manifest_path(controls_out)):
             path.unlink(missing_ok=True)
-    [classified] = run(stage_classify, "candidates", "classifications", candidates)
-    [paraphrases] = run(stage_paraphrase, "classifications", "paraphrases",
-                        classified)
-    [translations] = run(stage_translate, "paraphrases", "translations",
-                         paraphrases, controls,
-                         controls_in=None if controls is None else out["controls"])
-    [scored] = run(stage_score, "translations", "scored", translations)
-    [tables] = run(stage_report, "scored", "report", scored, classified,
-                   classifications_in=out["classifications"])
+    classified = run(stage_classify, "classifications.jsonl", *candidates)
+    paraphrases = run(stage_paraphrase, "paraphrases.jsonl", *classified)
+    translations = run(stage_translate, "translations.jsonl", *paraphrases,
+                       *controls)
+    scored = run(stage_score, "scored.jsonl", *translations)
+    [tables] = run(stage_report, "report", *scored, *classified)
     return max(codes), tables
 
 
@@ -897,20 +895,34 @@ def main(argv=None) -> int:
         if needs_in and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
         config = load_config(args.config)
-        inputs = [read_jsonl(args.stage_in)] if needs_in else []
-        if args.command == "translate":
-            inputs.append(args.controls_in and corpus_mod.load_corpus(
-                _stage_input(args.controls_in), "jsonl"))
-        if args.command == "report":
-            inputs.append(args.classifications_in
-                          and read_jsonl(args.classifications_in))
-        return _COMMANDS[args.command][0](config, args, *inputs)[0]
-    except ContractViolation as exc:
+        # The flags narrow the config once.  --backend replaces the pipeline
+        # role of a one-stage command; run-all leaves it to the config.
+        pipeline = dict(config.pipeline)
+        role = {"classify": "llm", "paraphrase": "llm", "translate": "mt",
+                "score": "qe"}.get(args.command)
+        if args.backend and role:
+            pipeline[role] = (args.backend,) if role == "mt" else args.backend
+        config = dataclasses.replace(
+            config, pipeline=pipeline,
+            seed=config.seed if args.seed is None else args.seed,
+            target_langs=((args.target_lang,) if args.target_lang
+                          else config.target_langs),
+            categories=(config.categories if args.category in (None, "all")
+                        else (extract_mod.Category(args.category.upper()),)))
+        # each input's records, then the sha256 of its bytes
+        inputs = [read_jsonl(args.stage_in), _sha256(args.stage_in)] if needs_in else []
+        if args.command == "extract":
+            inputs.append(args.controls_out)
+        if args.command == "translate" and args.controls_in:
+            inputs += [corpus_mod.load_corpus(_stage_input(args.controls_in), "jsonl"),
+                       _sha256(args.controls_in)]
+        if args.command == "report" and args.classifications_in:
+            inputs += [read_jsonl(args.classifications_in),
+                       _sha256(args.classifications_in)]
+        return _COMMANDS[args.command][0](config, args.stage_out, *inputs)[0]
+    except (ContractViolation, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ContractViolation) else 2
 
 
 if __name__ == "__main__":

@@ -270,39 +270,6 @@ def extract_all(sentence: Sentence, lexicon: IdiomLexicon, light_verbs: LightVer
     return out
 
 
-def rebuild_candidate(sentence: Sentence, category: Category,
-                      span: tuple[int, ...]) -> VMWECandidate:
-    """Reconstruct a candidate from its span, for downstream stages.
-
-    Stage outputs carry only (sentence_id, category, span); the evidence
-    is recovered from the sentence itself.
-    """
-    check_in_range(sentence, span)
-    tokens = [sentence.tokens[i - 1] for i in span]
-    if category is Category.VID:
-        canonical = tuple(t.lemma for t in tokens)
-        evidence: Evidence = VidEvidence(
-            idiom=IdiomEntry(canonical=canonical,
-                             surface_form=" ".join(canonical)),
-            match_score=1.0)
-    elif category is Category.VPC:
-        if len(span) != 2:
-            raise ContractViolation(f"VPC span must have 2 indices, got {span}")
-        particle = next((t for t in tokens if t.deprel in PARTICLE_RELATIONS),
-                        tokens[1])
-        verb = tokens[0] if particle is tokens[1] else tokens[1]
-        evidence = VpcEvidence(verb_index=verb.index,
-                               particle_index=particle.index)
-    else:
-        if len(span) != 2:
-            raise ContractViolation(f"LVC span must have 2 indices, got {span}")
-        noun = next((t for t in tokens if t.upos == "NOUN"), tokens[1])
-        verb = tokens[0] if noun is tokens[1] else tokens[1]
-        evidence = LvcEvidence(verb_index=verb.index, noun_index=noun.index)
-    return VMWECandidate(sentence_id=sentence.id, category=category,
-                         span=tuple(span), evidence=evidence)
-
-
 def candidate_to_dict(c: VMWECandidate) -> dict:
     obj = {
         "candidate_ref": c.ref,

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -167,11 +168,15 @@ def test_build_backend_unknown_kind(tmp_path):
 
 def test_jsonl_round_trip_and_manifest(tmp_path):
     out = tmp_path / "records.jsonl"
-    records = [{"a": 1}, {"b": "ü"}]
-    cli.write_jsonl(out, records)
-    config = cli.load_config(patched_config(tmp_path))
-    cli.write_manifest(out, "extract", config, {"corpus": config.corpus_file},
-                       {"candidates": 2}, seed=42)
+    # ensure_ascii=False writes the non-ASCII text and the U+2028 raw
+    records = [{"a": 1}, {"b": "ü", "c": "one\u2028line"}]
+    sha256 = cli.write_jsonl(out, records)
+    assert "\u2028".encode() in out.read_bytes()
+    assert sha256 == hashlib.sha256(out.read_bytes()).hexdigest()
+    config = dataclasses.replace(cli.load_config(patched_config(tmp_path)), seed=42)
+    expected = hashlib.sha256(config.corpus_file.read_bytes()).hexdigest()
+    cli.write_manifest(out, "extract", config, {"corpus": expected},
+                       {"candidates": 2})
     assert cli.read_jsonl(out) == records
     manifest = read_manifest(out)
     assert manifest["schema_version"] == 1
@@ -179,7 +184,6 @@ def test_jsonl_round_trip_and_manifest(tmp_path):
     assert manifest["seed"] == 42
     assert manifest["counts"] == {"candidates": 2}
     assert manifest["config"] == config.raw
-    expected = hashlib.sha256(config.corpus_file.read_bytes()).hexdigest()
     assert manifest["inputs"]["corpus"] == expected
     # no timestamps or machine state anywhere
     assert set(manifest) == {"schema_version", "stage", "seed", "inputs",
@@ -989,6 +993,21 @@ def _candidate(**fields):
     return make_case
 
 
+def _classification(**fields):
+    """Paraphrase one accepted LVC classification, with `fields` in place of
+    its own; a field that is None is left out."""
+    def make_case(tmp_path):
+        record = {"candidate_ref": "s04#LVC#2.6", "sentence_id": "s04",
+                  "category": "LVC", "span": [2, 6],
+                  "evidence": {"verb_index": 2, "noun_index": 6},
+                  "verdict": True, "raw_choice": "C",
+                  "raw_response": "Final Answer: C", **fields}
+        cls = tmp_path / "cls.jsonl"
+        cli.write_jsonl(cls, [{k: v for k, v in record.items() if v is not None}])
+        return patched_config(tmp_path), ["paraphrase", "--stage-in", str(cls)]
+    return make_case
+
+
 def _config_value(keys, value, command):
     """The config with `value` under `keys`, and `command` on empty input."""
     def make_case(tmp_path):
@@ -1129,6 +1148,8 @@ _BAD_LISTS = [
      "target-langs-not-list"),
     (["target_langs"], ["de", "fr"], "translate",
      "unsupported target language(s): ['fr']", "target-langs-unsupported"),
+    (["target_langs"], ["de", "de"], "translate",
+     "config target_langs lists 'de' more than once", "target-langs-repeated"),
     (["da", "vmwe_ids"], 5, "report",
      "config da.vmwe_ids must be a list of sentence ids, not 5",
      "da-vmwe-ids-not-list"),
@@ -1195,6 +1216,13 @@ _BAD_BACKENDS = [
                     "timeout": "fast"}, "translate"),
      "config backends.alpha.timeout must be a positive number, not 'fast'",
      "backend-timeout-not-number"),
+    # translations are shared by system_id: a second system would get none
+    (_config_value(["backends", "beta", "system_id"], "alpha", "translate"),
+     "config pipeline.mt names system_id 'alpha' more than once",
+     "mt-system-ids-shared"),
+    (_config_value(["pipeline", "mt"], ["alpha", "alpha"], "translate"),
+     "config pipeline.mt names system_id 'alpha' more than once",
+     "mt-name-repeated"),
 ]
 
 # (make_case, message, id) of a report input the config names; each case
@@ -1238,6 +1266,12 @@ _MALFORMED = [
     (_candidate(span=5), "bad candidate record", "candidate-span-not-list"),
     (_candidate(evidence=[1]), "bad candidate record",
      "candidate-evidence-not-object"),
+    # what a classifications file written before records held evidence holds
+    (_classification(evidence=None), "bad candidate record: 'evidence'",
+     "classification-without-evidence"),
+    (_classification(evidence={"verb_index": 2, "noun_index": 99}),
+     "token index 99 is out of range for sentence 's04'",
+     "classification-evidence-out-of-range"),
     *[(_config_value(keys, value, command), message, case_id)
       for keys, value, command, message, case_id
       in _BAD_NUMBERS + _BAD_LISTS + _BAD_SECTIONS],
@@ -1597,6 +1631,37 @@ def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
     assert [Path(path).resolve() for path in read] == [
         (FIXTURES / "da_annotations.jsonl").resolve(),
         (FIXTURES / "gold_labels.jsonl").resolve()]
+
+
+def test_run_all_hashes_no_file_it_wrote(tmp_path, monkeypatch):
+    """Each stage hands on the sha256 of the bytes it wrote, so run-all reads
+    and hashes only the files the config names; every manifest's input
+    digests are those of the files' bytes."""
+    seen = []
+    sha256, read_jsonl = cli._sha256, cli.read_jsonl
+    monkeypatch.setattr(cli, "_sha256",
+                        lambda path: seen.append(path) or sha256(path))
+    monkeypatch.setattr(cli, "read_jsonl",
+                        lambda path: seen.append(path) or read_jsonl(path))
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
+                     "--stage-out", str(out)]) == 0
+    assert seen
+    assert [p for p in seen if Path(p).resolve().is_relative_to(out.resolve())] == []
+    files = {"corpus": FIXTURES / "corpus_25.conllu",
+             "idioms": FIXTURES / "idioms.txt",
+             "da_annotations": FIXTURES / "da_annotations.jsonl",
+             "gold": FIXTURES / "gold_labels.jsonl",
+             **{name: out / f"{name}.jsonl"
+                for name in ("candidates", "controls", "classifications",
+                             "paraphrases", "translations", "scored")}}
+    named = set()
+    for manifest in out.rglob("*manifest.json"):
+        for name, digest in json.loads(manifest.read_text())["inputs"].items():
+            assert digest == hashlib.sha256(files[name].read_bytes()).hexdigest(), \
+                (manifest.name, name)
+            named.add(name)
+    assert named == set(files)
 
 
 def test_run_all_builds_each_backend_once(tmp_path, monkeypatch):

@@ -5,12 +5,12 @@ import pytest
 
 from vmweval.corpus import load_plain
 from vmweval.errors import ContractViolation
-from vmweval.extract import (Category, LvcEvidence, VidEvidence, VMWECandidate,
+from vmweval.extract import (Category, VidEvidence, VMWECandidate,
                              VpcEvidence, _bleu4_bound,
                              candidate_from_dict, candidate_to_dict,
                              extract_all, extract_lvc, extract_vpc,
                              is_non_vmwe, match_idioms,
-                             rebuild_candidate, sample_sentences)
+                             sample_sentences)
 from vmweval.lexicon import (IdiomEntry, IdiomLexicon, default_verb_lemmas,
                              light_verb_set, load_idiom_lexicon)
 from vmweval.stats import bleu4
@@ -259,25 +259,6 @@ def test_candidate_span_contract():
 def test_candidate_dict_round_trip(corpus25, lexicon, light_verbs):
     for cand in _all_candidates(corpus25, lexicon, light_verbs):
         assert candidate_from_dict(candidate_to_dict(cand)) == cand
-
-
-def test_rebuild_candidate_recovers_evidence(corpus25, lexicon, light_verbs):
-    for cand in _all_candidates(corpus25, lexicon, light_verbs):
-        sentence = corpus25.by_id(cand.sentence_id)
-        rebuilt = rebuild_candidate(sentence, cand.category, cand.span)
-        assert rebuilt.ref == cand.ref
-        assert rebuilt.surface(sentence) == cand.surface(sentence)
-        if isinstance(cand.evidence, VpcEvidence):
-            assert rebuilt.evidence == cand.evidence
-        elif isinstance(cand.evidence, LvcEvidence):
-            assert rebuilt.evidence == cand.evidence
-        else:
-            assert isinstance(rebuilt.evidence, VidEvidence)
-
-
-def test_rebuild_candidate_bad_span(corpus25):
-    with pytest.raises(ContractViolation):
-        rebuild_candidate(corpus25.by_id("s01"), Category.VPC, (2, 99))
 
 
 def test_extract_all_category_filter(corpus25, lexicon, light_verbs):
