@@ -6,9 +6,10 @@ Each stage takes the config, its output path and its input records with
 their sha256.  It writes its output as JSON Lines with a manifest beside it
 (input hashes, config snapshot, record counts, seed; nothing else
 non-deterministic) and returns the records with the sha256 of the bytes it
-wrote.  A single-stage command reads and hashes its inputs from such files,
-so a stage can be rerun or inspected alone; `run-all` hands each stage's
-records and digest to the next.  `main` narrows the config with the flags.
+wrote.  A single-stage command reads its inputs from such files, checked
+against their manifests and records tables, so a stage can be rerun or
+inspected alone; `run-all` hands each stage's records and digest to the next.
+`main` narrows the config with the flags.
 
 Exit codes: 0 success, 1 contract violation, 2 transport failures.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -38,6 +40,7 @@ from . import report as report_mod
 from . import stats as stats_mod
 from .errors import (ContractViolation, SchemaVersionError, TransportError,
                      UnparseableResponse)
+from .records import check_records
 
 SCHEMA_VERSION = report_mod.SCHEMA_VERSION
 
@@ -106,14 +109,19 @@ class Config:
         return corpus_mod.load_corpus(_input_file(path), self.corpus_format)
 
     @cached_property
-    def da_records(self) -> list[dict] | None:
-        """The DA annotations the config names, if any, read and checked once."""
-        return self.da_file and _report_records(self.da_file, _DA_FIELDS)
+    def corpus_sha256(self) -> str:
+        """The sha256 of the corpus file, hashed once."""
+        return _sha256(self.corpus_file)
 
     @cached_property
-    def gold_records(self) -> list[dict] | None:
-        """The gold labels the config names, if any, read and checked once."""
-        return self.gold_file and _report_records(self.gold_file, _GOLD_FIELDS)
+    def da_records(self) -> tuple[list[dict], str] | None:
+        """The DA annotations the config names, if any, and their sha256."""
+        return self.da_file and read_jsonl(self.da_file, "da")
+
+    @cached_property
+    def gold_records(self) -> tuple[list[dict], str] | None:
+        """The gold labels the config names, if any, and their sha256."""
+        return self.gold_file and read_jsonl(self.gold_file, "gold")
 
 
 def _builder(backends: dict, name, kind: str):
@@ -343,43 +351,29 @@ def _text_input(path: Path):
                 f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def read_jsonl(path: Path) -> list[dict]:
-    records = []
-    with _text_input(_stage_input(path)) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def read_jsonl(path: Path, kind: str) -> tuple[list[dict], str]:
+    """The records of `path`, each checked against the `kind` records
+    table, and the sha256 of the file's bytes, read once.  A manifest beside
+    the file, if any, must name this schema version and that sha256."""
+    data = _input_file(path).read_bytes()
+    sha256 = hashlib.sha256(data).hexdigest()
+    _check_manifest(path, sha256)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path} is not UTF-8 text ({exc.reason})") from None
+    numbered = []  # (line number, record); blank lines count
+    # newline=None splits lines as reading the file as text would
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if line := line.strip():
             try:
-                record = json.loads(line)
+                numbered.append((line_no, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ContractViolation(
                     f"{path} line {line_no}: bad JSON record: {exc.msg} "
-                    f"(column {exc.colno})")
-            if not isinstance(record, dict):
-                raise ContractViolation(
-                    f"{path} line {line_no}: record is not a JSON object")
-            records.append(record)
-    return records
-
-
-# field -> the JSON types it may hold, in each record of a DA or gold file
-_DA_FIELDS = {"system_id": (str,), "sentence_id": (str,), "annotator_id": (str,),
-              "raw_score": (int, float)}
-_GOLD_FIELDS = {"candidate_ref": (str,), "label": (bool, int)}
-
-
-def _report_records(path: Path, fields: dict) -> list[dict]:
-    """The records of `path`, each holding every one of `fields`."""
-    records = read_jsonl(path)
-    for number, record in enumerate(records, start=1):
-        for field, kinds in fields.items():
-            if type(record.get(field)) not in kinds:
-                raise ContractViolation(
-                    f"{path} record {number}: {field} must be of type "
-                    f"{' or '.join(k.__name__ for k in kinds)}, "
-                    f"not {record.get(field)!r}")
-    return records
+                    f"(column {exc.colno})") from None
+    check_records(kind, numbered, path)
+    return [record for _, record in numbered], sha256
 
 
 @contextmanager
@@ -428,31 +422,34 @@ def _manifest_path(out: Path) -> Path:
     return out / "manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
 
 
-def _stage_input(path: Path) -> Path:
-    """`path` once it exists and its manifest, if it has one, names this
-    schema version."""
-    manifest = Path(str(_input_file(path)) + ".manifest.json")
-    if manifest.is_file():
-        with _text_input(manifest) as fh:
-            try:
-                fields = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ContractViolation(f"{manifest} is not JSON: {exc}") from None
-        if not isinstance(fields, dict):
-            raise ContractViolation(f"{manifest} is not a JSON object")
-        recorded = fields.get("schema_version")
-        if recorded != SCHEMA_VERSION:
-            raise SchemaVersionError(f"{path} was written under schema "
-                                     f"{recorded}, expected {SCHEMA_VERSION}")
-    return path
+def _check_manifest(path: Path, sha256: str):
+    """Raise unless the manifest of the file `path`, if it has one, names
+    this schema version and `sha256`, the digest of the file's bytes."""
+    manifest = _manifest_path(path)
+    if not manifest.is_file():
+        return
+    try:
+        fields = json.loads(manifest.read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ContractViolation(f"{manifest} is not JSON: {exc}") from None
+    if not isinstance(fields, dict):
+        raise ContractViolation(f"{manifest} is not a JSON object")
+    recorded = fields.get("schema_version")
+    if recorded != SCHEMA_VERSION:
+        raise SchemaVersionError(f"{path} was written under schema "
+                                 f"{recorded}, expected {SCHEMA_VERSION}")
+    if fields.get("output_sha256") != sha256:
+        raise ContractViolation(f"{path} does not match its manifest's output_sha256")
 
 
 def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, str],
-                   counts: dict):
+                   counts: dict, output_sha256: str | dict[str, str]):
     """The manifest of `out`; `inputs` maps each input's name to the hex
-    sha256 of the bytes the stage was handed."""
+    sha256 of the bytes the stage was handed, and `output_sha256` is that of
+    the bytes written: of `out`, or of each file in it by name."""
     manifest = {"schema_version": SCHEMA_VERSION, "stage": stage, "seed": config.seed,
-                "inputs": inputs, "config": config.raw, "counts": counts}
+                "inputs": inputs, "config": config.raw, "counts": counts,
+                "output_sha256": output_sha256}
     text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
     with _replacing(_manifest_path(out)) as fh:
         fh.write(text + "\n")
@@ -466,7 +463,7 @@ def _finish(config: Config, stage: str, out: Path, records: list[dict],
     for _, tag, counter in kept:
         counts[counter] = sum(r.get("error") == tag for r in records)
     sha256 = write_jsonl(out, records)
-    write_manifest(out, stage, config, inputs, counts)
+    write_manifest(out, stage, config, inputs, counts, sha256)
     return (2 if counts.get("transport_failures") else 0), records, sha256
 
 
@@ -583,8 +580,7 @@ def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
         records += [extract_mod.candidate_to_dict(cand) for cand in found
                     if cand.category in config.categories]
 
-    inputs = {"corpus": _sha256(config.corpus_file),
-              "idioms": _sha256(config.idioms_file)}
+    inputs = {"corpus": config.corpus_sha256, "idioms": _sha256(config.idioms_file)}
     found_categories = [r["category"] for r in records]
     counts = {"candidates": len(records),
               **{c.value: found_categories.count(c.value)
@@ -624,7 +620,7 @@ def stage_classify(config: Config, out: Path, candidates: list[dict], sha256: st
     counts = {"total": len(jobs), "accepted": verdicts.count(True),
               "rejected": verdicts.count(False)}
     return _finish(config, "classify", out, records,
-                   {"candidates": sha256, "corpus": _sha256(config.corpus_file)},
+                   {"candidates": sha256, "corpus": config.corpus_sha256},
                    counts, _KEPT_LLM)
 
 
@@ -632,7 +628,7 @@ def stage_paraphrase(config: Config, out: Path, classifications: list[dict],
                      sha256: str):
     backend = config.backend("llm")
     jobs = _candidate_jobs(config, [r for r in classifications
-                                    if r.get("verdict") is True])
+                                    if r["verdict"] is True])
 
     def record(job, **fields):
         cand = job[1]
@@ -652,8 +648,7 @@ def stage_paraphrase(config: Config, out: Path, classifications: list[dict],
               "retained_candidate": sum(r.get("retains_candidate", False)
                                         for r in records)}
     return _finish(config, "paraphrase", out, records,
-                   {"classifications": sha256,
-                    "corpus": _sha256(config.corpus_file)},
+                   {"classifications": sha256, "corpus": config.corpus_sha256},
                    counts, _KEPT_LLM)
 
 
@@ -661,7 +656,7 @@ def stage_translate(config: Config, out: Path, paraphrases: list[dict],
                     sha256: str, controls=None, controls_sha256: str | None = None):
     """`controls` are the control sentences and `controls_sha256` their
     digest, both None without any."""
-    paraphrases = [r for r in paraphrases if r.get("paraphrased")]
+    paraphrases = [r for r in paraphrases if r["paraphrased"]]
     backends = {name: config.backend("mt", name) for name in config.role("mt")}
 
     inputs = {"paraphrases": sha256}
@@ -696,8 +691,8 @@ def stage_translate(config: Config, out: Path, paraphrases: list[dict],
     def record(job, hypothesis=None, validity=None):
         backend, lang, kind, text, rec = job
         return {"sentence_id": rec["sentence_id"],
-                "candidate_ref": rec.get("candidate_ref"),
-                "category": rec.get("category"), "kind": kind, "source": text,
+                "candidate_ref": rec["candidate_ref"],
+                "category": rec["category"], "kind": kind, "source": text,
                 "target_lang": lang, "system_id": backend.system_id,
                 "hypothesis": hypothesis, "validity": validity}
     # one call per (system, language, source)
@@ -716,8 +711,8 @@ def stage_translate(config: Config, out: Path, paraphrases: list[dict],
 def _scored_record(record_type: str, rec: dict, **fields) -> dict:
     return {"type": record_type, "kind": rec["kind"],
             "sentence_id": rec["sentence_id"],
-            "candidate_ref": rec.get("candidate_ref"),
-            "category": rec.get("category"), "system_id": rec["system_id"],
+            "candidate_ref": rec["candidate_ref"],
+            "category": rec["category"], "system_id": rec["system_id"],
             "target_lang": rec["target_lang"], **fields}
 
 
@@ -735,12 +730,11 @@ def stage_score(config: Config, out: Path, translations: list[dict], sha256: str
     valid = []
     records = []
     for rec in translations:
-        if (rec.get("validity") == mt_mod.ValidityStatus.OK.value
-                and rec.get("error") != "transport"):
+        if rec["validity"] == mt_mod.ValidityStatus.OK.value and "error" not in rec:
             valid.append(rec)
             continue
         records.append(_scored_record(
-            "invalid", rec, validity=rec.get("validity") or "transport"))
+            "invalid", rec, validity=rec["validity"] or "transport"))
 
     scores = _call_each(
         config, lambda rec: qe_mod.score(backend, rec["source"], rec["hypothesis"]),
@@ -760,7 +754,7 @@ def stage_score(config: Config, out: Path, translations: list[dict], sha256: str
     # the delta experiment: ori and para are scored above, mix here
     expected = sorted({(r["candidate_ref"], r["system_id"], r["target_lang"])
                        for r in translations
-                       if r.get("candidate_ref") and r.get("kind") in ("ori", "para")})
+                       if r["candidate_ref"] and r["kind"] in ("ori", "para")})
     pairs = [(sides[key + ("ori",)], sides[key + ("para",)]) for key in expected
              if key + ("ori",) in sides and key + ("para",) in sides]
 
@@ -794,25 +788,25 @@ def stage_report(config: Config, out: Path, scored: list[dict], sha256: str,
                                      config.rank_exclude_pct)
 
     if config.da_file:
+        da, inputs["da_annotations"] = config.da_records
         tables["z_gap_table"] = report_mod.da_gap_table(
-            config.da_records, config.da_vmwe_ids, config.da_control_ids)
-        inputs["da_annotations"] = _sha256(config.da_file)
+            da, config.da_vmwe_ids, config.da_control_ids)
 
     if config.gold_file and classifications is not None:
-        tables["classifier_table"] = report_mod.classifier_table(
-            config.gold_records, classifications)
-        inputs["gold"] = _sha256(config.gold_file)
+        gold, inputs["gold"] = config.gold_records
+        tables["classifier_table"] = report_mod.classifier_table(gold, classifications)
         inputs["classifications"] = classifications_sha256
 
     out.mkdir(parents=True, exist_ok=True)
-    counts = {}
+    counts, output_sha256 = {}, {}
     for name, rows in sorted(tables.items()):
         for fmt in ("csv", "json"):
             text = report_mod.emit(rows, fmt, report_mod.TABLE_KINDS[name])
             with _replacing(out / f"{name}.{fmt}") as fh:
                 fh.write(text)
+            output_sha256[f"{name}.{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
         counts[name] = len(rows)
-    write_manifest(out, "report", config, inputs, counts)
+    write_manifest(out, "report", config, inputs, counts, output_sha256)
     return 0, tables
 
 
@@ -850,15 +844,19 @@ def stage_run_all(config: Config, out_dir: Path):
 
 # --- argument parsing ---------------------------------------------------------
 
-# command -> (stage function, help text)
+# command -> (stage function, help text, the records kind of its --stage-in)
 _COMMANDS = {
-    "extract": (stage_extract, "find VMWE candidates and sample a control set"),
-    "classify": (stage_classify, "ask the LLM backend to confirm candidates"),
-    "paraphrase": (stage_paraphrase, "rewrite confirmed candidates without the VMWE"),
-    "translate": (stage_translate, "translate originals, paraphrases and controls"),
-    "score": (stage_score, "run quality estimation and the delta experiment"),
-    "report": (stage_report, "aggregate scores into tables"),
-    "run-all": (stage_run_all, "run every stage into one output directory"),
+    "extract": (stage_extract, "find VMWE candidates and sample a control set", None),
+    "classify": (stage_classify, "ask the LLM backend to confirm candidates",
+                 "candidate"),
+    "paraphrase": (stage_paraphrase, "rewrite confirmed candidates without the VMWE",
+                   "classification"),
+    "translate": (stage_translate, "translate originals, paraphrases and controls",
+                  "paraphrase"),
+    "score": (stage_score, "run quality estimation and the delta experiment",
+              "translation"),
+    "report": (stage_report, "aggregate scores into tables", "scored"),
+    "run-all": (stage_run_all, "run every stage into one output directory", None),
 }
 
 
@@ -867,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vmweval", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="VMWE extraction, paraphrasing and MT quality pipeline",
         epilog="commands:\n" + "\n".join(
-            f"  {name:<12}{help_text}" for name, (_, help_text) in _COMMANDS.items()))
+            f"  {name:<12}{command[1]}" for name, command in _COMMANDS.items()))
     add = parser.add_argument
     add("command", choices=_COMMANDS, metavar="command",
         help="one of the commands below")
@@ -890,9 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    needs_in = args.command not in ("extract", "run-all")
+    stage, _, kind = _COMMANDS[args.command]
     try:
-        if needs_in and not args.stage_in:
+        if kind and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
         config = load_config(args.config)
         # The flags narrow the config once.  --backend replaces the pipeline
@@ -910,16 +908,16 @@ def main(argv=None) -> int:
             categories=(config.categories if args.category in (None, "all")
                         else (extract_mod.Category(args.category.upper()),)))
         # each input's records, then the sha256 of its bytes
-        inputs = [read_jsonl(args.stage_in), _sha256(args.stage_in)] if needs_in else []
+        inputs = [*read_jsonl(args.stage_in, kind)] if kind else []
         if args.command == "extract":
             inputs.append(args.controls_out)
         if args.command == "translate" and args.controls_in:
-            inputs += [corpus_mod.load_corpus(_stage_input(args.controls_in), "jsonl"),
-                       _sha256(args.controls_in)]
+            records, sha256 = read_jsonl(args.controls_in, "sentence")
+            inputs += [corpus_mod.Corpus(tuple(map(corpus_mod.sentence_from_dict,
+                                                   records))), sha256]
         if args.command == "report" and args.classifications_in:
-            inputs += [read_jsonl(args.classifications_in),
-                       _sha256(args.classifications_in)]
-        return _COMMANDS[args.command][0](config, args.stage_out, *inputs)[0]
+            inputs += read_jsonl(args.classifications_in, "classification")
+        return stage(config, args.stage_out, *inputs)[0]
     except (ContractViolation, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ContractViolation) else 2

@@ -88,10 +88,11 @@ class VMWECandidate:
 def check_in_range(sentence: Sentence, indices: Iterable[int]):
     """Raise ContractViolation unless every 1-based token index in
     `indices` names a token of `sentence`."""
-    bad = [i for i in indices if not 1 <= i <= len(sentence.tokens)]
+    bad = [i for i in indices
+           if type(i) is not int or not 1 <= i <= len(sentence.tokens)]
     if bad:
         raise ContractViolation(
-            f"token index {bad[0]} is out of range for sentence "
+            f"token index {bad[0]!r} is out of range for sentence "
             f"{sentence.id!r} ({len(sentence.tokens)} tokens)")
 
 
@@ -299,10 +300,9 @@ def candidate_to_dict(c: VMWECandidate) -> dict:
 
 
 def candidate_from_dict(obj: dict) -> VMWECandidate:
+    """The candidate of a record its records table passed; checks its evidence."""
+    category, ev = Category(obj["category"]), obj["evidence"]
     try:
-        category = Category(obj["category"])
-        span = tuple(obj["span"])
-        ev = obj["evidence"]
         if category is Category.VID:
             idiom = IdiomEntry(canonical=tuple(ev["idiom"]["canonical"]),
                                surface_form=ev["idiom"]["surface_form"])
@@ -314,8 +314,8 @@ def candidate_from_dict(obj: dict) -> VMWECandidate:
         else:
             evidence = LvcEvidence(verb_index=ev["verb_index"],
                                    noun_index=ev["noun_index"])
-        return VMWECandidate(sentence_id=obj["sentence_id"], category=category,
-                             span=span, evidence=evidence)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad candidate record: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad candidate record: bad evidence: {exc!r}") from exc
+    return VMWECandidate(sentence_id=obj["sentence_id"], category=category,
+                         span=tuple(obj["span"]), evidence=evidence)
 

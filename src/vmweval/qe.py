@@ -147,8 +147,7 @@ def delta_from_dict(rec: dict) -> DeltaReport:
         target_lang=rec["target_lang"], qe_ori=qe(rec["qe_ori"]),
         qe_mix=qe(rec["qe_mix"]), qe_para=qe(rec["qe_para"]),
         delta_mix=rec["delta_mix"], delta_para=rec["delta_para"],
-        candidate_ref=rec.get("candidate_ref") or "",
-        category=rec.get("category") or "")
+        candidate_ref=rec["candidate_ref"], category=rec["category"])
 
 
 class HttpQEBackend:

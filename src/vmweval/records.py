@@ -1,0 +1,100 @@
+"""One table of the JSON records the stages read, and the one check of them."""
+from __future__ import annotations
+
+from functools import cache
+
+from .errors import ContractViolation
+from .extract import Category
+from .mt import TARGET_LANGS, ValidityStatus
+from .stats import Orientation
+
+# JSON type -> (the Python types json.loads gives it, its name); a bool is not a number
+_JSON = {"string": ((str,), "a string"), "number": ((int, float), "a number"),
+         "integer": ((int,), "an integer"), "boolean": ((bool,), "a boolean"),
+         "array": ((list,), "an array"), "object": ((dict,), "an object"),
+         "null": ((type(None),), "null"), "absent": ((), None)}
+
+_CATEGORY, _VALIDITY, _ORIENTATION = (
+    tuple(m.value for m in enum) for enum in (Category, ValidityStatus, Orientation))
+_INVALID = (*(v for v in _VALIDITY if v != ValidityStatus.OK.value), "transport")
+_KIND = ("string", ("ori", "para", "control"))
+_LLM_ERROR = ("string absent", ("unparseable", "transport"))
+
+# A table maps each field to its JSON types, "absent" if it may be left out, or to
+# (those types, a rule): the allowed values, an array's item types or the table its
+# objects pass, or a dict of the table each value picks.  Other fields are ignored.
+_CANDIDATE = {"sentence_id": "string", "category": ("string", _CATEGORY),
+              "span": ("array", "integer"), "evidence": "object",
+              "match_score": "number absent", "candidate_ref": "string"}
+_CELL = {"sentence_id": "string", "candidate_ref": "string null", "system_id": "string",
+         "category": ("string null", _CATEGORY), "target_lang": ("string", TARGET_LANGS)}
+_METRIC = {"metric_id": "string", "orientation": ("string", _ORIENTATION)}
+
+TABLES = {
+    "sentence": {"id": "string", "text": "string absent", "tokens": ("array", {
+        "index": "integer", "surface": "string", "lemma": "string",
+        "upos": "string null", "head": "integer null", "deprel": "string null"})},
+    "candidate": _CANDIDATE,
+    "classification": {**_CANDIDATE, "verdict": "boolean null",
+                       "raw_choice": "string null", "raw_response": "string null",
+                       "error": _LLM_ERROR},
+    "paraphrase": {"candidate_ref": "string", "sentence_id": "string",
+                   "category": ("string", _CATEGORY), "original": "string null",
+                   "paraphrased": "string null", "retains_candidate": "boolean absent",
+                   "raw_response": "string null", "error": _LLM_ERROR},
+    "translation": {**_CELL, "kind": _KIND, "source": "string",
+                    "hypothesis": "string null", "validity": ("string null", _VALIDITY),
+                    "error": ("string absent", ("transport",))},
+    "scored": {"type": ("string", {
+        "qe": {**_CELL, "kind": _KIND, **_METRIC, "value": "number"},
+        "invalid": {**_CELL, "kind": _KIND, "validity": ("string", _INVALID)},
+        "failed": {**_CELL, "kind": ("string", (*_KIND[1], "mix")),
+                   "error": ("string", ("transport",))},
+        "delta": {**_CELL, "candidate_ref": "string", "category": ("string", _CATEGORY),
+                  **_METRIC, **dict.fromkeys(("qe_ori", "qe_mix", "qe_para"), "number"),
+                  "delta_mix": "number", "delta_para": "number"}})},
+    "da": {"system_id": "string", "sentence_id": "string", "annotator_id": "string",
+           "raw_score": "number"},
+    "gold": {"candidate_ref": "string", "label": "boolean integer"},
+}
+
+
+def check_records(kind: str, records, path) -> None:
+    """Raise ContractViolation naming `path`, the line and the field unless each
+    of `records`, (line number, record) pairs, passes the `kind` table."""
+    for line, record in records:
+        _check_object(TABLES[kind], record, f"{path} line {line}: ", "")
+
+
+def _check_object(table: dict, record, where: str, name: str):
+    if type(record) is not dict:  # `name` is its path in the line: "" or "tokens[0]."
+        raise ContractViolation(f"{where}{name[:-1] or 'record'} is not a JSON object")
+    for field, spec in table.items():
+        types, rule = (spec, None) if isinstance(spec, str) else spec
+        if field not in record:
+            if "absent" not in types:
+                raise ContractViolation(f"{where}{name}{field} is missing")
+            continue
+        if type(value := record[field]) not in _types(types)[0]:
+            raise ContractViolation(f"{where}{name}{field} must be "
+                                    f"{_types(types)[1]}, not {value!r}")
+        if rule is None or value is None:
+            continue
+        if type(value) is list:
+            for i, item in enumerate(value):
+                if isinstance(rule, dict):
+                    _check_object(rule, item, where, f"{name}{field}[{i}].")
+                elif type(item) not in _types(rule)[0]:
+                    raise ContractViolation(f"{where}{name}{field}[{i}] must be "
+                                            f"{_types(rule)[1]}, not {item!r}")
+        elif value not in rule:
+            raise ContractViolation(f"{where}{name}{field} must be one of "
+                                    f"{', '.join(rule)}, not {value!r}")
+        elif isinstance(rule, dict):  # the value picks the table of the rest
+            _check_object(rule[value], record, where, name)
+
+
+@cache
+def _types(names: str) -> tuple[tuple, str]:
+    return (tuple(t for n in names.split() for t in _JSON[n][0]),
+            " or ".join(_JSON[n][1] for n in names.split() if n != "absent"))

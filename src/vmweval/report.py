@@ -220,13 +220,13 @@ def classifier_table(gold_records: Iterable[Mapping],
     undecided = []
     for rec in classification_records:
         category = Category(rec["category"])
-        if rec.get("verdict") is None:
+        if rec["verdict"] is None:
             undecided.append((rec["candidate_ref"], category))
             continue
         predictions.append(ClassificationResult(
             candidate_ref=rec["candidate_ref"], category=category,
-            verdict=rec["verdict"], raw_choice=rec.get("raw_choice") or "",
-            raw_response=rec.get("raw_response") or ""))
+            verdict=rec["verdict"], raw_choice=rec["raw_choice"],
+            raw_response=rec["raw_response"]))
     return classifier_report(gold, predictions, undecided)
 
 

@@ -1,9 +1,11 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import threading
@@ -25,6 +27,7 @@ from vmweval.lexicon import default_verb_lemmas, normalize_idiom
 from vmweval.llm import MockChatBackend
 from vmweval.mt import MockMTBackend
 from vmweval.qe import MockQEBackend, Orientation
+from vmweval.records import check_records
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,16 +171,18 @@ def test_build_backend_unknown_kind(tmp_path):
 
 def test_jsonl_round_trip_and_manifest(tmp_path):
     out = tmp_path / "records.jsonl"
-    # ensure_ascii=False writes the non-ASCII text and the U+2028 raw
-    records = [{"a": 1}, {"b": "ü", "c": "one\u2028line"}]
+    # ensure_ascii=False writes the non-ASCII text and the U+2028 raw; a
+    # field the records table does not name is kept
+    records = [{"candidate_ref": "a", "label": True},
+               {"candidate_ref": "ü", "label": 0, "c": "one\u2028line"}]
     sha256 = cli.write_jsonl(out, records)
     assert "\u2028".encode() in out.read_bytes()
     assert sha256 == hashlib.sha256(out.read_bytes()).hexdigest()
     config = dataclasses.replace(cli.load_config(patched_config(tmp_path)), seed=42)
     expected = hashlib.sha256(config.corpus_file.read_bytes()).hexdigest()
     cli.write_manifest(out, "extract", config, {"corpus": expected},
-                       {"candidates": 2})
-    assert cli.read_jsonl(out) == records
+                       {"candidates": 2}, sha256)
+    assert cli.read_jsonl(out, "gold") == (records, sha256)
     manifest = read_manifest(out)
     assert manifest["schema_version"] == 1
     assert manifest["stage"] == "extract"
@@ -185,9 +190,10 @@ def test_jsonl_round_trip_and_manifest(tmp_path):
     assert manifest["counts"] == {"candidates": 2}
     assert manifest["config"] == config.raw
     assert manifest["inputs"]["corpus"] == expected
+    assert manifest["output_sha256"] == sha256
     # no timestamps or machine state anywhere
     assert set(manifest) == {"schema_version", "stage", "seed", "inputs",
-                             "config", "counts"}
+                             "config", "counts", "output_sha256"}
 
 
 def test_manifest_path_for_directories(tmp_path):
@@ -272,12 +278,12 @@ def test_schema_version_check(tmp_path):
     (tmp_path / "data.jsonl.manifest.json").write_text(
         json.dumps({"schema_version": 99}))
     with pytest.raises(SchemaVersionError):
-        cli.read_jsonl(data)
+        cli.read_jsonl(data, "gold")
 
 
 def test_read_jsonl_missing_file(tmp_path):
     with pytest.raises(ContractViolation):
-        cli.read_jsonl(tmp_path / "absent.jsonl")
+        cli.read_jsonl(tmp_path / "absent.jsonl", "gold")
 
 
 # --- stages over the fixture corpus ----------------------------------------------
@@ -1236,21 +1242,20 @@ _BAD_REPORT_INPUTS = [
     (_report_file("da", "annotations", [
         {k: v for k, v in _DA_RECORDS[0].items() if k != "raw_score"},
         *_DA_RECORDS[1:]]),
-     "da.jsonl record 1: raw_score must be of type int or float, not None",
-     "da-no-raw-score"),
+     "da.jsonl line 1: raw_score is missing", "da-no-raw-score"),
     (_report_file("da", "annotations", [*_DA_RECORDS[:2], {
         **_DA_RECORDS[2], "annotator_id": 1}]),
-     "da.jsonl record 3: annotator_id must be of type str, not 1",
+     "da.jsonl line 3: annotator_id must be a string, not 1",
      "da-annotator-not-string"),
     (_report_file("da", "annotations", [{**_DA_RECORDS[0], "raw_score": True}]),
-     "da.jsonl record 1: raw_score must be of type int or float, not True",
+     "da.jsonl line 1: raw_score must be a number, not True",
      "da-raw-score-bool"),
     (_report_file("classifier_eval", "gold", [
         *_GOLD_RECORDS[:1], {**_GOLD_RECORDS[1], "label": "yes"}]),
-     "classifier_eval.jsonl record 2: label must be of type bool or int, "
+     "classifier_eval.jsonl line 2: label must be a boolean or an integer, "
      "not 'yes'", "gold-label-not-bool"),
     (_report_file("classifier_eval", "gold", [{"label": True}]),
-     "classifier_eval.jsonl record 1: candidate_ref must be of type str, not None",
+     "classifier_eval.jsonl line 1: candidate_ref is missing",
      "gold-no-candidate-ref"),
 ]
 
@@ -1260,18 +1265,25 @@ _MALFORMED = [
     (_truncated_stage_in, "cands.jsonl line 2", "truncated-jsonl"),
     (_non_object_stage_in, "cands.jsonl line 1: record is not a JSON object",
      "non-object-jsonl"),
-    (_controls_line("[1]"), "line 1: bad sentence record", "control-not-object"),
-    (_controls_line('{"id": "c1", "tokens": [1]}'), "line 1: bad sentence record",
+    (_controls_line("[1]"), "controls.jsonl line 1: record is not a JSON object",
+     "control-not-object"),
+    (_controls_line('{"id": "c1", "tokens": [1]}'),
+     "controls.jsonl line 1: tokens[0] is not a JSON object",
      "control-token-not-object"),
-    (_candidate(span=5), "bad candidate record", "candidate-span-not-list"),
-    (_candidate(evidence=[1]), "bad candidate record",
+    (_candidate(span=5), "cands.jsonl line 1: span must be an array, not 5",
+     "candidate-span-not-list"),
+    (_candidate(evidence=[1]),
+     "cands.jsonl line 1: evidence must be an object, not [1]",
      "candidate-evidence-not-object"),
     # what a classifications file written before records held evidence holds
-    (_classification(evidence=None), "bad candidate record: 'evidence'",
+    (_classification(evidence=None), "cls.jsonl line 1: evidence is missing",
      "classification-without-evidence"),
     (_classification(evidence={"verb_index": 2, "noun_index": 99}),
      "token index 99 is out of range for sentence 's04'",
      "classification-evidence-out-of-range"),
+    (_classification(evidence={"verb_index": "2", "noun_index": 6}),
+     "token index '2' is out of range for sentence 's04'",
+     "classification-evidence-index-not-int"),
     *[(_config_value(keys, value, command), message, case_id)
       for keys, value, command, message, case_id
       in _BAD_NUMBERS + _BAD_LISTS + _BAD_SECTIONS],
@@ -1279,6 +1291,10 @@ _MALFORMED = [
      "manifest-not-json"),
     (_stage_in_manifest("[1]"), "cands.jsonl.manifest.json is not a JSON object",
      "manifest-not-object"),
+    # what a manifest written before manifests recorded their output's hash holds
+    (_stage_in_manifest('{"schema_version": 1}'),
+     "cands.jsonl does not match its manifest's output_sha256",
+     "manifest-without-output-sha256"),
     *[(_not_utf8(name), f"{name} is not UTF-8 text", f"{name}-not-utf8")
       for name in ("cands.jsonl", "controls.jsonl", "config.yaml",
                    "corpus.conllu", "idioms.txt")],
@@ -1587,6 +1603,181 @@ def test_every_stage_returns_records_equal_to_their_json(
             text = cli._encode(record)
             assert json.loads(text) == record, (name, record)
             assert cli._encode(json.loads(text)) == text, (name, record)
+    # every record a stage writes passes the table the next stage checks
+    for file, kind in _RECORD_KINDS.items():
+        check_records(kind, enumerate(read_jsonl_plain(out / file), 1), file)
+
+
+# run-all's JSON Lines files -> the kind of their records
+_RECORD_KINDS = {"candidates.jsonl": "candidate", "controls.jsonl": "sentence",
+                 "classifications.jsonl": "classification",
+                 "paraphrases.jsonl": "paraphrase",
+                 "translations.jsonl": "translation", "scored.jsonl": "scored"}
+
+
+@pytest.fixture(scope="module")
+def failing_run(tmp_path_factory):
+    """A run-all tree of the fixture config holding a record of every shape:
+    one transport failure in each backend stage and in classify, and one
+    unparseable classification."""
+    tmp_path = tmp_path_factory.mktemp("failing-run")
+    classify = llm_mod.classify_candidate
+
+    def classify_failing(backend, category, cand, sentence):
+        if cand.ref == "s04#VID#2.3.4.5.6":
+            raise TransportError("injected classify failure")
+        if cand.ref == "s22#VPC#2.3":
+            raise UnparseableResponse("no answer", raw_response="mumble")
+        return classify(backend, category, cand, sentence)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _fail_some_calls(monkeypatch)
+        monkeypatch.setattr(llm_mod, "classify_candidate", classify_failing)
+        out = tmp_path / "run"
+        assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
+                         "--stage-out", str(out)]) == 2
+    errors = {(r.get("type"), r.get("error"))
+              for file in _RECORD_KINDS for r in read_jsonl_plain(out / file)}
+    assert {(None, "transport"), (None, "unparseable"),
+            ("failed", "transport"), ("invalid", None)} <= errors
+    return out
+
+
+def _written(out: Path) -> dict:
+    """What a command wrote at `out`: each file's bytes, a manifest's fields
+    without its input digests."""
+    paths = sorted(out.rglob("*")) if out.is_dir() else [out, cli._manifest_path(out)]
+    written = {}
+    for path in filter(Path.is_file, paths):
+        name = path.name.removeprefix(out.name)
+        written[name] = path.read_bytes()
+        if name.endswith("manifest.json"):
+            written[name] = {**json.loads(written[name]), "inputs": None}
+    return written
+
+
+def _wrong_type(value):
+    """A value of another JSON type than `value`."""
+    if isinstance(value, str):
+        return 7
+    return [] if value is None else "7"
+
+
+# command -> the file of each input: its option, or its config key
+_FUZZED = {
+    "classify": {"--stage-in": "candidates.jsonl"},
+    "paraphrase": {"--stage-in": "classifications.jsonl"},
+    "translate": {"--stage-in": "paraphrases.jsonl",
+                  "--controls-in": "controls.jsonl"},
+    "score": {"--stage-in": "translations.jsonl"},
+    "report": {"--stage-in": "scored.jsonl",
+               "--classifications-in": "classifications.jsonl",
+               "da.annotations": "da.jsonl", "classifier_eval.gold": "gold.jsonl"},
+}
+
+
+def test_every_stage_input_is_checked_against_its_records_table(
+        tmp_path, failing_run, capsys):
+    """For one record of each shape in each input of each one-stage command,
+    drop each field in turn, and set it to a value of a wrong JSON type.
+    The command exits 1 with an error and writes nothing, or, when it does
+    not read the field, writes what it writes from the unchanged input."""
+    inputs = tmp_path / "inputs"  # with no manifests beside them
+    inputs.mkdir()
+    for file in _RECORD_KINDS:
+        shutil.copy(failing_run / file, inputs / file)
+    shutil.copy(FIXTURES / "da_annotations.jsonl", inputs / "da.jsonl")
+    shutil.copy(FIXTURES / "gold_labels.jsonl", inputs / "gold.jsonl")
+
+    def mutate(raw):
+        raw["da"]["annotations"] = str(inputs / "da.jsonl")
+        raw["classifier_eval"]["gold"] = str(inputs / "gold.jsonl")
+    cfg = patched_config(tmp_path, mutate)
+    rng = random.Random(21)
+    outs = itertools.count()
+    failures, cases = [], 0
+    for command, files in _FUZZED.items():
+        options = [str(arg) for option, file in files.items()
+                   if option.startswith("--") for arg in (option, inputs / file)]
+
+        def run():
+            out = tmp_path / "out" / str(next(outs))
+            code = cli.main([command, "--config", str(cfg), "--stage-out", str(out),
+                             *options])
+            return code, capsys.readouterr().err, _written(out)
+        code, err, expected = run()
+        assert (code, err) == (0, ""), command
+        for file in files.values():
+            original = (inputs / file).read_text("utf-8")
+            records = read_jsonl_plain(inputs / file)
+            shapes = {}
+            for i, record in enumerate(records):
+                shape = (record.get("type"), record.get("kind"), record.get("error"),
+                         tuple((k, type(v).__name__) for k, v in record.items()))
+                shapes.setdefault(shape, []).append(i)
+            for i in (rng.choice(indices) for indices in shapes.values()):
+                record = records[i]
+                for field, value in record.items():
+                    for change, changed in [
+                            (f"without {field}",
+                             {k: v for k, v in record.items() if k != field}),
+                            (f"{field}={_wrong_type(value)!r}",
+                             {**record, field: _wrong_type(value)})]:
+                        cli.write_jsonl(inputs / file,
+                                        records[:i] + [changed] + records[i + 1:])
+                        case = (command, file, i + 1, change)
+                        cases += 1
+                        try:
+                            code, err, written = run()
+                        except Exception as exc:  # noqa: BLE001 - reported below
+                            failures.append((*case, repr(exc)))
+                            continue
+                        refused = (code == 1 and err.startswith("error: ")
+                                   and written == {})
+                        if not refused and (code, written) != (0, expected):
+                            failures.append((*case, code, err))
+            (inputs / file).write_text(original, encoding="utf-8")
+    assert failures == [], "\n".join(map(repr, failures))
+    assert cases > 200
+
+
+def _flip_a_bit(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("command, file, edit, message", [
+    ("score", "translations.jsonl",
+     lambda data: b"".join(data.splitlines(keepends=True)[:50]),
+     "translations.jsonl does not match its manifest's output_sha256"),
+    ("score", "translations.jsonl",
+     lambda data: _flip_a_bit(data, data.index(b'"source": "') + 11),
+     "translations.jsonl does not match its manifest's output_sha256"),
+    ("score", "translations.jsonl",
+     lambda data: data.replace(b', "validity": "ok"', b"", 1),
+     "translations.jsonl line 1: validity is missing"),
+    ("report", "scored.jsonl", lambda data: data.replace(
+        b'"type": "delta", "sentence_id": "s01", "candidate_ref": "s01#VID#2.3.4", '
+        b'"category": "VID", ', b'"type": "delta", "sentence_id": "s01", '
+        b'"candidate_ref": "s01#VID#2.3.4", '), "category is missing"),
+], ids=["truncated", "one-byte-changed", "translation-without-validity",
+        "delta-without-category"])
+def test_a_stage_refuses_an_input_that_is_not_what_was_written(
+        tmp_path, capsys, command, file, edit, message):
+    """An input whose bytes differ from what its manifest records is refused
+    whole; one without a manifest is refused for a record its table refuses."""
+    run = tmp_path / "run"
+    cfg = patched_config(tmp_path)
+    assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(run)]) == 0
+    data = (run / file).read_bytes()
+    assert edit(data) != data
+    (run / file).write_bytes(edit(data))
+    if "output_sha256" not in message:
+        cli._manifest_path(run / file).unlink()
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--stage-in", str(run / file),
+                     "--stage-out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists() and not cli._manifest_path(out).exists()
 
 
 def test_run_all_translates_only_the_controls_it_sampled(tmp_path):
@@ -1623,7 +1814,7 @@ def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
     monkeypatch.setattr(cli.corpus_mod, "load_corpus",
                         lambda *args: loaded.append(args) or load_corpus(*args))
     monkeypatch.setattr(cli, "read_jsonl",
-                        lambda path: read.append(path) or read_jsonl(path))
+                        lambda path, kind: read.append(path) or read_jsonl(path, kind))
     assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
                      "--stage-out", str(tmp_path / "run")]) == 0
     assert [(Path(path).resolve(), fmt) for path, fmt in loaded] == [
@@ -1635,32 +1826,42 @@ def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
 
 def test_run_all_hashes_no_file_it_wrote(tmp_path, monkeypatch):
     """Each stage hands on the sha256 of the bytes it wrote, so run-all reads
-    and hashes only the files the config names; every manifest's input
-    digests are those of the files' bytes."""
+    and hashes only the files the config names, each once; every manifest's
+    input digests are those of the files' bytes, and its output_sha256 that
+    of the bytes it describes."""
     seen = []
     sha256, read_jsonl = cli._sha256, cli.read_jsonl
     monkeypatch.setattr(cli, "_sha256",
                         lambda path: seen.append(path) or sha256(path))
     monkeypatch.setattr(cli, "read_jsonl",
-                        lambda path: seen.append(path) or read_jsonl(path))
+                        lambda path, kind: seen.append(path) or read_jsonl(path, kind))
     out = tmp_path / "run"
     assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
                      "--stage-out", str(out)]) == 0
-    assert seen
-    assert [p for p in seen if Path(p).resolve().is_relative_to(out.resolve())] == []
     files = {"corpus": FIXTURES / "corpus_25.conllu",
              "idioms": FIXTURES / "idioms.txt",
              "da_annotations": FIXTURES / "da_annotations.jsonl",
-             "gold": FIXTURES / "gold_labels.jsonl",
-             **{name: out / f"{name}.jsonl"
-                for name in ("candidates", "controls", "classifications",
-                             "paraphrases", "translations", "scored")}}
+             "gold": FIXTURES / "gold_labels.jsonl"}
+    assert sorted(Path(p).resolve() for p in seen) == \
+        sorted(path.resolve() for path in files.values())
+    files.update({name: out / f"{name}.jsonl"
+                  for name in ("candidates", "controls", "classifications",
+                               "paraphrases", "translations", "scored")})
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
     named = set()
     for manifest in out.rglob("*manifest.json"):
-        for name, digest in json.loads(manifest.read_text())["inputs"].items():
-            assert digest == hashlib.sha256(files[name].read_bytes()).hexdigest(), \
-                (manifest.name, name)
+        fields = json.loads(manifest.read_text())
+        for name, recorded in fields["inputs"].items():
+            assert recorded == digest(files[name]), (manifest.name, name)
             named.add(name)
+        if manifest.name == "manifest.json":  # the report directory's
+            assert fields["output_sha256"] == {
+                p.name: digest(p) for p in manifest.parent.iterdir() if p != manifest}
+        else:
+            assert fields["output_sha256"] == digest(
+                manifest.with_name(manifest.name.removesuffix(".manifest.json")))
     assert named == set(files)
 
 
@@ -1684,7 +1885,7 @@ def _subcommand_parser():
     ten options."""
     parser = argparse.ArgumentParser(prog="vmweval")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in cli._COMMANDS.items():
+    for name, (_, help_text, _) in cli._COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--stage-in", type=Path)
@@ -1719,5 +1920,5 @@ def test_help_lists_every_command(capsys):
         cli.main(["--help"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
-    for name, (_, help_text) in cli._COMMANDS.items():
+    for name, (_, help_text, _) in cli._COMMANDS.items():
         assert f"  {name}" in out and help_text in out, name
