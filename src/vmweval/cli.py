@@ -103,15 +103,14 @@ class Config:
         return _builder(self.backends, name or self.role(kind), kind)()
 
     @cached_property
-    def corpus(self) -> corpus_mod.Corpus:
-        """The corpus the config names, parsed once."""
+    def corpus(self) -> tuple[corpus_mod.Corpus, str]:
+        """The corpus the config names, parsed once, and its sha256."""
         path = _required(self.corpus_file, "corpus.path")
-        return corpus_mod.load_corpus(_input_file(path), self.corpus_format)
-
-    @cached_property
-    def corpus_sha256(self) -> str:
-        """The sha256 of the corpus file, hashed once."""
-        return _sha256(self.corpus_file)
+        if self.corpus_format == "jsonl":  # the sentence records extract writes
+            records, sha256 = read_jsonl(path, "sentence")
+            return corpus_mod.corpus_from_records(records), sha256
+        text, sha256 = _read_input(path)
+        return corpus_mod.load_corpus(text, self.corpus_format), sha256
 
     @cached_property
     def da_records(self) -> tuple[list[dict], str] | None:
@@ -158,13 +157,13 @@ def load_config(path: str | Path) -> Config:
     path = Path(path)
     if not path.is_file():
         raise ContractViolation(f"config file not found: {path}")
-    with _text_input(path) as fh:
-        try:
-            # libyaml's parser when PyYAML was built with it; the same safe
-            # constructor either way
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
-            raise ContractViolation(f"config is not valid YAML: {path}: {exc}")
+    text, _ = _read_input(path)
+    try:
+        # libyaml's parser when PyYAML was built with it; the same safe
+        # constructor either way
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ContractViolation(f"config is not valid YAML: {path}: {exc}")
     if not isinstance(raw, dict):
         raise ContractViolation(f"config must be a mapping: {path}")
     nodes = {"": raw}  # dotted path -> section
@@ -187,6 +186,10 @@ def load_config(path: str | Path) -> Config:
 
     numbers = {attr: _number(value_of(key, default), key, kind, minimum)
                for attr, (key, kind, default, minimum) in _NUMBERS.items()}
+    corpus_format = value_of("corpus.format", "conllu")
+    if corpus_format not in ("conllu", "plain", "jsonl"):
+        raise ContractViolation(
+            f"corpus.format is {corpus_format!r}; allowed: conllu, plain, jsonl")
     langs = value_of("target_langs", list(mt_mod.TARGET_LANGS))
     if not isinstance(langs, list):
         raise ContractViolation(
@@ -214,7 +217,7 @@ def load_config(path: str | Path) -> Config:
                 for name in pipeline.get("mt", ())], "pipeline.mt names system_id")
     return Config(
         raw=raw, **numbers, corpus_file=path_of("corpus.path"),
-        corpus_format=value_of("corpus.format", "conllu"),
+        corpus_format=corpus_format,
         idioms_file=path_of("lexicon.idioms"),
         verb_lemmas_file=path_of("lexicon.verb_lemmas"),
         light_verbs=lexicon_mod.light_verb_set(value_of("light_verbs", "dataset_six")),
@@ -339,32 +342,26 @@ def _input_file(path: Path) -> Path:
     return path
 
 
-@contextmanager
-def _text_input(path: Path):
-    """`path`, which must exist, open as UTF-8 text; a byte that is not
-    UTF-8 is a ContractViolation naming the file."""
-    with open(_input_file(path), encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ContractViolation(
-                f"{path} is not UTF-8 text ({exc.reason})") from None
+def _read_input(path: Path) -> tuple[str, str]:
+    """The text of the input file `path`, which must exist, and the sha256 of
+    its bytes, read once.  The bytes must be UTF-8; "\r\n" and "\r" read as
+    "\n", as they do in a file opened as text."""
+    data = _input_file(path).read_bytes()
+    try:
+        text = io.StringIO(data.decode("utf-8"), newline=None).getvalue()
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path} is not UTF-8 text ({exc.reason})") from None
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def read_jsonl(path: Path, kind: str) -> tuple[list[dict], str]:
     """The records of `path`, each checked against the `kind` records
-    table, and the sha256 of the file's bytes, read once.  A manifest beside
-    the file, if any, must name this schema version and that sha256."""
-    data = _input_file(path).read_bytes()
-    sha256 = hashlib.sha256(data).hexdigest()
+    table, and the sha256 of the file's bytes.  A manifest beside the file,
+    if any, must name this schema version and that sha256."""
+    text, sha256 = _read_input(path)
     _check_manifest(path, sha256)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ContractViolation(f"{path} is not UTF-8 text ({exc.reason})") from None
     numbered = []  # (line number, record); blank lines count
-    # newline=None splits lines as reading the file as text would
-    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if line := line.strip():
             try:
                 numbered.append((line_no, json.loads(line)))
@@ -403,18 +400,6 @@ def write_jsonl(path: Path, records: list[dict]) -> str:
             line = _encode(record) + "\n"
             fh.write(line)
             digest.update(line.encode("utf-8"))
-    return digest.hexdigest()
-
-
-_HASH_BLOCK = 1 << 16
-
-
-def _sha256(path: Path) -> str:
-    """Hex sha256 of the file at `path`, read a block at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(_HASH_BLOCK):
-            digest.update(block)
     return digest.hexdigest()
 
 
@@ -534,23 +519,25 @@ def _call_each(config: Config, call, jobs: list, ok, failed, kept: tuple,
 
 
 def _load_lexicon(config: Config):
+    """The idiom lexicon the config names, and the sha256 of each file it
+    was built from by input name."""
     idioms_path = _required(config.idioms_file, "lexicon.idioms")
+    digests = {}
     if config.verb_lemmas_file:
-        with _text_input(config.verb_lemmas_file) as fh:
-            verb_lemmas = lexicon_mod.parse_verb_lemmas(fh.read())
+        text, digests["verb_lemmas"] = _read_input(config.verb_lemmas_file)
+        verb_lemmas = lexicon_mod.parse_verb_lemmas(text)
     else:
         verb_lemmas = lexicon_mod.default_verb_lemmas()
-    with _text_input(idioms_path) as fh:
-        text = fh.read()
+    text, digests["idioms"] = _read_input(idioms_path)
     # Split on "\n" alone, as iterating the file would: splitlines() also
     # splits on characters such as "\x85" and "\u2028" inside a line.
-    return lexicon_mod.load_idiom_lexicon(text.split("\n"), verb_lemmas)
+    return lexicon_mod.load_idiom_lexicon(text.split("\n"), verb_lemmas), digests
 
 
 def _candidate_jobs(config: Config, records: list[dict]) -> list[tuple]:
     """(category, candidate, sentence) of each candidate record in one of
     config.categories, the token indices it names checked in its sentence."""
-    corpus = config.corpus
+    corpus, _ = config.corpus
     jobs = []
     for cand in map(extract_mod.candidate_from_dict, records):
         if cand.category in config.categories:
@@ -565,14 +552,15 @@ def _candidate_jobs(config: Config, records: list[dict]) -> list[tuple]:
 def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
     """(exit code, candidates, their sha256, control sentences, theirs), the
     last two None without a sample; it goes to `controls_out` or beside `out`."""
-    lex = _load_lexicon(config)
+    lex, inputs = _load_lexicon(config)
+    corpus, inputs["corpus"] = config.corpus
 
     # Controls are the sentences no extractor matches, so with a control
     # sample every sentence goes through all three, once.
     scanned = tuple(extract_mod.Category) if config.control_n else config.categories
     records = []
     clean = []
-    for sentence in config.corpus:
+    for sentence in corpus:
         found = extract_mod.extract_all(sentence, lex, config.light_verbs,
                                         config.vid_threshold, scanned)
         if not found:
@@ -580,7 +568,6 @@ def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
         records += [extract_mod.candidate_to_dict(cand) for cand in found
                     if cand.category in config.categories]
 
-    inputs = {"corpus": config.corpus_sha256, "idioms": _sha256(config.idioms_file)}
     found_categories = [r["category"] for r in records]
     counts = {"candidates": len(records),
               **{c.value: found_categories.count(c.value)
@@ -620,7 +607,7 @@ def stage_classify(config: Config, out: Path, candidates: list[dict], sha256: st
     counts = {"total": len(jobs), "accepted": verdicts.count(True),
               "rejected": verdicts.count(False)}
     return _finish(config, "classify", out, records,
-                   {"candidates": sha256, "corpus": config.corpus_sha256},
+                   {"candidates": sha256, "corpus": config.corpus[1]},
                    counts, _KEPT_LLM)
 
 
@@ -648,7 +635,7 @@ def stage_paraphrase(config: Config, out: Path, classifications: list[dict],
               "retained_candidate": sum(r.get("retains_candidate", False)
                                         for r in records)}
     return _finish(config, "paraphrase", out, records,
-                   {"classifications": sha256, "corpus": config.corpus_sha256},
+                   {"classifications": sha256, "corpus": config.corpus[1]},
                    counts, _KEPT_LLM)
 
 
@@ -913,8 +900,7 @@ def main(argv=None) -> int:
             inputs.append(args.controls_out)
         if args.command == "translate" and args.controls_in:
             records, sha256 = read_jsonl(args.controls_in, "sentence")
-            inputs += [corpus_mod.Corpus(tuple(map(corpus_mod.sentence_from_dict,
-                                                   records))), sha256]
+            inputs += [corpus_mod.corpus_from_records(records), sha256]
         if args.command == "report" and args.classifications_in:
             inputs += read_jsonl(args.classifications_in, "classification")
         return stage(config, args.stage_out, *inputs)[0]

@@ -3,11 +3,11 @@
 Two input shapes are supported: CoNLL-U (10-column TSV with dependency
 arcs) and plain text (one sentence per line, no syntax).  Both produce the
 same Sentence records; `has_dependencies` tells downstream extractors
-whether head/deprel information is available.
+whether head/deprel information is available.  Sentences also go to and
+from the JSON records extract writes as controls.
 """
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -250,19 +250,14 @@ def parse_conllu(lines: Iterable[str]) -> Corpus:
     return Corpus(sentences=tuple(sentences))
 
 
-def load_corpus(path, fmt: str) -> Corpus:
-    """Load a corpus file in one of the formats: conllu, plain, jsonl."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            if fmt == "conllu":
-                return parse_conllu(fh)
-            if fmt == "plain":
-                return load_plain(fh)
-            if fmt == "jsonl":
-                return corpus_from_jsonl(fh)
-        except UnicodeDecodeError as exc:
-            raise ContractViolation(
-                f"{path} is not UTF-8 text ({exc.reason})") from None
+def load_corpus(text: str, fmt: str) -> Corpus:
+    """The corpus in `text`, a file's text with "\n" newlines, in one of the
+    formats conllu and plain."""
+    lines = text.split("\n")  # not splitlines(): "\x85" may sit in a field
+    if fmt == "conllu":
+        return parse_conllu(lines)
+    if fmt == "plain":
+        return load_plain(lines)
     raise ContractViolation(f"unknown corpus format {fmt!r}")
 
 
@@ -282,27 +277,20 @@ def sentence_to_dict(s: Sentence) -> dict:
 
 
 def sentence_from_dict(obj: dict) -> Sentence:
+    """The sentence of a record its records table passed."""
     tokens = tuple(
         Token(
             index=t["index"],
             surface=t["surface"],
             lemma=t["lemma"],
-            upos=t.get("upos"),
-            head=t.get("head"),
-            deprel=t.get("deprel"),
+            upos=t["upos"],
+            head=t["head"],
+            deprel=t["deprel"],
         )
         for t in obj["tokens"])
-    return Sentence(id=str(obj["id"]), tokens=tokens, text=obj.get("text", ""))
+    return Sentence(id=obj["id"], tokens=tokens, text=obj.get("text", ""))
 
 
-def corpus_from_jsonl(lines: Iterable[str]) -> Corpus:
-    sentences = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            sentences.append(sentence_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ContractViolation) as exc:
-            raise ParseError(f"bad sentence record: {exc}", line=line_no) from exc
-    return Corpus(sentences=tuple(sentences))
+def corpus_from_records(records: Iterable[dict]) -> Corpus:
+    """The corpus of sentence records its records table passed."""
+    return Corpus(sentences=tuple(map(sentence_from_dict, records)))

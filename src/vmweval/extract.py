@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .corpus import Sentence
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation
 from .lexicon import IdiomEntry, IdiomLexicon, LightVerbSet
 from .stats import bleu4
 
@@ -88,8 +88,7 @@ class VMWECandidate:
 def check_in_range(sentence: Sentence, indices: Iterable[int]):
     """Raise ContractViolation unless every 1-based token index in
     `indices` names a token of `sentence`."""
-    bad = [i for i in indices
-           if type(i) is not int or not 1 <= i <= len(sentence.tokens)]
+    bad = [i for i in indices if not 1 <= i <= len(sentence.tokens)]
     if bad:
         raise ContractViolation(
             f"token index {bad[0]!r} is out of range for sentence "
@@ -300,22 +299,18 @@ def candidate_to_dict(c: VMWECandidate) -> dict:
 
 
 def candidate_from_dict(obj: dict) -> VMWECandidate:
-    """The candidate of a record its records table passed; checks its evidence."""
+    """The candidate of a record its records table passed."""
     category, ev = Category(obj["category"]), obj["evidence"]
-    try:
-        if category is Category.VID:
-            idiom = IdiomEntry(canonical=tuple(ev["idiom"]["canonical"]),
-                               surface_form=ev["idiom"]["surface_form"])
-            evidence: Evidence = VidEvidence(idiom=idiom,
-                                             match_score=obj["match_score"])
-        elif category is Category.VPC:
-            evidence = VpcEvidence(verb_index=ev["verb_index"],
-                                   particle_index=ev["particle_index"])
-        else:
-            evidence = LvcEvidence(verb_index=ev["verb_index"],
-                                   noun_index=ev["noun_index"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad candidate record: bad evidence: {exc!r}") from exc
+    if category is Category.VID:
+        idiom = IdiomEntry(canonical=tuple(ev["idiom"]["canonical"]),
+                           surface_form=ev["idiom"]["surface_form"])
+        evidence: Evidence = VidEvidence(idiom=idiom, match_score=obj["match_score"])
+    elif category is Category.VPC:
+        evidence = VpcEvidence(verb_index=ev["verb_index"],
+                               particle_index=ev["particle_index"])
+    else:
+        evidence = LvcEvidence(verb_index=ev["verb_index"],
+                               noun_index=ev["noun_index"])
     return VMWECandidate(sentence_id=obj["sentence_id"], category=category,
                          span=tuple(obj["span"]), evidence=evidence)
 

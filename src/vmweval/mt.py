@@ -67,6 +67,9 @@ def translate(backend: MTBackend, text: str, target_lang: str,
     """Request one translation; validity is left unset for a later check."""
     if target_lang not in TARGET_LANGS:
         raise ContractViolation(f"unsupported target language {target_lang!r}")
+    if not text:
+        raise ContractViolation(f"sentence {sentence_id!r}: translate requires "
+                                f"a non-empty source text, not {text!r}")
     hypothesis = backend.translate_text(text, target_lang)
     return TranslationRecord(sentence_id=sentence_id, source=text,
                              target_lang=target_lang,

@@ -21,11 +21,20 @@ _KIND = ("string", ("ori", "para", "control"))
 _LLM_ERROR = ("string absent", ("unparseable", "transport"))
 
 # A table maps each field to its JSON types, "absent" if it may be left out, or to
-# (those types, a rule): the allowed values, an array's item types or the table its
-# objects pass, or a dict of the table each value picks.  Other fields are ignored.
-_CANDIDATE = {"sentence_id": "string", "category": ("string", _CATEGORY),
-              "span": ("array", "integer"), "evidence": "object",
-              "match_score": "number absent", "candidate_ref": "string"}
+# (those types, a rule): the allowed values, an array's item types, the table an
+# object or an array's objects pass, or a dict of the table each value picks.
+# Other fields are ignored.
+_EVIDENCE = {  # category -> the table of its evidence
+    Category.VID.value: {"evidence": ("object", {"idiom": ("object", {
+        "canonical": ("array", "string"), "surface_form": "string"})}),
+        "match_score": "number"},
+    Category.VPC.value: {"evidence": ("object", {
+        "verb_index": "integer", "particle_index": "integer"})},
+    Category.LVC.value: {"evidence": ("object", {
+        "verb_index": "integer", "noun_index": "integer"})},
+}
+_CANDIDATE = {"sentence_id": "string", "span": ("array", "integer"),
+              "category": ("string", _EVIDENCE), "candidate_ref": "string"}
 _CELL = {"sentence_id": "string", "candidate_ref": "string null", "system_id": "string",
          "category": ("string null", _CATEGORY), "target_lang": ("string", TARGET_LANGS)}
 _METRIC = {"metric_id": "string", "orientation": ("string", _ORIENTATION)}
@@ -80,7 +89,9 @@ def _check_object(table: dict, record, where: str, name: str):
                                     f"{_types(types)[1]}, not {value!r}")
         if rule is None or value is None:
             continue
-        if type(value) is list:
+        if type(value) is dict:
+            _check_object(rule, value, where, f"{name}{field}.")
+        elif type(value) is list:
             for i, item in enumerate(value):
                 if isinstance(rule, dict):
                     _check_object(rule, item, where, f"{name}{field}[{i}].")

@@ -14,7 +14,7 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def corpus25():
-    return load_corpus(FIXTURES / "corpus_25.conllu", "conllu")
+    return load_corpus((FIXTURES / "corpus_25.conllu").read_text("utf-8"), "conllu")
 
 
 # One summary line per acceptance criterion, whatever else the run did.

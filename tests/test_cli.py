@@ -20,6 +20,7 @@ from vmweval import cli
 from vmweval import llm as llm_mod
 from vmweval import mt as mt_mod
 from vmweval import qe as qe_mod
+from vmweval.corpus import load_corpus, load_plain, parse_conllu, sentence_to_dict
 from vmweval.errors import (BackendContractError, ContractViolation,
                             ParseError, SchemaVersionError, TransportError,
                             UnparseableResponse)
@@ -204,14 +205,6 @@ def test_manifest_path_for_directories(tmp_path):
         tmp_path / "x.jsonl.manifest.json"
 
 
-@pytest.mark.parametrize("size", [0, 1, cli._HASH_BLOCK - 1, cli._HASH_BLOCK,
-                                  cli._HASH_BLOCK + 1, 3 * cli._HASH_BLOCK + 7])
-def test_sha256_in_blocks_equals_the_whole_file_digest(tmp_path, size):
-    path = tmp_path / "data.bin"
-    path.write_bytes(random.Random(size).getrandbits(8 * size).to_bytes(size, "big"))
-    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _line_loader_oracle(lines, verb_lemmas):
     """load_idiom_lexicon's surface forms as it built them from the lines of
     an open file, each still ending in its newline."""
@@ -268,8 +261,40 @@ def test_load_lexicon_equals_the_line_loader_oracle(tmp_path, text):
             cli._load_lexicon(config)
         assert str(got.value) == str(exc)
         return
-    lex = cli._load_lexicon(config)
+    lex, digests = cli._load_lexicon(config)
     assert list(lex.surface_forms.items()) == list(expected.items())
+    assert digests == {"idioms": hashlib.sha256(idioms.read_bytes()).hexdigest()}
+
+
+# The lines of a corpus in each format, "\x85" and "\u2028" inside a field
+_CORPUS_LINES = {
+    "conllu": ["# sent_id = a", "1\tHe\the\tPRON\t_\t_\t2\tnsubj\t_\t_",
+               "2\tkicked\tkick\x85it\tVERB\t_\t_\t0\troot\t_\t_",
+               "3\tit\u2028\tit\tPRON\t_\t_\t2\tobj\t_\tNote=a\x85b", "",
+               "1\tGo\tgo\tVERB\t_\t_\t0\troot\t_\t_"],
+    "plain": ["He kicked\x85the bucket.", "", "Go\u2028home now!", "  Done . "],
+}
+# each newline case of _IDIOM_TEXTS: (line end, whether the last line has one)
+_NEWLINES = {"crlf": ("\r\n", True), "lone-cr": ("\r", True), "lf": ("\n", True),
+             "no-final-newline": ("\n", False)}
+
+
+@pytest.mark.parametrize("fmt", _CORPUS_LINES)
+@pytest.mark.parametrize("newline", _NEWLINES.values(), ids=_NEWLINES.keys())
+def test_config_corpus_equals_the_file_loader_oracle(tmp_path, fmt, newline):
+    """The corpus parsed from the text the reader decoded equals the one
+    parsed from the lines of the file opened as text, and its sha256 is
+    that of the file's bytes."""
+    end, final = newline
+    corpus = tmp_path / f"corpus.{fmt}"
+    corpus.write_bytes((end.join(_CORPUS_LINES[fmt]) + end * final).encode("utf-8"))
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(f"corpus:\n  path: {corpus.name}\n  format: {fmt}\n",
+                   encoding="utf-8")
+    with open(corpus, encoding="utf-8") as fh:
+        expected = {"conllu": parse_conllu, "plain": load_plain}[fmt](fh)
+    assert cli.load_config(cfg).corpus == (
+        expected, hashlib.sha256(corpus.read_bytes()).hexdigest())
 
 
 def test_schema_version_check(tmp_path):
@@ -999,6 +1024,32 @@ def _candidate(**fields):
     return make_case
 
 
+def _paraphrase(**fields):
+    """Translate one paraphrase record, with `fields` in place of its own."""
+    def make_case(tmp_path):
+        para = tmp_path / "para.jsonl"
+        cli.write_jsonl(para, [{
+            "candidate_ref": "s04#LVC#2.6", "sentence_id": "s04", "category": "LVC",
+            "original": "She took a long walk.", "paraphrased": "She walked.",
+            "retains_candidate": False, "raw_response": "She walked.", **fields}])
+        return patched_config(tmp_path), ["translate", "--stage-in", str(para)]
+    return make_case
+
+
+def _jsonl_corpus(mutate):
+    """Extract from a JSONL corpus of the fixture's first sentence, its
+    record changed by `mutate`."""
+    def make_case(tmp_path):
+        text = (FIXTURES / "corpus_25.conllu").read_text("utf-8")
+        record = sentence_to_dict(load_corpus(text, "conllu").sentences[0])
+        mutate(record)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        return patched_config(tmp_path, lambda raw: raw["corpus"].update(
+            path=str(corpus), format="jsonl")), ["extract"]
+    return make_case
+
+
 def _classification(**fields):
     """Paraphrase one accepted LVC classification, with `fields` in place of
     its own; a field that is None is left out."""
@@ -1282,8 +1333,27 @@ _MALFORMED = [
      "token index 99 is out of range for sentence 's04'",
      "classification-evidence-out-of-range"),
     (_classification(evidence={"verb_index": "2", "noun_index": 6}),
-     "token index '2' is out of range for sentence 's04'",
+     "cls.jsonl line 1: evidence.verb_index must be an integer, not '2'",
      "classification-evidence-index-not-int"),
+    (_candidate(category="VPC", span=[2, 3], evidence={"verb_index": 2},
+                candidate_ref="s01#VPC#2.3"),
+     "cands.jsonl line 1: evidence.particle_index is missing",
+     "candidate-vpc-without-particle-index"),
+    (_candidate(evidence={"idiom": {"canonical": "kick", "surface_form": "kick"}},
+                match_score=1.0, candidate_ref="s01#VID#2.3.4"),
+     "cands.jsonl line 1: evidence.idiom.canonical must be an array, not 'kick'",
+     "candidate-vid-canonical-not-list"),
+    (_paraphrase(original=None),
+     "sentence 's04': translate requires a non-empty source text, not None",
+     "paraphrase-original-null"),
+    (_paraphrase(original=""),
+     "sentence 's04': translate requires a non-empty source text, not ''",
+     "paraphrase-original-empty"),
+    (_jsonl_corpus(lambda record: record["tokens"][0].update(upos=7)),
+     "corpus.jsonl line 1: tokens[0].upos must be a string or null, not 7",
+     "corpus-jsonl-upos-not-string"),
+    (_jsonl_corpus(lambda record: record.update(id=5)),
+     "corpus.jsonl line 1: id must be a string, not 5", "corpus-jsonl-id-not-string"),
     *[(_config_value(keys, value, command), message, case_id)
       for keys, value, command, message, case_id
       in _BAD_NUMBERS + _BAD_LISTS + _BAD_SECTIONS],
@@ -1300,6 +1370,8 @@ _MALFORMED = [
                    "corpus.conllu", "idioms.txt")],
     (_config_value(["lexicon", "idioms"], 5, "extract"),
      "config lexicon.idioms must be a path, not 5", "idioms-path-not-string"),
+    (_config_value(["corpus", "format"], "xml", "report"),
+     "corpus.format is 'xml'; allowed: conllu, plain, jsonl", "corpus-format-unknown"),
     *_BAD_BACKENDS,
     *_BAD_REPORT_INPUTS,
 ]
@@ -1810,15 +1882,14 @@ def test_run_all_translates_only_the_controls_it_sampled(tmp_path):
 def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
         tmp_path, monkeypatch):
     loaded, read = [], []
-    load_corpus, read_jsonl = cli.corpus_mod.load_corpus, cli.read_jsonl
+    read_jsonl = cli.read_jsonl
     monkeypatch.setattr(cli.corpus_mod, "load_corpus",
                         lambda *args: loaded.append(args) or load_corpus(*args))
     monkeypatch.setattr(cli, "read_jsonl",
                         lambda path, kind: read.append(path) or read_jsonl(path, kind))
     assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
                      "--stage-out", str(tmp_path / "run")]) == 0
-    assert [(Path(path).resolve(), fmt) for path, fmt in loaded] == [
-        ((FIXTURES / "corpus_25.conllu").resolve(), "conllu")]
+    assert loaded == [((FIXTURES / "corpus_25.conllu").read_text("utf-8"), "conllu")]
     assert [Path(path).resolve() for path in read] == [
         (FIXTURES / "da_annotations.jsonl").resolve(),
         (FIXTURES / "gold_labels.jsonl").resolve()]
@@ -1826,24 +1897,24 @@ def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
 
 def test_run_all_hashes_no_file_it_wrote(tmp_path, monkeypatch):
     """Each stage hands on the sha256 of the bytes it wrote, so run-all reads
-    and hashes only the files the config names, each once; every manifest's
-    input digests are those of the files' bytes, and its output_sha256 that
-    of the bytes it describes."""
+    only the files the config names, each once, and hashes the bytes it read;
+    every manifest's input digests are those of the files' bytes, and its
+    output_sha256 that of the bytes it describes."""
     seen = []
-    sha256, read_jsonl = cli._sha256, cli.read_jsonl
-    monkeypatch.setattr(cli, "_sha256",
-                        lambda path: seen.append(path) or sha256(path))
-    monkeypatch.setattr(cli, "read_jsonl",
-                        lambda path, kind: seen.append(path) or read_jsonl(path, kind))
-    out = tmp_path / "run"
-    assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
-                     "--stage-out", str(out)]) == 0
+    read_input = cli._read_input
+    monkeypatch.setattr(cli, "_read_input",
+                        lambda path: seen.append(path) or read_input(path))
     files = {"corpus": FIXTURES / "corpus_25.conllu",
              "idioms": FIXTURES / "idioms.txt",
+             "verb_lemmas": Path(cli.__file__).parent / "data" / "verb_lemmas.txt",
              "da_annotations": FIXTURES / "da_annotations.jsonl",
              "gold": FIXTURES / "gold_labels.jsonl"}
+    cfg = patched_config(tmp_path, lambda raw: raw["lexicon"].update(
+        verb_lemmas=str(files["verb_lemmas"])))
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out)]) == 0
     assert sorted(Path(p).resolve() for p in seen) == \
-        sorted(path.resolve() for path in files.values())
+        sorted(path.resolve() for path in [cfg, *files.values()])
     files.update({name: out / f"{name}.jsonl"
                   for name in ("candidates", "controls", "classifications",
                                "paraphrases", "translations", "scored")})

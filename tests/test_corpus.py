@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from vmweval.corpus import (Corpus, Sentence, Token, corpus_from_jsonl,
+from vmweval.corpus import (Corpus, Sentence, Token, corpus_from_records,
                             load_plain, parse_conllu,
                             sentence_from_dict, sentence_text,
                             sentence_to_dict, tokenize_plain)
@@ -142,18 +142,13 @@ def test_duplicate_sentence_ids_rejected():
 
 
 def test_jsonl_round_trip(corpus25):
-    # the lines stage_extract writes for its control sentences
-    text = "".join(json.dumps(sentence_to_dict(s), ensure_ascii=False) + "\n"
-                   for s in corpus25)
-    back = corpus_from_jsonl(io.StringIO(text))
+    # the records stage_extract writes for its control sentences
+    records = [json.loads(json.dumps(sentence_to_dict(s), ensure_ascii=False))
+               for s in corpus25]
+    back = corpus_from_records(records)
     assert back.sentences == corpus25.sentences
 
 
 def test_sentence_dict_round_trip(corpus25):
     s = corpus25.by_id("s10")
     assert sentence_from_dict(sentence_to_dict(s)) == s
-
-
-def test_corpus_from_jsonl_bad_record():
-    with pytest.raises(ParseError, match="line 1"):
-        corpus_from_jsonl(io.StringIO('{"id": "a"}\n'))

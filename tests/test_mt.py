@@ -98,8 +98,8 @@ def _detect_language_oracle(text):
 def _fixture_hypotheses():
     """What the mock systems make of the fixture corpus in every language,
     broken or not, plus the detector fixtures."""
-    corpus = load_corpus(Path(__file__).parent / "fixtures" / "corpus_25.conllu",
-                         "conllu")
+    corpus = load_corpus((Path(__file__).parent / "fixtures" / "corpus_25.conllu")
+                         .read_text("utf-8"), "conllu")
     systems = [MockMTBackend("ok")] + [
         MockMTBackend(failure, break_rules=[{"target_lang": "*",
                                              "failure": failure}])
