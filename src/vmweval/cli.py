@@ -374,13 +374,14 @@ def read_jsonl(path: Path, kind: str) -> tuple[list[dict], str]:
 
 
 @contextmanager
-def _replacing(path: Path):
-    """A text file to write that replaces `path` only once the block
-    completes; a failure leaves `path` as it was and no temp file behind."""
+def _replacing(path: Path, binary: bool = False):
+    """A file to write, UTF-8 text unless `binary`, that replaces `path` only
+    once the block completes; a failure leaves `path` as it was and no temp
+    file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -388,18 +389,52 @@ def _replacing(path: Path):
         raise
 
 
-# json.dumps(record, ensure_ascii=False) without a new encoder per record
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+def _record_encoder():
+    """json.dumps(record, ensure_ascii=False) as one function: the C encoder
+    that JSONEncoder(ensure_ascii=False).encode would build anew for every
+    record, built once with the same arguments, or that method itself where
+    json has no C encoder."""
+    encoder = json.JSONEncoder(ensure_ascii=False)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    markers: dict = {}  # ids of the containers being encoded
+    encode = make(markers, encoder.default, json.encoder.encode_basestring,
+                  encoder.indent, encoder.key_separator, encoder.item_separator,
+                  encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
+
+    def encode_record(record) -> str:
+        try:
+            return "".join(encode(record, 0))
+        except BaseException:
+            markers.clear()  # a failed call leaves the ids it was inside
+            raise
+    return encode_record
+
+
+_encode = _record_encoder()
+
+_WRITE_CHUNK = 64  # records encoded, hashed and written at a time
 
 
 def write_jsonl(path: Path, records: list[dict]) -> str:
-    """Write `records` to `path`; the hex sha256 of the bytes written."""
+    """Write `records` to `path`, one JSON object a line; the hex sha256 of
+    the bytes written.  A record that UTF-8 cannot encode, such as one with
+    a lone surrogate, is refused and `path` left as it was."""
     digest = hashlib.sha256()
-    with _replacing(path) as fh:
-        for record in records:
-            line = _encode(record) + "\n"
-            fh.write(line)
-            digest.update(line.encode("utf-8"))
+    with _replacing(path, binary=True) as fh:
+        for start in range(0, len(records), _WRITE_CHUNK):
+            text = "".join([_encode(record) + "\n"
+                            for record in records[start:start + _WRITE_CHUNK]])
+            try:
+                data = text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                index = start + text.count("\n", 0, exc.start)
+                raise ContractViolation(
+                    f"cannot write {path}: record {index} is not UTF-8 "
+                    f"text ({exc.reason})") from None
+            digest.update(data)
+            fh.write(data)
     return digest.hexdigest()
 
 
@@ -660,6 +695,9 @@ def stage_translate(config: Config, out: Path, paraphrases: list[dict],
                 jobs.append((backend, lang, "control", sentence.text,
                              {"sentence_id": sentence.id, "candidate_ref": None,
                               "category": None}))
+
+    for _, _, _, text, rec in jobs:  # refuse a bad source before any call
+        mt_mod.check_source(text, rec["sentence_id"])
 
     def run(job):
         backend, lang, kind, text, rec = job

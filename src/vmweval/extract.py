@@ -17,7 +17,7 @@ from typing import Iterable, Union
 from .corpus import Sentence
 from .errors import ContractViolation
 from .lexicon import IdiomEntry, IdiomLexicon, LightVerbSet
-from .stats import bleu4
+from .stats import BleuReference, bleu4
 
 DEFAULT_VID_THRESHOLD = 0.6
 
@@ -139,11 +139,11 @@ def match_idioms(sentence: Sentence, lexicon: IdiomLexicon,
 
     For each idiom, windows of the idiom length up to two extra tokens
     slide over the lemmas and are scored with BLEU-4 against the idiom's
-    canonical form.  Only the best window per idiom survives, and only if
-    it reaches `threshold`.  Ties prefer the shorter, then leftmost
-    window.  Idioms with too few lemmas in the sentence to reach
-    `threshold` in any window are skipped unscored (see _bleu4_bound),
-    one bound per idiom length.
+    canonical form, whose n-grams the lexicon counts once.  Only the best
+    window per idiom survives, and only if it reaches `threshold`.  Ties
+    prefer the shorter, then leftmost window.  Idioms with too few lemmas
+    in the sentence to reach `threshold` in any window are skipped unscored
+    (see _bleu4_bound), one bound per idiom length.
     """
     lemmas = sentence.lemmas()
     counts = lexicon.present_positions(lemmas)
@@ -152,10 +152,13 @@ def match_idioms(sentence: Sentence, lexicon: IdiomLexicon,
         need = _min_present(size, threshold)
         for pos in [pos for pos in positions if counts[pos] >= need]:
             canonical = lexicon.canonicals[pos]
+            reference = lexicon.references.get(pos)
+            if reference is None:
+                reference = lexicon.references[pos] = BleuReference(canonical)
             best = None
             for length in range(size, min(size + 2, len(lemmas)) + 1):
                 for start in range(0, len(lemmas) - length + 1):
-                    score = bleu4(lemmas[start:start + length], canonical)
+                    score = bleu4(lemmas[start:start + length], reference)
                     if best is None or score > best[0]:
                         best = (score, start, length)
             if best is None or best[0] < threshold:

@@ -66,6 +66,10 @@ class IdiomLexicon:
                                                     compare=False)
     by_length: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     _index: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    # position -> the idiom's stats.BleuReference, built by the matcher the
+    # first time it scores the idiom and kept for the lexicon's lifetime
+    references: dict = field(init=False, repr=False, compare=False,
+                             default_factory=dict)
 
     def __post_init__(self):
         canonicals = tuple(sorted(self.surface_forms))

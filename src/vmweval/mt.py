@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -62,14 +62,19 @@ class MTBackend(Protocol):
     def translate_text(self, text: str, target_lang: str) -> str: ...
 
 
+def check_source(text: str | None, sentence_id: str = ""):
+    """Raise unless `text` is a source that translate accepts."""
+    if not text:
+        raise ContractViolation(f"sentence {sentence_id!r}: translate requires "
+                                f"a non-empty source text, not {text!r}")
+
+
 def translate(backend: MTBackend, text: str, target_lang: str,
               sentence_id: str = "") -> TranslationRecord:
     """Request one translation; validity is left unset for a later check."""
     if target_lang not in TARGET_LANGS:
         raise ContractViolation(f"unsupported target language {target_lang!r}")
-    if not text:
-        raise ContractViolation(f"sentence {sentence_id!r}: translate requires "
-                                f"a non-empty source text, not {text!r}")
+    check_source(text, sentence_id)
     hypothesis = backend.translate_text(text, target_lang)
     return TranslationRecord(sentence_id=sentence_id, source=text,
                              target_lang=target_lang,
@@ -135,6 +140,12 @@ def _language_profiles() -> dict[str, tuple[dict[str, float], float]]:
 _GRAM_ENTRIES: dict[str, tuple[tuple[int, float], ...]] = {}
 
 
+# A broken system returns the same few outputs for many sources, so the
+# checks that read the hypothesis alone keep their last answers.
+_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def detect_language(text: str) -> tuple[str, float]:
     """Guess the language of `text` as (code, confidence).
 
@@ -192,6 +203,14 @@ def _squash_ws(text: str) -> str:
     return " ".join(text.split())
 
 
+@lru_cache(maxsize=64)
+def _repetition_pattern(min_repeats: int, max_unit: int) -> re.Pattern:
+    """A unit of 1..max_unit characters repeated min_repeats times in a row."""
+    return re.compile(r"(.{1,%d}?)\1{%d,}" % (max_unit, min_repeats - 1),
+                      re.DOTALL)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _has_repetition(text: str, min_repeats: int, max_unit: int) -> bool:
     tokens = text.split()
     run = 1
@@ -199,9 +218,7 @@ def _has_repetition(text: str, min_repeats: int, max_unit: int) -> bool:
         run = run + 1 if cur == prev else 1
         if run >= min_repeats:
             return True
-    pattern = re.compile(r"(.{1,%d}?)\1{%d,}" % (max_unit, min_repeats - 1),
-                         re.DOTALL)
-    return pattern.search(text) is not None
+    return _repetition_pattern(min_repeats, max_unit).search(text) is not None
 
 
 def classify_validity(source: str, hypothesis: str, target_lang: str,
@@ -223,9 +240,12 @@ def classify_validity(source: str, hypothesis: str, target_lang: str,
 def validate_translation(record: TranslationRecord,
                          min_repeats: int = DEFAULT_MIN_REPEATS,
                          max_unit: int = DEFAULT_MAX_UNIT) -> TranslationRecord:
-    status = classify_validity(record.source, record.hypothesis,
-                               record.target_lang, min_repeats, max_unit)
-    return replace(record, validity=status)
+    """`record` with its validity set by classify_validity."""
+    return TranslationRecord(
+        record.sentence_id, record.source, record.target_lang, record.system_id,
+        record.hypothesis, classify_validity(record.source, record.hypothesis,
+                                             record.target_lang, min_repeats,
+                                             max_unit))
 
 
 def error_pct(invalid: int, total: int) -> float:

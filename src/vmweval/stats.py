@@ -43,26 +43,47 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu4(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
+class BleuReference:
+    """A BLEU-4 reference built once for every hypothesis scored against
+    it: its length and each order's n-gram counts."""
+
+    __slots__ = ("length", "counts")
+
+    def __init__(self, tokens: Sequence[str]):
+        ref = list(tokens)
+        if not ref:
+            raise ContractViolation("bleu4 requires non-empty token sequences")
+        self.length = len(ref)
+        self.counts = tuple(dict(_ngrams(ref, n)) for n in range(1, 5))
+
+
+def bleu4(hypothesis: Sequence[str],
+          reference: Sequence[str] | BleuReference) -> float:
     """Sentence BLEU with modified n-gram precision up to order 4.
 
     Orders run 1..min(4, len(hypothesis)).  A zero precision at order
     n >= 2 is smoothed to 1/(2 * hypothesis n-gram count); a zero unigram
     precision short-circuits to 0.  The brevity penalty
     exp(1 - ref_len/hyp_len) applies only when the hypothesis is shorter.
+    `reference` is a token sequence or the BleuReference built from one.
     """
     hyp = list(hypothesis)
-    ref = list(reference)
-    if not hyp or not ref:
+    if not isinstance(reference, BleuReference):
+        reference = BleuReference(reference)
+    if not hyp:
         raise ContractViolation("bleu4 requires non-empty token sequences")
     max_order = min(4, len(hyp))
     log_sum = 0.0
     for n in range(1, max_order + 1):
-        hyp_counts = _ngrams(hyp, n)
-        ref_counts = _ngrams(ref, n)
-        total = sum(hyp_counts.values())
-        clipped = sum(min(count, ref_counts[gram])
-                      for gram, count in hyp_counts.items())
+        # a hypothesis n-gram is clipped while the reference has one left
+        left = reference.counts[n - 1].copy()
+        total = len(hyp) - n + 1
+        clipped = 0
+        for i in range(total):
+            gram = tuple(hyp[i:i + n])
+            if left.get(gram):
+                left[gram] -= 1
+                clipped += 1
         if clipped == 0:
             if n == 1:
                 return 0.0
@@ -71,8 +92,8 @@ def bleu4(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
             precision = clipped / total
         log_sum += math.log(precision)
     score = math.exp(log_sum / max_order)
-    if len(hyp) < len(ref):
-        score *= math.exp(1.0 - len(ref) / len(hyp))
+    if len(hyp) < reference.length:
+        score *= math.exp(1.0 - reference.length / len(hyp))
     return score
 
 

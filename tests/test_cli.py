@@ -841,6 +841,185 @@ def test_translate_screens_each_distinct_hypothesis_once(tmp_path, monkeypatch):
             source, hypothesis, lang).value
 
 
+def test_translate_refuses_a_bad_source_before_any_call(tmp_path, monkeypatch,
+                                                       capsys):
+    """A null original in the last paraphrase record stops translate before
+    its first MT request, with nothing written."""
+    cfg = patched_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out)]) == 0
+    records = read_jsonl_plain(out / "paraphrases.jsonl")
+    assert records[-1]["paraphrased"]
+    records[-1]["original"] = None
+    paraphrases = tmp_path / "paraphrases.jsonl"
+    paraphrases.write_text("".join(json.dumps(r) + "\n" for r in records),
+                           encoding="utf-8")
+    calls = []
+    translate_text = MockMTBackend.translate_text
+
+    def counted(self, text, target_lang):
+        calls.append(text)
+        return translate_text(self, text, target_lang)
+    monkeypatch.setattr(MockMTBackend, "translate_text", counted)
+    capsys.readouterr()
+    translations = tmp_path / "translations.jsonl"
+    assert cli.main(["translate", "--config", str(cfg),
+                     "--stage-in", str(paraphrases),
+                     "--controls-in", str(out / "controls.jsonl"),
+                     "--stage-out", str(translations)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"error: sentence {records[-1]['sentence_id']!r}: translate requires "
+        f"a non-empty source text, not None\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.yaml", "paraphrases.jsonl", "run"]
+
+
+def test_a_record_utf8_cannot_encode_leaves_the_previous_output(
+        tmp_path, monkeypatch, capsys):
+    """JSON lets a backend's body hold a lone surrogate, which UTF-8 cannot
+    encode: translate names the file and the record and exits 1, and the
+    previous translations stay as they were, with no temp file beside them."""
+    cfg = patched_config(tmp_path)
+    paths, codes = _run_chain(cfg, tmp_path, through="translate")
+    assert codes == [0, 0, 0, 0]
+    before = _tree(tmp_path)
+    monkeypatch.setattr(MockMTBackend, "translate_text",
+                        lambda self, text, target_lang: "\ud800")
+    capsys.readouterr()
+    assert cli.main(["translate", "--config", str(cfg),
+                     "--stage-in", str(paths["paraphrases"]),
+                     "--controls-in", str(paths["controls"]),
+                     "--stage-out", str(paths["translations"])]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {paths['translations']}: record 0 is not UTF-8 "
+        f"text (surrogates not allowed)\n")
+    assert _tree(tmp_path) == before
+
+
+def test_write_jsonl_names_the_record_utf8_cannot_encode(tmp_path):
+    """The index counts records across the chunks the writer encodes."""
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"previous\n")
+    records = [{"i": i, "text": "ok"} for i in range(3 * cli._WRITE_CHUNK)]
+    bad = 2 * cli._WRITE_CHUNK + 5
+    records[bad]["text"] = "a\udfffb"
+    with pytest.raises(ContractViolation,
+                       match=f"cannot write .*out.jsonl: record {bad} is not UTF-8"):
+        cli.write_jsonl(path, records)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def _write_jsonl_oracle(path, records):
+    """write_jsonl as it was: json's encode method per record, each line
+    written as text and hashed on its own."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    digest = hashlib.sha256()
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            line = encode(record) + "\n"
+            fh.write(line)
+            digest.update(line.encode("utf-8"))
+    return digest.hexdigest()
+
+
+_TEXTS = ["", "plain", "Zürich — 東京", "quote \" back \\ slash", "tab\tnew\nline",
+          "\x00\x1f\x7f\u2028\u2029", "emoji \U0001f600", "\u00e9\u0301",
+          "</script>"]
+_NUMBERS = [0, -1, 2 ** 64 + 1, -(10 ** 40), 0.0, -0.0, 0.1, 1e300, -1e-300,
+            5e-324, 1.7976931348623157e308, float("nan"), float("inf"),
+            float("-inf"), True, False]
+
+
+def _random_value(rng, depth=0):
+    kind = rng.randrange(4 if depth < 4 else 2)
+    if kind == 0:
+        return rng.choice(_TEXTS) + rng.choice(_TEXTS)
+    if kind == 1:
+        return rng.choice(_NUMBERS + [None, rng.uniform(-1e6, 1e6),
+                                      rng.randrange(-10 ** 9, 10 ** 9)])
+    if kind == 2:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return _random_record(rng, depth + 1)
+
+
+def _random_record(rng, depth=0):
+    keys = [rng.choice(_TEXTS) + str(i) for i in range(rng.randrange(5))]
+    if rng.random() < 0.1:  # keys json turns into strings
+        keys += [7, 2.5, None, False]
+    return {key: _random_value(rng, depth) for key in keys}
+
+
+@pytest.mark.parametrize("encoder", ["c", "fallback"])
+def test_write_jsonl_equals_its_oracle(tmp_path, monkeypatch, encoder):
+    """The same bytes and sha256 as the per-record encoder it replaced,
+    with json's C encoder and with the pure-Python one."""
+    rng = random.Random(23)
+    records = [{}, {"empty": [], "nested": {"e": {}}}, {"n": _NUMBERS},
+               {"t": _TEXTS, "deep": [[[[{"k": [-0.0]}]]]]}]
+    records += [_random_record(rng) for _ in range(5 * cli._WRITE_CHUNK + 3)]
+    expected = tmp_path / "expected.jsonl"
+    sha256 = _write_jsonl_oracle(expected, records)
+    if encoder == "fallback":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(cli, "_encode", cli._record_encoder())
+        assert cli._encode.__func__ is json.JSONEncoder.encode
+    else:
+        assert json.encoder.c_make_encoder is not None
+        assert getattr(cli._encode, "__func__", None) is not json.JSONEncoder.encode
+    for chunk in (cli._WRITE_CHUNK, 1, 7):
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+        got = tmp_path / f"got-{chunk}.jsonl"
+        assert cli.write_jsonl(got, records) == sha256
+        assert got.read_bytes() == expected.read_bytes()
+    assert cli.write_jsonl(tmp_path / "none.jsonl", []) == hashlib.sha256().hexdigest()
+    assert (tmp_path / "none.jsonl").read_bytes() == b""
+
+
+def test_the_record_encoder_recovers_from_a_failed_record():
+    """A record json cannot encode leaves no stale circular-reference
+    marks behind: the same containers encode once it is fixed."""
+    encode = cli._record_encoder()
+    record = {"a": [1, {"b": object()}]}
+    with pytest.raises(TypeError):
+        encode(record)
+    record["a"][1]["b"] = 2
+    assert encode(record) == '{"a": [1, {"b": 2}]}'
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        encode({"loop": loop})
+    assert encode({"a": [[], {}]}) == '{"a": [[], {}]}'
+
+
+# sha256 of each JSON Lines file run-all writes for the fixture config at
+# seed 42; the writer, the screening and the matcher may get faster, but
+# these bytes never move
+_FIXTURE_RUN_SHA256 = {
+    "candidates.jsonl":
+        "67b6c5b3cc55f3b55544e64ece664d3c19183672513e3ba587fb1f274bb1af23",
+    "classifications.jsonl":
+        "2135742b8154894567614ca1361ab30966d7b122625adf1f1fbba4553dae42e6",
+    "controls.jsonl":
+        "a6dd4b52275185395241b12bfd43642a79cd4bffe8383e614bee0e956b39cf0c",
+    "paraphrases.jsonl":
+        "1e65534a876e3014292d41fbc69573a1ca1d797d9187b91b4cb306786f0e23c4",
+    "scored.jsonl":
+        "970c4c2e95e1c80ea6b94f1b62201dd41c29d8944a373af217c17a4c470012e8",
+    "translations.jsonl":
+        "fa10661e3d2d7aee8b06bf524cb402271c87b2bd66a16a646cbfc66dee6e81c0",
+}
+
+
+def test_run_all_writes_the_pinned_stage_bytes(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(FIXTURES / "runall_config.yaml"),
+                     "--seed", "42", "--stage-out", str(out)]) == 0
+    assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*.jsonl")} == _FIXTURE_RUN_SHA256
+
+
 def _map_ordered_oracle(fn, items, max_workers, key=None):
     """_map_ordered as it was before it keyed unkeyed calls by position:
     a keyed call recursed into the unkeyed path, one future per item."""

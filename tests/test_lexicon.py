@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -10,7 +11,7 @@ from vmweval.extract import (Category, VidEvidence, VMWECandidate, _min_present,
 from vmweval.lexicon import (IdiomEntry, IdiomLexicon, LightVerbVariant,
                              default_verb_lemmas, light_verb_set,
                              load_idiom_lexicon, normalize_idiom)
-from vmweval.stats import bleu4
+from vmweval.stats import BleuReference, bleu4
 
 
 def test_normalize_idiom_basic():
@@ -293,3 +294,74 @@ def test_match_idioms_equals_the_entry_lexicon_oracle(monkeypatch, fixtures_dir,
             assert len(calls) == expected_calls, (sentence.id, threshold)
             found += len(got)
     assert found > len(lex)  # every idiom at a threshold of 0, and more
+
+
+# --- BLEU-4 against a prebuilt reference, and the per-call counting it replaced --
+
+def _bleu4_oracle(hypothesis, reference):
+    """stats.bleu4 as it was: both sides' n-grams counted on every call."""
+    hyp, ref = list(hypothesis), list(reference)
+    if not hyp or not ref:
+        raise ContractViolation("bleu4 requires non-empty token sequences")
+    max_order = min(4, len(hyp))
+    log_sum = 0.0
+    for n in range(1, max_order + 1):
+        hyp_counts = Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
+        ref_counts = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+        total = sum(hyp_counts.values())
+        clipped = sum(min(count, ref_counts[gram])
+                      for gram, count in hyp_counts.items())
+        if clipped == 0:
+            if n == 1:
+                return 0.0
+            precision = 1.0 / (2.0 * total)
+        else:
+            precision = clipped / total
+        log_sum += math.log(precision)
+    score = math.exp(log_sum / max_order)
+    if len(hyp) < len(ref):
+        score *= math.exp(1.0 - len(ref) / len(hyp))
+    return score
+
+
+@pytest.mark.parametrize("source", ["fixture", "generated"])
+def test_bleu4_against_a_reference_equals_its_oracle(monkeypatch, fixtures_dir,
+                                                     corpus25, source):
+    """Every (window, idiom) pair the matcher scores gets the oracle's float,
+    bit for bit, whether bleu4 is handed the idiom's BleuReference or its
+    tokens; and the candidates equal those the oracle picks."""
+    if source == "fixture":
+        lines = (fixtures_dir / "idioms.txt").read_text("utf-8").splitlines()
+    else:
+        lines = _generated_idioms(corpus25)
+    lex = load_idiom_lexicon(lines, default_verb_lemmas())
+    shortest = min(corpus25, key=lambda s: len(s.lemmas()))
+    # at 0 nothing is pruned, so the generated list is matched there on the
+    # shortest sentence only
+    runs = [(sentence, threshold) for threshold in (0.6, 0)
+            for sentence in (corpus25 if source == "fixture" or threshold
+                             else [shortest])]
+    scored = []
+
+    def recorded(hypothesis, reference):
+        score = bleu4(hypothesis, reference)
+        scored.append((list(hypothesis), reference, score))
+        return score
+    monkeypatch.setattr(extract_mod, "bleu4", recorded)
+    got = [[candidate_to_dict(c) for c in match_idioms(sentence, lex, threshold)]
+           for sentence, threshold in runs]
+    tokens = {id(lex.references[pos]): canonical
+              for pos, canonical in enumerate(lex.canonicals) if pos in lex.references}
+    assert len(scored) > (5000 if source == "generated" else 1000)
+    for hypothesis, reference, score in scored:
+        assert isinstance(reference, BleuReference)
+        canonical = tokens[id(reference)]
+        expected = _bleu4_oracle(hypothesis, canonical)
+        assert score.hex() == expected.hex(), (hypothesis, canonical)
+        assert bleu4(hypothesis, canonical).hex() == expected.hex()
+
+    monkeypatch.setattr(extract_mod, "bleu4", lambda hypothesis, reference:
+                        _bleu4_oracle(hypothesis, tokens[id(reference)]))
+    assert got == [[candidate_to_dict(c) for c in match_idioms(sentence, lex, threshold)]
+                   for sentence, threshold in runs]
+    assert any(got)

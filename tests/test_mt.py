@@ -1,11 +1,15 @@
+import dataclasses
 import importlib.util
+import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from vmweval import cli
 from vmweval import mt as mt_mod
 from vmweval.corpus import load_corpus
 from vmweval.errors import BackendContractError, ContractViolation
@@ -249,6 +253,89 @@ def test_validate_translation_sets_status():
     checked = validate_translation(record)
     assert checked.validity is ValidityStatus.OK
     assert checked.source == record.source
+
+
+def _has_repetition_oracle(text, min_repeats, max_unit):
+    """_has_repetition as it was: no memo, its pattern compiled per call."""
+    tokens = text.split()
+    run = 1
+    for prev, cur in zip(tokens, tokens[1:]):
+        run = run + 1 if cur == prev else 1
+        if run >= min_repeats:
+            return True
+    pattern = re.compile(r"(.{1,%d}?)\1{%d,}" % (max_unit, min_repeats - 1),
+                         re.DOTALL)
+    return pattern.search(text) is not None
+
+
+def _validate_translation_oracle(record, min_repeats, max_unit):
+    """validate_translation as it was: every check run for every record,
+    and the status set through dataclasses.replace."""
+    hypothesis = record.hypothesis
+    if not hypothesis.strip():
+        status = ValidityStatus.EMPTY
+    elif " ".join(hypothesis.split()) == " ".join(record.source.split()):
+        status = ValidityStatus.UNTRANSLATED
+    elif _has_repetition_oracle(hypothesis, min_repeats, max_unit):
+        status = ValidityStatus.REPETITIVE
+    elif _detect_language_oracle(hypothesis)[0] != record.target_lang:
+        status = ValidityStatus.WRONG_LANGUAGE
+    else:
+        status = ValidityStatus.OK
+    return dataclasses.replace(record, validity=status)
+
+
+def _screened_triples(tmp_path):
+    """(source, hypothesis, language) of every translation of the fixture
+    run, of each mock failure mode on the fixture corpus in every language,
+    and of criterion 7's cases."""
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config",
+                     str(Path(__file__).parent / "fixtures" / "runall_config.yaml"),
+                     "--seed", "42", "--stage-out", str(out)]) == 0
+    with open(out / "translations.jsonl", encoding="utf-8") as fh:
+        triples = [(r["source"], r["hypothesis"], r["target_lang"])
+                   for r in map(json.loads, fh)]
+    corpus = load_corpus((Path(__file__).parent / "fixtures" / "corpus_25.conllu")
+                         .read_text("utf-8"), "conllu")
+    systems = [MockMTBackend("ok")] + [
+        MockMTBackend(failure, break_rules=[{"target_lang": "*", "failure": failure}])
+        for failure in mt_mod.BREAK_FAILURES]
+    triples += [(sentence.text, system.translate_text(sentence.text, lang), lang)
+                for sentence in corpus for lang in TARGET_LANGS for system in systems]
+    source = "He spilled the beans."
+    triples += [(source, source, "de"), (source, "この、" * 20, "ja"),
+                (source, DETECT_FIXTURES["es"], "tr"),
+                ("src", "abcabcabcabcabcabcabcabc", "de"), ("src", "abcdefg" * 20, "de"),
+                ("src", " ".join(["ha"] * DEFAULT_MIN_REPEATS), "de")]
+    triples += [(source, text, lang) for text in DETECT_FIXTURES.values()
+                for lang in TARGET_LANGS]
+    return triples
+
+
+def test_screening_equals_its_oracle(tmp_path):
+    """The memoized checks give every record what the unmemoized ones gave,
+    with empty memos and with full ones."""
+    triples = _screened_triples(tmp_path)
+    assert len(set(triples)) < len(triples)  # hypotheses repeat
+    mt_mod.detect_language.cache_clear()
+    mt_mod._has_repetition.cache_clear()
+    statuses = set()
+    for _ in range(2):
+        for min_repeats, max_unit in [(DEFAULT_MIN_REPEATS, DEFAULT_MAX_UNIT),
+                                      (2, 1), (3, 3), (4, 10)]:
+            for source, hypothesis, lang in triples:
+                record = TranslationRecord("s", source, lang, "sys", hypothesis)
+                expected = _validate_translation_oracle(record, min_repeats, max_unit)
+                assert validate_translation(record, min_repeats, max_unit) == expected
+                assert mt_mod._has_repetition(hypothesis, min_repeats, max_unit) is \
+                    _has_repetition_oracle(hypothesis, min_repeats, max_unit)
+                statuses.add(expected.validity)
+        for _, hypothesis, _ in triples:
+            assert detect_language(hypothesis) == _detect_language_oracle(hypothesis)
+    assert statuses == set(ValidityStatus)
+    assert mt_mod.detect_language.cache_info().hits > 0
+    assert mt_mod._has_repetition.cache_info().hits > 0
 
 
 def test_translation_record_contracts():

@@ -5,9 +5,9 @@ from statistics import fmean, pstdev
 import pytest
 
 from vmweval.errors import ContractViolation
-from vmweval.stats import (ConfusionMatrix, DAAnnotation, Orientation, bleu4,
-                           confusion_metrics, delta_improvement, round_half_up,
-                           znormalize)
+from vmweval.stats import (BleuReference, ConfusionMatrix, DAAnnotation,
+                           Orientation, bleu4, confusion_metrics,
+                           delta_improvement, round_half_up, znormalize)
 
 
 def oracle_bleu(hyp, ref):
@@ -69,6 +69,10 @@ def test_bleu_empty_rejected():
         bleu4([], ["a"])
     with pytest.raises(ContractViolation):
         bleu4(["a"], [])
+    with pytest.raises(ContractViolation):
+        bleu4([], BleuReference(["a"]))
+    with pytest.raises(ContractViolation):
+        BleuReference([])
 
 
 def test_bleu_matches_oracle_on_random_pairs():
