@@ -140,12 +140,17 @@ def _required(value, key: str):
 
 
 def _number(value, key: str, kind, minimum):
+    """`value` as a `kind`: no bool, no NaN, and an int with no fraction."""
     try:
-        number = kind(value)
-    except (TypeError, ValueError):
+        number = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    # NaN is the one number unequal to itself; 2.5 is not the int 2
+    if number is None or number != number or (isinstance(value, float)
+                                              and number != value):
         raise ContractViolation(
             f"config {key} must be {'an integer' if kind is int else 'a number'}, "
-            f"not {value!r}") from None
+            f"not {value!r}")
     if minimum is not None and number < minimum:
         raise ContractViolation(
             f"config {key} must be at least {minimum}, not {value!r}")
@@ -373,19 +378,27 @@ def read_jsonl(path: Path, kind: str) -> tuple[list[dict], str]:
     return [record for _, record in numbered], sha256
 
 
+def _cannot_write(path: Path, exc: OSError) -> ContractViolation:
+    return ContractViolation(f"cannot write {path}: {exc.strerror or exc}")
+
+
 @contextmanager
-def _replacing(path: Path, binary: bool = False):
-    """A file to write, UTF-8 text unless `binary`, that replaces `path` only
-    once the block completes; a failure leaves `path` as it was and no temp
-    file behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _replacing(path: Path):
+    """A binary file to write that replaces `path` only once the block
+    completes; a failure leaves `path` as it was and no temp file behind."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path.parent, exc) from None
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _cannot_write(path, exc) from None
         raise
 
 
@@ -422,7 +435,7 @@ def write_jsonl(path: Path, records: list[dict]) -> str:
     the bytes written.  A record that UTF-8 cannot encode, such as one with
     a lone surrogate, is refused and `path` left as it was."""
     digest = hashlib.sha256()
-    with _replacing(path, binary=True) as fh:
+    with _replacing(path) as fh:
         for start in range(0, len(records), _WRITE_CHUNK):
             text = "".join([_encode(record) + "\n"
                             for record in records[start:start + _WRITE_CHUNK]])
@@ -470,9 +483,10 @@ def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, str]
     manifest = {"schema_version": SCHEMA_VERSION, "stage": stage, "seed": config.seed,
                 "inputs": inputs, "config": config.raw, "counts": counts,
                 "output_sha256": output_sha256}
-    text = json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
+    data = (json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
+            + "\n").encode("utf-8")
     with _replacing(_manifest_path(out)) as fh:
-        fh.write(text + "\n")
+        fh.write(data)
 
 
 def _finish(config: Config, stage: str, out: Path, records: list[dict],
@@ -613,17 +627,20 @@ def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
             clean, config.control_n, config.seed)
         control_counts = {"controls": len(controls),
                           "controls_shortfall": shortfall}
+        counts.update(control_counts)
+        if shortfall:
+            print(f"warning: only {len(controls)} of {config.control_n} requested "
+                  f"control sentences qualify", file=sys.stderr)
+    # the candidates first, so an --stage-out that cannot be written fails
+    # the stage before it writes anything
+    finished = _finish(config, "extract", out, records, inputs, counts)
+    if controls is not None:
         _, _, controls_sha256 = _finish(
             config, "extract",
             controls_out or out.with_name(out.stem + ".controls.jsonl"),
             [corpus_mod.sentence_to_dict(s) for s in controls], inputs,
             control_counts)
-        counts.update(control_counts)
-        if shortfall:
-            print(f"warning: only {len(controls)} of {config.control_n} requested "
-                  f"control sentences qualify", file=sys.stderr)
-    return (*_finish(config, "extract", out, records, inputs, counts),
-            controls, controls_sha256)
+    return (*finished, controls, controls_sha256)
 
 
 def stage_classify(config: Config, out: Path, candidates: list[dict], sha256: str):
@@ -822,16 +839,21 @@ def stage_report(config: Config, out: Path, scored: list[dict], sha256: str,
         tables["classifier_table"] = report_mod.classifier_table(gold, classifications)
         inputs["classifications"] = classifications_sha256
 
-    out.mkdir(parents=True, exist_ok=True)
-    counts, output_sha256 = {}, {}
-    for name, rows in sorted(tables.items()):
+    # every table rendered and encoded before the first file is replaced
+    files = {f"{name}.{fmt}": report_mod.emit(
+        rows, fmt, report_mod.TABLE_KINDS[name]).encode("utf-8")
+        for name, rows in sorted(tables.items()) for fmt in ("csv", "json")}
+    for file_name, data in files.items():
+        with _replacing(out / file_name) as fh:
+            fh.write(data)
+    # a table this run did not build is an earlier run's
+    for name in report_mod.TABLE_KINDS.keys() - tables.keys():
         for fmt in ("csv", "json"):
-            text = report_mod.emit(rows, fmt, report_mod.TABLE_KINDS[name])
-            with _replacing(out / f"{name}.{fmt}") as fh:
-                fh.write(text)
-            output_sha256[f"{name}.{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
-        counts[name] = len(rows)
-    write_manifest(out, "report", config, inputs, counts, output_sha256)
+            (out / f"{name}.{fmt}").unlink(missing_ok=True)
+    write_manifest(out, "report", config, inputs,
+                   {name: len(rows) for name, rows in tables.items()},
+                   {name: hashlib.sha256(data).hexdigest()
+                    for name, data in files.items()})
     return 0, tables
 
 

@@ -1,8 +1,11 @@
 """Aggregation tables and their CSV/JSON rendering.
 
-All rendering is deterministic: fixed column orders, fixed row sorts,
-half-up decimal rounding (1 decimal for percents, 2 for QE values), so
-emitted reports can be compared byte for byte.
+Each table builder returns the rows its JSON holds: dicts with the JSON
+keys in JSON order and unrounded floats.  `emit` rounds each float column
+half up, in one place, to the decimals its entry in _COLUMNS gives (1 for
+percents, 2 for QE values), then renders the JSON or the CSV from the
+rounded rows.  Column orders and row sorts are fixed, so emitted reports
+can be compared byte for byte.
 """
 from __future__ import annotations
 
@@ -10,7 +13,6 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable, Mapping, Sequence
 
@@ -19,9 +21,8 @@ from .extract import Category
 from .llm import ClassificationResult
 from .mt import error_pct
 from .qe import DeltaReport, delta_from_dict
-from .stats import (ConfusionMatrix, ConfusionReport, DAAnnotation,
-                    Orientation, ZScore, confusion_metrics, round_half_up,
-                    znormalize)
+from .stats import (ClassMetrics, ConfusionMatrix, DAAnnotation, Orientation,
+                    ZScore, confusion_metrics, round_half_up, znormalize)
 
 log = logging.getLogger(__name__)
 
@@ -40,37 +41,6 @@ TABLE_KINDS = {"gap_table": "gap", "delta_table": "delta", "ranking": "ranking",
                "classifier_table": "classifier"}
 
 
-@dataclass(frozen=True)
-class GapCell:
-    category: str
-    system_id: str
-    target_lang: str
-    metric_id: str
-    gap: float
-    n_vmwe: int
-    n_control: int
-
-    def __post_init__(self):
-        if self.n_vmwe < 1 or self.n_control < 1:
-            raise ContractViolation("gap cell needs scores on both sides")
-
-
-@dataclass(frozen=True)
-class RankedSystem:
-    rank: int
-    system_id: str
-    mean_score: float
-    included_pairs: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Ranking:
-    metric_id: str
-    category: str
-    orientation: Orientation
-    entries: tuple[RankedSystem, ...]
-
-
 def _category_key(name: str):
     order = [c.value for c in Category]
     return (order.index(name), name) if name in order else (len(order), name)
@@ -78,9 +48,10 @@ def _category_key(name: str):
 
 def gap_table(vmwe_scores: Mapping[CellKey, Sequence[float]],
               control_scores: Mapping[CellKey, Sequence[float]],
-              orientation: Orientation, metric_id: str) -> list[GapCell]:
-    """Mean score gap per cell, oriented so positive = VMWE side worse."""
-    cells = []
+              orientation: Orientation, metric_id: str) -> list[dict]:
+    """Mean score gap per cell, oriented so positive = VMWE side worse; a
+    cell without scores on both sides is skipped."""
+    rows = []
     for key in sorted(set(vmwe_scores) | set(control_scores),
                       key=lambda k: (_category_key(k[0]), k[1], k[2])):
         if key not in vmwe_scores or key not in control_scores:
@@ -95,14 +66,14 @@ def gap_table(vmwe_scores: Mapping[CellKey, Sequence[float]],
             gap = fmean(vmwe) - fmean(control)
         else:  # not the negation, which turns a tie into -0.0
             gap = fmean(control) - fmean(vmwe)
-        cells.append(GapCell(category=key[0], system_id=key[1], target_lang=key[2],
-                             metric_id=metric_id, gap=gap,
-                             n_vmwe=len(vmwe), n_control=len(control)))
-    return cells
+        rows.append({"category": key[0], "system_id": key[1], "target_lang": key[2],
+                     "metric_id": metric_id, "gap": gap, "n_vmwe": len(vmwe),
+                     "n_control": len(control)})
+    return rows
 
 
 def z_gap_table(zscores: Sequence[ZScore], vmwe_ids: Iterable[str],
-                control_ids: Iterable[str]) -> list[GapCell]:
+                control_ids: Iterable[str]) -> list[dict]:
     """Human-score gap per system over standardized judgments, in cells
     ("all", system, "all") of metric "da_z".
 
@@ -126,7 +97,7 @@ def z_gap_table(zscores: Sequence[ZScore], vmwe_ids: Iterable[str],
 
 
 def da_gap_table(records: Iterable[Mapping], vmwe_ids: Iterable[str],
-                 control_ids: Iterable[str]) -> list[GapCell]:
+                 control_ids: Iterable[str]) -> list[dict]:
     """The z-gap table from DA-annotation records (system_id, sentence_id,
     annotator_id, raw_score), standardized per annotator."""
     annotations = [DAAnnotation(
@@ -139,8 +110,9 @@ def da_gap_table(records: Iterable[Mapping], vmwe_ids: Iterable[str],
 def rank_systems(cell_means: Mapping[tuple[str, str], float],
                  orientation: Orientation, metric_id: str,
                  category: str = "all",
-                 exclusions: Iterable[tuple[str, str]] = ()) -> Ranking:
-    """Order systems by their mean score over non-excluded language pairs."""
+                 exclusions: Iterable[tuple[str, str]] = ()) -> list[dict]:
+    """Order systems by their mean score over non-excluded language pairs,
+    one row per ranked system."""
     excluded = set(exclusions)
     by_system: dict[str, dict[str, float]] = {}
     for (system_id, lang), value in cell_means.items():
@@ -151,31 +123,26 @@ def rank_systems(cell_means: Mapping[tuple[str, str], float],
     for system_id in sorted(dropped):
         log.warning("system %s has no included pairs, dropped from ranking",
                     system_id)
-    scored = [(fmean(langs.values()), system_id, tuple(sorted(langs)))
+    scored = [(fmean(langs.values()), system_id, sorted(langs))
               for system_id, langs in by_system.items()]
     scored.sort(key=lambda item: (item[0] if orientation.lower_is_better
                                   else -item[0], item[1]))
-    entries = tuple(
-        RankedSystem(rank=i, system_id=system_id, mean_score=mean,
-                     included_pairs=langs)
-        for i, (mean, system_id, langs) in enumerate(scored, start=1))
-    return Ranking(metric_id=metric_id, category=category,
-                   orientation=orientation, entries=entries)
+    return [{"metric_id": metric_id, "category": category, "rank": rank,
+             "system_id": system_id, "mean_score": mean, "included_pairs": langs}
+            for rank, (mean, system_id, langs) in enumerate(scored, start=1)]
 
 
-@dataclass(frozen=True)
-class ClassifierCell:
-    category: str
-    matrix: ConfusionMatrix
-    metrics: ConfusionReport
-    n_undecided: int
+def _percents(metrics: ClassMetrics) -> dict:
+    return {"precision": metrics.precision * 100.0,
+            "recall": metrics.recall * 100.0, "f1": metrics.f1 * 100.0}
 
 
 def classifier_report(gold: Mapping[str, bool],
                       predictions: Iterable[ClassificationResult],
                       undecided: Iterable[tuple[str, Category]] = (),
-                      ) -> list[ClassifierCell]:
-    """Join predictions to gold labels and score them per category."""
+                      ) -> list[dict]:
+    """Join predictions to gold labels and score them per category, in
+    percents."""
     counts: dict[str, dict[str, int]] = {}
     for pred in predictions:
         if pred.candidate_ref not in gold:
@@ -197,22 +164,26 @@ def classifier_report(gold: Mapping[str, bool],
         if ref not in gold:
             raise ContractViolation(f"undecided candidate {ref} has no gold label")
         n_undecided[category.value] = n_undecided.get(category.value, 0) + 1
-    cells = []
+    rows = []
     for name in sorted(set(counts) | set(n_undecided), key=_category_key):
         if name not in counts:
             log.warning("category %s has only undecided predictions, skipping",
                         name)
             continue
         matrix = ConfusionMatrix(**counts[name])
-        cells.append(ClassifierCell(category=name, matrix=matrix,
-                                    metrics=confusion_metrics(matrix),
-                                    n_undecided=n_undecided.get(name, 0)))
-    return cells
+        metrics = confusion_metrics(matrix)
+        rows.append({"category": name, "n": matrix.total,
+                     "undecided": n_undecided.get(name, 0), "matrix": counts[name],
+                     "accuracy": metrics.accuracy * 100.0,
+                     "macro_f1": metrics.macro_f1 * 100.0,
+                     "positive": _percents(metrics.positive),
+                     "negative": _percents(metrics.negative)})
+    return rows
 
 
 def classifier_table(gold_records: Iterable[Mapping],
                      classification_records: Iterable[Mapping],
-                     ) -> list[ClassifierCell]:
+                     ) -> list[dict]:
     """The classifier table from gold-label records (candidate_ref, label)
     and classify-stage records; a record without a verdict is undecided."""
     gold = {r["candidate_ref"]: bool(r["label"]) for r in gold_records}
@@ -230,19 +201,7 @@ def classifier_table(gold_records: Iterable[Mapping],
     return classifier_report(gold, predictions, undecided)
 
 
-@dataclass(frozen=True)
-class DeltaRow:
-    category: str
-    system_id: str
-    target_lang: str
-    metric_id: str
-    n: int
-    mean_ori: float
-    mean_delta_mix: float
-    mean_delta_para: float
-
-
-def delta_table(reports: Sequence[DeltaReport]) -> list[DeltaRow]:
+def delta_table(reports: Sequence[DeltaReport]) -> list[dict]:
     """Aggregate per-sentence deltas into table rows."""
     groups: dict[tuple, list[DeltaReport]] = {}
     for rep in reports:
@@ -252,43 +211,30 @@ def delta_table(reports: Sequence[DeltaReport]) -> list[DeltaRow]:
     rows = []
     for key in sorted(groups, key=lambda k: (_category_key(k[0]), k[1:])):
         batch = groups[key]
-        rows.append(DeltaRow(
-            category=key[0], system_id=key[1], target_lang=key[2],
-            metric_id=key[3], n=len(batch),
-            mean_ori=fmean(r.qe_ori.value for r in batch),
-            mean_delta_mix=fmean(r.delta_mix for r in batch),
-            mean_delta_para=fmean(r.delta_para for r in batch)))
+        rows.append({"category": key[0], "system_id": key[1], "target_lang": key[2],
+                     "metric_id": key[3], "n": len(batch),
+                     "ori": fmean(r.qe_ori.value for r in batch),
+                     "delta_mix": fmean(r.delta_mix for r in batch),
+                     "delta_para": fmean(r.delta_para for r in batch)})
     return rows
-
-
-@dataclass(frozen=True)
-class ErrorRateRow:
-    system_id: str
-    target_lang: str
-    n_total: int
-    n_invalid: int
-    rate: float
-    flagged: bool
-    excluded: bool
 
 
 def error_rate_rows(counts: Mapping[tuple[str, str], tuple[int, int]],
                     flag_pct: float = DEFAULT_FLAG_PCT,
-                    exclude_pct: float = DEFAULT_EXCLUDE_PCT) -> list[ErrorRateRow]:
+                    exclude_pct: float = DEFAULT_EXCLUDE_PCT) -> list[dict]:
     """Turn (invalid, total) counts per (system, lang) into judged rows."""
     rows = []
     for (system_id, lang) in sorted(counts):
         invalid, total = counts[(system_id, lang)]
         rate = error_pct(invalid, total)
-        rows.append(ErrorRateRow(system_id=system_id, target_lang=lang,
-                                 n_total=total, n_invalid=invalid, rate=rate,
-                                 flagged=rate > flag_pct,
-                                 excluded=rate > exclude_pct))
+        rows.append({"system_id": system_id, "target_lang": lang, "n_total": total,
+                     "n_invalid": invalid, "error_rate": rate,
+                     "flagged": rate > flag_pct, "excluded": rate > exclude_pct})
     return rows
 
 
 def build_tables(scored: Sequence[dict], flag_pct: float,
-                 exclude_pct: float) -> dict[str, object]:
+                 exclude_pct: float) -> dict[str, list[dict]]:
     """Aggregate the score stage's records into report tables.
 
     Returns "error_rates" always; "gap_table" and "ranking" when there are
@@ -304,8 +250,9 @@ def build_tables(scored: Sequence[dict], flag_pct: float,
             tally[1] += 1
     error_rows = error_rate_rows({pair: tuple(t) for pair, t in tallies.items()},
                                  flag_pct, exclude_pct)
-    exclusions = [(r.system_id, r.target_lang) for r in error_rows if r.excluded]
-    tables: dict[str, object] = {"error_rates": error_rows}
+    exclusions = [(r["system_id"], r["target_lang"]) for r in error_rows
+                  if r["excluded"]]
+    tables = {"error_rates": error_rows}
 
     ori_records = [r for r in scored if r["type"] == "qe" and r["kind"] == "ori"]
     if ori_records:
@@ -324,15 +271,14 @@ def build_tables(scored: Sequence[dict], flag_pct: float,
                           if key[1:] in control_pool}
         tables["gap_table"] = gap_table(vmwe_scores, control_scores,
                                         orientation, metric_id)
-        rankings = []
+        tables["ranking"] = []
         for category in sorted({k[0] for k in vmwe_scores}, key=_category_key):
             cell_means = {(system_id, lang): fmean(values)
                           for (cat, system_id, lang), values in vmwe_scores.items()
                           if cat == category}
-            rankings.append(rank_systems(cell_means, orientation, metric_id,
-                                         category=category,
-                                         exclusions=exclusions))
-        tables["ranking"] = rankings
+            tables["ranking"] += rank_systems(cell_means, orientation, metric_id,
+                                              category=category,
+                                              exclusions=exclusions)
 
     deltas = [delta_from_dict(r) for r in scored if r["type"] == "delta"]
     if deltas:
@@ -342,50 +288,11 @@ def build_tables(scored: Sequence[dict], flag_pct: float,
 
 # --- rendering ---------------------------------------------------------------
 
-def _json_rows(rows: list, table: str) -> list[dict]:
-    """A table's rows as the objects its JSON holds, each float rounded
-    once, half up: to 1 decimal for percents, to 2 for the rest."""
-    if table == "gap":
-        return [{"category": c.category, "system_id": c.system_id,
-                 "target_lang": c.target_lang, "metric_id": c.metric_id,
-                 "gap": round_half_up(c.gap, 2), "n_vmwe": c.n_vmwe,
-                 "n_control": c.n_control} for c in rows]
-    if table == "delta":
-        return [{"category": r.category, "system_id": r.system_id,
-                 "target_lang": r.target_lang, "metric_id": r.metric_id, "n": r.n,
-                 "ori": round_half_up(r.mean_ori, 2),
-                 "delta_mix": round_half_up(r.mean_delta_mix, 2),
-                 "delta_para": round_half_up(r.mean_delta_para, 2)} for r in rows]
-    if table == "ranking":
-        return [{"metric_id": ranking.metric_id, "category": ranking.category,
-                 "rank": e.rank, "system_id": e.system_id,
-                 "mean_score": round_half_up(e.mean_score, 2),
-                 "included_pairs": list(e.included_pairs)}
-                for ranking in rows for e in ranking.entries]
-    if table == "error_rate":
-        return [{"system_id": r.system_id, "target_lang": r.target_lang,
-                 "n_total": r.n_total, "n_invalid": r.n_invalid,
-                 "error_rate": round_half_up(r.rate, 2), "flagged": r.flagged,
-                 "excluded": r.excluded} for r in rows]
-
-    def pct(fraction: float) -> float:
-        return round_half_up(fraction * 100.0, 1)
-
-    def sides(report) -> dict:
-        return {"precision": pct(report.precision), "recall": pct(report.recall),
-                "f1": pct(report.f1)}
-    return [{"category": c.category, "n": c.matrix.total, "undecided": c.n_undecided,
-             "matrix": {"tp": c.matrix.tp, "fn": c.matrix.fn, "fp": c.matrix.fp,
-                        "tn": c.matrix.tn},
-             "accuracy": pct(c.metrics.accuracy), "macro_f1": pct(c.metrics.macro_f1),
-             "positive": sides(c.metrics.positive),
-             "negative": sides(c.metrics.negative)} for c in rows]
-
-
-# Table kind -> its CSV columns.  A name is both the header and the JSON
-# row's key; a float column is (header, key or dotted path in the JSON row,
-# decimals, whether a non-negative value carries a "+").
-_CSV_COLUMNS = {
+# Table kind -> its CSV columns, and the decimals and sign of each float in
+# its JSON rows.  A name is both the CSV header and the JSON row's key; a
+# float column is (header, key or dotted path in the JSON row, decimals,
+# whether a non-negative value carries a "+" in the CSV).
+_COLUMNS = {
     "gap": ["category", "system_id", "target_lang", "metric_id",
             ("gap", "gap", 2, True), "n_vmwe", "n_control"],
     "delta": ["category", "system_id", "target_lang", "metric_id", "n",
@@ -403,12 +310,27 @@ _CSV_COLUMNS = {
 }
 
 
+def _cell(row: dict, path: str) -> tuple[dict, str]:
+    """The mapping in `row` that holds the value at `path`, and its key."""
+    outer, _, key = path.rpartition(".")
+    return (row[outer] if outer else row), key
+
+
+def _rounded(row: dict, floats: list[tuple]) -> dict:
+    """A copy of `row` with each float column rounded half up to its
+    decimals."""
+    row = {key: dict(value) if isinstance(value, dict) else value
+           for key, value in row.items()}
+    for _, path, digits, _ in floats:
+        cell, key = _cell(row, path)
+        cell[key] = round_half_up(cell[key], digits)
+    return row
+
+
 def _csv_cell(row: dict, path: str, digits: int = 0, signed: bool = False):
-    """The CSV text of the value at `path` in a JSON row; a float is already
-    rounded to `digits`."""
-    value = row
-    for key in path.split("."):
-        value = value[key]
+    """The CSV text of the value at `path` in a rounded row."""
+    cell, key = _cell(row, path)
+    value = cell[key]
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
@@ -419,21 +341,23 @@ def _csv_cell(row: dict, path: str, digits: int = 0, signed: bool = False):
     return "+" + text if signed and not text.startswith("-") else text
 
 
-def emit(rows: list, fmt: str, table: str) -> str:
+def emit(rows: list[dict], fmt: str, table: str) -> str:
     """Render a table's rows as csv or json text; `table` is its kind, one
-    of the values of TABLE_KINDS.  The CSV is formatted from the JSON rows."""
+    of the values of TABLE_KINDS.  Both are rendered from the same rounded
+    rows."""
     if fmt not in ("csv", "json"):
         raise ContractViolation(f"unknown report format {fmt!r}")
-    if table not in _CSV_COLUMNS:
+    if table not in _COLUMNS:
         raise ContractViolation(f"cannot emit table {table!r}")
-    json_rows = _json_rows(rows, table)
+    columns = [c if isinstance(c, tuple) else (c, c) for c in _COLUMNS[table]]
+    floats = [c for c in columns if len(c) > 2]
+    rounded = [_rounded(row, floats) for row in rows]
     if fmt == "json":
         return json.dumps({"schema_version": SCHEMA_VERSION, "table": table,
-                           "rows": json_rows}, ensure_ascii=False, indent=2) + "\n"
-    columns = [c if isinstance(c, tuple) else (c, c) for c in _CSV_COLUMNS[table]]
+                           "rows": rounded}, ensure_ascii=False, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([header for header, *_ in columns])
     writer.writerows([_csv_cell(row, *spec) for _, *spec in columns]
-                     for row in json_rows)
+                     for row in rounded)
     return buf.getvalue()

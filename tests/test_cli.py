@@ -80,6 +80,11 @@ def test_config_lookup_helpers(tmp_path):
     assert config.da_file is None and config.gold_file is None
     with pytest.raises(ContractViolation, match="pipeline.llm"):
         config.role("llm")
+    # a whole number is an integer in any of its spellings
+    cfg_path.write_text('seed: "7"\ncontrol_sample:\n  n: 3.0\nvid_threshold: 1\n')
+    config = cli.load_config(cfg_path)
+    assert (config.seed, config.control_n, config.vid_threshold) == (7, 3, 1.0)
+    assert (type(config.seed), type(config.control_n)) == (int, int)
 
 
 def _flow_config(tmp_path):
@@ -1018,6 +1023,10 @@ def test_run_all_writes_the_pinned_stage_bytes(tmp_path):
                      "--seed", "42", "--stage-out", str(out)]) == 0
     assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.rglob("*.jsonl")} == _FIXTURE_RUN_SHA256
+    # each table's count is its row count: ranking has a row per ranked system
+    assert read_manifest(out / "report")["counts"] == {
+        "classifier_table": 3, "delta_table": 9, "error_rates": 4, "gap_table": 9,
+        "ranking": 6, "z_gap_table": 2}
 
 
 def _map_ordered_oracle(fn, items, max_workers, key=None):
@@ -1374,6 +1383,19 @@ _BAD_NUMBERS = [
      "rank-exclude-pct-null"),
     (["seed"], "x", "extract", "config seed must be an integer, not 'x'",
      "seed-not-int"),
+    # a fraction is not an integer, and a bool or NaN is not a number
+    (["control_sample", "n"], 2.5, "extract",
+     "config control_sample.n must be an integer, not 2.5", "control-n-fraction"),
+    (["seed"], 1.9, "extract", "config seed must be an integer, not 1.9",
+     "seed-fraction"),
+    (["concurrency"], True, "classify",
+     "config concurrency must be an integer, not True", "concurrency-bool"),
+    (["exclusion", "flag_pct"], False, "report",
+     "config exclusion.flag_pct must be a number, not False", "flag-pct-bool"),
+    (["vid_threshold"], float("nan"), "extract",
+     "config vid_threshold must be a number, not nan", "vid-threshold-nan"),
+    (["vid_threshold"], "nan", "extract",
+     "config vid_threshold must be a number, not 'nan'", "vid-threshold-nan-text"),
 ]
 
 # (keys, malformed value, a command, message, id) of a list the stages
@@ -2029,6 +2051,71 @@ def test_a_stage_refuses_an_input_that_is_not_what_was_written(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists() and not cli._manifest_path(out).exists()
+
+
+def test_a_rerun_leaves_no_table_of_an_earlier_run(tmp_path):
+    """Without DA annotations and gold labels a rerun writes no z-gap or
+    classifier table, and removes those an earlier run wrote: its tree is
+    a fresh run's."""
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert cli.main(["run-all", "--config", str(patched_config(tmp_path)),
+                     "--stage-out", str(reused)]) == 0
+    assert (reused / "report" / "z_gap_table.json").is_file()
+    assert (reused / "report" / "classifier_table.csv").is_file()
+
+    def drop_report_inputs(raw):
+        del raw["da"], raw["classifier_eval"]
+    cfg = patched_config(tmp_path, drop_report_inputs)
+    for out in (reused, fresh):
+        assert cli.main(["run-all", "--config", str(cfg),
+                         "--stage-out", str(out)]) == 0
+    assert _tree(reused) == _tree(fresh)
+    assert sorted(read_manifest(reused / "report")["output_sha256"]) == sorted(
+        p.name for p in (reused / "report").iterdir() if p.name != "manifest.json")
+
+
+# Each returns the command, its --stage-out and the path its error names.
+
+def _stage_out_a_directory(tmp_path):
+    (tmp_path / "out").mkdir()
+    return ["extract"], tmp_path / "out", tmp_path / "out"
+
+
+def _stage_out_a_file(tmp_path):
+    scored = tmp_path / "scored.jsonl"
+    scored.write_text("", encoding="utf-8")
+    out = tmp_path / "report"
+    out.write_text("not a directory", encoding="utf-8")
+    return ["report", "--stage-in", str(scored)], out, out
+
+
+def _stage_out_under_a_file(command):
+    def make_case(tmp_path):
+        (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+        # extract's output is a file in that file; run-all's a directory
+        return [command], out, out.parent if command == "extract" else out
+    return make_case
+
+
+@pytest.mark.parametrize("make_case", [
+    _stage_out_a_directory, _stage_out_a_file, _stage_out_under_a_file("extract"),
+    _stage_out_under_a_file("run-all")],
+    ids=["extract-into-a-directory", "report-onto-a-file",
+         "extract-under-a-file", "run-all-under-a-file"])
+def test_an_unwritable_stage_out_exits_1_without_traceback(tmp_path, make_case):
+    cfg = patched_config(tmp_path)
+    command, out, named = make_case(tmp_path)
+    before = _tree(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "vmweval.cli", *command, "--config", str(cfg),
+         "--stage-out", str(out)], env=env, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith(f"error: cannot write {named}: ")
+    assert "Traceback" not in done.stderr
+    assert _tree(tmp_path) == before
 
 
 def test_run_all_translates_only_the_controls_it_sampled(tmp_path):

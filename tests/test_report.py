@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import random
+from dataclasses import dataclass
 from statistics import fmean
 
 import pytest
@@ -10,14 +11,14 @@ import pytest
 from vmweval.errors import ContractViolation
 from vmweval.extract import Category
 from vmweval.llm import ClassificationResult
-from vmweval.qe import DeltaReport, Orientation, QEScore
-from vmweval.report import (ClassifierCell, DeltaRow, ErrorRateRow, GapCell,
-                            RankedSystem, Ranking, build_tables,
-                            classifier_report, classifier_table, da_gap_table,
-                            delta_table, emit, error_rate_rows, gap_table,
-                            rank_systems, z_gap_table)
+from vmweval.mt import error_pct
+from vmweval.qe import DeltaReport, Orientation, QEScore, delta_from_dict
+from vmweval.report import (TABLE_KINDS, build_tables, classifier_report,
+                            classifier_table, da_gap_table, delta_table, emit,
+                            error_rate_rows, gap_table, rank_systems, z_gap_table)
 from vmweval.stats import (ClassMetrics, ConfusionMatrix, ConfusionReport,
-                           ZScore, confusion_metrics, round_half_up)
+                           DAAnnotation, ZScore, confusion_metrics,
+                           delta_improvement, round_half_up, znormalize)
 
 LOWER = Orientation.LOWER_BETTER_0_25
 HIGHER = Orientation.HIGHER_BETTER_0_1
@@ -38,9 +39,9 @@ def test_gap_sign_lower_better(caplog):
     vmwe, control = _gap_inputs()
     with caplog.at_level(logging.WARNING, logger="vmweval.report"):
         cells = gap_table(vmwe, control, LOWER, "qe")
-    assert [(c.category, c.gap) for c in cells] == [("VID", 2.0),
-                                                    ("VPC", -0.5)]
-    assert cells[0].n_vmwe == 2 and cells[0].n_control == 2
+    assert [(c["category"], c["gap"]) for c in cells] == [("VID", 2.0),
+                                                          ("VPC", -0.5)]
+    assert cells[0]["n_vmwe"] == 2 and cells[0]["n_control"] == 2
     assert "LVC" in caplog.text and "no vmwe scores" in caplog.text
 
 
@@ -48,15 +49,15 @@ def test_gap_sign_higher_better():
     vmwe, control = _gap_inputs()
     cells = gap_table(vmwe, control, HIGHER, "qe")
     # positive still means the VMWE side is worse
-    assert [(c.category, c.gap) for c in cells] == [("VID", -2.0),
-                                                    ("VPC", 0.5)]
+    assert [(c["category"], c["gap"]) for c in cells] == [("VID", -2.0),
+                                                          ("VPC", 0.5)]
 
 
 def test_gap_grows_when_vmwe_side_degrades():
     vmwe, control = _gap_inputs()
     worse = {k: [v + 1.0 for v in vals] for k, vals in vmwe.items()}
-    base = {c.category: c.gap for c in gap_table(vmwe, control, LOWER, "qe")}
-    bumped = {c.category: c.gap for c in gap_table(worse, control, LOWER, "qe")}
+    base = {c["category"]: c["gap"] for c in gap_table(vmwe, control, LOWER, "qe")}
+    bumped = {c["category"]: c["gap"] for c in gap_table(worse, control, LOWER, "qe")}
     for category in base:
         assert bumped[category] == pytest.approx(base[category] + 1.0)
 
@@ -65,7 +66,7 @@ def test_gap_orders_categories_canonically():
     scores = {("VPC", "a", "de"): [1.0], ("VID", "b", "cs"): [1.0],
               ("VID", "a", "de"): [1.0], ("zz", "a", "de"): [1.0]}
     cells = gap_table(scores, scores, LOWER, "qe")
-    assert [(c.category, c.system_id, c.target_lang) for c in cells] == [
+    assert [(c["category"], c["system_id"], c["target_lang"]) for c in cells] == [
         ("VID", "a", "de"), ("VID", "b", "cs"), ("VPC", "a", "de"),
         ("zz", "a", "de")]
 
@@ -76,12 +77,6 @@ def test_gap_skips_empty_side(caplog):
                           {("VID", "a", "de"): [1.0]}, LOWER, "qe")
     assert cells == []
     assert "empty side" in caplog.text
-
-
-def test_gap_cell_contract():
-    with pytest.raises(ContractViolation):
-        GapCell(category="VID", system_id="a", target_lang="de",
-                metric_id="qe", gap=0.0, n_vmwe=0, n_control=3)
 
 
 # --- z gap table --------------------------------------------------------------
@@ -97,11 +92,11 @@ def test_z_gap_table():
           _z("beta", "v1", 1.0), _z("beta", "c1", 1.0),
           _z("alpha", "x9", 9.0)]  # in neither set, ignored
     cells = z_gap_table(zs, ["v1", "v2"], ["c1", "c2"])
-    assert [(c.system_id, c.gap) for c in cells] == [("alpha", 0.5),
-                                                     ("beta", 0.0)]
-    assert cells[0].category == "all"
-    assert cells[0].metric_id == "da_z"
-    assert cells[0].n_vmwe == 2 and cells[0].n_control == 2
+    assert [(c["system_id"], c["gap"]) for c in cells] == [("alpha", 0.5),
+                                                           ("beta", 0.0)]
+    assert cells[0]["category"] == "all"
+    assert cells[0]["metric_id"] == "da_z"
+    assert cells[0]["n_vmwe"] == 2 and cells[0]["n_control"] == 2
 
 
 def test_z_gap_skips_one_sided_system(caplog):
@@ -109,7 +104,7 @@ def test_z_gap_skips_one_sided_system(caplog):
           _z("gamma", "v1", 0.2)]
     with caplog.at_level(logging.WARNING, logger="vmweval.report"):
         cells = z_gap_table(zs, ["v1"], ["c1"])
-    assert [c.system_id for c in cells] == ["alpha"]
+    assert [c["system_id"] for c in cells] == ["alpha"]
     assert "gamma" in caplog.text
 
 
@@ -136,11 +131,11 @@ def _z_gap_table_oracle(zscores, vmwe_ids, control_ids, category="all",
     for system_id in sorted(set(vmwe) | set(control)):
         if system_id not in vmwe or system_id not in control:
             continue
-        cells.append(GapCell(
-            category=category, system_id=system_id, target_lang=target_lang,
-            metric_id=metric_id,
-            gap=fmean(control[system_id]) - fmean(vmwe[system_id]),
-            n_vmwe=len(vmwe[system_id]), n_control=len(control[system_id])))
+        cells.append({
+            "category": category, "system_id": system_id, "target_lang": target_lang,
+            "metric_id": metric_id,
+            "gap": fmean(control[system_id]) - fmean(vmwe[system_id]),
+            "n_vmwe": len(vmwe[system_id]), "n_control": len(control[system_id])})
     return cells
 
 
@@ -165,7 +160,7 @@ def test_z_gap_table_matches_its_oracle():
         cells = z_gap_table(zs, vmwe_ids, control_ids)
         oracle = _z_gap_table_oracle(zs, vmwe_ids, control_ids)
         assert cells == oracle, seed
-        assert [c.gap for c in cells if c.system_id == "tied"] == [0.0]
+        assert [c["gap"] for c in cells if c["system_id"] == "tied"] == [0.0]
         # -0.0 == 0.0, so compare the rendered tables too
         for fmt in ("json", "csv"):
             assert emit(cells, fmt, "gap") == emit(oracle, fmt, "gap"), seed
@@ -179,9 +174,9 @@ def test_da_gap_table_from_dict_records():
     records = [record("alpha", "v1", "a1", 60), record("alpha", "c1", "a1", 80),
                record("beta", "v1", "a2", 30), record("beta", "c1", "a2", 30)]
     cells = da_gap_table(records, ["v1"], ["c1"])
-    assert [(c.system_id, c.gap, c.n_vmwe, c.n_control) for c in cells] == [
-        ("alpha", 2.0, 1, 1), ("beta", 0.0, 1, 1)]
-    assert cells[0].metric_id == "da_z"
+    assert [(c["system_id"], c["gap"], c["n_vmwe"], c["n_control"])
+            for c in cells] == [("alpha", 2.0, 1, 1), ("beta", 0.0, 1, 1)]
+    assert cells[0]["metric_id"] == "da_z"
 
 
 # --- rankings -------------------------------------------------------------------
@@ -190,23 +185,23 @@ def test_rank_lower_better():
     cells = {("alpha", "de"): 10.0, ("alpha", "cs"): 20.0,
              ("beta", "de"): 12.0, ("beta", "cs"): 12.0}
     ranking = rank_systems(cells, LOWER, "qe")
-    assert [(e.rank, e.system_id, e.mean_score) for e in ranking.entries] == [
+    assert [(e["rank"], e["system_id"], e["mean_score"]) for e in ranking] == [
         (1, "beta", 12.0), (2, "alpha", 15.0)]
-    assert ranking.entries[0].included_pairs == ("cs", "de")
-    assert ranking.category == "all"
+    assert ranking[0]["included_pairs"] == ["cs", "de"]
+    assert {(e["metric_id"], e["category"]) for e in ranking} == {("qe", "all")}
 
 
 def test_rank_higher_better_flips():
     cells = {("alpha", "de"): 0.8, ("beta", "de"): 0.6}
     ranking = rank_systems(cells, HIGHER, "qe")
-    assert [e.system_id for e in ranking.entries] == ["alpha", "beta"]
+    assert [e["system_id"] for e in ranking] == ["alpha", "beta"]
 
 
 def test_rank_breaks_ties_by_system_id():
     cells = {("zeta", "de"): 5.0, ("acme", "de"): 5.0}
     ranking = rank_systems(cells, LOWER, "qe")
-    assert [e.system_id for e in ranking.entries] == ["acme", "zeta"]
-    assert [e.rank for e in ranking.entries] == [1, 2]
+    assert [e["system_id"] for e in ranking] == ["acme", "zeta"]
+    assert [e["rank"] for e in ranking] == [1, 2]
 
 
 def test_rank_applies_exclusions():
@@ -214,9 +209,9 @@ def test_rank_applies_exclusions():
              ("beta", "de"): 12.0}
     ranking = rank_systems(cells, LOWER, "qe",
                            exclusions=[("alpha", "cs")])
-    assert ranking.entries[0].system_id == "alpha"
-    assert ranking.entries[0].mean_score == 10.0
-    assert ranking.entries[0].included_pairs == ("de",)
+    assert ranking[0]["system_id"] == "alpha"
+    assert ranking[0]["mean_score"] == 10.0
+    assert ranking[0]["included_pairs"] == ["de"]
 
 
 def test_rank_drops_fully_excluded_system(caplog):
@@ -224,8 +219,8 @@ def test_rank_drops_fully_excluded_system(caplog):
     with caplog.at_level(logging.WARNING, logger="vmweval.report"):
         ranking = rank_systems(cells, LOWER, "qe",
                                exclusions=[("alpha", "de")])
-    assert [e.system_id for e in ranking.entries] == ["beta"]
-    assert ranking.entries[0].rank == 1
+    assert [e["system_id"] for e in ranking] == ["beta"]
+    assert ranking[0]["rank"] == 1
     assert "alpha" in caplog.text
 
 
@@ -234,10 +229,9 @@ def test_rank_order_is_shift_invariant():
     rng = random.Random(7)
     cells = {(f"s{i}", lang): rng.uniform(0.0, 10.0)
              for i in range(6) for lang in ("de", "cs")}
-    base = [e.system_id for e in rank_systems(cells, LOWER, "qe").entries]
+    base = [e["system_id"] for e in rank_systems(cells, LOWER, "qe")]
     shifted = {k: v + 7.0 for k, v in cells.items()}
-    assert [e.system_id
-            for e in rank_systems(shifted, LOWER, "qe").entries] == base
+    assert [e["system_id"] for e in rank_systems(shifted, LOWER, "qe")] == base
 
 
 # --- classifier report ----------------------------------------------------------
@@ -255,14 +249,18 @@ def test_classifier_report_joins_and_counts():
              _pred("r3", Category.VID, True), _pred("r4", Category.VID, False),
              _pred("r5", Category.VPC, True)]
     cells = classifier_report(gold, preds, undecided=[("r6", Category.VID)])
-    assert [c.category for c in cells] == ["VID", "VPC"]
+    assert [c["category"] for c in cells] == ["VID", "VPC"]
     vid = cells[0]
-    assert (vid.matrix.tp, vid.matrix.fn, vid.matrix.fp, vid.matrix.tn) == \
-        (1, 1, 1, 1)
-    assert vid.n_undecided == 1
-    assert vid.metrics == confusion_metrics(ConfusionMatrix(tp=1, fn=1,
-                                                            fp=1, tn=1))
-    assert cells[1].matrix.tp == 1 and cells[1].n_undecided == 0
+    assert vid["matrix"] == {"tp": 1, "fn": 1, "fp": 1, "tn": 1}
+    assert (vid["n"], vid["undecided"]) == (4, 1)
+    # in percents
+    metrics = confusion_metrics(ConfusionMatrix(tp=1, fn=1, fp=1, tn=1))
+    assert (vid["accuracy"], vid["macro_f1"]) == (metrics.accuracy * 100.0,
+                                                  metrics.macro_f1 * 100.0)
+    assert vid["positive"] == {"precision": metrics.positive.precision * 100.0,
+                               "recall": metrics.positive.recall * 100.0,
+                               "f1": metrics.positive.f1 * 100.0}
+    assert cells[1]["matrix"]["tp"] == 1 and cells[1]["undecided"] == 0
 
 
 def test_classifier_report_requires_gold():
@@ -284,11 +282,10 @@ def test_classifier_table_from_records():
         {"candidate_ref": "r3", "category": "VID", "verdict": None,
          "raw_choice": None, "raw_response": "mumble", "error": "unparseable"}]
     cells = classifier_table(gold, records)
-    assert [c.category for c in cells] == ["VID"]
+    assert [c["category"] for c in cells] == ["VID"]
     vid = cells[0]
-    assert (vid.matrix.tp, vid.matrix.fn, vid.matrix.fp, vid.matrix.tn) == \
-        (1, 0, 0, 1)
-    assert vid.n_undecided == 1
+    assert vid["matrix"] == {"tp": 1, "fn": 0, "fp": 0, "tn": 1}
+    assert vid["undecided"] == 1
     assert cells == classifier_report(
         {"r1": True, "r2": False, "r3": True},
         [_pred("r1", Category.VID, True), _pred("r2", Category.VID, False)],
@@ -321,14 +318,12 @@ def test_delta_table_groups_and_averages():
                _delta("s3", "beta", "de", 5.0, 5.0, 5.0, category="VID"),
                _delta("s4", "alpha", "cs", 1.0, 1.0, 1.0)]
     rows = delta_table(reports)
-    assert [(r.category, r.system_id, r.target_lang, r.n) for r in rows] == [
-        ("VID", "alpha", "de", 2), ("VID", "beta", "de", 1),
-        ("all", "alpha", "cs", 1)]
-    vid_alpha = rows[0]
-    assert vid_alpha.mean_ori == 11.0
-    assert vid_alpha.mean_delta_mix == 2.0
-    assert vid_alpha.mean_delta_para == 2.0
-    assert vid_alpha.metric_id == "m"
+    assert [(r["category"], r["system_id"], r["target_lang"], r["n"])
+            for r in rows] == [("VID", "alpha", "de", 2), ("VID", "beta", "de", 1),
+                               ("all", "alpha", "cs", 1)]
+    assert rows[0] == {"category": "VID", "system_id": "alpha", "target_lang": "de",
+                       "metric_id": "m", "n": 2, "ori": 11.0, "delta_mix": 2.0,
+                       "delta_para": 2.0}
 
 
 # --- error rates -----------------------------------------------------------------
@@ -338,22 +333,25 @@ def test_error_rate_rows_thresholds():
               ("a", "cs"): (0, 4), ("b", "de"): (51, 100),
               ("c", "de"): (50, 100)}
     rows = error_rate_rows(counts)
-    assert [(r.system_id, r.target_lang) for r in rows] == [
+    assert [(r["system_id"], r["target_lang"]) for r in rows] == [
         ("a", "cs"), ("a", "de"), ("b", "cs"), ("b", "de"), ("c", "de")]
-    by_key = {(r.system_id, r.target_lang): r for r in rows}
+    by_key = {(r["system_id"], r["target_lang"]): r for r in rows}
     # thresholds are strict: exactly 10% is not flagged, exactly 50% not excluded
-    assert not by_key[("a", "de")].flagged
-    assert not by_key[("b", "cs")].flagged
-    assert by_key[("b", "de")].flagged and by_key[("b", "de")].excluded
-    assert by_key[("c", "de")].flagged and not by_key[("c", "de")].excluded
-    assert by_key[("a", "cs")].rate == 0.0
-    assert by_key[("b", "de")].rate == 51.0
+    assert not by_key[("a", "de")]["flagged"]
+    assert not by_key[("b", "cs")]["flagged"]
+    assert by_key[("b", "de")]["flagged"] and by_key[("b", "de")]["excluded"]
+    assert by_key[("c", "de")]["flagged"] and not by_key[("c", "de")]["excluded"]
+    assert by_key[("a", "cs")]["error_rate"] == 0.0
+    assert by_key[("b", "de")] == {"system_id": "b", "target_lang": "de",
+                                   "n_total": 100, "n_invalid": 51,
+                                   "error_rate": 51.0, "flagged": True,
+                                   "excluded": True}
 
 
 def test_error_rate_rows_published_value():
     rows = error_rate_rows({("sys", "zh"): (9989, 10000)})
-    assert rows[0].rate == pytest.approx(99.89, abs=1e-12)
-    assert rows[0].excluded
+    assert rows[0]["error_rate"] == pytest.approx(99.89, abs=1e-12)
+    assert rows[0]["excluded"]
 
 
 def test_error_rate_rows_contracts():
@@ -384,8 +382,8 @@ def test_build_tables_skips_gap_cell_without_controls(caplog):
               _qe_rec("control", "alpha", "de", 9.0)]
     with caplog.at_level(logging.WARNING, logger="vmweval.report"):
         tables = build_tables(scored, 10.0, 50.0)
-    assert [(c.system_id, c.target_lang, c.gap) for c in tables["gap_table"]] == [
-        ("alpha", "de", 1.0)]
+    assert [(c["system_id"], c["target_lang"], c["gap"])
+            for c in tables["gap_table"]] == [("alpha", "de", 1.0)]
     assert "no control scores" in caplog.text
     assert "delta_table" not in tables
 
@@ -397,16 +395,17 @@ def test_build_tables_drops_excluded_pair_from_ranking():
               _scored("invalid", "ori", "beta", "de", validity="empty"),
               _scored("invalid", "para", "beta", "de", validity="empty")]
     tables = build_tables(scored, 10.0, 50.0)
-    rates = {(r.system_id, r.target_lang): (r.n_invalid, r.n_total, r.excluded)
+    rates = {(r["system_id"], r["target_lang"]): (r["n_invalid"], r["n_total"],
+                                                  r["excluded"])
              for r in tables["error_rates"]}
     assert rates == {("alpha", "de"): (0, 1, False),
                      ("beta", "cs"): (0, 1, False),
                      ("beta", "de"): (2, 3, True)}
-    [ranking] = tables["ranking"]
-    assert ranking.category == "VID"
-    # beta's cheap de cell would rank it first; excluded, it ranks last on cs
-    assert [(e.system_id, e.included_pairs) for e in ranking.entries] == [
-        ("alpha", ("de",)), ("beta", ("cs",))]
+    # one row per ranked system, beta's cheap de cell would rank it first;
+    # excluded, it ranks last on cs
+    assert [(e["category"], e["rank"], e["system_id"], e["included_pairs"])
+            for e in tables["ranking"]] == [("VID", 1, "alpha", ["de"]),
+                                            ("VID", 2, "beta", ["cs"])]
 
 
 def test_build_tables_rebuilds_delta_rows():
@@ -425,7 +424,7 @@ def test_build_tables_rebuilds_delta_rows():
         [_delta("s1", "alpha", "de", 10.0, 8.0, 7.0, category="VID"),
          _delta("s2", "alpha", "de", 12.0, 10.0, 11.0, category="VID")])
     row = tables["delta_table"][0]
-    assert (row.n, row.mean_ori, row.mean_delta_mix, row.mean_delta_para) == (
+    assert (row["n"], row["ori"], row["delta_mix"], row["delta_para"]) == (
         2, 11.0, 2.0, 2.0)
 
 
@@ -442,8 +441,8 @@ def test_emit_gap_csv_format():
 
 
 def test_emit_never_renders_negative_zero():
-    cell = GapCell(category="VID", system_id="a", target_lang="de",
-                   metric_id="qe", gap=-0.004, n_vmwe=1, n_control=1)
+    cell = {"category": "VID", "system_id": "a", "target_lang": "de",
+            "metric_id": "qe", "gap": -0.004, "n_vmwe": 1, "n_control": 1}
     text = emit([cell], "csv", "gap")
     assert "+0.00" in text
     assert "-0.00" not in text
@@ -458,7 +457,7 @@ def test_emit_delta_csv_signs():
 def test_emit_ranking_csv_format():
     ranking = rank_systems({("alpha", "de"): 10.0, ("alpha", "cs"): 11.0},
                            LOWER, "qe", category="VID")
-    text = emit([ranking], "csv", "ranking")
+    text = emit(ranking, "csv", "ranking")
     lines = text.splitlines()
     assert lines[0] == ("metric_id,category,rank,system_id,mean_score,"
                         "included_pairs")
@@ -668,6 +667,309 @@ def _random_fraction(rng):
     return rng.choice([0.0, 1.0, 0.8045, 0.00125, 0.5, rng.random()])
 
 
+# --- the row dataclasses, builders and _json_rows the row dicts replaced ------
+#
+# Before the builders returned their JSON rows, each returned frozen row
+# objects, and `_json_rows` turned them into the rows `emit` rendered,
+# rounded.  Copied here, less their log lines, as the oracle of the builders
+# and of `emit`.
+
+@dataclass(frozen=True)
+class GapCell:
+    category: str
+    system_id: str
+    target_lang: str
+    metric_id: str
+    gap: float
+    n_vmwe: int
+    n_control: int
+
+    def __post_init__(self):
+        if self.n_vmwe < 1 or self.n_control < 1:
+            raise ContractViolation("gap cell needs scores on both sides")
+
+
+@dataclass(frozen=True)
+class RankedSystem:
+    rank: int
+    system_id: str
+    mean_score: float
+    included_pairs: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Ranking:
+    metric_id: str
+    category: str
+    orientation: Orientation
+    entries: tuple[RankedSystem, ...]
+
+
+@dataclass(frozen=True)
+class ClassifierCell:
+    category: str
+    matrix: ConfusionMatrix
+    metrics: ConfusionReport
+    n_undecided: int
+
+
+@dataclass(frozen=True)
+class DeltaRow:
+    category: str
+    system_id: str
+    target_lang: str
+    metric_id: str
+    n: int
+    mean_ori: float
+    mean_delta_mix: float
+    mean_delta_para: float
+
+
+@dataclass(frozen=True)
+class ErrorRateRow:
+    system_id: str
+    target_lang: str
+    n_total: int
+    n_invalid: int
+    rate: float
+    flagged: bool
+    excluded: bool
+
+
+def _old_category_key(name):
+    order = [c.value for c in Category]
+    return (order.index(name), name) if name in order else (len(order), name)
+
+
+def _old_gap_table(vmwe_scores, control_scores, orientation, metric_id):
+    cells = []
+    for key in sorted(set(vmwe_scores) | set(control_scores),
+                      key=lambda k: (_old_category_key(k[0]), k[1], k[2])):
+        if key not in vmwe_scores or key not in control_scores:
+            continue
+        vmwe, control = vmwe_scores[key], control_scores[key]
+        if not vmwe or not control:
+            continue
+        if orientation.lower_is_better:
+            gap = fmean(vmwe) - fmean(control)
+        else:
+            gap = fmean(control) - fmean(vmwe)
+        cells.append(GapCell(category=key[0], system_id=key[1], target_lang=key[2],
+                             metric_id=metric_id, gap=gap,
+                             n_vmwe=len(vmwe), n_control=len(control)))
+    return cells
+
+
+def _old_z_gap_table(zscores, vmwe_ids, control_ids):
+    vmwe_ids, control_ids = set(vmwe_ids), set(control_ids)
+    overlap = vmwe_ids & control_ids
+    if overlap:
+        raise ContractViolation(f"ids on both sides: {sorted(overlap)[:5]}")
+    vmwe, control = {}, {}
+    for z in zscores:
+        key = ("all", z.system_id, "all")
+        if z.sentence_id in vmwe_ids:
+            vmwe.setdefault(key, []).append(z.z)
+        elif z.sentence_id in control_ids:
+            control.setdefault(key, []).append(z.z)
+    return _old_gap_table(vmwe, control, Orientation.HIGHER_BETTER_0_1, "da_z")
+
+
+def _old_da_gap_table(records, vmwe_ids, control_ids):
+    annotations = [DAAnnotation(
+        system_id=r["system_id"], sentence_id=r["sentence_id"],
+        annotator_id=r["annotator_id"], raw_score=r["raw_score"])
+        for r in records]
+    return _old_z_gap_table(znormalize(annotations), vmwe_ids, control_ids)
+
+
+def _old_rank_systems(cell_means, orientation, metric_id, category="all",
+                      exclusions=()):
+    excluded = set(exclusions)
+    by_system = {}
+    for (system_id, lang), value in cell_means.items():
+        if (system_id, lang) in excluded:
+            continue
+        by_system.setdefault(system_id, {})[lang] = value
+    scored = [(fmean(langs.values()), system_id, tuple(sorted(langs)))
+              for system_id, langs in by_system.items()]
+    scored.sort(key=lambda item: (item[0] if orientation.lower_is_better
+                                  else -item[0], item[1]))
+    entries = tuple(
+        RankedSystem(rank=i, system_id=system_id, mean_score=mean,
+                     included_pairs=langs)
+        for i, (mean, system_id, langs) in enumerate(scored, start=1))
+    return Ranking(metric_id=metric_id, category=category,
+                   orientation=orientation, entries=entries)
+
+
+def _old_classifier_report(gold, predictions, undecided=()):
+    counts = {}
+    for pred in predictions:
+        if pred.candidate_ref not in gold:
+            raise ContractViolation(
+                f"prediction {pred.candidate_ref} has no gold label")
+        cell = counts.setdefault(pred.category.value,
+                                 {"tp": 0, "fn": 0, "fp": 0, "tn": 0})
+        actual = gold[pred.candidate_ref]
+        if pred.verdict and actual:
+            cell["tp"] += 1
+        elif pred.verdict and not actual:
+            cell["fp"] += 1
+        elif not pred.verdict and actual:
+            cell["fn"] += 1
+        else:
+            cell["tn"] += 1
+    n_undecided = {}
+    for ref, category in undecided:
+        if ref not in gold:
+            raise ContractViolation(f"undecided candidate {ref} has no gold label")
+        n_undecided[category.value] = n_undecided.get(category.value, 0) + 1
+    cells = []
+    for name in sorted(set(counts) | set(n_undecided), key=_old_category_key):
+        if name not in counts:
+            continue
+        matrix = ConfusionMatrix(**counts[name])
+        cells.append(ClassifierCell(category=name, matrix=matrix,
+                                    metrics=confusion_metrics(matrix),
+                                    n_undecided=n_undecided.get(name, 0)))
+    return cells
+
+
+def _old_classifier_table(gold_records, classification_records):
+    gold = {r["candidate_ref"]: bool(r["label"]) for r in gold_records}
+    predictions = []
+    undecided = []
+    for rec in classification_records:
+        category = Category(rec["category"])
+        if rec["verdict"] is None:
+            undecided.append((rec["candidate_ref"], category))
+            continue
+        predictions.append(ClassificationResult(
+            candidate_ref=rec["candidate_ref"], category=category,
+            verdict=rec["verdict"], raw_choice=rec["raw_choice"],
+            raw_response=rec["raw_response"]))
+    return _old_classifier_report(gold, predictions, undecided)
+
+
+def _old_delta_table(reports):
+    groups = {}
+    for rep in reports:
+        key = (rep.category or "all", rep.system_id, rep.target_lang,
+               rep.qe_ori.metric_id)
+        groups.setdefault(key, []).append(rep)
+    rows = []
+    for key in sorted(groups, key=lambda k: (_old_category_key(k[0]), k[1:])):
+        batch = groups[key]
+        rows.append(DeltaRow(
+            category=key[0], system_id=key[1], target_lang=key[2],
+            metric_id=key[3], n=len(batch),
+            mean_ori=fmean(r.qe_ori.value for r in batch),
+            mean_delta_mix=fmean(r.delta_mix for r in batch),
+            mean_delta_para=fmean(r.delta_para for r in batch)))
+    return rows
+
+
+def _old_error_rate_rows(counts, flag_pct, exclude_pct):
+    rows = []
+    for (system_id, lang) in sorted(counts):
+        invalid, total = counts[(system_id, lang)]
+        rate = error_pct(invalid, total)
+        rows.append(ErrorRateRow(system_id=system_id, target_lang=lang,
+                                 n_total=total, n_invalid=invalid, rate=rate,
+                                 flagged=rate > flag_pct,
+                                 excluded=rate > exclude_pct))
+    return rows
+
+
+def _old_build_tables(scored, flag_pct, exclude_pct):
+    tallies = {}
+    for rec in scored:
+        if rec["type"] in ("qe", "invalid"):
+            tally = tallies.setdefault((rec["system_id"], rec["target_lang"]),
+                                       [0, 0])
+            tally[0] += int(rec["type"] == "invalid")
+            tally[1] += 1
+    error_rows = _old_error_rate_rows(
+        {pair: tuple(t) for pair, t in tallies.items()}, flag_pct, exclude_pct)
+    exclusions = [(r.system_id, r.target_lang) for r in error_rows if r.excluded]
+    tables = {"error_rates": error_rows}
+    ori_records = [r for r in scored if r["type"] == "qe" and r["kind"] == "ori"]
+    if ori_records:
+        orientation = Orientation(ori_records[0]["orientation"])
+        metric_id = ori_records[0]["metric_id"]
+        vmwe_scores = {}
+        for rec in ori_records:
+            key = (rec["category"], rec["system_id"], rec["target_lang"])
+            vmwe_scores.setdefault(key, []).append(rec["value"])
+        control_pool = {}
+        for rec in scored:
+            if rec["type"] == "qe" and rec["kind"] == "control":
+                pair = (rec["system_id"], rec["target_lang"])
+                control_pool.setdefault(pair, []).append(rec["value"])
+        control_scores = {key: control_pool[key[1:]] for key in vmwe_scores
+                          if key[1:] in control_pool}
+        tables["gap_table"] = _old_gap_table(vmwe_scores, control_scores,
+                                             orientation, metric_id)
+        rankings = []
+        for category in sorted({k[0] for k in vmwe_scores}, key=_old_category_key):
+            cell_means = {(system_id, lang): fmean(values)
+                          for (cat, system_id, lang), values in vmwe_scores.items()
+                          if cat == category}
+            rankings.append(_old_rank_systems(cell_means, orientation, metric_id,
+                                              category=category,
+                                              exclusions=exclusions))
+        tables["ranking"] = rankings
+    deltas = [delta_from_dict(r) for r in scored if r["type"] == "delta"]
+    if deltas:
+        tables["delta_table"] = _old_delta_table(deltas)
+    return tables
+
+
+def _unrounded(value, ndigits):
+    return value
+
+
+def _old_json_rows(rows, table, rnd=round_half_up):
+    """A table's rows as the objects its JSON holds, each float rounded by
+    `rnd`; with `_unrounded`, the rows the builders now return."""
+    if table == "gap":
+        return [{"category": c.category, "system_id": c.system_id,
+                 "target_lang": c.target_lang, "metric_id": c.metric_id,
+                 "gap": rnd(c.gap, 2), "n_vmwe": c.n_vmwe,
+                 "n_control": c.n_control} for c in rows]
+    if table == "delta":
+        return [{"category": r.category, "system_id": r.system_id,
+                 "target_lang": r.target_lang, "metric_id": r.metric_id, "n": r.n,
+                 "ori": rnd(r.mean_ori, 2),
+                 "delta_mix": rnd(r.mean_delta_mix, 2),
+                 "delta_para": rnd(r.mean_delta_para, 2)} for r in rows]
+    if table == "ranking":
+        return [{"metric_id": ranking.metric_id, "category": ranking.category,
+                 "rank": e.rank, "system_id": e.system_id,
+                 "mean_score": rnd(e.mean_score, 2),
+                 "included_pairs": list(e.included_pairs)}
+                for ranking in rows for e in ranking.entries]
+    if table == "error_rate":
+        return [{"system_id": r.system_id, "target_lang": r.target_lang,
+                 "n_total": r.n_total, "n_invalid": r.n_invalid,
+                 "error_rate": rnd(r.rate, 2), "flagged": r.flagged,
+                 "excluded": r.excluded} for r in rows]
+
+    def pct(fraction):
+        return rnd(fraction * 100.0, 1)
+
+    def sides(report):
+        return {"precision": pct(report.precision), "recall": pct(report.recall),
+                "f1": pct(report.f1)}
+    return [{"category": c.category, "n": c.matrix.total, "undecided": c.n_undecided,
+             "matrix": {"tp": c.matrix.tp, "fn": c.matrix.fn, "fp": c.matrix.fp,
+                        "tn": c.matrix.tn},
+             "accuracy": pct(c.metrics.accuracy), "macro_f1": pct(c.metrics.macro_f1),
+             "positive": sides(c.metrics.positive),
+             "negative": sides(c.metrics.negative)} for c in rows]
+
+
 def _random_table(rng, kind):
     n_rows = rng.choice([0, 1, 2, 5])
     if kind == "gap":
@@ -718,7 +1020,117 @@ def _random_table(rng, kind):
 @pytest.mark.parametrize("kind", sorted(_ORACLES))
 def test_emit_equals_the_per_format_emitters(kind):
     for seed in range(200):
-        rows = _random_table(random.Random(seed), kind)
+        table = _random_table(random.Random(seed), kind)
+        rows = _old_json_rows(table, kind, _unrounded)
         for fmt in ("csv", "json"):
-            assert emit(rows, fmt, kind) == _ORACLES[kind](rows, fmt), (seed, fmt)
+            assert emit(rows, fmt, kind) == _ORACLES[kind](table, fmt), (seed, fmt)
+
+
+# --- the builders against the row objects they replaced ---------------------------
+
+def _qe_value(rng, orientation):
+    """A score in range, often one that recurs, so means and gaps tie."""
+    high = orientation.value_range[1]
+    return rng.choice([0.0, 0.125, 0.5, 0.5, 0.805, rng.random()]) * high
+
+
+def _random_scored(rng):
+    """Score-stage records over several categories, systems and languages,
+    with delta records, failed calls and at least one excluded pair."""
+    orientation = rng.choice([LOWER, HIGHER])
+    systems = rng.sample(["alpha", "beta", "gamma", "a,b"], rng.randint(2, 4))
+    langs = rng.sample(["cs", "de", "es", "tr"], rng.randint(2, 4))
+    records = []
+    for system in systems:
+        for lang in langs:
+            def qe(kind, category, n):
+                return {"type": "qe", "kind": kind, "sentence_id": f"s{n}",
+                        "candidate_ref": category and f"s{n}#{category}#1.2",
+                        "category": category, "system_id": system,
+                        "target_lang": lang, "metric_id": "qe",
+                        "orientation": orientation.value,
+                        "value": _qe_value(rng, orientation)}
+            records += [qe("control", None, n) for n in range(rng.randint(0, 3))]
+            for category in rng.sample(["VID", "VPC", "LVC"], rng.randint(1, 3)):
+                for n in range(rng.randint(0, 3)):
+                    ori = qe("ori", category, n)
+                    records.append(ori)
+                    if rng.random() < 0.6:
+                        scores = [QEScore("qe", orientation, v) for v in (
+                            ori["value"], _qe_value(rng, orientation),
+                            _qe_value(rng, orientation))]
+                        records.append({
+                            "type": "delta", "sentence_id": ori["sentence_id"],
+                            "candidate_ref": ori["candidate_ref"],
+                            "category": rng.choice([category, ""]),
+                            "system_id": system, "target_lang": lang,
+                            "metric_id": "qe", "orientation": orientation.value,
+                            "qe_ori": scores[0].value, "qe_mix": scores[1].value,
+                            "qe_para": scores[2].value,
+                            "delta_mix": delta_improvement(scores[0], scores[1]),
+                            "delta_para": delta_improvement(scores[0], scores[2])})
+            n_scored = sum(r["type"] == "qe" for r in records
+                           if (r["system_id"], r["target_lang"]) == (system, lang))
+            # the first pair is excluded at any threshold below 50%
+            n_invalid = (n_scored + 1 if (system, lang) == (systems[0], langs[0])
+                         else rng.choice([0, 0, 1, n_scored]))
+            records += [{"type": "invalid", "kind": rng.choice(["ori", "control"]),
+                         "system_id": system, "target_lang": lang,
+                         "validity": "empty"} for _ in range(n_invalid)]
+            if rng.random() < 0.3:
+                records.append({"type": "failed", "kind": "ori", "system_id": system,
+                                "target_lang": lang, "error": "transport"})
+    rng.shuffle(records)
+    return records
+
+
+def _random_da(rng):
+    """DA records over vmwe, control and other sentences, with ties."""
+    sentences = ["v1", "v2", "v3", "c1", "c2", "c3", "x1"]
+    return [{"system_id": rng.choice(["alpha", "beta", "gamma"]),
+             "sentence_id": rng.choice(sentences),
+             "annotator_id": rng.choice(["a1", "a2", "a3"]),
+             "raw_score": rng.choice([0, 50, 50, 75, 100, rng.uniform(0.0, 100.0)])}
+            for _ in range(rng.randint(0, 24))]
+
+
+def _random_classifications(rng):
+    """Gold labels and classify-stage records, some undecided."""
+    gold, records = [], []
+    for n in range(rng.randint(0, 20)):
+        ref = f"s{n}#x"
+        gold.append({"candidate_ref": ref, "label": rng.choice([True, False, 1, 0])})
+        verdict = rng.choice([True, False, None])
+        records.append({"candidate_ref": ref,
+                        "category": rng.choice(["VID", "VPC", "LVC"]),
+                        "verdict": verdict,
+                        "raw_choice": None if verdict is None else "A",
+                        "raw_response": "Final Answer: A"})
+    return gold, records
+
+
+def test_builders_render_what_their_row_objects_rendered():
+    """Every table the builders return renders, in both formats, the text
+    the row objects rendered through `_json_rows`."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        scored = _random_scored(rng)
+        flag_pct, exclude_pct = rng.choice([(10.0, 50.0), (0.0, 20.0), (25.0, 25.0)])
+        da = _random_da(rng)
+        gold, classifications = _random_classifications(rng)
+        ids = (["v1", "v2", "v3"], ["c1", "c2", "c3"])
+        tables = build_tables(scored, flag_pct, exclude_pct)
+        tables["z_gap_table"] = da_gap_table(da, *ids)
+        tables["classifier_table"] = classifier_table(gold, classifications)
+        oracle = _old_build_tables(scored, flag_pct, exclude_pct)
+        oracle["z_gap_table"] = _old_da_gap_table(da, *ids)
+        oracle["classifier_table"] = _old_classifier_table(gold, classifications)
+        assert tables.keys() == oracle.keys(), seed
+        for name, rows in tables.items():
+            kind = TABLE_KINDS[name]
+            assert emit(rows, "json", kind) == _oracle_json_table(
+                kind, _old_json_rows(oracle[name], kind)), (seed, name)
+            assert emit(rows, "csv", kind) == _ORACLES[kind](oracle[name], "csv"), (
+                seed, name)
+            assert rows == _old_json_rows(oracle[name], kind, _unrounded), (seed, name)
 
