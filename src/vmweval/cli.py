@@ -9,7 +9,7 @@ non-deterministic) and returns the records with the sha256 of the bytes it
 wrote.  A single-stage command reads its inputs from such files, checked
 against their manifests and records tables, so a stage can be rerun or
 inspected alone; `run-all` hands each stage's records and digest to the next.
-`main` narrows the config with the flags.
+`main` narrows the config, and the snapshot its manifests record, with the flags.
 
 Exit codes: 0 success, 1 contract violation, 2 transport failures.
 """
@@ -51,17 +51,17 @@ SCHEMA_VERSION = report_mod.SCHEMA_VERSION
 _SECTIONS = ("corpus", "lexicon", "control_sample", "repetition", "exclusion",
              "pipeline", "backends", "da", "classifier_eval")
 
-# Config attribute -> (config key, kind, default, minimum) of each number
+# Config attribute -> (config key, kind, default[, minimum[, maximum]]) of each number
 _NUMBERS = {
     "concurrency": ("concurrency", int, 4, 1),
-    "seed": ("seed", int, 0, None),
-    "vid_threshold": ("vid_threshold", float, extract_mod.DEFAULT_VID_THRESHOLD, None),
+    "seed": ("seed", int, 0),
+    "vid_threshold": ("vid_threshold", float, extract_mod.DEFAULT_VID_THRESHOLD),
     "control_n": ("control_sample.n", int, 0, 0),
     "min_repeats": ("repetition.min_repeats", int, mt_mod.DEFAULT_MIN_REPEATS, 2),
     "max_unit": ("repetition.max_unit", int, mt_mod.DEFAULT_MAX_UNIT, 1),
-    "flag_pct": ("exclusion.flag_pct", float, report_mod.DEFAULT_FLAG_PCT, None),
+    "flag_pct": ("exclusion.flag_pct", float, report_mod.DEFAULT_FLAG_PCT, 0, 100),
     "rank_exclude_pct": ("exclusion.rank_exclude_pct", float,
-                         report_mod.DEFAULT_EXCLUDE_PCT, None),
+                         report_mod.DEFAULT_EXCLUDE_PCT, 0, 100),
 }
 
 
@@ -69,7 +69,7 @@ _NUMBERS = {
 class Config:
     """A config load_config checked whole, paths resolved against its
     directory.  A path only some commands need is None when absent."""
-    raw: dict  # as parsed; each manifest records it
+    raw: dict  # as parsed, narrowed with the rest; each manifest records it
     concurrency: int
     seed: int
     vid_threshold: float
@@ -139,8 +139,8 @@ def _required(value, key: str):
     return value
 
 
-def _number(value, key: str, kind, minimum):
-    """`value` as a `kind`: no bool, no NaN, and an int with no fraction."""
+def _number(value, key: str, kind, minimum=None, maximum=None):
+    """`value` as a `kind` in its bounds: no bool, no NaN, no int with a fraction."""
     try:
         number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -154,6 +154,9 @@ def _number(value, key: str, kind, minimum):
     if minimum is not None and number < minimum:
         raise ContractViolation(
             f"config {key} must be at least {minimum}, not {value!r}")
+    if maximum is not None and number > maximum:
+        raise ContractViolation(
+            f"config {key} must be at most {maximum}, not {value!r}")
     return number
 
 
@@ -189,8 +192,8 @@ def load_config(path: str | Path) -> Config:
             raise ContractViolation(f"config {key} must be a path, not {value!r}")
         return path.parent / value if value else None
 
-    numbers = {attr: _number(value_of(key, default), key, kind, minimum)
-               for attr, (key, kind, default, minimum) in _NUMBERS.items()}
+    numbers = {attr: _number(value_of(key, default), key, kind, *bounds)
+               for attr, (key, kind, default, *bounds) in _NUMBERS.items()}
     corpus_format = value_of("corpus.format", "conllu")
     if corpus_format not in ("conllu", "plain", "jsonl"):
         raise ContractViolation(
@@ -940,20 +943,25 @@ def main(argv=None) -> int:
         if kind and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
         config = load_config(args.config)
-        # The flags narrow the config once.  --backend replaces the pipeline
-        # role of a one-stage command; run-all leaves it to the config.
-        pipeline = dict(config.pipeline)
+        # The flags narrow the config once, and the snapshot each manifest
+        # records with it.  --backend replaces the pipeline role of a
+        # one-stage command; run-all leaves it to the config.
+        raw, fields = dict(config.raw), {}
+        if args.seed is not None:
+            raw["seed"] = fields["seed"] = args.seed
+        if args.target_lang:
+            raw["target_langs"] = [args.target_lang]
+            fields["target_langs"] = (args.target_lang,)
+        if args.category not in (None, "all"):
+            raw["categories"] = [args.category.upper()]  # only the snapshot has it
+            fields["categories"] = (extract_mod.Category(args.category.upper()),)
         role = {"classify": "llm", "paraphrase": "llm", "translate": "mt",
                 "score": "qe"}.get(args.command)
         if args.backend and role:
-            pipeline[role] = (args.backend,) if role == "mt" else args.backend
-        config = dataclasses.replace(
-            config, pipeline=pipeline,
-            seed=config.seed if args.seed is None else args.seed,
-            target_langs=((args.target_lang,) if args.target_lang
-                          else config.target_langs),
-            categories=(config.categories if args.category in (None, "all")
-                        else (extract_mod.Category(args.category.upper()),)))
+            raw["pipeline"] = {**raw.get("pipeline", {}),
+                               role: [args.backend] if role == "mt" else args.backend}
+            fields["pipeline"] = _pipeline(raw["pipeline"], config.backends)
+        config = dataclasses.replace(config, raw=raw, **fields)
         # each input's records, then the sha256 of its bytes
         inputs = [*read_jsonl(args.stage_in, kind)] if kind else []
         if args.command == "extract":

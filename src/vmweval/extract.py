@@ -232,11 +232,9 @@ def extract_lvc(sentence: Sentence, light_verbs: LightVerbSet) -> list[VMWECandi
 
 def is_non_vmwe(sentence: Sentence, lexicon: IdiomLexicon, light_verbs: LightVerbSet,
                 threshold: float = DEFAULT_VID_THRESHOLD) -> bool:
-    """True when no extractor finds anything: what makes a sentence a
-    control."""
-    return (not match_idioms(sentence, lexicon, threshold)
-            and not extract_vpc(sentence)
-            and not extract_lvc(sentence, light_verbs))
+    """True when extract_all finds nothing: what makes a sentence a control.
+    A sentence without dependencies raises, as it does in extract_all."""
+    return not extract_all(sentence, lexicon, light_verbs, threshold)
 
 
 def sample_sentences(qualifying: list[Sentence], n: int, seed: int,

@@ -17,22 +17,17 @@ from .transport import post_json
 
 __all__ = [
     "Orientation", "QEScore", "DeltaReport", "score", "mix_score",
-    "delta_report", "paraphrase_experiment", "delta_to_dict", "delta_from_dict",
+    "delta_report", "paraphrase_experiment", "delta_to_dict",
     "HttpQEBackend", "MockQEBackend",
 ]
 
 
 @dataclass(frozen=True)
 class QEScore:
+    """A value `score` checked against its orientation's range."""
     metric_id: str
     orientation: Orientation
     value: float
-
-    def __post_init__(self):
-        low, high = self.orientation.value_range
-        if not (low <= self.value <= high):
-            raise ContractViolation(
-                f"{self.metric_id} value {self.value} outside [{low}, {high}]")
 
 
 @dataclass(frozen=True)
@@ -47,12 +42,6 @@ class DeltaReport:
     delta_para: float
     candidate_ref: str = ""
     category: str = ""
-
-    def __post_init__(self):
-        if self.delta_mix != delta_improvement(self.qe_ori, self.qe_mix):
-            raise ContractViolation("delta_mix does not match its scores")
-        if self.delta_para != delta_improvement(self.qe_ori, self.qe_para):
-            raise ContractViolation("delta_para does not match its scores")
 
 
 class QEBackend(Protocol):
@@ -133,21 +122,6 @@ def delta_to_dict(report: DeltaReport) -> dict:
             "qe_ori": report.qe_ori.value, "qe_mix": report.qe_mix.value,
             "qe_para": report.qe_para.value,
             "delta_mix": report.delta_mix, "delta_para": report.delta_para}
-
-
-def delta_from_dict(rec: dict) -> DeltaReport:
-    """Inverse of delta_to_dict; a "type" tag in `rec` is ignored."""
-    orientation = Orientation(rec["orientation"])
-
-    def qe(value):
-        return QEScore(metric_id=rec["metric_id"], orientation=orientation,
-                       value=value)
-    return DeltaReport(
-        sentence_id=rec["sentence_id"], system_id=rec["system_id"],
-        target_lang=rec["target_lang"], qe_ori=qe(rec["qe_ori"]),
-        qe_mix=qe(rec["qe_mix"]), qe_para=qe(rec["qe_para"]),
-        delta_mix=rec["delta_mix"], delta_para=rec["delta_para"],
-        candidate_ref=rec["candidate_ref"], category=rec["category"])
 
 
 class HttpQEBackend:

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 from functools import cache
+from types import SimpleNamespace
 
 from .errors import ContractViolation
 from .extract import Category
 from .mt import TARGET_LANGS, ValidityStatus
-from .stats import Orientation
+from .stats import Orientation, delta_improvement
 
 # JSON type -> (the Python types json.loads gives it, its name); a bool is not a number
 _JSON = {"string": ((str,), "a string"), "number": ((int, float), "a number"),
@@ -68,11 +69,47 @@ TABLES = {
 }
 
 
+# A scored record type -> its score fields; a delta field -> the score it is the
+# improvement to from qe_ori
+_SCORES = {"qe": ("value",), "delta": ("qe_ori", "qe_mix", "qe_para")}
+_DELTAS = {"delta_mix": "qe_mix", "delta_para": "qe_para"}
+
+
 def check_records(kind: str, records, path) -> None:
     """Raise ContractViolation naming `path`, the line and the field unless each
-    of `records`, (line number, record) pairs, passes the `kind` table."""
+    of `records`, (line number, record) pairs, passes the `kind` table, and each
+    qe and delta record of a scored file the rules of its scores."""
+    first = None  # the first qe or delta record's line and the record
     for line, record in records:
-        _check_object(TABLES[kind], record, f"{path} line {line}: ", "")
+        where = f"{path} line {line}: "
+        _check_object(TABLES[kind], record, where, "")
+        if kind == "scored" and record["type"] in _SCORES:
+            first = first or (line, record)
+            _check_scores(record, where, *first)
+
+
+def _check_scores(record: dict, where: str, line: int, first: dict):
+    """The rules of a qe or delta record no table states: the metric_id and
+    orientation of `first`, the file's first such record, on `line`; each score
+    in its orientation's range; each delta as delta_improvement gives it."""
+    for field in ("metric_id", "orientation"):
+        if record[field] != first[field]:
+            raise ContractViolation(f"{where}{field} must be {first[field]!r} as on "
+                                    f"line {line}, not {record[field]!r}")
+    orientation = Orientation(record["orientation"])
+    low, high = orientation.value_range
+    scores = {field: SimpleNamespace(orientation=orientation, value=record[field])
+              for field in _SCORES[record["type"]]}
+    for field, score in scores.items():
+        if not low <= score.value <= high:
+            raise ContractViolation(f"{where}{field} must lie in [{low}, {high}], "
+                                    f"not {score.value!r}")
+    for field, name in _DELTAS.items() if "qe_ori" in scores else ():
+        delta = delta_improvement(scores["qe_ori"], scores[name])
+        if record[field] != delta:
+            raise ContractViolation(f"{where}{field} must be {delta!r}, the "
+                                    f"improvement from qe_ori to {name}, "
+                                    f"not {record[field]!r}")
 
 
 def _check_object(table: dict, record, where: str, name: str):

@@ -18,11 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
 from .extract import Category
-from .llm import ClassificationResult
 from .mt import error_pct
-from .qe import DeltaReport, delta_from_dict
 from .stats import (ClassMetrics, ConfusionMatrix, DAAnnotation, Orientation,
-                    ZScore, confusion_metrics, round_half_up, znormalize)
+                    confusion_metrics, round_half_up, znormalize)
 
 log = logging.getLogger(__name__)
 
@@ -72,10 +70,11 @@ def gap_table(vmwe_scores: Mapping[CellKey, Sequence[float]],
     return rows
 
 
-def z_gap_table(zscores: Sequence[ZScore], vmwe_ids: Iterable[str],
-                control_ids: Iterable[str]) -> list[dict]:
-    """Human-score gap per system over standardized judgments, in cells
-    ("all", system, "all") of metric "da_z".
+def da_gap_table(records: Iterable[Mapping], vmwe_ids: Iterable[str],
+                 control_ids: Iterable[str]) -> list[dict]:
+    """Human-score gap per system from DA-annotation records (system_id,
+    sentence_id, annotator_id, raw_score) standardized per annotator, in
+    cells ("all", system, "all") of metric "da_z".
 
     Sentence ids decide side membership; judgments outside both sets are
     ignored.  Standardized scores are higher-better, so the gap is
@@ -87,24 +86,15 @@ def z_gap_table(zscores: Sequence[ZScore], vmwe_ids: Iterable[str],
         raise ContractViolation(f"ids on both sides: {sorted(overlap)[:5]}")
     vmwe: dict[CellKey, list[float]] = {}
     control: dict[CellKey, list[float]] = {}
-    for z in zscores:
+    annotations = [DAAnnotation(r["system_id"], r["sentence_id"], r["annotator_id"],
+                                r["raw_score"]) for r in records]
+    for z in znormalize(annotations):
         key = ("all", z.system_id, "all")
         if z.sentence_id in vmwe_ids:
             vmwe.setdefault(key, []).append(z.z)
         elif z.sentence_id in control_ids:
             control.setdefault(key, []).append(z.z)
     return gap_table(vmwe, control, Orientation.HIGHER_BETTER_0_1, "da_z")
-
-
-def da_gap_table(records: Iterable[Mapping], vmwe_ids: Iterable[str],
-                 control_ids: Iterable[str]) -> list[dict]:
-    """The z-gap table from DA-annotation records (system_id, sentence_id,
-    annotator_id, raw_score), standardized per annotator."""
-    annotations = [DAAnnotation(
-        system_id=r["system_id"], sentence_id=r["sentence_id"],
-        annotator_id=r["annotator_id"], raw_score=r["raw_score"])
-        for r in records]
-    return z_gap_table(znormalize(annotations), vmwe_ids, control_ids)
 
 
 def rank_systems(cell_means: Mapping[tuple[str, str], float],
@@ -137,33 +127,26 @@ def _percents(metrics: ClassMetrics) -> dict:
             "recall": metrics.recall * 100.0, "f1": metrics.f1 * 100.0}
 
 
-def classifier_report(gold: Mapping[str, bool],
-                      predictions: Iterable[ClassificationResult],
-                      undecided: Iterable[tuple[str, Category]] = (),
-                      ) -> list[dict]:
-    """Join predictions to gold labels and score them per category, in
-    percents."""
+def classifier_table(gold_records: Iterable[Mapping],
+                     classification_records: Iterable[Mapping],
+                     ) -> list[dict]:
+    """The classifier table from gold-label records (candidate_ref, label)
+    and classify-stage records, joined by candidate_ref and scored per
+    category in percents; a record without a verdict is undecided."""
+    gold = {r["candidate_ref"]: bool(r["label"]) for r in gold_records}
     counts: dict[str, dict[str, int]] = {}
-    for pred in predictions:
-        if pred.candidate_ref not in gold:
-            raise ContractViolation(
-                f"prediction {pred.candidate_ref} has no gold label")
-        cell = counts.setdefault(pred.category.value,
-                                 {"tp": 0, "fn": 0, "fp": 0, "tn": 0})
-        actual = gold[pred.candidate_ref]
-        if pred.verdict and actual:
-            cell["tp"] += 1
-        elif pred.verdict and not actual:
-            cell["fp"] += 1
-        elif not pred.verdict and actual:
-            cell["fn"] += 1
-        else:
-            cell["tn"] += 1
     n_undecided: dict[str, int] = {}
-    for ref, category in undecided:
+    for rec in classification_records:
+        ref, verdict, category = rec["candidate_ref"], rec["verdict"], rec["category"]
         if ref not in gold:
-            raise ContractViolation(f"undecided candidate {ref} has no gold label")
-        n_undecided[category.value] = n_undecided.get(category.value, 0) + 1
+            what = "undecided candidate" if verdict is None else "prediction"
+            raise ContractViolation(f"{what} {ref} has no gold label")
+        if verdict is None:
+            n_undecided[category] = n_undecided.get(category, 0) + 1
+            continue
+        cell = counts.setdefault(category, {"tp": 0, "fn": 0, "fp": 0, "tn": 0})
+        # true when the verdict is the label, positive when the verdict is
+        cell[("t" if verdict == gold[ref] else "f") + ("p" if verdict else "n")] += 1
     rows = []
     for name in sorted(set(counts) | set(n_undecided), key=_category_key):
         if name not in counts:
@@ -181,45 +164,26 @@ def classifier_report(gold: Mapping[str, bool],
     return rows
 
 
-def classifier_table(gold_records: Iterable[Mapping],
-                     classification_records: Iterable[Mapping],
-                     ) -> list[dict]:
-    """The classifier table from gold-label records (candidate_ref, label)
-    and classify-stage records; a record without a verdict is undecided."""
-    gold = {r["candidate_ref"]: bool(r["label"]) for r in gold_records}
-    predictions = []
-    undecided = []
-    for rec in classification_records:
-        category = Category(rec["category"])
-        if rec["verdict"] is None:
-            undecided.append((rec["candidate_ref"], category))
-            continue
-        predictions.append(ClassificationResult(
-            candidate_ref=rec["candidate_ref"], category=category,
-            verdict=rec["verdict"], raw_choice=rec["raw_choice"],
-            raw_response=rec["raw_response"]))
-    return classifier_report(gold, predictions, undecided)
-
-
-def delta_table(reports: Sequence[DeltaReport]) -> list[dict]:
-    """Aggregate per-sentence deltas into table rows."""
-    groups: dict[tuple, list[DeltaReport]] = {}
-    for rep in reports:
-        key = (rep.category or "all", rep.system_id, rep.target_lang,
-               rep.qe_ori.metric_id)
-        groups.setdefault(key, []).append(rep)
+def delta_table(records: Iterable[Mapping]) -> list[dict]:
+    """One row per category ("all" for a record without one), system,
+    language and metric of the score stage's delta records."""
+    groups: dict[tuple, list[Mapping]] = {}
+    for rec in records:
+        key = (rec["category"] or "all", rec["system_id"], rec["target_lang"],
+               rec["metric_id"])
+        groups.setdefault(key, []).append(rec)
     rows = []
     for key in sorted(groups, key=lambda k: (_category_key(k[0]), k[1:])):
         batch = groups[key]
         rows.append({"category": key[0], "system_id": key[1], "target_lang": key[2],
                      "metric_id": key[3], "n": len(batch),
-                     "ori": fmean(r.qe_ori.value for r in batch),
-                     "delta_mix": fmean(r.delta_mix for r in batch),
-                     "delta_para": fmean(r.delta_para for r in batch)})
+                     "ori": fmean(r["qe_ori"] for r in batch),
+                     "delta_mix": fmean(r["delta_mix"] for r in batch),
+                     "delta_para": fmean(r["delta_para"] for r in batch)})
     return rows
 
 
-def error_rate_rows(counts: Mapping[tuple[str, str], tuple[int, int]],
+def error_rate_rows(counts: Mapping[tuple[str, str], Sequence[int]],
                     flag_pct: float = DEFAULT_FLAG_PCT,
                     exclude_pct: float = DEFAULT_EXCLUDE_PCT) -> list[dict]:
     """Turn (invalid, total) counts per (system, lang) into judged rows."""
@@ -248,8 +212,7 @@ def build_tables(scored: Sequence[dict], flag_pct: float,
                                        [0, 0])
             tally[0] += int(rec["type"] == "invalid")
             tally[1] += 1
-    error_rows = error_rate_rows({pair: tuple(t) for pair, t in tallies.items()},
-                                 flag_pct, exclude_pct)
+    error_rows = error_rate_rows(tallies, flag_pct, exclude_pct)
     exclusions = [(r["system_id"], r["target_lang"]) for r in error_rows
                   if r["excluded"]]
     tables = {"error_rates": error_rows}
@@ -280,7 +243,7 @@ def build_tables(scored: Sequence[dict], flag_pct: float,
                                               category=category,
                                               exclusions=exclusions)
 
-    deltas = [delta_from_dict(r) for r in scored if r["type"] == "delta"]
+    deltas = [r for r in scored if r["type"] == "delta"]
     if deltas:
         tables["delta_table"] = delta_table(deltas)
     return tables

@@ -1351,6 +1351,51 @@ def _report_file(section, key, records=None):
     return _report_input(mutate)
 
 
+# a scored file of two qe records and a delta record whose scores obey its rules
+_SCORED = [
+    {"type": "qe", "kind": kind, "sentence_id": sentence, "candidate_ref": ref,
+     "category": category, "system_id": "alpha", "target_lang": "de",
+     "metric_id": "overlap_qe", "orientation": "lower_better_0_25", "value": value}
+    for kind, sentence, ref, category, value in [
+        ("ori", "s01", "s01#VID#2.3.4", "VID", 7.25),
+        ("control", "s15", None, None, 5.0)]] + [
+    {"type": "delta", "sentence_id": "s01", "candidate_ref": "s01#VID#2.3.4",
+     "category": "VID", "system_id": "alpha", "target_lang": "de",
+     "metric_id": "overlap_qe", "orientation": "lower_better_0_25",
+     "qe_ori": 7.25, "qe_mix": 5.5, "qe_para": 5.0, "delta_mix": 1.75,
+     "delta_para": 2.25}]
+
+
+def _scored_file(line, **fields):
+    """Report on _SCORED with `fields` in place of those of record `line`."""
+    def make_case(tmp_path):
+        scored = tmp_path / "scored.jsonl"
+        cli.write_jsonl(scored, [{**record, **fields} if i == line else record
+                                 for i, record in enumerate(_SCORED, start=1)])
+        return patched_config(tmp_path), ["report", "--stage-in", str(scored)]
+    return make_case
+
+
+# (make_case, message, id) of a scored file whose scores break the rules no
+# records table states
+_BAD_SCORES = [
+    (_scored_file(2, value=1000),
+     "scored.jsonl line 2: value must lie in [0.0, 25.0], not 1000",
+     "scored-value-out-of-range"),
+    (_scored_file(2, metric_id="other_qe"),
+     "scored.jsonl line 2: metric_id must be 'overlap_qe' as on line 1, "
+     "not 'other_qe'", "scored-second-metric"),
+    (_scored_file(2, orientation="higher_better_0_1", value=0.5),
+     "scored.jsonl line 2: orientation must be 'lower_better_0_25' as on line 1, "
+     "not 'higher_better_0_1'", "scored-second-orientation"),
+    (_scored_file(3, delta_mix=1.0),
+     "scored.jsonl line 3: delta_mix must be 1.75, the improvement from qe_ori "
+     "to qe_mix, not 1.0", "scored-delta-inconsistent"),
+    (_scored_file(3, qe_para=30, delta_para=-22.75),
+     "scored.jsonl line 3: qe_para must lie in [0.0, 25.0], not 30",
+     "scored-delta-score-out-of-range"),
+]
+
 _DA_RECORDS = read_jsonl_plain(FIXTURES / "da_annotations.jsonl")
 _GOLD_RECORDS = read_jsonl_plain(FIXTURES / "gold_labels.jsonl")
 
@@ -1381,6 +1426,11 @@ _BAD_NUMBERS = [
     (["exclusion", "rank_exclude_pct"], None, "report",
      "config exclusion.rank_exclude_pct must be a number, not None",
      "rank-exclude-pct-null"),
+    (["exclusion", "flag_pct"], -5, "report",
+     "config exclusion.flag_pct must be at least 0, not -5", "flag-pct-below-0"),
+    (["exclusion", "rank_exclude_pct"], 150, "report",
+     "config exclusion.rank_exclude_pct must be at most 100, not 150",
+     "rank-exclude-pct-above-100"),
     (["seed"], "x", "extract", "config seed must be an integer, not 'x'",
      "seed-not-int"),
     # a fraction is not an integer, and a bool or NaN is not a number
@@ -1575,6 +1625,7 @@ _MALFORMED = [
      "corpus.format is 'xml'; allowed: conllu, plain, jsonl", "corpus-format-unknown"),
     *_BAD_BACKENDS,
     *_BAD_REPORT_INPUTS,
+    *_BAD_SCORES,
 ]
 
 
@@ -1743,6 +1794,24 @@ def test_report_writes_all_of_its_output_or_none(tmp_path, capsys):
         assert _tree(out / "report") == before, command[0]
 
 
+@pytest.mark.parametrize("make_case, message",
+                         [case[:2] for case in _BAD_SCORES],
+                         ids=[case[2] for case in _BAD_SCORES])
+def test_report_on_a_scored_file_that_breaks_its_rules_keeps_report(
+        tmp_path, capsys, make_case, message):
+    """report/ keeps the bytes of the run on the unchanged scored file."""
+    cfg, command = _scored_file(0)(tmp_path)
+    out = tmp_path / "report"
+    assert cli.main([*command, "--config", str(cfg), "--stage-out", str(out)]) == 0
+    before = _tree(out)
+    assert "delta_table.json" in before and "gap_table.json" in before
+    capsys.readouterr()
+    cfg, command = make_case(tmp_path)
+    assert cli.main([*command, "--config", str(cfg), "--stage-out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
+    assert _tree(out) == before
+
+
 def test_main_schema_mismatch_exit_code(tmp_path, capsys):
     cfg = patched_config(tmp_path)
     data = tmp_path / "data.jsonl"
@@ -1788,6 +1857,39 @@ def test_run_all_passes_shared_flags_to_every_stage(tmp_path):
                  "paraphrases.jsonl", "translations.jsonl", "scored.jsonl",
                  "report"):
         assert read_manifest(out / name)["seed"] == 7, name
+
+
+def test_manifests_record_what_the_flags_narrowed(tmp_path):
+    """Each flag that narrows the config narrows the snapshot every manifest
+    records; without them the manifests record the config as written."""
+    cfg = patched_config(tmp_path)
+    raw = yaml.safe_load(cfg.read_text("utf-8"))
+    outputs = ("candidates.jsonl", "controls.jsonl", "classifications.jsonl",
+               "paraphrases.jsonl", "translations.jsonl", "scored.jsonl", "report")
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(out)]) == 0
+    for name in outputs:
+        assert read_manifest(out / name)["config"] == raw, name
+    narrowed = tmp_path / "narrowed"
+    assert cli.main(["run-all", "--config", str(cfg), "--stage-out", str(narrowed),
+                     "--seed", "7", "--category", "vpc", "--target-lang", "de",
+                     "--backend", "alpha"]) == 0
+    # run-all leaves the pipeline to the config
+    expected = {**raw, "seed": 7, "categories": ["VPC"], "target_langs": ["de"]}
+    for name in outputs:
+        assert read_manifest(narrowed / name)["config"] == expected, name
+    translations = tmp_path / "translations.jsonl"
+    assert cli.main(["translate", "--config", str(cfg), "--stage-out",
+                     str(translations), "--stage-in", str(out / "paraphrases.jsonl"),
+                     "--target-lang", "de", "--backend", "beta"]) == 0
+    assert {(r["system_id"], r["target_lang"])
+            for r in read_jsonl_plain(translations)} == {("beta", "de")}
+    assert read_manifest(translations)["config"] == {
+        **raw, "target_langs": ["de"], "pipeline": {**raw["pipeline"], "mt": ["beta"]}}
+    scored = tmp_path / "scored.jsonl"
+    assert cli.main(["score", "--config", str(cfg), "--stage-out", str(scored),
+                     "--stage-in", str(translations), "--backend", "mock_qe"]) == 0
+    assert read_manifest(scored)["config"] == raw
 
 
 # --- run-all hands records over in memory ------------------------------------

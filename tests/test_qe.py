@@ -5,9 +5,10 @@ import pytest
 
 from vmweval.errors import BackendContractError, ContractViolation
 from vmweval.mt import TranslationRecord, ValidityStatus
-from vmweval.qe import (DeltaReport, MockQEBackend, Orientation, QEScore,
-                        delta_from_dict, delta_report, delta_to_dict,
+from vmweval.qe import (MockQEBackend, Orientation, delta_report, delta_to_dict,
                         paraphrase_experiment, score)
+from vmweval.records import check_records
+from vmweval.report import delta_table
 from vmweval.stats import round_half_up
 
 
@@ -99,19 +100,23 @@ def test_experiment_rejects_mismatched_records():
         paraphrase_experiment(_table2_backend(ori, para), ori, other_lang)
 
 
+def _check_scored(record):
+    """Check `record` as line 1 of a scored file."""
+    check_records("scored", [(1, record)], "scored.jsonl")
+
+
 def test_delta_report_recompute_consistency():
+    """A delta record passes the scored file's check only with the deltas
+    its scores give."""
     ori, para = _records()
     good = paraphrase_experiment(_table2_backend(ori, para), ori, para)
-    with pytest.raises(ContractViolation):
-        DeltaReport(sentence_id="s01", system_id="alpha", target_lang="de",
-                    qe_ori=good.qe_ori, qe_mix=good.qe_mix,
-                    qe_para=good.qe_para, delta_mix=good.delta_mix + 0.5,
-                    delta_para=good.delta_para)
-    with pytest.raises(ContractViolation):
-        DeltaReport(sentence_id="s01", system_id="alpha", target_lang="de",
-                    qe_ori=good.qe_ori, qe_mix=good.qe_mix,
-                    qe_para=good.qe_para, delta_mix=good.delta_mix,
-                    delta_para=-good.delta_para)
+    record = {"type": "delta", **delta_to_dict(
+        replace(good, candidate_ref="s01#VID#2.3.4", category="VID"))}
+    _check_scored(record)
+    with pytest.raises(ContractViolation, match="line 1: delta_mix must be "):
+        _check_scored({**record, "delta_mix": good.delta_mix + 0.5})
+    with pytest.raises(ContractViolation, match="line 1: delta_para must be "):
+        _check_scored({**record, "delta_para": -good.delta_para})
 
 
 def test_delta_report_from_given_scores():
@@ -138,20 +143,33 @@ def test_delta_dict_round_trip():
         "metric_id": "stub", "orientation": "lower_better_0_25",
         "qe_ori": 7.25, "qe_mix": 5.48, "qe_para": 5.04,
         "delta_mix": report.delta_mix, "delta_para": report.delta_para}
-    assert delta_from_dict(record) == report
-    # the score stage tags its records; the tag is not part of the report
-    assert delta_from_dict({"type": "delta", **record}) == report
+    # the score stage tags the record; tagged, it passes the scored file's
+    # checks and the report reads its scores and deltas back as they were
+    tagged = {"type": "delta", **record}
+    check_records("scored", [(1, tagged)], "scored.jsonl")
+    [row] = delta_table([tagged])
+    assert (row["n"], row["ori"], row["delta_mix"], row["delta_para"]) == (
+        1, 7.25, report.delta_mix, report.delta_para)
 
 
 def test_qescore_range_contract():
-    QEScore(metric_id="m", orientation=Orientation.LOWER_BETTER_0_25, value=0.0)
-    QEScore(metric_id="m", orientation=Orientation.LOWER_BETTER_0_25, value=25.0)
-    with pytest.raises(ContractViolation):
-        QEScore(metric_id="m", orientation=Orientation.LOWER_BETTER_0_25,
-                value=25.01)
-    with pytest.raises(ContractViolation):
-        QEScore(metric_id="m", orientation=Orientation.HIGHER_BETTER_0_1,
-                value=-0.1)
+    """A qe record passes the scored file's check only with a value in its
+    orientation's range."""
+    def qe(orientation, value):
+        return {"type": "qe", "kind": "control", "sentence_id": "s15",
+                "candidate_ref": None, "category": None, "system_id": "alpha",
+                "target_lang": "de", "metric_id": "m",
+                "orientation": orientation.value, "value": value}
+    for orientation, value in ((Orientation.LOWER_BETTER_0_25, 0.0),
+                               (Orientation.LOWER_BETTER_0_25, 25.0),
+                               (Orientation.HIGHER_BETTER_0_1, 1.0)):
+        _check_scored(qe(orientation, value))
+    with pytest.raises(ContractViolation,
+                       match=r"value must lie in \[0.0, 25.0\], not 25.01"):
+        _check_scored(qe(Orientation.LOWER_BETTER_0_25, 25.01))
+    with pytest.raises(ContractViolation,
+                       match=r"value must lie in \[0.0, 1.0\], not -0.1"):
+        _check_scored(qe(Orientation.HIGHER_BETTER_0_1, -0.1))
 
 
 def test_score_input_contracts():

@@ -12,12 +12,12 @@ from vmweval.errors import ContractViolation
 from vmweval.extract import Category
 from vmweval.llm import ClassificationResult
 from vmweval.mt import error_pct
-from vmweval.qe import DeltaReport, Orientation, QEScore, delta_from_dict
-from vmweval.report import (TABLE_KINDS, build_tables, classifier_report,
-                            classifier_table, da_gap_table, delta_table, emit,
-                            error_rate_rows, gap_table, rank_systems, z_gap_table)
+from vmweval.qe import DeltaReport, Orientation, QEScore
+from vmweval.report import (TABLE_KINDS, build_tables, classifier_table,
+                            da_gap_table, delta_table, emit, error_rate_rows,
+                            gap_table, rank_systems)
 from vmweval.stats import (ClassMetrics, ConfusionMatrix, ConfusionReport,
-                           DAAnnotation, ZScore, confusion_metrics,
+                           DAAnnotation, confusion_metrics,
                            delta_improvement, round_half_up, znormalize)
 
 LOWER = Orientation.LOWER_BETTER_0_25
@@ -79,43 +79,45 @@ def test_gap_skips_empty_side(caplog):
     assert "empty side" in caplog.text
 
 
-# --- z gap table --------------------------------------------------------------
+# --- z gap table ---------------------------------------------------------------
 
-def _z(system, sentence, value):
-    return ZScore(system_id=system, sentence_id=sentence, annotator_id="a1",
-                  raw_score=0.0, z=value)
+def _da(system, sentence, annotator, raw):
+    return {"system_id": system, "sentence_id": sentence, "annotator_id": annotator,
+            "raw_score": raw}
 
 
 def test_z_gap_table():
-    zs = [_z("alpha", "v1", 0.5), _z("alpha", "v2", -0.5),
-          _z("alpha", "c1", 1.0), _z("alpha", "c2", 0.0),
-          _z("beta", "v1", 1.0), _z("beta", "c1", 1.0),
-          _z("alpha", "x9", 9.0)]  # in neither set, ignored
-    cells = z_gap_table(zs, ["v1", "v2"], ["c1", "c2"])
-    assert [(c["system_id"], c["gap"]) for c in cells] == [("alpha", 0.5),
+    # a1 and a2: mean 70, std 10, so each v -> -1 and each c -> +1; a3 has no
+    # variance, so its judgments are 0
+    records = [_da("alpha", "v1", "a1", 60), _da("alpha", "c1", "a1", 80),
+               _da("alpha", "v2", "a2", 60), _da("alpha", "c2", "a2", 80),
+               _da("beta", "v1", "a3", 30), _da("beta", "c1", "a3", 30),
+               _da("alpha", "x9", "a3", 30)]  # in neither set, ignored
+    cells = da_gap_table(records, ["v1", "v2"], ["c1", "c2"])
+    assert [(c["system_id"], c["gap"]) for c in cells] == [("alpha", 2.0),
                                                            ("beta", 0.0)]
-    assert cells[0]["category"] == "all"
+    assert cells[0]["category"] == "all" and cells[0]["target_lang"] == "all"
     assert cells[0]["metric_id"] == "da_z"
     assert cells[0]["n_vmwe"] == 2 and cells[0]["n_control"] == 2
 
 
 def test_z_gap_skips_one_sided_system(caplog):
-    zs = [_z("alpha", "v1", 0.5), _z("alpha", "c1", 1.0),
-          _z("gamma", "v1", 0.2)]
+    records = [_da("alpha", "v1", "a1", 60), _da("alpha", "c1", "a1", 80),
+               _da("gamma", "v1", "a1", 70)]
     with caplog.at_level(logging.WARNING, logger="vmweval.report"):
-        cells = z_gap_table(zs, ["v1"], ["c1"])
+        cells = da_gap_table(records, ["v1"], ["c1"])
     assert [c["system_id"] for c in cells] == ["alpha"]
     assert "gamma" in caplog.text
 
 
 def test_z_gap_rejects_overlapping_ids():
-    with pytest.raises(ContractViolation):
-        z_gap_table([], ["v1", "shared"], ["shared", "c1"])
+    with pytest.raises(ContractViolation, match="ids on both sides"):
+        da_gap_table([], ["v1", "shared"], ["shared", "c1"])
 
 
 def _z_gap_table_oracle(zscores, vmwe_ids, control_ids, category="all",
                         target_lang="all", metric_id="da_z"):
-    """z_gap_table as it was before it went through gap_table: its own
+    """The z-gap table as it was before it went through gap_table: its own
     grouping by system, control mean minus VMWE mean."""
     vmwe_ids, control_ids = set(vmwe_ids), set(control_ids)
     overlap = vmwe_ids & control_ids
@@ -139,26 +141,35 @@ def _z_gap_table_oracle(zscores, vmwe_ids, control_ids, category="all",
     return cells
 
 
+def _annotations(records):
+    return [DAAnnotation(**{k: r[k] for k in ("system_id", "sentence_id",
+                                              "annotator_id", "raw_score")})
+            for r in records]
+
+
 def test_z_gap_table_matches_its_oracle():
     vmwe_ids = [f"v{i}" for i in range(6)]
     control_ids = [f"c{i}" for i in range(6)]
     for seed in range(20):
         rng = random.Random(seed)
-        zs = []
+        records = []
         for system in ("alpha", "beta", "gamma", "delta", "eps"):
             for ids in rng.choice([(vmwe_ids, control_ids), (vmwe_ids,),
                                    (control_ids,)]):
                 for sid in rng.sample(ids + ["x1", "x2"], rng.randint(1, 7)):
-                    zs.append(_z(system, sid, round(rng.uniform(-2.5, 2.5),
-                                                    rng.choice([1, 3, 17]))))
-        # an exact tie: the same judgments on both sides, in another order
-        tie = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 5))]
-        zs += [_z("tied", vmwe_ids[i], v) for i, v in enumerate(tie)]
-        zs += [_z("tied", control_ids[i], v) for i, v in enumerate(reversed(tie))]
-        rng.shuffle(zs)
+                    records.append(_da(system, sid, rng.choice(["a1", "a2", "a3"]),
+                                       round(rng.uniform(0.0, 100.0),
+                                             rng.choice([1, 3, 17]))))
+        # an exact tie: one annotator's judgments on both sides, in another order
+        tie = [rng.uniform(0.0, 100.0) for _ in range(rng.randint(1, 5))]
+        records += [_da("tied", vmwe_ids[i], "t", v) for i, v in enumerate(tie)]
+        records += [_da("tied", control_ids[i], "t", v)
+                    for i, v in enumerate(reversed(tie))]
+        rng.shuffle(records)
 
-        cells = z_gap_table(zs, vmwe_ids, control_ids)
-        oracle = _z_gap_table_oracle(zs, vmwe_ids, control_ids)
+        cells = da_gap_table(records, vmwe_ids, control_ids)
+        oracle = _z_gap_table_oracle(znormalize(_annotations(records)), vmwe_ids,
+                                     control_ids)
         assert cells == oracle, seed
         assert [c["gap"] for c in cells if c["system_id"] == "tied"] == [0.0]
         # -0.0 == 0.0, so compare the rendered tables too
@@ -167,12 +178,9 @@ def test_z_gap_table_matches_its_oracle():
 
 
 def test_da_gap_table_from_dict_records():
-    def record(system, sentence, annotator, raw):
-        return {"system_id": system, "sentence_id": sentence,
-                "annotator_id": annotator, "raw_score": raw}
     # a1: mean 70, std 10, so v1 -> -1 and c1 -> +1; a2 has no variance
-    records = [record("alpha", "v1", "a1", 60), record("alpha", "c1", "a1", 80),
-               record("beta", "v1", "a2", 30), record("beta", "c1", "a2", 30)]
+    records = [_da("alpha", "v1", "a1", 60), _da("alpha", "c1", "a1", 80),
+               _da("beta", "v1", "a2", 30), _da("beta", "c1", "a2", 30)]
     cells = da_gap_table(records, ["v1"], ["c1"])
     assert [(c["system_id"], c["gap"], c["n_vmwe"], c["n_control"])
             for c in cells] == [("alpha", 2.0, 1, 1), ("beta", 0.0, 1, 1)]
@@ -236,19 +244,24 @@ def test_rank_order_is_shift_invariant():
 
 # --- classifier report ----------------------------------------------------------
 
-def _pred(ref, category, verdict):
-    return ClassificationResult(candidate_ref=ref, category=category,
-                                verdict=verdict, raw_choice="X",
-                                raw_response="Final Answer: X")
+def _cls(ref, category, verdict):
+    """A classify-stage record, undecided when `verdict` is None."""
+    return {"candidate_ref": ref, "category": category, "verdict": verdict,
+            "raw_choice": None if verdict is None else "X",
+            "raw_response": "Final Answer: X"}
+
+
+def _gold(labels):
+    return [{"candidate_ref": ref, "label": label} for ref, label in labels.items()]
 
 
 def test_classifier_report_joins_and_counts():
-    gold = {"r1": True, "r2": True, "r3": False, "r4": False,
-            "r5": True, "r6": True}
-    preds = [_pred("r1", Category.VID, True), _pred("r2", Category.VID, False),
-             _pred("r3", Category.VID, True), _pred("r4", Category.VID, False),
-             _pred("r5", Category.VPC, True)]
-    cells = classifier_report(gold, preds, undecided=[("r6", Category.VID)])
+    gold = _gold({"r1": True, "r2": True, "r3": False, "r4": False,
+                  "r5": True, "r6": True})
+    records = [_cls("r1", "VID", True), _cls("r2", "VID", False),
+               _cls("r3", "VID", True), _cls("r4", "VID", False),
+               _cls("r5", "VPC", True), _cls("r6", "VID", None)]
+    cells = classifier_table(gold, records)
     assert [c["category"] for c in cells] == ["VID", "VPC"]
     vid = cells[0]
     assert vid["matrix"] == {"tp": 1, "fn": 1, "fp": 1, "tn": 1}
@@ -264,10 +277,12 @@ def test_classifier_report_joins_and_counts():
 
 
 def test_classifier_report_requires_gold():
-    with pytest.raises(ContractViolation):
-        classifier_report({}, [_pred("r9", Category.VID, True)])
-    with pytest.raises(ContractViolation):
-        classifier_report({"r1": True}, [], undecided=[("r9", Category.VID)])
+    with pytest.raises(ContractViolation,
+                       match="^prediction r9 has no gold label$"):
+        classifier_table([], [_cls("r9", "VID", True)])
+    with pytest.raises(ContractViolation,
+                       match="^undecided candidate r9 has no gold label$"):
+        classifier_table(_gold({"r1": True}), [_cls("r9", "VID", None)])
 
 
 def test_classifier_table_from_records():
@@ -286,7 +301,7 @@ def test_classifier_table_from_records():
     vid = cells[0]
     assert vid["matrix"] == {"tp": 1, "fn": 0, "fp": 0, "tn": 1}
     assert vid["undecided"] == 1
-    assert cells == classifier_report(
+    assert cells == _parent_classifier_report(
         {"r1": True, "r2": False, "r3": True},
         [_pred("r1", Category.VID, True), _pred("r2", Category.VID, False)],
         undecided=[("r3", Category.VID)])
@@ -294,8 +309,7 @@ def test_classifier_table_from_records():
 
 def test_classifier_report_skips_undecided_only_category(caplog):
     with caplog.at_level(logging.WARNING, logger="vmweval.report"):
-        cells = classifier_report({"u1": True}, [],
-                                  undecided=[("u1", Category.LVC)])
+        cells = classifier_table(_gold({"u1": True}), [_cls("u1", "LVC", None)])
     assert cells == []
     assert "only undecided" in caplog.text
 
@@ -303,21 +317,20 @@ def test_classifier_report_skips_undecided_only_category(caplog):
 # --- delta table ----------------------------------------------------------------
 
 def _delta(sentence, system, lang, ori, mix, para, category=""):
-    qe_ori = QEScore("m", LOWER, ori)
-    qe_mix = QEScore("m", LOWER, mix)
-    qe_para = QEScore("m", LOWER, para)
-    return DeltaReport(sentence_id=sentence, system_id=system,
-                       target_lang=lang, qe_ori=qe_ori, qe_mix=qe_mix,
-                       qe_para=qe_para, delta_mix=ori - mix,
-                       delta_para=ori - para, category=category)
+    """A score-stage delta record of a lower-better metric "m"."""
+    return {"type": "delta", "sentence_id": sentence,
+            "candidate_ref": f"{sentence}#VID#1.2", "category": category,
+            "system_id": system, "target_lang": lang, "metric_id": "m",
+            "orientation": LOWER.value, "qe_ori": ori, "qe_mix": mix,
+            "qe_para": para, "delta_mix": ori - mix, "delta_para": ori - para}
 
 
 def test_delta_table_groups_and_averages():
-    reports = [_delta("s1", "alpha", "de", 10.0, 8.0, 7.0, category="VID"),
+    records = [_delta("s1", "alpha", "de", 10.0, 8.0, 7.0, category="VID"),
                _delta("s2", "alpha", "de", 12.0, 10.0, 11.0, category="VID"),
                _delta("s3", "beta", "de", 5.0, 5.0, 5.0, category="VID"),
                _delta("s4", "alpha", "cs", 1.0, 1.0, 1.0)]
-    rows = delta_table(reports)
+    rows = delta_table(records)
     assert [(r["category"], r["system_id"], r["target_lang"], r["n"])
             for r in rows] == [("VID", "alpha", "de", 2), ("VID", "beta", "de", 1),
                                ("all", "alpha", "cs", 1)]
@@ -409,20 +422,13 @@ def test_build_tables_drops_excluded_pair_from_ranking():
 
 
 def test_build_tables_rebuilds_delta_rows():
-    def delta(sentence, ori, mix, para):
-        return {"type": "delta", "sentence_id": sentence,
-                "candidate_ref": f"{sentence}#VID#1.2", "category": "VID",
-                "system_id": "alpha", "target_lang": "de", "metric_id": "m",
-                "orientation": LOWER.value, "qe_ori": ori, "qe_mix": mix,
-                "qe_para": para, "delta_mix": ori - mix,
-                "delta_para": ori - para}
-    tables = build_tables([delta("s1", 10.0, 8.0, 7.0),
-                           delta("s2", 12.0, 10.0, 11.0)], 10.0, 50.0)
+    records = [_delta("s1", "alpha", "de", 10.0, 8.0, 7.0, category="VID"),
+               _delta("s2", "alpha", "de", 12.0, 10.0, 11.0, category="VID")]
+    tables = build_tables(records, 10.0, 50.0)
     assert tables["error_rates"] == []
     assert "gap_table" not in tables and "ranking" not in tables
-    assert tables["delta_table"] == delta_table(
-        [_delta("s1", "alpha", "de", 10.0, 8.0, 7.0, category="VID"),
-         _delta("s2", "alpha", "de", 12.0, 10.0, 11.0, category="VID")])
+    assert tables["delta_table"] == delta_table(records) == _parent_delta_table(
+        [_delta_from_dict(r) for r in records])
     row = tables["delta_table"][0]
     assert (row["n"], row["ori"], row["delta_mix"], row["delta_para"]) == (
         2, 11.0, 2.0, 2.0)
@@ -470,9 +476,9 @@ def test_emit_error_rate_csv_booleans():
 
 
 def test_emit_classifier_csv_row():
-    gold = {f"p{i}": i < 4 for i in range(5)}
-    preds = [_pred(f"p{i}", Category.VPC, True) for i in range(5)]
-    text = emit(classifier_report(gold, preds), "csv", "classifier")
+    gold = _gold({f"p{i}": i < 4 for i in range(5)})
+    records = [_cls(f"p{i}", "VPC", True) for i in range(5)]
+    text = emit(classifier_table(gold, records), "csv", "classifier")
     lines = text.splitlines()
     assert lines[0] == ("category,n,undecided,accuracy,macro_f1,pos_precision,"
                         "pos_recall,pos_f1,neg_precision,neg_recall,neg_f1")
@@ -920,7 +926,7 @@ def _old_build_tables(scored, flag_pct, exclude_pct):
                                               category=category,
                                               exclusions=exclusions))
         tables["ranking"] = rankings
-    deltas = [delta_from_dict(r) for r in scored if r["type"] == "delta"]
+    deltas = [_delta_from_dict(r) for r in scored if r["type"] == "delta"]
     if deltas:
         tables["delta_table"] = _old_delta_table(deltas)
     return tables
@@ -1134,3 +1140,156 @@ def test_builders_render_what_their_row_objects_rendered():
                 seed, name)
             assert rows == _old_json_rows(oracle[name], kind, _unrounded), (seed, name)
 
+
+# --- the builders that rebuilt objects from the records -------------------------
+#
+# Before the builders read the records as given, delta_table averaged the
+# DeltaReports that qe.delta_from_dict rebuilt, classifier_table counted
+# llm.ClassificationResults through classifier_report, and da_gap_table went
+# through z_gap_table.  Copied here, less their log lines, as the oracle of the
+# builders that replaced them.
+
+def _pred(ref, category, verdict):
+    return ClassificationResult(candidate_ref=ref, category=category,
+                                verdict=verdict, raw_choice="X",
+                                raw_response="Final Answer: X")
+
+
+def _delta_from_dict(rec):
+    orientation = Orientation(rec["orientation"])
+
+    def qe(value):
+        return QEScore(metric_id=rec["metric_id"], orientation=orientation,
+                       value=value)
+    return DeltaReport(
+        sentence_id=rec["sentence_id"], system_id=rec["system_id"],
+        target_lang=rec["target_lang"], qe_ori=qe(rec["qe_ori"]),
+        qe_mix=qe(rec["qe_mix"]), qe_para=qe(rec["qe_para"]),
+        delta_mix=rec["delta_mix"], delta_para=rec["delta_para"],
+        candidate_ref=rec["candidate_ref"], category=rec["category"])
+
+
+def _parent_delta_table(reports):
+    groups = {}
+    for rep in reports:
+        key = (rep.category or "all", rep.system_id, rep.target_lang,
+               rep.qe_ori.metric_id)
+        groups.setdefault(key, []).append(rep)
+    rows = []
+    for key in sorted(groups, key=lambda k: (_old_category_key(k[0]), k[1:])):
+        batch = groups[key]
+        rows.append({"category": key[0], "system_id": key[1], "target_lang": key[2],
+                     "metric_id": key[3], "n": len(batch),
+                     "ori": fmean(r.qe_ori.value for r in batch),
+                     "delta_mix": fmean(r.delta_mix for r in batch),
+                     "delta_para": fmean(r.delta_para for r in batch)})
+    return rows
+
+
+def _parent_percents(metrics):
+    return {"precision": metrics.precision * 100.0,
+            "recall": metrics.recall * 100.0, "f1": metrics.f1 * 100.0}
+
+
+def _parent_classifier_report(gold, predictions, undecided=()):
+    counts = {}
+    for pred in predictions:
+        if pred.candidate_ref not in gold:
+            raise ContractViolation(
+                f"prediction {pred.candidate_ref} has no gold label")
+        cell = counts.setdefault(pred.category.value,
+                                 {"tp": 0, "fn": 0, "fp": 0, "tn": 0})
+        actual = gold[pred.candidate_ref]
+        if pred.verdict and actual:
+            cell["tp"] += 1
+        elif pred.verdict and not actual:
+            cell["fp"] += 1
+        elif not pred.verdict and actual:
+            cell["fn"] += 1
+        else:
+            cell["tn"] += 1
+    n_undecided = {}
+    for ref, category in undecided:
+        if ref not in gold:
+            raise ContractViolation(f"undecided candidate {ref} has no gold label")
+        n_undecided[category.value] = n_undecided.get(category.value, 0) + 1
+    rows = []
+    for name in sorted(set(counts) | set(n_undecided), key=_old_category_key):
+        if name not in counts:
+            continue
+        matrix = ConfusionMatrix(**counts[name])
+        metrics = confusion_metrics(matrix)
+        rows.append({"category": name, "n": matrix.total,
+                     "undecided": n_undecided.get(name, 0), "matrix": counts[name],
+                     "accuracy": metrics.accuracy * 100.0,
+                     "macro_f1": metrics.macro_f1 * 100.0,
+                     "positive": _parent_percents(metrics.positive),
+                     "negative": _parent_percents(metrics.negative)})
+    return rows
+
+
+def _parent_classifier_table(gold_records, classification_records):
+    gold = {r["candidate_ref"]: bool(r["label"]) for r in gold_records}
+    predictions = []
+    undecided = []
+    for rec in classification_records:
+        category = Category(rec["category"])
+        if rec["verdict"] is None:
+            undecided.append((rec["candidate_ref"], category))
+            continue
+        predictions.append(ClassificationResult(
+            candidate_ref=rec["candidate_ref"], category=category,
+            verdict=rec["verdict"], raw_choice=rec["raw_choice"],
+            raw_response=rec["raw_response"]))
+    return _parent_classifier_report(gold, predictions, undecided)
+
+
+def _parent_z_gap_table(zscores, vmwe_ids, control_ids):
+    vmwe_ids, control_ids = set(vmwe_ids), set(control_ids)
+    overlap = vmwe_ids & control_ids
+    if overlap:
+        raise ContractViolation(f"ids on both sides: {sorted(overlap)[:5]}")
+    vmwe = {}
+    control = {}
+    for z in zscores:
+        key = ("all", z.system_id, "all")
+        if z.sentence_id in vmwe_ids:
+            vmwe.setdefault(key, []).append(z.z)
+        elif z.sentence_id in control_ids:
+            control.setdefault(key, []).append(z.z)
+    return gap_table(vmwe, control, Orientation.HIGHER_BETTER_0_1, "da_z")
+
+
+def _parent_da_gap_table(records, vmwe_ids, control_ids):
+    return _parent_z_gap_table(znormalize(_annotations(records)), vmwe_ids,
+                               control_ids)
+
+
+def test_builders_equal_the_builders_that_rebuilt_objects():
+    """On seeded random records, each builder returns the rows, and renders
+    the text, of the builder that rebuilt objects from those records, and a
+    classification without a gold label fails both with one message."""
+    ids = (["v1", "v2", "v3"], ["c1", "c2", "c3"])
+    for seed in range(200):
+        rng = random.Random(seed)
+        deltas = [r for r in _random_scored(rng) if r["type"] == "delta"]
+        da = _random_da(rng)
+        gold, classifications = _random_classifications(rng)
+        built = {
+            "delta": (delta_table(deltas),
+                      _parent_delta_table(map(_delta_from_dict, deltas))),
+            "gap": (da_gap_table(da, *ids), _parent_da_gap_table(da, *ids)),
+            "classifier": (classifier_table(gold, classifications),
+                           _parent_classifier_table(gold, classifications))}
+        for kind, (rows, oracle) in built.items():
+            assert rows == oracle, (seed, kind)
+            for fmt in ("csv", "json"):
+                assert emit(rows, fmt, kind) == emit(oracle, fmt, kind), (seed, kind)
+        if gold:
+            del gold[rng.randrange(len(gold))]
+            messages = []
+            for build in (classifier_table, _parent_classifier_table):
+                with pytest.raises(ContractViolation) as exc:
+                    build(gold, classifications)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1], seed
