@@ -761,14 +761,6 @@ def _scored_record(record_type: str, rec: dict, **fields) -> dict:
             "target_lang": rec["target_lang"], **fields}
 
 
-def _translation(rec: dict) -> mt_mod.TranslationRecord:
-    return mt_mod.TranslationRecord(
-        sentence_id=rec["sentence_id"], source=rec["source"],
-        target_lang=rec["target_lang"], system_id=rec["system_id"],
-        hypothesis=rec["hypothesis"],
-        validity=mt_mod.ValidityStatus(rec["validity"]))
-
-
 def stage_score(config: Config, out: Path, translations: list[dict], sha256: str):
     backend = config.backend("qe")
 
@@ -789,11 +781,9 @@ def stage_score(config: Config, out: Path, translations: list[dict], sha256: str
         lambda rec, exc: _scored_record("failed", rec),
         _KEPT_TRANSPORT, key=lambda rec: (rec["source"], rec["hypothesis"]))
     records += scores
-    sides = {  # (ref, system, lang, kind) -> scored side
+    sides = {  # (ref, system, lang, kind) -> (translation record, its qe value)
         (rec["candidate_ref"], rec["system_id"], rec["target_lang"], rec["kind"]):
-        (rec, _translation(rec),
-         qe_mod.QEScore(out["metric_id"], backend.orientation, out["value"]))
-        for rec, out in zip(valid, scores)
+        (rec, out["value"]) for rec, out in zip(valid, scores)
         if out["type"] == "qe" and rec["kind"] in ("ori", "para")}
 
     # the delta experiment: ori and para are scored above, mix here
@@ -804,19 +794,23 @@ def stage_score(config: Config, out: Path, translations: list[dict], sha256: str
              if key + ("ori",) in sides and key + ("para",) in sides]
 
     def delta(pair, qe_mix):
-        (rec, ori, qe_ori), (_, para, qe_para) = pair
-        report = qe_mod.delta_report(ori, para, qe_ori, qe_mix, qe_para,
-                                     candidate_ref=rec["candidate_ref"],
-                                     category=rec["category"])
-        return {"type": "delta", **qe_mod.delta_to_dict(report)}
+        (ori, qe_ori), (_, qe_para) = pair
+        return {"type": "delta", "sentence_id": ori["sentence_id"],
+                "candidate_ref": ori["candidate_ref"], "category": ori["category"],
+                "system_id": ori["system_id"], "target_lang": ori["target_lang"],
+                "metric_id": qe_mix.metric_id,
+                "orientation": qe_mix.orientation.value,
+                **qe_mod.deltas(qe_mix.orientation, qe_ori, qe_mix.value, qe_para)}
 
-    # one call per (ori source, para hypothesis), the pair mix_score sends
+    def mix(pair):  # the paraphrase's translation against the original source
+        (ori, _), (para, _) = pair
+        return ori["source"], para["hypothesis"]
+
+    # one call per distinct mix pair
     records += _call_each(
-        config, lambda pair: qe_mod.mix_score(backend, pair[0][1], pair[1][1]),
-        pairs, delta,
+        config, lambda pair: qe_mod.score(backend, *mix(pair)), pairs, delta,
         lambda pair, exc: _scored_record("failed", {**pair[0][0], "kind": "mix"}),
-        _KEPT_TRANSPORT,
-        key=lambda pair: (pair[0][1].source, pair[1][1].hypothesis))
+        _KEPT_TRANSPORT, key=mix)
     types = [r["type"] for r in records]
     counts = {"qe_scores": types.count("qe"), "deltas": types.count("delta"),
               "invalid": types.count("invalid"),

@@ -16,9 +16,8 @@ from .stats import Orientation, delta_improvement
 from .transport import post_json
 
 __all__ = [
-    "Orientation", "QEScore", "DeltaReport", "score", "mix_score",
-    "delta_report", "paraphrase_experiment", "delta_to_dict",
-    "HttpQEBackend", "MockQEBackend",
+    "Orientation", "QEScore", "DeltaReport", "score", "deltas",
+    "paraphrase_experiment", "HttpQEBackend", "MockQEBackend",
 ]
 
 
@@ -40,8 +39,6 @@ class DeltaReport:
     qe_para: QEScore
     delta_mix: float
     delta_para: float
-    candidate_ref: str = ""
-    category: str = ""
 
 
 class QEBackend(Protocol):
@@ -64,10 +61,13 @@ def score(backend: QEBackend, source: str, hypothesis: str) -> QEScore:
                    value=float(value))
 
 
-def mix_score(backend: QEBackend, ori: TranslationRecord,
-              para: TranslationRecord) -> QEScore:
-    """Judge the paraphrase's translation against the original source."""
-    return score(backend, ori.source, para.hypothesis)
+def deltas(orientation: Orientation, qe_ori: float, qe_mix: float,
+           qe_para: float) -> dict:
+    """The ori/mix/para experiment of one candidate sentence from its three
+    scores: the score fields of the score stage's delta record, in order."""
+    return {"qe_ori": qe_ori, "qe_mix": qe_mix, "qe_para": qe_para,
+            "delta_mix": delta_improvement(orientation, qe_ori, qe_mix),
+            "delta_para": delta_improvement(orientation, qe_ori, qe_para)}
 
 
 def _check_pair(ori: TranslationRecord, para: TranslationRecord):
@@ -79,25 +79,6 @@ def _check_pair(ori: TranslationRecord, para: TranslationRecord):
         raise ContractViolation("records come from different systems or languages")
 
 
-def delta_report(ori: TranslationRecord, para: TranslationRecord,
-                 qe_ori: QEScore, qe_mix: QEScore, qe_para: QEScore, *,
-                 candidate_ref: str = "", category: str = "") -> DeltaReport:
-    """The ori/mix/para deltas of one candidate sentence from its scores."""
-    _check_pair(ori, para)
-    return DeltaReport(
-        sentence_id=ori.sentence_id,
-        system_id=ori.system_id,
-        target_lang=ori.target_lang,
-        qe_ori=qe_ori,
-        qe_mix=qe_mix,
-        qe_para=qe_para,
-        delta_mix=delta_improvement(qe_ori, qe_mix),
-        delta_para=delta_improvement(qe_ori, qe_para),
-        candidate_ref=candidate_ref,
-        category=category,
-    )
-
-
 def paraphrase_experiment(backend: QEBackend, ori: TranslationRecord,
                           para: TranslationRecord) -> DeltaReport:
     """Score the ori/mix/para triple for one candidate sentence.
@@ -107,21 +88,12 @@ def paraphrase_experiment(backend: QEBackend, ori: TranslationRecord,
     source, so all three deltas stay anchored to the same meaning.
     """
     _check_pair(ori, para)  # before any backend call
-    return delta_report(ori, para, score(backend, ori.source, ori.hypothesis),
-                        mix_score(backend, ori, para),
-                        score(backend, para.source, para.hypothesis))
-
-
-def delta_to_dict(report: DeltaReport) -> dict:
-    """The score stage's delta record, less its "type" tag."""
-    return {"sentence_id": report.sentence_id,
-            "candidate_ref": report.candidate_ref, "category": report.category,
-            "system_id": report.system_id, "target_lang": report.target_lang,
-            "metric_id": report.qe_ori.metric_id,
-            "orientation": report.qe_ori.orientation.value,
-            "qe_ori": report.qe_ori.value, "qe_mix": report.qe_mix.value,
-            "qe_para": report.qe_para.value,
-            "delta_mix": report.delta_mix, "delta_para": report.delta_para}
+    scores = (score(backend, ori.source, ori.hypothesis),
+              score(backend, ori.source, para.hypothesis),
+              score(backend, para.source, para.hypothesis))
+    fields = deltas(backend.orientation, *(s.value for s in scores))
+    return DeltaReport(ori.sentence_id, ori.system_id, ori.target_lang, *scores,
+                       fields["delta_mix"], fields["delta_para"])
 
 
 class HttpQEBackend:

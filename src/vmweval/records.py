@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 from functools import cache
-from types import SimpleNamespace
 
 from .errors import ContractViolation
 from .extract import Category
 from .mt import TARGET_LANGS, ValidityStatus
-from .stats import Orientation, delta_improvement
+from .qe import deltas
+from .stats import Orientation
 
 # JSON type -> (the Python types json.loads gives it, its name); a bool is not a number
 _JSON = {"string": ((str,), "a string"), "number": ((int, float), "a number"),
@@ -91,25 +91,24 @@ def check_records(kind: str, records, path) -> None:
 def _check_scores(record: dict, where: str, line: int, first: dict):
     """The rules of a qe or delta record no table states: the metric_id and
     orientation of `first`, the file's first such record, on `line`; each score
-    in its orientation's range; each delta as delta_improvement gives it."""
+    in its orientation's range; each delta as qe.deltas gives it."""
     for field in ("metric_id", "orientation"):
         if record[field] != first[field]:
             raise ContractViolation(f"{where}{field} must be {first[field]!r} as on "
                                     f"line {line}, not {record[field]!r}")
     orientation = Orientation(record["orientation"])
     low, high = orientation.value_range
-    scores = {field: SimpleNamespace(orientation=orientation, value=record[field])
-              for field in _SCORES[record["type"]]}
-    for field, score in scores.items():
-        if not low <= score.value <= high:
+    for field in _SCORES[record["type"]]:
+        if not low <= record[field] <= high:
             raise ContractViolation(f"{where}{field} must lie in [{low}, {high}], "
-                                    f"not {score.value!r}")
-    for field, name in _DELTAS.items() if "qe_ori" in scores else ():
-        delta = delta_improvement(scores["qe_ori"], scores[name])
-        if record[field] != delta:
-            raise ContractViolation(f"{where}{field} must be {delta!r}, the "
-                                    f"improvement from qe_ori to {name}, "
                                     f"not {record[field]!r}")
+    if record["type"] == "delta":
+        want = deltas(orientation, *(record[field] for field in _SCORES["delta"]))
+        for field, name in _DELTAS.items():
+            if record[field] != want[field]:
+                raise ContractViolation(f"{where}{field} must be {want[field]!r}, "
+                                        f"the improvement from qe_ori to {name}, "
+                                        f"not {record[field]!r}")
 
 
 def _check_object(table: dict, record, where: str, name: str):

@@ -202,16 +202,8 @@ def confusion_metrics(matrix: ConfusionMatrix) -> ConfusionReport:
     )
 
 
-def delta_improvement(ori, other) -> float:
-    """Signed quality change from `ori` to `other`; positive = improved.
-
-    Both arguments need `orientation` and `value` attributes (QEScore).
-    For lower-is-better metrics the delta is ori - other, otherwise
-    other - ori.
-    """
-    if ori.orientation is not other.orientation:
-        raise ContractViolation(
-            f"cannot compare orientations {ori.orientation} and {other.orientation}")
-    if ori.orientation.lower_is_better:
-        return ori.value - other.value
-    return other.value - ori.value
+def delta_improvement(orientation: Orientation, ori: float, other: float) -> float:
+    """Signed quality change from score `ori` to score `other` of a metric
+    with `orientation`; positive = improved.  For lower-is-better metrics
+    the delta is ori - other, otherwise other - ori."""
+    return ori - other if orientation.lower_is_better else other - ori

@@ -1,11 +1,14 @@
+import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+from vmweval import cli
 from vmweval.errors import BackendContractError, ContractViolation
 from vmweval.mt import TranslationRecord, ValidityStatus
-from vmweval.qe import (MockQEBackend, Orientation, delta_report, delta_to_dict,
+from vmweval.qe import (DeltaReport, MockQEBackend, Orientation, QEScore, deltas,
                         paraphrase_experiment, score)
 from vmweval.records import check_records
 from vmweval.report import delta_table
@@ -105,13 +108,23 @@ def _check_scored(record):
     check_records("scored", [(1, record)], "scored.jsonl")
 
 
+def _delta_record(report, candidate_ref="s01#VID#2.3.4", category="VID"):
+    """The score stage's delta record of `report`, a DeltaReport."""
+    return {"type": "delta", "sentence_id": report.sentence_id,
+            "candidate_ref": candidate_ref, "category": category,
+            "system_id": report.system_id, "target_lang": report.target_lang,
+            "metric_id": report.qe_ori.metric_id,
+            "orientation": report.qe_ori.orientation.value,
+            **deltas(report.qe_ori.orientation, report.qe_ori.value,
+                     report.qe_mix.value, report.qe_para.value)}
+
+
 def test_delta_report_recompute_consistency():
     """A delta record passes the scored file's check only with the deltas
     its scores give."""
     ori, para = _records()
     good = paraphrase_experiment(_table2_backend(ori, para), ori, para)
-    record = {"type": "delta", **delta_to_dict(
-        replace(good, candidate_ref="s01#VID#2.3.4", category="VID"))}
+    record = _delta_record(good)
     _check_scored(record)
     with pytest.raises(ContractViolation, match="line 1: delta_mix must be "):
         _check_scored({**record, "delta_mix": good.delta_mix + 0.5})
@@ -120,36 +133,157 @@ def test_delta_report_recompute_consistency():
 
 
 def test_delta_report_from_given_scores():
+    """The experiment's deltas are those `deltas` gives of its three scores."""
     ori, para = _records()
     scored = paraphrase_experiment(_table2_backend(ori, para), ori, para)
-    assert delta_report(ori, para, scored.qe_ori, scored.qe_mix,
-                        scored.qe_para) == scored
+    assert deltas(Orientation.LOWER_BETTER_0_25, 7.25, 5.48, 5.04) == {
+        "qe_ori": 7.25, "qe_mix": 5.48, "qe_para": 5.04,
+        "delta_mix": scored.delta_mix, "delta_para": scored.delta_para}
+    assert deltas(Orientation.HIGHER_BETTER_0_1, 0.6, 0.8, 0.5) == {
+        "qe_ori": 0.6, "qe_mix": 0.8, "qe_para": 0.5,
+        "delta_mix": 0.8 - 0.6, "delta_para": 0.5 - 0.6}
     broken = TranslationRecord(
         sentence_id="s01", source=para.source, target_lang="de",
         system_id="alpha", hypothesis=para.hypothesis,
         validity=ValidityStatus.EMPTY)
     with pytest.raises(ContractViolation):
-        delta_report(ori, broken, scored.qe_ori, scored.qe_mix, scored.qe_para)
+        paraphrase_experiment(_table2_backend(ori, para), ori, broken)
 
 
 def test_delta_dict_round_trip():
     ori, para = _records()
     report = paraphrase_experiment(_table2_backend(ori, para), ori, para)
-    report = replace(report, candidate_ref="s01#VID#2.3.4", category="VID")
-    record = delta_to_dict(report)
+    record = _delta_record(report)
     assert record == {
-        "sentence_id": "s01", "candidate_ref": "s01#VID#2.3.4",
+        "type": "delta", "sentence_id": "s01", "candidate_ref": "s01#VID#2.3.4",
         "category": "VID", "system_id": "alpha", "target_lang": "de",
         "metric_id": "stub", "orientation": "lower_better_0_25",
         "qe_ori": 7.25, "qe_mix": 5.48, "qe_para": 5.04,
         "delta_mix": report.delta_mix, "delta_para": report.delta_para}
-    # the score stage tags the record; tagged, it passes the scored file's
-    # checks and the report reads its scores and deltas back as they were
-    tagged = {"type": "delta", **record}
-    check_records("scored", [(1, tagged)], "scored.jsonl")
-    [row] = delta_table([tagged])
+    # the record passes the scored file's checks and the report reads its
+    # scores and deltas back as they were
+    check_records("scored", [(1, record)], "scored.jsonl")
+    [row] = delta_table([record])
     assert (row["n"], row["ori"], row["delta_mix"], row["delta_para"]) == (
         1, 7.25, report.delta_mix, report.delta_para)
+
+
+# --- the delta experiment against the functions it replaced ---------------------
+#
+# Before the score stage built its delta records from plain scores, it rebuilt
+# a TranslationRecord and a QEScore for each side, a DeltaReport for each pair
+# through delta_report, and the record through delta_to_dict.  Copied here as
+# the oracle of `deltas` and of the stage.
+
+def _old_delta_improvement(ori, other) -> float:
+    if ori.orientation is not other.orientation:
+        raise ContractViolation(
+            f"cannot compare orientations {ori.orientation} and {other.orientation}")
+    if ori.orientation.lower_is_better:
+        return ori.value - other.value
+    return other.value - ori.value
+
+
+@dataclass(frozen=True)
+class _OldDeltaReport:
+    sentence_id: str
+    system_id: str
+    target_lang: str
+    qe_ori: QEScore
+    qe_mix: QEScore
+    qe_para: QEScore
+    delta_mix: float
+    delta_para: float
+    candidate_ref: str = ""
+    category: str = ""
+
+
+def _old_delta_report(ori, para, qe_ori, qe_mix, qe_para, *, candidate_ref="",
+                      category=""):
+    for rec, name in ((ori, "original"), (para, "paraphrase")):
+        if rec.validity is not ValidityStatus.OK:
+            raise ContractViolation(
+                f"{name} record is {rec.validity and rec.validity.value}, not ok")
+    if ori.system_id != para.system_id or ori.target_lang != para.target_lang:
+        raise ContractViolation("records come from different systems or languages")
+    return _OldDeltaReport(
+        sentence_id=ori.sentence_id, system_id=ori.system_id,
+        target_lang=ori.target_lang, qe_ori=qe_ori, qe_mix=qe_mix, qe_para=qe_para,
+        delta_mix=_old_delta_improvement(qe_ori, qe_mix),
+        delta_para=_old_delta_improvement(qe_ori, qe_para),
+        candidate_ref=candidate_ref, category=category)
+
+
+def _old_delta_to_dict(report):
+    return {"sentence_id": report.sentence_id,
+            "candidate_ref": report.candidate_ref, "category": report.category,
+            "system_id": report.system_id, "target_lang": report.target_lang,
+            "metric_id": report.qe_ori.metric_id,
+            "orientation": report.qe_ori.orientation.value,
+            "qe_ori": report.qe_ori.value, "qe_mix": report.qe_mix.value,
+            "qe_para": report.qe_para.value,
+            "delta_mix": report.delta_mix, "delta_para": report.delta_para}
+
+
+def _random_triples(rng, orientation, n):
+    """`n` score triples in range: often 0, the maximum or one value twice."""
+    high = orientation.value_range[1]
+    triples = []
+    for _ in range(n):
+        shared = rng.uniform(0.0, high)
+        triples.append(tuple(rng.choice([0.0, high, shared, rng.uniform(0.0, high)])
+                             for _ in range(3)))
+    return triples
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_deltas_equal_the_delta_report_they_replaced(tmp_path, monkeypatch,
+                                                     orientation):
+    """On 1,000 seeded random score triples, each delta record the score
+    stage writes is, as JSON text, the one delta_report and delta_to_dict
+    gave, and paraphrase_experiment's scores and deltas are the oracle's."""
+    rng = random.Random(f"deltas-{orientation.value}")
+    triples = _random_triples(rng, orientation, 1000)
+    assert {0.0, orientation.value_range[1]} <= {v for t in triples for v in t}
+    assert any(len(set(t)) < 3 for t in triples)
+    translations, mapping, sides = [], {}, []
+    for n, (ori_value, mix_value, para_value) in enumerate(triples):
+        ref, category = f"s{n}#VID#1.2", rng.choice(["VID", "VPC", "LVC"])
+        pair = []
+        for kind, value in (("ori", ori_value), ("para", para_value)):
+            rec = {"sentence_id": f"s{n}", "candidate_ref": ref,
+                   "category": category, "kind": kind, "source": f"{kind} {n}",
+                   "target_lang": "de", "system_id": "alpha",
+                   "hypothesis": f"{kind} hypothesis {n}", "validity": "ok"}
+            translations.append(rec)
+            mapping[rec["source"], rec["hypothesis"]] = value
+            pair.append(TranslationRecord(
+                sentence_id=rec["sentence_id"], source=rec["source"],
+                target_lang="de", system_id="alpha", hypothesis=rec["hypothesis"],
+                validity=ValidityStatus.OK))
+        mapping[f"ori {n}", f"para hypothesis {n}"] = mix_value
+        sides.append((ref, category, *pair))
+    backend = StubBackend(mapping)
+    backend.orientation = orientation
+    monkeypatch.setattr(cli.Config, "backend", lambda self, kind, name=None: backend)
+    config = cli.load_config(Path(__file__).parent / "fixtures" / "runall_config.yaml")
+    code, records, _ = cli.stage_score(config, tmp_path / "scored.jsonl",
+                                       translations, "0" * 64)
+    assert code == 0
+    written = {r["candidate_ref"]: json.dumps(r) for r in records
+               if r["type"] == "delta"}
+    assert len(written) == len(triples)
+    for (ref, category, ori, para), values in zip(sides, triples):
+        qe_ori, qe_mix, qe_para = (QEScore("stub", orientation, v) for v in values)
+        oracle = _old_delta_report(ori, para, qe_ori, qe_mix, qe_para,
+                                   candidate_ref=ref, category=category)
+        assert written[ref] == json.dumps({"type": "delta",
+                                           **_old_delta_to_dict(oracle)})
+        report = paraphrase_experiment(backend, ori, para)
+        assert repr(report) == repr(DeltaReport(
+            oracle.sentence_id, oracle.system_id, oracle.target_lang,
+            oracle.qe_ori, oracle.qe_mix, oracle.qe_para, oracle.delta_mix,
+            oracle.delta_para))
 
 
 def test_qescore_range_contract():

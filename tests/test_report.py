@@ -12,13 +12,13 @@ from vmweval.errors import ContractViolation
 from vmweval.extract import Category
 from vmweval.llm import ClassificationResult
 from vmweval.mt import error_pct
-from vmweval.qe import DeltaReport, Orientation, QEScore
+from vmweval.qe import Orientation, QEScore
 from vmweval.report import (TABLE_KINDS, build_tables, classifier_table,
                             da_gap_table, delta_table, emit, error_rate_rows,
                             gap_table, rank_systems)
 from vmweval.stats import (ClassMetrics, ConfusionMatrix, ConfusionReport,
-                           DAAnnotation, confusion_metrics,
-                           delta_improvement, round_half_up, znormalize)
+                           DAAnnotation, confusion_metrics, round_half_up,
+                           znormalize)
 
 LOWER = Orientation.LOWER_BETTER_0_25
 HIGHER = Orientation.HIGHER_BETTER_0_1
@@ -1073,8 +1073,8 @@ def _random_scored(rng):
                             "metric_id": "qe", "orientation": orientation.value,
                             "qe_ori": scores[0].value, "qe_mix": scores[1].value,
                             "qe_para": scores[2].value,
-                            "delta_mix": delta_improvement(scores[0], scores[1]),
-                            "delta_para": delta_improvement(scores[0], scores[2])})
+                            "delta_mix": _old_delta_improvement(*scores[:2]),
+                            "delta_para": _old_delta_improvement(*scores[::2])})
             n_scored = sum(r["type"] == "qe" for r in records
                            if (r["system_id"], r["target_lang"]) == (system, lang))
             # the first pair is excluded at any threshold below 50%
@@ -1147,12 +1147,38 @@ def test_builders_render_what_their_row_objects_rendered():
 # DeltaReports that qe.delta_from_dict rebuilt, classifier_table counted
 # llm.ClassificationResults through classifier_report, and da_gap_table went
 # through z_gap_table.  Copied here, less their log lines, as the oracle of the
-# builders that replaced them.
+# builders that replaced them, with the DeltaReport and the delta_improvement
+# on two scores of that time.
 
 def _pred(ref, category, verdict):
     return ClassificationResult(candidate_ref=ref, category=category,
                                 verdict=verdict, raw_choice="X",
                                 raw_response="Final Answer: X")
+
+
+def _old_delta_improvement(ori, other):
+    """stats.delta_improvement as it was, on two QEScores."""
+    if ori.orientation is not other.orientation:
+        raise ContractViolation(
+            f"cannot compare orientations {ori.orientation} and {other.orientation}")
+    if ori.orientation.lower_is_better:
+        return ori.value - other.value
+    return other.value - ori.value
+
+
+@dataclass(frozen=True)
+class DeltaReport:
+    """qe.DeltaReport as it was, with the record's candidate_ref and category."""
+    sentence_id: str
+    system_id: str
+    target_lang: str
+    qe_ori: QEScore
+    qe_mix: QEScore
+    qe_para: QEScore
+    delta_mix: float
+    delta_para: float
+    candidate_ref: str = ""
+    category: str = ""
 
 
 def _delta_from_dict(rec):

@@ -233,24 +233,16 @@ def test_confusion_contracts():
 
 # --- deltas ------------------------------------------------------------------
 
-class _Score:
-    def __init__(self, orientation, value):
-        self.orientation = orientation
-        self.value = value
-
-
 def test_delta_sign_conventions():
     lower = Orientation.LOWER_BETTER_0_25
     higher = Orientation.HIGHER_BETTER_0_1
     # improvement: error drops from 7.25 to 5.04
-    assert delta_improvement(_Score(lower, 7.25), _Score(lower, 5.04)) == \
-        pytest.approx(2.21, abs=1e-12)
+    assert delta_improvement(lower, 7.25, 5.04) == pytest.approx(2.21, abs=1e-12)
     # improvement: similarity climbs from 0.6 to 0.8
-    assert delta_improvement(_Score(higher, 0.6), _Score(higher, 0.8)) == \
-        pytest.approx(0.2, abs=1e-12)
+    assert delta_improvement(higher, 0.6, 0.8) == pytest.approx(0.2, abs=1e-12)
     # deterioration comes out negative for both
-    assert delta_improvement(_Score(lower, 5.0), _Score(lower, 9.0)) < 0
-    assert delta_improvement(_Score(higher, 0.8), _Score(higher, 0.3)) < 0
+    assert delta_improvement(lower, 5.0, 9.0) < 0
+    assert delta_improvement(higher, 0.8, 0.3) < 0
 
 
 def test_delta_antisymmetry():
@@ -258,16 +250,9 @@ def test_delta_antisymmetry():
     for orientation in Orientation:
         lo, hi = orientation.value_range
         for _ in range(50):
-            a = _Score(orientation, rng.uniform(lo, hi))
-            b = _Score(orientation, rng.uniform(lo, hi))
-            assert delta_improvement(a, b) == pytest.approx(
-                -delta_improvement(b, a), abs=1e-12)
-
-
-def test_delta_orientation_mismatch():
-    with pytest.raises(ContractViolation):
-        delta_improvement(_Score(Orientation.LOWER_BETTER_0_25, 5.0),
-                          _Score(Orientation.HIGHER_BETTER_0_1, 0.5))
+            a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
+            assert delta_improvement(orientation, a, b) == pytest.approx(
+                -delta_improvement(orientation, b, a), abs=1e-12)
 
 
 def test_orientation_metadata():
