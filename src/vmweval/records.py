@@ -75,14 +75,43 @@ _SCORES = {"qe": ("value",), "delta": ("qe_ori", "qe_mix", "qe_para")}
 _DELTAS = {"delta_mix": "qe_mix", "delta_para": "qe_para"}
 
 
+def _null_on_error(value, error) -> bool:
+    """A field is null exactly when its record has an error."""
+    return (value is None) == (error is not None)
+
+
+def _ref_by_kind(candidate_ref, kind) -> bool:
+    """A translation names its candidate exactly when it is an ori or a para."""
+    return (candidate_ref is not None) == (kind in ("ori", "para"))
+
+
+# A record kind -> (field, the field it goes by, the rule of their two values,
+# what the rule asks) of each rule between a record's fields no table states
+_RULES = {
+    "translation": (
+        ("hypothesis", "error", _null_on_error, "null exactly when error is present"),
+        ("validity", "error", _null_on_error, "null exactly when error is present"),
+        ("candidate_ref", "kind", _ref_by_kind, "set exactly when kind is ori or para")),
+    "classification": (
+        ("verdict", "error", _null_on_error, "null exactly when error is present"),),
+}
+
+
 def check_records(kind: str, records, path) -> None:
     """Raise ContractViolation naming `path`, the line and the field unless each
-    of `records`, (line number, record) pairs, passes the `kind` table, and each
-    qe and delta record of a scored file the rules of its scores."""
+    of `records`, (line number, record) pairs, passes the `kind` table and
+    rules, and each qe and delta record of a scored file the rules of its
+    scores."""
     first = None  # the first qe or delta record's line and the record
+    rules = _RULES.get(kind, ())
     for line, record in records:
         where = f"{path} line {line}: "
         _check_object(TABLES[kind], record, where, "")
+        for field, by, rule, asks in rules:
+            if not rule(record[field], record.get(by)):
+                given = f"with {by} {record[by]!r}" if by in record else f"without {by}"
+                raise ContractViolation(f"{where}{field} must be {asks}, "
+                                        f"not {record[field]!r} {given}")
         if kind == "scored" and record["type"] in _SCORES:
             first = first or (line, record)
             _check_scores(record, where, *first)

@@ -1238,9 +1238,12 @@ def _jsonl_corpus(mutate):
     return make_case
 
 
+_ABSENT = object()
+
+
 def _classification(**fields):
     """Paraphrase one accepted LVC classification, with `fields` in place of
-    its own; a field that is None is left out."""
+    its own; a field that is _ABSENT is left out."""
     def make_case(tmp_path):
         record = {"candidate_ref": "s04#LVC#2.6", "sentence_id": "s04",
                   "category": "LVC", "span": [2, 6],
@@ -1248,7 +1251,7 @@ def _classification(**fields):
                   "verdict": True, "raw_choice": "C",
                   "raw_response": "Final Answer: C", **fields}
         cls = tmp_path / "cls.jsonl"
-        cli.write_jsonl(cls, [{k: v for k, v in record.items() if v is not None}])
+        cli.write_jsonl(cls, [{k: v for k, v in record.items() if v is not _ABSENT}])
         return patched_config(tmp_path), ["paraphrase", "--stage-in", str(cls)]
     return make_case
 
@@ -1374,6 +1377,53 @@ def _scored_file(line, **fields):
                                  for i, record in enumerate(_SCORED, start=1)])
         return patched_config(tmp_path), ["report", "--stage-in", str(scored)]
     return make_case
+
+
+# an ori and a para translation of one candidate, and a control's translation
+_TRANSLATIONS = [
+    {"sentence_id": sentence, "candidate_ref": ref, "category": category,
+     "kind": kind, "source": source, "target_lang": "de", "system_id": "alpha",
+     "hypothesis": hypothesis, "validity": "ok"}
+    for sentence, ref, category, kind, source, hypothesis in [
+        ("s04", "s04#LVC#2.6", "LVC", "ori", "She took a long walk.",
+         "Sie machte einen langen Spaziergang."),
+        ("s04", "s04#LVC#2.6", "LVC", "para", "She walked.", "Sie ging."),
+        ("s15", None, None, "control", "The cat sat on the mat.",
+         "Die Katze sass auf der Matte.")]]
+
+
+def _translations(line, **fields):
+    """Score _TRANSLATIONS with `fields` in place of those of record `line`."""
+    def make_case(tmp_path):
+        trans = tmp_path / "trans.jsonl"
+        cli.write_jsonl(trans, [{**record, **fields} if i == line else record
+                                for i, record in enumerate(_TRANSLATIONS, start=1)])
+        return patched_config(tmp_path), ["score", "--stage-in", str(trans)]
+    return make_case
+
+
+# (make_case, message, id) of a record whose fields break a rule between them
+_BAD_RULES = [
+    (_translations(1, validity=None),
+     "trans.jsonl line 1: validity must be null exactly when error is present, "
+     "not None without error", "translation-validity-null-without-error"),
+    (_translations(2, validity=None, error="transport"),
+     "trans.jsonl line 2: hypothesis must be null exactly when error is present, "
+     "not 'Sie ging.' with error 'transport'", "translation-hypothesis-with-error"),
+    (_translations(2, candidate_ref=None),
+     "trans.jsonl line 2: candidate_ref must be set exactly when kind is ori or "
+     "para, not None with kind 'para'", "translation-para-without-candidate-ref"),
+    (_translations(3, candidate_ref="s15#VID#1.2"),
+     "trans.jsonl line 3: candidate_ref must be set exactly when kind is ori or "
+     "para, not 's15#VID#1.2' with kind 'control'",
+     "translation-control-with-candidate-ref"),
+    (_classification(verdict=None),
+     "cls.jsonl line 1: verdict must be null exactly when error is present, "
+     "not None without error", "classification-verdict-null-without-error"),
+    (_classification(error="unparseable"),
+     "cls.jsonl line 1: verdict must be null exactly when error is present, "
+     "not True with error 'unparseable'", "classification-verdict-with-error"),
+]
 
 
 # (make_case, message, id) of a scored file whose scores break the rules no
@@ -1578,7 +1628,7 @@ _MALFORMED = [
      "cands.jsonl line 1: evidence must be an object, not [1]",
      "candidate-evidence-not-object"),
     # what a classifications file written before records held evidence holds
-    (_classification(evidence=None), "cls.jsonl line 1: evidence is missing",
+    (_classification(evidence=_ABSENT), "cls.jsonl line 1: evidence is missing",
      "classification-without-evidence"),
     (_classification(evidence={"verb_index": 2, "noun_index": 99}),
      "token index 99 is out of range for sentence 's04'",
@@ -1625,6 +1675,7 @@ _MALFORMED = [
      "corpus.format is 'xml'; allowed: conllu, plain, jsonl", "corpus-format-unknown"),
     *_BAD_BACKENDS,
     *_BAD_REPORT_INPUTS,
+    *_BAD_RULES,
     *_BAD_SCORES,
 ]
 
