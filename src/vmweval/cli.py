@@ -21,6 +21,7 @@ import hashlib
 import io
 import itertools
 import json
+import logging
 import os
 import sys
 import threading
@@ -43,6 +44,10 @@ from .errors import (ContractViolation, SchemaVersionError, TransportError,
 from .records import check_records
 
 SCHEMA_VERSION = report_mod.SCHEMA_VERSION
+
+# the package's logger, whose warnings main prints to stderr; `python -m
+# vmweval.cli` runs this module as __main__, so it is named here
+log = logging.getLogger("vmweval")
 
 
 # --- config ------------------------------------------------------------------
@@ -632,8 +637,8 @@ def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
                           "controls_shortfall": shortfall}
         counts.update(control_counts)
         if shortfall:
-            print(f"warning: only {len(controls)} of {config.control_n} requested "
-                  f"control sentences qualify", file=sys.stderr)
+            log.warning("only %d of %d requested control sentences qualify",
+                        len(controls), config.control_n)
     # the candidates first, so an --stage-out that cannot be written fails
     # the stage before it writes anything
     finished = _finish(config, "extract", out, records, inputs, counts)
@@ -933,6 +938,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     stage, _, kind = _COMMANDS[args.command]
+    handler = logging.StreamHandler(sys.stderr)  # for this command's run
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING)
     try:
         if kind and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
@@ -969,6 +978,8 @@ def main(argv=None) -> int:
     except (ContractViolation, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ContractViolation) else 2
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -333,6 +333,29 @@ def test_stage_extract(tmp_path):
     assert [c["id"] for c in controls] == ["s02", "s08", "s17", "s19", "s25"]
 
 
+def test_warnings_print_once_with_their_prefix(tmp_path, capsys):
+    """A control shortfall and a category of undecided predictions each print
+    one "warning: " line to stderr."""
+    cfg = patched_config(tmp_path, lambda raw: raw["control_sample"].update(n=99))
+    paths, codes = _run_chain(cfg, tmp_path, through="classify")
+    assert codes == [0, 0]
+    n = read_manifest(paths["candidates"])["counts"]["controls"]
+    assert n < 99
+    assert capsys.readouterr().err == (
+        f"warning: only {n} of 99 requested control sentences qualify\n")
+    undecided = tmp_path / "undecided.jsonl"
+    cli.write_jsonl(undecided, [
+        {**rec, "verdict": None, "error": "unparseable"} if rec["category"] == "LVC"
+        else rec for rec in read_jsonl_plain(paths["classifications"])])
+    scored = tmp_path / "scored.jsonl"
+    cli.write_jsonl(scored, _SCORED)
+    assert cli.main(["report", "--config", str(cfg), "--stage-in", str(scored),
+                     "--classifications-in", str(undecided),
+                     "--stage-out", str(tmp_path / "report")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: category LVC has only undecided predictions, skipping\n")
+
+
 def test_stage_extract_category_filter(tmp_path):
     cfg = patched_config(tmp_path)
     out = tmp_path / "vid.jsonl"
