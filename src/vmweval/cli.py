@@ -940,8 +940,8 @@ def main(argv=None) -> int:
     stage, _, kind = _COMMANDS[args.command]
     handler = logging.StreamHandler(sys.stderr)  # for this command's run
     handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    handler.setLevel(logging.WARNING)
     log.addHandler(handler)
-    log.setLevel(logging.WARNING)
     try:
         if kind and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
