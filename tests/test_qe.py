@@ -108,10 +108,10 @@ def _check_scored(record):
     check_records("scored", [(1, record)], "scored.jsonl")
 
 
-def _delta_record(report, candidate_ref="s01#VID#2.3.4", category="VID"):
-    """The score stage's delta record of `report`, a DeltaReport."""
+def _delta_record(report):
+    """The score stage's delta record of `report`, a DeltaReport of s01's VID."""
     return {"type": "delta", "sentence_id": report.sentence_id,
-            "candidate_ref": candidate_ref, "category": category,
+            "candidate_ref": "s01#VID#2.3.4", "category": "VID",
             "system_id": report.system_id, "target_lang": report.target_lang,
             "metric_id": report.qe_ori.metric_id,
             "orientation": report.qe_ori.orientation.value,
