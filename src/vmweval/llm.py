@@ -251,10 +251,14 @@ class HttpChatBackend:
         body = post_json(self.base_url, request.payload(), self.api_key,
                          self.timeout, "chat")
         try:
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendContractError(
                 f"chat response missing choices[0].message.content: {exc}")
+        if not isinstance(content, str):
+            raise BackendContractError(
+                "chat response choices[0].message.content is not a string")
+        return content
 
 
 class MockChatBackend:

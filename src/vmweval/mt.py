@@ -279,8 +279,9 @@ class HttpMTBackend:
         body = post_json(self.base_url, {"text": text, "source_lang": "en",
                                          "target_lang": target_lang},
                          self.api_key, self.timeout, "mt")
-        if not isinstance(body, dict) or "translation" not in body:
-            raise BackendContractError("mt response missing 'translation'")
+        if not isinstance(body, dict) or not isinstance(body.get("translation"),
+                                                        str):
+            raise BackendContractError("mt response missing string 'translation'")
         return body["translation"]
 
 

@@ -111,10 +111,10 @@ class HttpQEBackend:
         body = post_json(self.base_url,
                          {"source": source, "hypothesis": hypothesis},
                          self.api_key, self.timeout, "qe")
-        if not isinstance(body, dict) or not isinstance(body.get("score"),
-                                                        (int, float)):
+        score = body.get("score") if isinstance(body, dict) else None
+        if not isinstance(score, (int, float)) or isinstance(score, bool):
             raise BackendContractError("qe response missing numeric 'score'")
-        return float(body["score"])
+        return float(score)
 
 
 def _char_ngrams(text: str, n: int = 4) -> set[str]:

@@ -137,6 +137,16 @@ def test_chat_malformed_body_is_contract_error_not_retried(service):
     assert len(service.requests) == 1
 
 
+@pytest.mark.parametrize("content", [None, ["Final Answer: Yes"]],
+                         ids=["null", "list"])
+def test_chat_content_not_a_string_is_contract_error(service, content):
+    service.enqueue(200, {"choices": [{"message": {"content": content}}]})
+    backend = HttpChatBackend(base_url=service.url, model_id="m1")
+    with pytest.raises(BackendContractError):
+        backend.complete(_chat_request())
+    assert len(service.requests) == 1
+
+
 def test_chat_undecodable_body_is_retried_as_transport(service):
     service.enqueue(200, b"garbage{{{")
     backend = HttpChatBackend(base_url=service.url, model_id="m1")
@@ -164,6 +174,15 @@ def test_mt_missing_translation_key(service):
     assert len(service.requests) == 1
 
 
+@pytest.mark.parametrize("translation", [None, 5], ids=["null", "number"])
+def test_mt_translation_not_a_string(service, translation):
+    service.enqueue(200, {"translation": translation})
+    backend = HttpMTBackend(base_url=service.url, system_id="sys-a")
+    with pytest.raises(BackendContractError):
+        backend.translate_text("Hello", "de")
+    assert len(service.requests) == 1
+
+
 def test_mt_retry_then_success(service):
     service.enqueue(502, {})
     service.enqueue(200, {"translation": "Ahoj."})
@@ -183,6 +202,15 @@ def test_qe_wire_shape(service):
 
 def test_qe_non_numeric_score(service):
     service.enqueue(200, {"score": "high"})
+    backend = HttpQEBackend(base_url=service.url, metric_id="qe20",
+                            orientation=Orientation.LOWER_BETTER_0_25)
+    with pytest.raises(BackendContractError):
+        backend.assess("a", "b")
+    assert len(service.requests) == 1
+
+
+def test_qe_bool_score(service):
+    service.enqueue(200, {"score": True})
     backend = HttpQEBackend(base_url=service.url, metric_id="qe20",
                             orientation=Orientation.LOWER_BETTER_0_25)
     with pytest.raises(BackendContractError):
