@@ -12,7 +12,9 @@ body as one buffer, and it reads the response's status line and headers by
 splitting bytes.  The body is framed by Content-Length, by chunked transfer
 coding, or, only when neither is given, by the end of the connection; 1xx
 interim responses are skipped.  A response it cannot read fails the attempt
-with the message `http.client` gave for it.
+with the message `http.client` gave for it.  It reads no proxy variables and
+no netrc, follows no redirect, and checks an HTTPS server's certificate and
+host name against the default CA store.
 
 Each attempt opens its own connection and asks the server to close it.  A
 server that writes a response's headers and body in two sends without
@@ -22,16 +24,12 @@ client's delayed ACK, about 40 ms a call; a fresh connection does not.
 from __future__ import annotations
 
 import json
-import re
 from urllib.parse import urlsplit
 
 from .errors import TransportError
 
 # Client errors that may pass on a second attempt: timeout, rate limit.
 _RETRIED_4XX = (408, 429)
-
-# What may not appear in a request target.
-_BAD_TARGET = re.compile("[\x00-\x20\x7f]")
 
 # Limits on what is read of a response: one line, header lines per response.
 _MAX_LINE = 65536
@@ -100,10 +98,10 @@ def _request(host: str, port: int, port_is_default: bool, target: str,
              body: bytes, api_key: str | None) -> bytes:
     """The request's bytes: its line, its headers and `body`.  A target
     or a header value that cannot be sent raises ValueError."""
-    found = _BAD_TARGET.search(target)
+    found = next((c for c in target if c <= " " or c == "\x7f"), None)
     if found:
         raise ValueError(f"URL can't contain control characters. {target!r} "
-                         f"(found at least {found.group()!r})")
+                         f"(found at least {found!r})")
     line = f"POST {target} HTTP/1.1\r\n".encode("ascii")
     try:
         host_field = host.encode("ascii")
@@ -176,11 +174,9 @@ class _Response:
 
     def read(self) -> tuple[int, bytes]:
         """The status and body of the final response."""
-        status = self._status()
-        fields = self._fields()
+        status, fields = self._status(), self._fields()
         while 100 <= status < 200:
-            status = self._status()
-            fields = self._fields()
+            status, fields = self._status(), self._fields()
         if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
             return status, self._chunked()
         if status in (204, 304):
@@ -238,10 +234,12 @@ class _Response:
                 size = int(line.split(b";", 1)[0], 16)
             except ValueError:
                 size = -1
+            if size < 0:
+                raise _incomplete(chunks)
             if size == 0:
                 break
-            chunk = self.take(size) if size > 0 else b""
-            if size < 0 or len(chunk) < size:
+            chunk = self.take(size)
+            if len(chunk) < size:
                 raise _incomplete(chunks)
             chunks.append(chunk)
             if len(self.take(2)) < 2:

@@ -32,7 +32,7 @@ SRC = TESTS.parent / "src"
 TLS_CERT = TESTS / "fixtures" / "loopback_tls.crt"
 TLS_KEY = TESTS / "fixtures" / "loopback_tls.key"
 
-# Client errors that may pass on a second attempt: timeout, rate limit.
+# The oracle's client errors that may pass on a second attempt.
 _RETRIED_4XX = (408, 429)
 
 
@@ -322,17 +322,9 @@ def test_framings_match_http_client_oracle(what, path, payload, framing):
         assert (new[0], new[2]) == FRAMED[framing]
 
 
-def test_301_is_a_failed_attempt_like_the_oracle():
-    script = [(301, _json({}), "length")]
-    new = _exchange(post_json, script, "/qe", QE[2], None, "qe")
-    assert new == _exchange(post_json_http_client, script, "/qe", QE[2],
-                            None, "qe")
-    assert (new[0], new[2]) == (("error", "qe backend returned HTTP 301"), 2)
-
-
 def test_any_interim_response_is_skipped():
     # http.client skips 100 alone, so there is no oracle for 103
-    outcome, received, connections = _exchange(
+    outcome, _, connections = _exchange(
         post_json, [(200, _json(GOOD["qe"]), "early-hints")], "/qe", QE[2],
         None, "qe")
     assert (outcome, connections) == (("ok", GOOD["qe"]), 1)
@@ -398,8 +390,10 @@ def test_one_connection_per_attempt():
 @pytest.mark.parametrize("status, attempts", [
     (301, 2), (400, 1), (404, 1), (408, 2), (429, 2), (500, 2), (503, 2)])
 def test_only_retriable_statuses_are_retried(status, attempts):
-    outcome, received, connections = _exchange(
-        post_json, [(status, _json({}))], "/qe", QE[2], None, "qe")
+    new = _exchange(post_json, [(status, _json({}))], "/qe", QE[2], None, "qe")
+    assert new == _exchange(post_json_http_client, [(status, _json({}))],
+                            "/qe", QE[2], None, "qe")
+    outcome, received, connections = new
     assert outcome == ("error", f"qe backend returned HTTP {status}")
     assert len(received) == attempts
     assert connections == attempts
