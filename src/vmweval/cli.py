@@ -293,12 +293,15 @@ def _backend_builder(name: str, entry, base: Path):
     mock = mode == "mock"
     needed = {"llm": ["script" if mock else "model_id"], "mt": [],
               "qe": ["orientation"]}[kind]
-    for need in needed if mock else ["base_url", *needed]:
-        if not entry.get(need):
-            raise ContractViolation(f"config is missing {key}.{need}")
-        if not isinstance(entry[need], str):
+    required = needed if mock else ["base_url", *needed]
+    # and, when given, each other string the backend is built with
+    named = {"llm": "model_id", "mt": "system_id", "qe": "metric_id"}[kind]
+    for field in [*required, named, *([] if mock else ["credential_env"])]:
+        if field in required and not entry.get(field):
+            raise ContractViolation(f"config is missing {key}.{field}")
+        if field in entry and not isinstance(entry[field], str):
             raise ContractViolation(
-                f"config {key}.{need} must be a string, not {entry[need]!r}")
+                f"config {key}.{field} must be a string, not {entry[field]!r}")
     script = base / entry["script"] if "script" in needed else None
     orientation = entry.get("orientation")
     if kind == "qe":
@@ -660,7 +663,7 @@ def stage_classify(config: Config, out: Path, candidates: list[dict], sha256: st
                 "raw_choice": raw_choice, "raw_response": raw_response}
     records = _call_each(
         config, lambda job: llm_mod.classify_candidate(backend, *job), jobs,
-        lambda job, res: record(job, res.verdict, res.raw_choice, res.raw_response),
+        lambda job, answer: record(job, **answer),
         lambda job, exc: record(job, raw_response=getattr(exc, "raw_response", None)),
         _KEPT_LLM)
     verdicts = [r["verdict"] for r in records]
@@ -683,10 +686,7 @@ def stage_paraphrase(config: Config, out: Path, classifications: list[dict],
                 "category": cand.category.value, **fields}
     records = _call_each(
         config, lambda job: llm_mod.paraphrase_candidate(backend, *job[1:]), jobs,
-        lambda job, res: record(job, original=res.original,
-                                paraphrased=res.paraphrased,
-                                retains_candidate=res.retains_candidate,
-                                raw_response=res.raw_response),
+        lambda job, answer: record(job, **answer),
         lambda job, exc: record(job, original=None, paraphrased=None,
                                 raw_response=getattr(exc, "raw_response", None)),
         _KEPT_LLM)
@@ -735,7 +735,7 @@ def stage_translate(config: Config, out: Path, paraphrases: list[dict],
                   translation.target_lang)
         if triple not in screened:
             screened[triple] = mt_mod.validate_translation(
-                translation, config.min_repeats, config.max_unit).validity
+                translation, config.min_repeats, config.max_unit)
         return screened[triple].value
 
     def record(job, hypothesis=None, validity=None):

@@ -117,14 +117,13 @@ class Corpus:
                 f"unknown sentence id {sentence_id!r}") from None
 
 
-def sentence_text(s: Sentence | Iterable[Token]) -> str:
+def sentence_text(tokens: Iterable[Token]) -> str:
     """Render token surfaces back to a single line.
 
     Joins with single spaces, except that closing punctuation attaches to
     the preceding token.  Spacing is reconstructed, never read from the
     input, so the result is stable under repeated tokenize/render cycles.
     """
-    tokens = s.tokens if isinstance(s, Sentence) else tuple(s)
     parts: list[str] = []
     for tok in tokens:
         surface = tok.surface

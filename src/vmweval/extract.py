@@ -182,13 +182,12 @@ def _require_dependencies(sentence: Sentence, op: str):
                                 f"(sentence {sentence.id!r} has none)")
 
 
-def extract_vpc(sentence: Sentence,
-                relations: frozenset[str] = PARTICLE_RELATIONS) -> list[VMWECandidate]:
+def extract_vpc(sentence: Sentence) -> list[VMWECandidate]:
     """One candidate per particle arc whose governor is a verb."""
     _require_dependencies(sentence, "extract_vpc")
     candidates = []
     for tok in sentence.tokens:
-        if tok.deprel not in relations or tok.head == 0:
+        if tok.deprel not in PARTICLE_RELATIONS or tok.head == 0:
             continue
         head = sentence.tokens[tok.head - 1]
         if head.upos != "VERB":

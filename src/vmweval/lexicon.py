@@ -35,11 +35,10 @@ class LightVerbSet:
 
 
 def light_verb_set(variant: LightVerbVariant | str) -> LightVerbSet:
-    if isinstance(variant, str):
-        try:
-            variant = LightVerbVariant(variant)
-        except ValueError:
-            raise ContractViolation(f"unknown light-verb variant {variant!r}") from None
+    try:
+        variant = LightVerbVariant(variant)
+    except ValueError:
+        raise ContractViolation(f"unknown light-verb variant {variant!r}") from None
     return LightVerbSet(variant=variant, verbs=_LIGHT_VERBS[variant])
 
 

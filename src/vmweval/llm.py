@@ -74,29 +74,6 @@ class ChatRequest:
         return ""
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    candidate_ref: str
-    category: Category
-    verdict: bool
-    raw_choice: str
-    raw_response: str
-
-
-@dataclass(frozen=True)
-class ParaphraseResult:
-    sentence_id: str
-    candidate_ref: str
-    original: str
-    paraphrased: str
-    raw_response: str
-    retains_candidate: bool
-
-    def __post_init__(self):
-        if not self.paraphrased:
-            raise ContractViolation("paraphrase must be non-empty")
-
-
 class ChatBackend(Protocol):
     model_id: str
 
@@ -120,47 +97,40 @@ def _render(template: str, values: dict[str, str]) -> str:
     return rendered
 
 
-def _prompt_values(category: Category, candidate: VMWECandidate,
-                   sentence: Sentence) -> dict[str, str]:
+def _prompt(step: str, category: Category, candidate: VMWECandidate,
+            sentence: Sentence) -> str:
+    """The `step` ("classify" or "paraphrase") prompt of `candidate` as a
+    `category` candidate, checked to belong to `sentence` before any value
+    is read from it."""
     if candidate.sentence_id != sentence.id:
         raise ContractViolation(
             f"candidate {candidate.ref} does not belong to sentence {sentence.id!r}")
     values = {"sentence": sentence.text}
     ev = candidate.evidence
-    if category is Category.LVC and isinstance(ev, LvcEvidence):
+    if step == "paraphrase" or (category is Category.VID
+                                and isinstance(ev, VidEvidence)):
+        values["candidate"] = candidate.surface(sentence)
+    elif category is Category.LVC and isinstance(ev, LvcEvidence):
         values["verb_lemma"] = sentence.tokens[ev.verb_index - 1].lemma
         values["noun_lemma"] = sentence.tokens[ev.noun_index - 1].lemma
     elif category is Category.VPC and isinstance(ev, VpcEvidence):
         values["verb_lemma"] = sentence.tokens[ev.verb_index - 1].lemma
         values["particle"] = sentence.tokens[ev.particle_index - 1].surface
-    elif category is Category.VID and isinstance(ev, VidEvidence):
-        values["candidate"] = candidate.surface(sentence)
     else:
         raise ContractViolation(
             f"candidate {candidate.ref} carries {type(ev).__name__}, "
             f"not {category.value} evidence")
-    return values
+    return _render(_load_template(f"{step}_{category.value.lower()}"), values)
 
 
 def render_classification_prompt(category: Category, candidate: VMWECandidate,
                                  sentence: Sentence) -> str:
-    template = _load_template(f"classify_{category.value.lower()}")
-    return _render(template, _prompt_values(category, candidate, sentence))
+    return _prompt("classify", category, candidate, sentence)
 
 
 def render_paraphrase_prompt(category: Category, candidate: VMWECandidate,
                              sentence: Sentence) -> str:
-    template = _load_template(f"paraphrase_{category.value.lower()}")
-    values = {"sentence": sentence.text,
-              "candidate": candidate.surface(sentence)}
-    if candidate.sentence_id != sentence.id:
-        raise ContractViolation(
-            f"candidate {candidate.ref} does not belong to sentence {sentence.id!r}")
-    return _render(template, values)
-
-
-def verdict_for(category: Category, raw_choice: str) -> bool:
-    return raw_choice == ACCEPT_CHOICE[category]
+    return _prompt("paraphrase", category, candidate, sentence)
 
 
 def parse_final_answer(response: str, category: Category) -> tuple[bool, str]:
@@ -185,7 +155,7 @@ def parse_final_answer(response: str, category: Category) -> tuple[bool, str]:
     if canonical not in _ALPHABET[category]:
         raise UnparseableResponse(f"choice {token!r} outside the "
                                   f"{category.value} alphabet", raw_response=response)
-    return verdict_for(category, canonical), canonical
+    return canonical == ACCEPT_CHOICE[category], canonical
 
 
 def parse_rephrased(response: str) -> str:
@@ -211,30 +181,25 @@ def _chat(client: ChatBackend, prompt: str, temperature: float, top_p: float) ->
 
 
 def classify_candidate(client: ChatBackend, category: Category,
-                       candidate: VMWECandidate,
-                       sentence: Sentence) -> ClassificationResult:
+                       candidate: VMWECandidate, sentence: Sentence) -> dict:
+    """The classification record's answer fields: verdict, raw_choice and
+    raw_response."""
     prompt = render_classification_prompt(category, candidate, sentence)
     response = _chat(client, prompt, CLASSIFY_TEMPERATURE, CLASSIFY_TOP_P)
     verdict, choice = parse_final_answer(response, category)
-    return ClassificationResult(candidate_ref=candidate.ref, category=category,
-                                verdict=verdict, raw_choice=choice,
-                                raw_response=response)
+    return {"verdict": verdict, "raw_choice": choice, "raw_response": response}
 
 
 def paraphrase_candidate(client: ChatBackend, candidate: VMWECandidate,
-                         sentence: Sentence) -> ParaphraseResult:
+                         sentence: Sentence) -> dict:
+    """The paraphrase record's answer fields, in its order: original,
+    paraphrased, retains_candidate and raw_response."""
     prompt = render_paraphrase_prompt(candidate.category, candidate, sentence)
     response = _chat(client, prompt, PARAPHRASE_TEMPERATURE, PARAPHRASE_TOP_P)
     paraphrased = parse_rephrased(response)
-    surface = candidate.surface(sentence)
-    return ParaphraseResult(
-        sentence_id=sentence.id,
-        candidate_ref=candidate.ref,
-        original=sentence.text,
-        paraphrased=paraphrased,
-        raw_response=response,
-        retains_candidate=surface in paraphrased,
-    )
+    return {"original": sentence.text, "paraphrased": paraphrased,
+            "retains_candidate": candidate.surface(sentence) in paraphrased,
+            "raw_response": response}
 
 
 class HttpChatBackend:

@@ -239,13 +239,12 @@ def classify_validity(source: str, hypothesis: str, target_lang: str,
 
 def validate_translation(record: TranslationRecord,
                          min_repeats: int = DEFAULT_MIN_REPEATS,
-                         max_unit: int = DEFAULT_MAX_UNIT) -> TranslationRecord:
-    """`record` with its validity set by classify_validity."""
-    return TranslationRecord(
-        record.sentence_id, record.source, record.target_lang, record.system_id,
-        record.hypothesis, classify_validity(record.source, record.hypothesis,
-                                             record.target_lang, min_repeats,
-                                             max_unit))
+                         max_unit: int = DEFAULT_MAX_UNIT) -> ValidityStatus:
+    """The ValidityStatus classify_validity gives `record`'s hypothesis;
+    the translate stage calls it once per distinct (source, hypothesis,
+    language), the call perfbench/tracing.py times as screening."""
+    return classify_validity(record.source, record.hypothesis, record.target_lang,
+                             min_repeats, max_unit)
 
 
 def error_pct(invalid: int, total: int) -> float:

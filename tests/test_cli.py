@@ -1522,7 +1522,8 @@ _BAD_NUMBERS = [
 ]
 
 # (keys, malformed value, a command, message, id) of a list the stages
-# iterate; each case runs through its command and through run-all
+# iterate, or of the name of one; each case runs through its command and
+# through run-all
 _BAD_LISTS = [
     (["target_langs"], 5, "translate",
      "config target_langs must be a list of language codes, not 5",
@@ -1548,6 +1549,10 @@ _BAD_LISTS = [
      "config backends.beta.break_rules has unknown failure 'melted'; allowed: "
      "untranslated, empty, repetitive, wrong_language",
      "break-rule-unknown-failure"),
+    (["light_verbs"], 5, "extract", "unknown light-verb variant 5",
+     "light-verbs-not-name"),
+    (["light_verbs"], ["do", "make"], "extract",
+     "unknown light-verb variant ['do', 'make']", "light-verbs-listed"),
 ]
 
 # (keys, malformed value, a command, message, id) of a section the stages
@@ -1604,6 +1609,20 @@ _BAD_BACKENDS = [
     (_config_value(["pipeline", "mt"], ["alpha", "alpha"], "translate"),
      "config pipeline.mt names system_id 'alpha' more than once",
      "mt-name-repeated"),
+    (_config_value(["backends", "alpha", "system_id"], 5, "translate"),
+     "config backends.alpha.system_id must be a string, not 5",
+     "mt-system-id-not-string"),
+    (_config_value(["backends", "mock_qe", "metric_id"], 7, "score"),
+     "config backends.mock_qe.metric_id must be a string, not 7",
+     "qe-metric-id-not-string"),
+    (_config_value(["backends", "mock_llm", "model_id"], 5, "classify"),
+     "config backends.mock_llm.model_id must be a string, not 5",
+     "mock-llm-model-id-not-string"),
+    (_config_value(["backends", "alpha"],
+                   {"kind": "mt", "mode": "http", "base_url": "http://127.0.0.1:9",
+                    "credential_env": 5}, "translate"),
+     "config backends.alpha.credential_env must be a string, not 5",
+     "backend-credential-env-not-string"),
 ]
 
 # (make_case, message, id) of a report input the config names; each case

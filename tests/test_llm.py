@@ -84,6 +84,13 @@ def test_prompt_rejects_foreign_candidate(corpus25, lexicon):
     vid = match_idioms(s01, lexicon)[0]
     with pytest.raises(ContractViolation):
         render_classification_prompt(Category.VID, vid, corpus25.by_id("s02"))
+    # tokens past the end of the sentence given: refused as foreign before
+    # either renderer reads that sentence
+    s03_vid = match_idioms(corpus25.by_id("s03"), lexicon)[0]
+    assert max(s03_vid.token_indices()) > len(s01.tokens)
+    for render in (render_classification_prompt, render_paraphrase_prompt):
+        with pytest.raises(ContractViolation, match="does not belong to sentence"):
+            render(Category.VID, s03_vid, s01)
 
 
 def test_prompt_rejects_mismatched_evidence(corpus25, lexicon):
@@ -188,10 +195,9 @@ def test_classify_candidate_request_parameters(corpus25, lexicon):
     s01 = corpus25.by_id("s01")
     vid = match_idioms(s01, lexicon)[0]
     backend = RecordingBackend("Final Answer: Yes")
-    result = classify_candidate(backend, Category.VID, vid, s01)
-    assert result.verdict is True
-    assert result.raw_choice == "Yes"
-    assert result.candidate_ref == "s01#VID#2.3.4"
+    assert vid.ref == "s01#VID#2.3.4"
+    assert classify_candidate(backend, Category.VID, vid, s01) == {
+        "verdict": True, "raw_choice": "Yes", "raw_response": "Final Answer: Yes"}
     request = backend.requests[0]
     assert request.temperature == CLASSIFY_TEMPERATURE == 0.0
     assert request.top_p == CLASSIFY_TOP_P == 1.0
@@ -204,10 +210,12 @@ def test_paraphrase_candidate_request_parameters(corpus25, lexicon):
     s01 = corpus25.by_id("s01")
     vid = match_idioms(s01, lexicon)[0]
     backend = RecordingBackend("Rephrased Sentence: He revealed the secret.")
-    result = paraphrase_candidate(backend, vid, s01)
-    assert result.paraphrased == "He revealed the secret."
-    assert result.original == "He spilled the beans."
-    assert result.retains_candidate is False
+    answer = paraphrase_candidate(backend, vid, s01)
+    assert list(answer.items()) == [
+        ("original", "He spilled the beans."),
+        ("paraphrased", "He revealed the secret."),
+        ("retains_candidate", False),
+        ("raw_response", "Rephrased Sentence: He revealed the secret.")]
     request = backend.requests[0]
     assert request.temperature == PARAPHRASE_TEMPERATURE == 0.9
     assert request.top_p == PARAPHRASE_TOP_P == 0.9
@@ -218,7 +226,7 @@ def test_paraphrase_retention_flag(corpus25, lexicon):
     vid = match_idioms(s01, lexicon)[0]
     backend = RecordingBackend(
         "Rephrased Sentence: He spilled the beans again.")
-    assert paraphrase_candidate(backend, vid, s01).retains_candidate is True
+    assert paraphrase_candidate(backend, vid, s01)["retains_candidate"] is True
 
 
 def test_each_template_is_read_once(monkeypatch, corpus25, lexicon):
@@ -245,8 +253,8 @@ def test_each_template_is_read_once(monkeypatch, corpus25, lexicon):
     for cand, sentence in candidates:
         backend = RecordingBackend(f"Final Answer: {ACCEPT_CHOICE[cand.category]}\n"
                                    f"Rephrased Sentence: Something else.")
-        assert classify_candidate(backend, cand.category, cand, sentence).verdict
-        assert paraphrase_candidate(backend, cand, sentence).paraphrased
+        assert classify_candidate(backend, cand.category, cand, sentence)["verdict"]
+        assert paraphrase_candidate(backend, cand, sentence)["paraphrased"]
     assert reads == {f"{step}_{category.value.lower()}.txt": 1
                      for step in ("classify", "paraphrase") for category in Category}
 

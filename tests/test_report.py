@@ -10,7 +10,6 @@ import pytest
 
 from vmweval.errors import ContractViolation
 from vmweval.extract import Category
-from vmweval.llm import ClassificationResult
 from vmweval.mt import error_pct
 from vmweval.qe import Orientation, QEScore
 from vmweval.report import (TABLE_KINDS, build_tables, classifier_table,
@@ -678,7 +677,17 @@ def _random_fraction(rng):
 # Before the builders returned their JSON rows, each returned frozen row
 # objects, and `_json_rows` turned them into the rows `emit` rendered,
 # rounded.  Copied here, less their log lines, as the oracle of the builders
-# and of `emit`.
+# and of `emit`, with the llm.ClassificationResult they counted, which
+# classify_candidate returned until it returned the record's fields.
+
+@dataclass(frozen=True)
+class ClassificationResult:
+    candidate_ref: str
+    category: Category
+    verdict: bool
+    raw_choice: str
+    raw_response: str
+
 
 @dataclass(frozen=True)
 class GapCell:
