@@ -17,487 +17,25 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import io
 import itertools
-import json
 import logging
-import os
 import sys
 import threading
-from contextlib import contextmanager
-from functools import cache, cached_property
 from pathlib import Path
-
-import yaml
 
 from . import corpus as corpus_mod
 from . import extract as extract_mod
-from . import lexicon as lexicon_mod
 from . import llm as llm_mod
 from . import mt as mt_mod
 from . import qe as qe_mod
 from . import report as report_mod
-from . import stats as stats_mod
-from .errors import (ContractViolation, SchemaVersionError, TransportError,
-                     UnparseableResponse)
-from .records import check_records
-
-SCHEMA_VERSION = report_mod.SCHEMA_VERSION
+from .config import Config, load_config, load_lexicon, pipeline_roles
+from .errors import ContractViolation, TransportError, UnparseableResponse
+from .rundir import manifest_path, read_jsonl, write_file, write_jsonl, write_manifest
 
 # the package's logger, whose warnings main prints to stderr; `python -m
 # vmweval.cli` runs this module as __main__, so it is named here
 log = logging.getLogger("vmweval")
-
-
-# --- config ------------------------------------------------------------------
-
-# The config's sections; each, when given, must be a mapping.
-_SECTIONS = ("corpus", "lexicon", "control_sample", "repetition", "exclusion",
-             "pipeline", "backends", "da", "classifier_eval")
-
-# Config attribute -> (config key, kind, default[, minimum[, maximum]]) of each number
-_NUMBERS = {
-    "concurrency": ("concurrency", int, 4, 1),
-    "seed": ("seed", int, 0),
-    "vid_threshold": ("vid_threshold", float, extract_mod.DEFAULT_VID_THRESHOLD),
-    "control_n": ("control_sample.n", int, 0, 0),
-    "min_repeats": ("repetition.min_repeats", int, mt_mod.DEFAULT_MIN_REPEATS, 2),
-    "max_unit": ("repetition.max_unit", int, mt_mod.DEFAULT_MAX_UNIT, 1),
-    "flag_pct": ("exclusion.flag_pct", float, report_mod.DEFAULT_FLAG_PCT, 0, 100),
-    "rank_exclude_pct": ("exclusion.rank_exclude_pct", float,
-                         report_mod.DEFAULT_EXCLUDE_PCT, 0, 100),
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class Config:
-    """A config load_config checked whole, paths resolved against its
-    directory.  A path only some commands need is None when absent."""
-    raw: dict  # as parsed, narrowed with the rest; each manifest records it
-    concurrency: int
-    seed: int
-    vid_threshold: float
-    control_n: int
-    min_repeats: int
-    max_unit: int
-    flag_pct: float
-    rank_exclude_pct: float
-    corpus_file: Path | None
-    corpus_format: str
-    idioms_file: Path | None
-    verb_lemmas_file: Path | None
-    light_verbs: lexicon_mod.LightVerbSet
-    target_langs: tuple[str, ...]
-    pipeline: dict  # "llm"/"qe" -> a backend name, "mt" -> a tuple of them
-    da_file: Path | None
-    da_vmwe_ids: tuple[str, ...]
-    da_control_ids: tuple[str, ...]
-    gold_file: Path | None
-    backends: dict  # name -> (kind, a function that builds the backend once)
-    # what --category narrows; the config file has no such key
-    categories: tuple[extract_mod.Category, ...] = tuple(extract_mod.Category)
-
-    def role(self, role: str):
-        """What pipeline.`role` names."""
-        return _required(self.pipeline.get(role), f"pipeline.{role}")
-
-    def backend(self, kind: str, name: str | None = None):
-        """The backend `name`, which must be of `kind`, built once; by default
-        the one pipeline.`kind` names (pipeline.mt is a list of names)."""
-        return _builder(self.backends, name or self.role(kind), kind)()
-
-    @cached_property
-    def corpus(self) -> tuple[corpus_mod.Corpus, str]:
-        """The corpus the config names, parsed once, and its sha256."""
-        path = _required(self.corpus_file, "corpus.path")
-        if self.corpus_format == "jsonl":  # the sentence records extract writes
-            records, sha256 = read_jsonl(path, "sentence")
-            return corpus_mod.corpus_from_records(records), sha256
-        text, sha256 = _read_input(path)
-        return corpus_mod.load_corpus(text, self.corpus_format), sha256
-
-    @cached_property
-    def da_records(self) -> tuple[list[dict], str] | None:
-        """The DA annotations the config names, if any, and their sha256."""
-        return self.da_file and read_jsonl(self.da_file, "da")
-
-    @cached_property
-    def gold_records(self) -> tuple[list[dict], str] | None:
-        """The gold labels the config names, if any, and their sha256."""
-        return self.gold_file and read_jsonl(self.gold_file, "gold")
-
-
-def _builder(backends: dict, name, kind: str):
-    """The builder of backend `name`, which must be defined and of `kind`."""
-    if name not in backends:
-        raise ContractViolation(f"backend {name!r} is not defined in the config")
-    if backends[name][0] != kind:
-        raise ContractViolation(
-            f"backend {name!r} is of kind {backends[name][0]}, not {kind}")
-    return backends[name][1]
-
-
-def _required(value, key: str):
-    if value is None:
-        raise ContractViolation(f"config is missing {key}")
-    return value
-
-
-def _number(value, key: str, kind, minimum=None, maximum=None):
-    """`value` as a `kind` in its bounds: no bool, no NaN, no int with a fraction."""
-    try:
-        number = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    # NaN is the one number unequal to itself; 2.5 is not the int 2
-    if number is None or number != number or (isinstance(value, float)
-                                              and number != value):
-        raise ContractViolation(
-            f"config {key} must be {'an integer' if kind is int else 'a number'}, "
-            f"not {value!r}")
-    if minimum is not None and number < minimum:
-        raise ContractViolation(
-            f"config {key} must be at least {minimum}, not {value!r}")
-    if maximum is not None and number > maximum:
-        raise ContractViolation(
-            f"config {key} must be at most {maximum}, not {value!r}")
-    return number
-
-
-def load_config(path: str | Path) -> Config:
-    """The config at `path`, every key checked; reads no other file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ContractViolation(f"config file not found: {path}")
-    text, _ = _read_input(path)
-    try:
-        # libyaml's parser when PyYAML was built with it; the same safe
-        # constructor either way
-        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        raise ContractViolation(f"config is not valid YAML: {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ContractViolation(f"config must be a mapping: {path}")
-    nodes = {"": raw}  # dotted path -> section
-    for key in _SECTIONS:
-        nodes[key] = raw.get(key, {})
-        if not isinstance(nodes[key], dict):
-            raise ContractViolation(
-                f"config {key} must be a mapping, not {nodes[key]!r}")
-
-    def value_of(key: str, default=None):
-        section, _, leaf = key.rpartition(".")
-        return nodes[section].get(leaf, default)
-
-    def path_of(key: str) -> Path | None:
-        """The path under `key` resolved against the config's directory."""
-        value = value_of(key)
-        if value and not isinstance(value, str):
-            raise ContractViolation(f"config {key} must be a path, not {value!r}")
-        return path.parent / value if value else None
-
-    numbers = {attr: _number(value_of(key, default), key, kind, *bounds)
-               for attr, (key, kind, default, *bounds) in _NUMBERS.items()}
-    corpus_format = value_of("corpus.format", "conllu")
-    if corpus_format not in ("conllu", "plain", "jsonl"):
-        raise ContractViolation(
-            f"corpus.format is {corpus_format!r}; allowed: conllu, plain, jsonl")
-    langs = value_of("target_langs", list(mt_mod.TARGET_LANGS))
-    if not isinstance(langs, list):
-        raise ContractViolation(
-            f"config target_langs must be a list of language codes, not {langs!r}")
-    bad = [lang for lang in langs if lang not in mt_mod.TARGET_LANGS]
-    if bad:
-        raise ContractViolation(f"unsupported target language(s): {bad}")
-    _once_each(langs, "target_langs lists")
-    da_file = path_of("da.annotations")
-    ids = {key: _required(value_of(key), key) if da_file else []
-           for key in ("da.vmwe_ids", "da.control_ids")}
-    for key, value in ids.items():
-        if not isinstance(value, list) or not all(isinstance(i, str) for i in value):
-            raise ContractViolation(
-                f"config {key} must be a list of sentence ids, not {value!r}")
-    shared = set(ids["da.vmwe_ids"]) & set(ids["da.control_ids"])
-    if shared:
-        raise ContractViolation("config da.vmwe_ids and da.control_ids share "
-                                f"{sorted(shared)[:5]}")
-    backends = {name: _backend_builder(name, entry, path.parent)
-                for name, entry in nodes["backends"].items()}
-    pipeline = _pipeline(nodes["pipeline"], backends)
-    # translations are shared by system_id, so each MT system needs its own
-    _once_each([nodes["backends"][name].get("system_id", name)
-                for name in pipeline.get("mt", ())], "pipeline.mt names system_id")
-    return Config(
-        raw=raw, **numbers, corpus_file=path_of("corpus.path"),
-        corpus_format=corpus_format,
-        idioms_file=path_of("lexicon.idioms"),
-        verb_lemmas_file=path_of("lexicon.verb_lemmas"),
-        light_verbs=lexicon_mod.light_verb_set(value_of("light_verbs", "dataset_six")),
-        target_langs=tuple(langs), pipeline=pipeline,
-        da_file=da_file, da_vmwe_ids=tuple(ids["da.vmwe_ids"]),
-        da_control_ids=tuple(ids["da.control_ids"]),
-        gold_file=path_of("classifier_eval.gold"), backends=backends)
-
-
-def _once_each(values: list, what: str):
-    """Raise unless no two of `values`, which config `what`, are equal."""
-    repeated = [value for i, value in enumerate(values) if values.index(value) < i]
-    if repeated:
-        raise ContractViolation(f"config {what} {repeated[0]!r} more than once")
-
-
-def _pipeline(section: dict, backends: dict) -> dict:
-    """The backends pipeline names per role, each defined and of that kind."""
-    roles = {}
-    for role in ("llm", "mt", "qe"):
-        if role not in section:
-            continue
-        value = section[role]
-        names = [value] if isinstance(value, str) else value
-        if role != "mt" and not isinstance(value, str):
-            raise ContractViolation(
-                f"config pipeline.{role} must be a backend name, not {value!r}")
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ContractViolation("config pipeline.mt must be a backend name or "
-                                    f"a list of them, not {value!r}")
-        for name in names:
-            _builder(backends, name, role)
-        roles[role] = tuple(names) if role == "mt" else value
-    return roles
-
-
-def _credential(cfg_entry: dict) -> str | None:
-    env_name = cfg_entry.get("credential_env")
-    if env_name is None:
-        return None
-    value = os.environ.get(env_name)
-    if not value:
-        raise ContractViolation(
-            f"credential environment variable {env_name!r} is not set")
-    return value
-
-
-def _backend_builder(name: str, entry, base: Path):
-    """Check the config entry of backend `name`; its kind and a function that
-    builds the backend on its first call, reading its credential or script
-    only then."""
-    key = f"backends.{name}"
-    if not isinstance(entry, dict):
-        raise ContractViolation(f"config {key} must be a mapping, not {entry!r}")
-    kind, mode = entry.get("kind"), entry.get("mode", "http")
-    if kind not in ("llm", "mt", "qe"):
-        raise ContractViolation(f"backend {name!r} has unknown kind {kind!r}")
-    if mode not in ("mock", "http"):
-        raise ContractViolation(f"{key}.mode is {mode!r}; allowed: mock, http")
-    mock = mode == "mock"
-    needed = {"llm": ["script" if mock else "model_id"], "mt": [],
-              "qe": ["orientation"]}[kind]
-    required = needed if mock else ["base_url", *needed]
-    # and, when given, each other string the backend is built with
-    named = {"llm": "model_id", "mt": "system_id", "qe": "metric_id"}[kind]
-    for field in [*required, named, *([] if mock else ["credential_env"])]:
-        if field in required and not entry.get(field):
-            raise ContractViolation(f"config is missing {key}.{field}")
-        if field in entry and not isinstance(entry[field], str):
-            raise ContractViolation(
-                f"config {key}.{field} must be a string, not {entry[field]!r}")
-    script = base / entry["script"] if "script" in needed else None
-    orientation = entry.get("orientation")
-    if kind == "qe":
-        try:
-            orientation = stats_mod.Orientation(orientation)
-        except ValueError:
-            allowed = ", ".join(o.value for o in stats_mod.Orientation)
-            raise ContractViolation(f"{key}.orientation is {orientation!r}; "
-                                    f"allowed: {allowed}") from None
-    rules = entry.get("break_rules")
-    if rules is not None:  # None is no rules, as MockMTBackend reads it
-        if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
-            raise ContractViolation(f"config {key}.break_rules must be "
-                                    f"a list of mappings, not {rules!r}")
-        for rule in rules:
-            if rule.get("failure") not in mt_mod.BREAK_FAILURES:
-                raise ContractViolation(
-                    f"config {key}.break_rules has unknown failure "
-                    f"{rule.get('failure')!r}; allowed: "
-                    f"{', '.join(mt_mod.BREAK_FAILURES)}")
-    timeout = entry.get("timeout", 60.0)
-    if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-            or not 0 < timeout < float("inf")):
-        raise ContractViolation(
-            f"config {key}.timeout must be a positive number, not {timeout!r}")
-
-    @cache
-    def build():
-        http = {} if mock else {"base_url": entry["base_url"],
-                                "api_key": _credential(entry), "timeout": timeout}
-        if kind == "llm":
-            if mock:
-                return llm_mod.MockChatBackend.from_file(
-                    _input_file(script), model_id=entry.get("model_id", "mock-chat"))
-            return llm_mod.HttpChatBackend(model_id=entry["model_id"], **http)
-        if kind == "mt":
-            system_id = entry.get("system_id", name)
-            if mock:
-                return mt_mod.MockMTBackend(system_id=system_id, break_rules=rules)
-            return mt_mod.HttpMTBackend(system_id=system_id, **http)
-        metric_id = entry.get("metric_id", name)
-        if mock:
-            return qe_mod.MockQEBackend(metric_id=metric_id, orientation=orientation)
-        return qe_mod.HttpQEBackend(metric_id=metric_id, orientation=orientation,
-                                    **http)
-    return kind, build
-
-
-# --- shared io ---------------------------------------------------------------
-
-def _input_file(path: Path) -> Path:
-    if not path.is_file():
-        raise ContractViolation(f"missing input file: {path}")
-    return path
-
-
-def _read_input(path: Path) -> tuple[str, str]:
-    """The text of the input file `path`, which must exist, and the sha256 of
-    its bytes, read once.  The bytes must be UTF-8; "\r\n" and "\r" read as
-    "\n", as they do in a file opened as text."""
-    data = _input_file(path).read_bytes()
-    try:
-        text = io.StringIO(data.decode("utf-8"), newline=None).getvalue()
-    except UnicodeDecodeError as exc:
-        raise ContractViolation(f"{path} is not UTF-8 text ({exc.reason})") from None
-    return text, hashlib.sha256(data).hexdigest()
-
-
-def read_jsonl(path: Path, kind: str) -> tuple[list[dict], str]:
-    """The records of `path`, each checked against the `kind` records
-    table, and the sha256 of the file's bytes.  A manifest beside the file,
-    if any, must name this schema version and that sha256."""
-    text, sha256 = _read_input(path)
-    _check_manifest(path, sha256)
-    numbered = []  # (line number, record); blank lines count
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if line := line.strip():
-            try:
-                numbered.append((line_no, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ContractViolation(
-                    f"{path} line {line_no}: bad JSON record: {exc.msg} "
-                    f"(column {exc.colno})") from None
-    check_records(kind, numbered, path)
-    return [record for _, record in numbered], sha256
-
-
-def _cannot_write(path: Path, exc: OSError) -> ContractViolation:
-    return ContractViolation(f"cannot write {path}: {exc.strerror or exc}")
-
-
-@contextmanager
-def _replacing(path: Path):
-    """A binary file to write that replaces `path` only once the block
-    completes; a failure leaves `path` as it was and no temp file behind."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _cannot_write(path.parent, exc) from None
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise _cannot_write(path, exc) from None
-        raise
-
-
-def _record_encoder():
-    """json.dumps(record, ensure_ascii=False) as one function: the C encoder
-    that JSONEncoder(ensure_ascii=False).encode would build anew for every
-    record, built once with the same arguments, or that method itself where
-    json has no C encoder."""
-    encoder = json.JSONEncoder(ensure_ascii=False)
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return encoder.encode
-    markers: dict = {}  # ids of the containers being encoded
-    encode = make(markers, encoder.default, json.encoder.encode_basestring,
-                  encoder.indent, encoder.key_separator, encoder.item_separator,
-                  encoder.sort_keys, encoder.skipkeys, encoder.allow_nan)
-
-    def encode_record(record) -> str:
-        try:
-            return "".join(encode(record, 0))
-        except BaseException:
-            markers.clear()  # a failed call leaves the ids it was inside
-            raise
-    return encode_record
-
-
-_encode = _record_encoder()
-
-_WRITE_CHUNK = 64  # records encoded, hashed and written at a time
-
-
-def write_jsonl(path: Path, records: list[dict]) -> str:
-    """Write `records` to `path`, one JSON object a line; the hex sha256 of
-    the bytes written.  A record that UTF-8 cannot encode, such as one with
-    a lone surrogate, is refused and `path` left as it was."""
-    digest = hashlib.sha256()
-    with _replacing(path) as fh:
-        for start in range(0, len(records), _WRITE_CHUNK):
-            text = "".join([_encode(record) + "\n"
-                            for record in records[start:start + _WRITE_CHUNK]])
-            try:
-                data = text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                index = start + text.count("\n", 0, exc.start)
-                raise ContractViolation(
-                    f"cannot write {path}: record {index} is not UTF-8 "
-                    f"text ({exc.reason})") from None
-            digest.update(data)
-            fh.write(data)
-    return digest.hexdigest()
-
-
-def _manifest_path(out: Path) -> Path:
-    return out / "manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
-
-
-def _check_manifest(path: Path, sha256: str):
-    """Raise unless the manifest of the file `path`, if it has one, names
-    this schema version and `sha256`, the digest of the file's bytes."""
-    manifest = _manifest_path(path)
-    if not manifest.is_file():
-        return
-    try:
-        fields = json.loads(manifest.read_bytes())
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ContractViolation(f"{manifest} is not JSON: {exc}") from None
-    if not isinstance(fields, dict):
-        raise ContractViolation(f"{manifest} is not a JSON object")
-    recorded = fields.get("schema_version")
-    if recorded != SCHEMA_VERSION:
-        raise SchemaVersionError(f"{path} was written under schema "
-                                 f"{recorded}, expected {SCHEMA_VERSION}")
-    if fields.get("output_sha256") != sha256:
-        raise ContractViolation(f"{path} does not match its manifest's output_sha256")
-
-
-def write_manifest(out: Path, stage: str, config: Config, inputs: dict[str, str],
-                   counts: dict, output_sha256: str | dict[str, str]):
-    """The manifest of `out`; `inputs` maps each input's name to the hex
-    sha256 of the bytes the stage was handed, and `output_sha256` is that of
-    the bytes written: of `out`, or of each file in it by name."""
-    manifest = {"schema_version": SCHEMA_VERSION, "stage": stage, "seed": config.seed,
-                "inputs": inputs, "config": config.raw, "counts": counts,
-                "output_sha256": output_sha256}
-    data = (json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2)
-            + "\n").encode("utf-8")
-    with _replacing(_manifest_path(out)) as fh:
-        fh.write(data)
 
 
 def _finish(config: Config, stage: str, out: Path, records: list[dict],
@@ -578,22 +116,6 @@ def _call_each(config: Config, call, jobs: list, ok, failed, kept: tuple,
     return records
 
 
-def _load_lexicon(config: Config):
-    """The idiom lexicon the config names, and the sha256 of each file it
-    was built from by input name."""
-    idioms_path = _required(config.idioms_file, "lexicon.idioms")
-    digests = {}
-    if config.verb_lemmas_file:
-        text, digests["verb_lemmas"] = _read_input(config.verb_lemmas_file)
-        verb_lemmas = lexicon_mod.parse_verb_lemmas(text)
-    else:
-        verb_lemmas = lexicon_mod.default_verb_lemmas()
-    text, digests["idioms"] = _read_input(idioms_path)
-    # Split on "\n" alone, as iterating the file would: splitlines() also
-    # splits on characters such as "\x85" and "\u2028" inside a line.
-    return lexicon_mod.load_idiom_lexicon(text.split("\n"), verb_lemmas), digests
-
-
 def _candidate_jobs(config: Config, records: list[dict]) -> list[tuple]:
     """(category, candidate, sentence) of each candidate record in one of
     config.categories, the token indices it names checked in its sentence."""
@@ -612,7 +134,7 @@ def _candidate_jobs(config: Config, records: list[dict]) -> list[tuple]:
 def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
     """(exit code, candidates, their sha256, control sentences, theirs), the
     last two None without a sample; it goes to `controls_out` or beside `out`."""
-    lex, inputs = _load_lexicon(config)
+    lex, inputs = load_lexicon(config)
     corpus, inputs["corpus"] = config.corpus
 
     # Controls are the sentences no extractor matches, so with a control
@@ -824,38 +346,42 @@ def stage_score(config: Config, out: Path, translations: list[dict], sha256: str
                    counts, _KEPT_TRANSPORT)
 
 
+def _da_and_gold(config: Config) -> list:
+    """The DA annotations and gold labels the config names, each (records,
+    sha256) or None."""
+    return [config.da_file and read_jsonl(config.da_file, "da"),
+            config.gold_file and read_jsonl(config.gold_file, "gold")]
+
+
 def stage_report(config: Config, out: Path, scored: list[dict], sha256: str,
-                 classifications=None, classifications_sha256: str | None = None):
-    """(exit code, the tables); the classifier table needs `classifications`."""
+                 classifications=None, da=None, gold=None):
+    """(exit code, the tables); each optional input is (records, sha256) or
+    None, and the classifier table needs `classifications` and `gold`."""
     inputs = {"scored": sha256}
     tables = report_mod.build_tables(scored, config.flag_pct,
                                      config.rank_exclude_pct)
 
-    if config.da_file:
-        da, inputs["da_annotations"] = config.da_records
+    if da is not None:
+        annotations, inputs["da_annotations"] = da
         tables["z_gap_table"] = report_mod.da_gap_table(
-            da, config.da_vmwe_ids, config.da_control_ids)
+            annotations, config.da_vmwe_ids, config.da_control_ids)
 
-    if config.gold_file and classifications is not None:
-        gold, inputs["gold"] = config.gold_records
-        tables["classifier_table"] = report_mod.classifier_table(gold, classifications)
-        inputs["classifications"] = classifications_sha256
+    if gold is not None and classifications is not None:
+        labels, inputs["gold"] = gold
+        predicted, inputs["classifications"] = classifications
+        tables["classifier_table"] = report_mod.classifier_table(labels, predicted)
 
     # every table rendered and encoded before the first file is replaced
     files = {f"{name}.{fmt}": report_mod.emit(
         rows, fmt, report_mod.TABLE_KINDS[name]).encode("utf-8")
         for name, rows in sorted(tables.items()) for fmt in ("csv", "json")}
-    for file_name, data in files.items():
-        with _replacing(out / file_name) as fh:
-            fh.write(data)
+    written = {name: write_file(out / name, data) for name, data in files.items()}
     # a table this run did not build is an earlier run's
     for name in report_mod.TABLE_KINDS.keys() - tables.keys():
         for fmt in ("csv", "json"):
             (out / f"{name}.{fmt}").unlink(missing_ok=True)
     write_manifest(out, "report", config, inputs,
-                   {name: len(rows) for name, rows in tables.items()},
-                   {name: hashlib.sha256(data).hexdigest()
-                    for name, data in files.items()})
+                   {name: len(rows) for name, rows in tables.items()}, written)
     return 0, tables
 
 
@@ -876,18 +402,18 @@ def stage_run_all(config: Config, out_dir: Path):
     for name in config.role("mt"):
         config.backend("mt", name)
     config.backend("qe")
-    config.da_records, config.gold_records
+    da_and_gold = _da_and_gold(config)
     extracted = run(stage_extract, "candidates.jsonl", controls_out)
     candidates, controls = extracted[:2], extracted[2:]  # each (records, sha256)
     if controls[0] is None:  # an earlier run's sample is not this run's
-        for path in (controls_out, _manifest_path(controls_out)):
+        for path in (controls_out, manifest_path(controls_out)):
             path.unlink(missing_ok=True)
     classified = run(stage_classify, "classifications.jsonl", *candidates)
     paraphrases = run(stage_paraphrase, "paraphrases.jsonl", *classified)
     translations = run(stage_translate, "translations.jsonl", *paraphrases,
                        *controls)
     scored = run(stage_score, "scored.jsonl", *translations)
-    [tables] = run(stage_report, "report", *scored, *classified)
+    [tables] = run(stage_report, "report", *scored, classified, *da_and_gold)
     return max(codes), tables
 
 
@@ -963,7 +489,7 @@ def main(argv=None) -> int:
         if args.backend and role:
             raw["pipeline"] = {**raw.get("pipeline", {}),
                                role: [args.backend] if role == "mt" else args.backend}
-            fields["pipeline"] = _pipeline(raw["pipeline"], config.backends)
+            fields["pipeline"] = pipeline_roles(raw["pipeline"], config.backends)
         config = dataclasses.replace(config, raw=raw, **fields)
         # each input's records, then the sha256 of its bytes
         inputs = [*read_jsonl(args.stage_in, kind)] if kind else []
@@ -972,8 +498,10 @@ def main(argv=None) -> int:
         if args.command == "translate" and args.controls_in:
             records, sha256 = read_jsonl(args.controls_in, "sentence")
             inputs += [corpus_mod.corpus_from_records(records), sha256]
-        if args.command == "report" and args.classifications_in:
-            inputs += read_jsonl(args.classifications_in, "classification")
+        if args.command == "report":
+            inputs += [args.classifications_in
+                       and read_jsonl(args.classifications_in, "classification"),
+                       *_da_and_gold(config)]
         return stage(config, args.stage_out, *inputs)[0]
     except (ContractViolation, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,8 @@ from .mt import TARGET_LANGS, ValidityStatus
 from .qe import deltas
 from .stats import Orientation
 
+SCHEMA_VERSION = 1  # of the records and tables; each manifest and JSON table names it
+
 # JSON type -> (the Python types json.loads gives it, its name); a bool is not a number
 _JSON = {"string": ((str,), "a string"), "number": ((int, float), "a number"),
          "integer": ((int,), "an integer"), "boolean": ((bool,), "a boolean"),

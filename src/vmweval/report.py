@@ -19,12 +19,11 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ContractViolation
 from .extract import Category
 from .mt import error_pct
+from .records import SCHEMA_VERSION
 from .stats import (ClassMetrics, ConfusionMatrix, DAAnnotation, Orientation,
                     confusion_metrics, round_half_up, znormalize)
 
 log = logging.getLogger(__name__)
-
-SCHEMA_VERSION = 1
 
 # Thresholds on per-cell error rates: flag noisy cells, drop unusable ones
 # from rankings.

@@ -17,9 +17,11 @@ import pytest
 import yaml
 
 from vmweval import cli
+from vmweval import config as config_mod
 from vmweval import llm as llm_mod
 from vmweval import mt as mt_mod
 from vmweval import qe as qe_mod
+from vmweval import rundir
 from vmweval.corpus import load_corpus, load_plain, parse_conllu, sentence_to_dict
 from vmweval.errors import (BackendContractError, ContractViolation,
                             ParseError, SchemaVersionError, TransportError,
@@ -53,7 +55,7 @@ def read_jsonl_plain(path):
 
 
 def read_manifest(out_path):
-    return json.loads(cli._manifest_path(Path(out_path)).read_text())
+    return json.loads(rundir.manifest_path(Path(out_path)).read_text())
 
 
 # --- config and credentials ----------------------------------------------------
@@ -142,7 +144,7 @@ def test_credentials_come_from_environment(tmp_path, monkeypatch):
     backend = config.backend("llm", "remote")
     assert backend.api_key == "sekrit"
     # no credential_env entry means no credential, never a config value
-    assert cli._credential({"base_url": "http://x"}) is None
+    assert config_mod._credential({"base_url": "http://x"}) is None
 
 
 def test_build_backend_dispatch(tmp_path):
@@ -205,8 +207,8 @@ def test_jsonl_round_trip_and_manifest(tmp_path):
 def test_manifest_path_for_directories(tmp_path):
     d = tmp_path / "report"
     d.mkdir()
-    assert cli._manifest_path(d) == d / "manifest.json"
-    assert cli._manifest_path(tmp_path / "x.jsonl") == \
+    assert rundir.manifest_path(d) == d / "manifest.json"
+    assert rundir.manifest_path(tmp_path / "x.jsonl") == \
         tmp_path / "x.jsonl.manifest.json"
 
 
@@ -263,10 +265,10 @@ def test_load_lexicon_equals_the_line_loader_oracle(tmp_path, text):
             expected = _line_loader_oracle(fh, default_verb_lemmas())
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
-            cli._load_lexicon(config)
+            config_mod.load_lexicon(config)
         assert str(got.value) == str(exc)
         return
-    lex, digests = cli._load_lexicon(config)
+    lex, digests = config_mod.load_lexicon(config)
     assert list(lex.surface_forms.items()) == list(expected.items())
     assert digests == {"idioms": hashlib.sha256(idioms.read_bytes()).hexdigest()}
 
@@ -381,8 +383,8 @@ def test_stage_extract_is_deterministic(tmp_path):
                          "--stage-out", str(out)]) == 0
         outs.append(out)
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert cli._manifest_path(outs[0]).read_bytes() == \
-        cli._manifest_path(outs[1]).read_bytes()
+    assert rundir.manifest_path(outs[0]).read_bytes() == \
+        rundir.manifest_path(outs[1]).read_bytes()
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -484,7 +486,7 @@ def test_translate_rejects_controls_of_another_schema(tmp_path, capsys):
     assert manifest["stage"] == "extract"
     assert manifest["counts"] == {"controls": 5, "controls_shortfall": 0}
     manifest["schema_version"] = 99
-    cli._manifest_path(paths["controls"]).write_text(json.dumps(manifest))
+    rundir.manifest_path(paths["controls"]).write_text(json.dumps(manifest))
     assert cli.main(["translate", "--config", str(cfg),
                      "--stage-in", str(paths["paraphrases"]),
                      "--stage-out", str(tmp_path / "trans.jsonl"),
@@ -727,7 +729,7 @@ def test_a_failure_the_stage_keeps_no_count_for_aborts_it(
     assert codes == [0] * (len(codes) - 1) + [1]
     assert capsys.readouterr().err.endswith(f"error: {error}\n")
     assert not paths[out].exists()
-    assert not cli._manifest_path(paths[out]).exists()
+    assert not rundir.manifest_path(paths[out]).exists()
 
 
 # --- one backend call per distinct request -----------------------------------
@@ -929,8 +931,8 @@ def test_write_jsonl_names_the_record_utf8_cannot_encode(tmp_path):
     """The index counts records across the chunks the writer encodes."""
     path = tmp_path / "out.jsonl"
     path.write_bytes(b"previous\n")
-    records = [{"i": i, "text": "ok"} for i in range(3 * cli._WRITE_CHUNK)]
-    bad = 2 * cli._WRITE_CHUNK + 5
+    records = [{"i": i, "text": "ok"} for i in range(3 * rundir._WRITE_CHUNK)]
+    bad = 2 * rundir._WRITE_CHUNK + 5
     records[bad]["text"] = "a\udfffb"
     with pytest.raises(ContractViolation,
                        match=f"cannot write .*out.jsonl: record {bad} is not UTF-8"):
@@ -986,18 +988,18 @@ def test_write_jsonl_equals_its_oracle(tmp_path, monkeypatch, encoder):
     rng = random.Random(23)
     records = [{}, {"empty": [], "nested": {"e": {}}}, {"n": _NUMBERS},
                {"t": _TEXTS, "deep": [[[[{"k": [-0.0]}]]]]}]
-    records += [_random_record(rng) for _ in range(5 * cli._WRITE_CHUNK + 3)]
+    records += [_random_record(rng) for _ in range(5 * rundir._WRITE_CHUNK + 3)]
     expected = tmp_path / "expected.jsonl"
     sha256 = _write_jsonl_oracle(expected, records)
     if encoder == "fallback":
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        monkeypatch.setattr(cli, "_encode", cli._record_encoder())
-        assert cli._encode.__func__ is json.JSONEncoder.encode
+        monkeypatch.setattr(rundir, "_encode", rundir._record_encoder())
+        assert rundir._encode.__func__ is json.JSONEncoder.encode
     else:
         assert json.encoder.c_make_encoder is not None
-        assert getattr(cli._encode, "__func__", None) is not json.JSONEncoder.encode
-    for chunk in (cli._WRITE_CHUNK, 1, 7):
-        monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+        assert getattr(rundir._encode, "__func__", None) is not json.JSONEncoder.encode
+    for chunk in (rundir._WRITE_CHUNK, 1, 7):
+        monkeypatch.setattr(rundir, "_WRITE_CHUNK", chunk)
         got = tmp_path / f"got-{chunk}.jsonl"
         assert cli.write_jsonl(got, records) == sha256
         assert got.read_bytes() == expected.read_bytes()
@@ -1008,7 +1010,7 @@ def test_write_jsonl_equals_its_oracle(tmp_path, monkeypatch, encoder):
 def test_the_record_encoder_recovers_from_a_failed_record():
     """A record json cannot encode leaves no stale circular-reference
     marks behind: the same containers encode once it is fixed."""
-    encode = cli._record_encoder()
+    encode = rundir._record_encoder()
     record = {"a": [1, {"b": object()}]}
     with pytest.raises(TypeError):
         encode(record)
@@ -1738,7 +1740,7 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, make_case, message)
     assert message in done.stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
-    assert not cli._manifest_path(out).exists()
+    assert not rundir.manifest_path(out).exists()
 
 
 def _run_all_fails_before_it_writes(tmp_path, capsys, make_case, message):
@@ -1807,13 +1809,13 @@ class _WriteFailed(Exception):
 def _break_jsonl(monkeypatch):
     """The first paraphrase translation raises, the second record of
     translations.jsonl."""
-    encode = cli._encode
+    encode = rundir._encode
 
     def encode_broken(record):
         if record.get("kind") == "para":
             raise _WriteFailed
         return encode(record)
-    monkeypatch.setattr(cli, "_encode", encode_broken)
+    monkeypatch.setattr(rundir, "_encode", encode_broken)
     return _WriteFailed
 
 
@@ -2068,9 +2070,9 @@ def test_every_stage_returns_records_equal_to_their_json(
         assert records, name
         assert read_jsonl_plain(out / f"{file}.jsonl") == records, name
         for record in records:
-            text = cli._encode(record)
+            text = rundir._encode(record)
             assert json.loads(text) == record, (name, record)
-            assert cli._encode(json.loads(text)) == text, (name, record)
+            assert rundir._encode(json.loads(text)) == text, (name, record)
     # every record a stage writes passes the table the next stage checks
     for file, kind in _RECORD_KINDS.items():
         check_records(kind, enumerate(read_jsonl_plain(out / file), 1), file)
@@ -2113,7 +2115,7 @@ def failing_run(tmp_path_factory):
 def _written(out: Path) -> dict:
     """What a command wrote at `out`: each file's bytes, a manifest's fields
     without its input digests."""
-    paths = sorted(out.rglob("*")) if out.is_dir() else [out, cli._manifest_path(out)]
+    paths = sorted(out.rglob("*")) if out.is_dir() else [out, rundir.manifest_path(out)]
     written = {}
     for path in filter(Path.is_file, paths):
         name = path.name.removeprefix(out.name)
@@ -2239,13 +2241,13 @@ def test_a_stage_refuses_an_input_that_is_not_what_was_written(
     assert edit(data) != data
     (run / file).write_bytes(edit(data))
     if "output_sha256" not in message:
-        cli._manifest_path(run / file).unlink()
+        rundir.manifest_path(run / file).unlink()
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--stage-in", str(run / file),
                      "--stage-out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert not out.exists() and not cli._manifest_path(out).exists()
+    assert not out.exists() and not rundir.manifest_path(out).exists()
 
 
 def test_a_rerun_leaves_no_table_of_an_earlier_run(tmp_path):
@@ -2327,7 +2329,7 @@ def test_run_all_translates_only_the_controls_it_sampled(tmp_path):
                          "--stage-out", str(out)]) == 0
     for out in (reused, fresh):
         assert not (out / "controls.jsonl").exists()
-        assert not cli._manifest_path(out / "controls.jsonl").exists()
+        assert not rundir.manifest_path(out / "controls.jsonl").exists()
     for name in ("translations.jsonl", "scored.jsonl"):
         assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
 
@@ -2362,8 +2364,8 @@ def test_run_all_hashes_no_file_it_wrote(tmp_path, monkeypatch):
     every manifest's input digests are those of the files' bytes, and its
     output_sha256 that of the bytes it describes."""
     seen = []
-    read_input = cli._read_input
-    monkeypatch.setattr(cli, "_read_input",
+    read_input = rundir.read_input
+    monkeypatch.setattr(rundir, "read_input",
                         lambda path: seen.append(path) or read_input(path))
     files = {"corpus": FIXTURES / "corpus_25.conllu",
              "idioms": FIXTURES / "idioms.txt",

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from vmweval import cli
+from vmweval import config as config_mod
 from vmweval.errors import BackendContractError, ContractViolation
 from vmweval.mt import TranslationRecord, ValidityStatus
 from vmweval.qe import (DeltaReport, MockQEBackend, Orientation, QEScore, deltas,
@@ -265,7 +266,7 @@ def test_deltas_equal_the_delta_report_they_replaced(tmp_path, monkeypatch,
         sides.append((ref, category, *pair))
     backend = StubBackend(mapping)
     backend.orientation = orientation
-    monkeypatch.setattr(cli.Config, "backend", lambda self, kind, name=None: backend)
+    monkeypatch.setattr(config_mod.Config, "backend", lambda self, kind, name=None: backend)
     config = cli.load_config(Path(__file__).parent / "fixtures" / "runall_config.yaml")
     code, records, _ = cli.stage_score(config, tmp_path / "scored.jsonl",
                                        translations, "0" * 64)
