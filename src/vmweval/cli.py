@@ -471,7 +471,16 @@ def main(argv=None) -> int:
     try:
         if kind and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
+        if args.command == "extract" and args.controls_out:
+            written = [{path, manifest_path(path)} for path in
+                       (args.stage_out.resolve(), args.controls_out.resolve())]
+            if written[0] & written[1]:
+                raise ContractViolation("--controls-out and --stage-out, or their "
+                                        "manifests, name one file")
         config = load_config(args.config)
+        if args.command == "report" and args.classifications_in and not config.gold_file:
+            raise ContractViolation("--classifications-in needs classifier_eval.gold "
+                                    "in the config")
         # The flags narrow the config once, and the snapshot each manifest
         # records with it.  --backend replaces the pipeline role of a
         # one-stage command; run-all leaves it to the config.

@@ -26,7 +26,7 @@ _SECTIONS = ("corpus", "lexicon", "control_sample", "repetition", "exclusion",
 
 # Config attribute -> (config key, kind, default[, minimum[, maximum]]) of each number
 _NUMBERS = {
-    "concurrency": ("concurrency", int, 4, 1),
+    "concurrency": ("concurrency", int, 4, 1, 256),
     "seed": ("seed", int, 0),
     "vid_threshold": ("vid_threshold", float, extract_mod.DEFAULT_VID_THRESHOLD),
     "control_n": ("control_sample.n", int, 0, 0),

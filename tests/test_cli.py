@@ -87,6 +87,12 @@ def test_config_lookup_helpers(tmp_path):
     config = cli.load_config(cfg_path)
     assert (config.seed, config.control_n, config.vid_threshold) == (7, 3, 1.0)
     assert (type(config.seed), type(config.control_n)) == (int, int)
+    # a bound on the threads a backend stage starts
+    cfg_path.write_text("concurrency: 256\n")
+    assert cli.load_config(cfg_path).concurrency == 256
+    cfg_path.write_text("concurrency: 100000\n")
+    with pytest.raises(ContractViolation, match="must be at most 256, not 100000"):
+        cli.load_config(cfg_path)
 
 
 def _flow_config(tmp_path):
@@ -1169,6 +1175,40 @@ def test_main_error_paths(tmp_path, capsys):
                      "--stage-in", str(tmp_path / "absent.jsonl"),
                      "--stage-out", str(tmp_path / "z.jsonl")]) == 1
     assert "missing input file" in capsys.readouterr().err
+    # the controls would replace the candidates or their manifest
+    (tmp_path / "sub").mkdir()
+    before = _tree(tmp_path)
+    for stage_out, controls_out in [("c.jsonl", "sub/../c.jsonl"),
+                                    ("c.jsonl", "c.jsonl.manifest.json"),
+                                    ("c.jsonl.manifest.json", "c.jsonl")]:
+        assert cli.main(["extract", "--config", str(cfg),
+                         "--stage-out", str(tmp_path / stage_out),
+                         "--controls-out", str(tmp_path / controls_out)]) == 1
+        assert capsys.readouterr().err == ("error: --controls-out and --stage-out, "
+                                           "or their manifests, name one file\n")
+        assert _tree(tmp_path) == before
+
+
+def test_report_refuses_classifications_without_gold_labels(tmp_path, capsys):
+    """Without classifier_eval.gold there is no classifier table to build, so
+    the one-stage report refuses --classifications-in; run-all, which always
+    hands classifications on, skips the table instead."""
+    cfg = patched_config(tmp_path, lambda raw: raw.pop("classifier_eval"))
+    scored, classifications = tmp_path / "scored.jsonl", tmp_path / "cls.jsonl"
+    cli.write_jsonl(scored, _SCORED)
+    classifications.write_text("", encoding="utf-8")
+    before = _tree(tmp_path)
+    assert cli.main(["report", "--config", str(cfg), "--stage-in", str(scored),
+                     "--classifications-in", str(classifications),
+                     "--stage-out", str(tmp_path / "report")]) == 1
+    assert capsys.readouterr().err == ("error: --classifications-in needs "
+                                       "classifier_eval.gold in the config\n")
+    assert _tree(tmp_path) == before and not (tmp_path / "report").exists()
+    assert cli.main(["report", "--config", str(cfg), "--stage-in", str(scored),
+                     "--stage-out", str(tmp_path / "report")]) == 0
+    assert cli.main(["run-all", "--config", str(cfg),
+                     "--stage-out", str(tmp_path / "run")]) == 0
+    assert not (tmp_path / "run" / "report" / "classifier_table.csv").exists()
 
 
 def _bad_yaml(tmp_path):
@@ -1482,6 +1522,8 @@ _BAD_NUMBERS = [
      "config concurrency must be an integer, not 'two'", "concurrency-not-int"),
     (["concurrency"], 0, "classify",
      "config concurrency must be at least 1, not 0", "concurrency-below-1"),
+    (["concurrency"], 257, "classify",
+     "config concurrency must be at most 256, not 257", "concurrency-above-256"),
     (["vid_threshold"], "high", "extract",
      "config vid_threshold must be a number, not 'high'",
      "vid-threshold-not-number"),
