@@ -9,7 +9,7 @@ non-deterministic) and returns the records with the sha256 of the bytes it
 wrote.  A single-stage command reads its inputs from such files, checked
 against their manifests and records tables, so a stage can be rerun or
 inspected alone; `run-all` hands each stage's records and digest to the next.
-`main` narrows the config, and the snapshot its manifests record, with the flags.
+`main` refuses any flag outside `_SHARED` and its command's `_COMMANDS` entry.
 
 Exit codes: 0 success, 1 contract violation, 2 transport failures.
 """
@@ -132,8 +132,8 @@ def _candidate_jobs(config: Config, records: list[dict]) -> list[tuple]:
 # --- stages ------------------------------------------------------------------
 
 def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
-    """(exit code, candidates, their sha256, control sentences, theirs), the
-    last two None without a sample; it goes to `controls_out` or beside `out`."""
+    """(exit code, candidates, their sha256, the control sample's (records,
+    sha256) or None); the sample goes to `controls_out` or beside `out`."""
     lex, inputs = load_lexicon(config)
     corpus, inputs["corpus"] = config.corpus
 
@@ -154,7 +154,6 @@ def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
     counts = {"candidates": len(records),
               **{c.value: found_categories.count(c.value)
                  for c in extract_mod.Category}}
-    controls = controls_sha256 = None
     if config.control_n:
         controls, shortfall = extract_mod.sample_sentences(
             clean, config.control_n, config.seed)
@@ -167,13 +166,14 @@ def stage_extract(config: Config, out: Path, controls_out: Path | None = None):
     # the candidates first, so an --stage-out that cannot be written fails
     # the stage before it writes anything
     finished = _finish(config, "extract", out, records, inputs, counts)
-    if controls is not None:
-        _, _, controls_sha256 = _finish(
-            config, "extract",
-            controls_out or out.with_name(out.stem + ".controls.jsonl"),
-            [corpus_mod.sentence_to_dict(s) for s in controls], inputs,
-            control_counts)
-    return (*finished, controls, controls_sha256)
+    controls_out = controls_out or out.with_name(out.stem + ".controls.jsonl")
+    if not config.control_n:  # an earlier run's sample is not this run's
+        for path in (controls_out, manifest_path(controls_out)):
+            path.unlink(missing_ok=True)
+        return (*finished, None)
+    return (*finished, _finish(config, "extract", controls_out,
+                               [corpus_mod.sentence_to_dict(s) for s in controls],
+                               inputs, control_counts)[1:])
 
 
 def stage_classify(config: Config, out: Path, candidates: list[dict], sha256: str):
@@ -222,15 +222,15 @@ def stage_paraphrase(config: Config, out: Path, classifications: list[dict],
 
 
 def stage_translate(config: Config, out: Path, paraphrases: list[dict],
-                    sha256: str, controls=None, controls_sha256: str | None = None):
-    """`controls` are the control sentences and `controls_sha256` their
-    digest, both None without any."""
+                    sha256: str, controls=None):
+    """`controls` are the control sentences' records and their sha256, or None."""
     paraphrases = [r for r in paraphrases if r["paraphrased"]]
     backends = {name: config.backend("mt", name) for name in config.role("mt")}
 
     inputs = {"paraphrases": sha256}
     if controls is not None:
-        inputs["controls"] = controls_sha256
+        records, inputs["controls"] = controls
+        controls = corpus_mod.corpus_from_records(records)
 
     jobs = []
     for name, backend in sorted(backends.items()):
@@ -388,7 +388,6 @@ def stage_report(config: Config, out: Path, scored: list[dict], sha256: str,
 def stage_run_all(config: Config, out_dir: Path):
     """Chain the stages in memory, each handed the records and sha256 the
     one before returned: (worst exit code, the report's tables)."""
-    controls_out = out_dir / "controls.jsonl"
     codes = []
 
     def run(stage, name, *handed):
@@ -403,15 +402,12 @@ def stage_run_all(config: Config, out_dir: Path):
         config.backend("mt", name)
     config.backend("qe")
     da_and_gold = _da_and_gold(config)
-    extracted = run(stage_extract, "candidates.jsonl", controls_out)
-    candidates, controls = extracted[:2], extracted[2:]  # each (records, sha256)
-    if controls[0] is None:  # an earlier run's sample is not this run's
-        for path in (controls_out, manifest_path(controls_out)):
-            path.unlink(missing_ok=True)
+    *candidates, controls = run(stage_extract, "candidates.jsonl",
+                                out_dir / "controls.jsonl")
     classified = run(stage_classify, "classifications.jsonl", *candidates)
     paraphrases = run(stage_paraphrase, "paraphrases.jsonl", *classified)
     translations = run(stage_translate, "translations.jsonl", *paraphrases,
-                       *controls)
+                       controls)
     scored = run(stage_score, "scored.jsonl", *translations)
     [tables] = run(stage_report, "report", *scored, classified, *da_and_gold)
     return max(codes), tables
@@ -419,28 +415,39 @@ def stage_run_all(config: Config, out_dir: Path):
 
 # --- argument parsing ---------------------------------------------------------
 
-# command -> (stage function, help text, the records kind of its --stage-in)
+# the flags every command reads, as they narrow the config manifests record
+_SHARED = ("--config", "--stage-out", "--seed", "--category", "--target-lang")
+# command -> (stage function, help text, the other flags it reads: each input,
+# in stage order, with its records kind; --controls-out; --backend with its role)
 _COMMANDS = {
-    "extract": (stage_extract, "find VMWE candidates and sample a control set", None),
+    "extract": (stage_extract, "find VMWE candidates and sample a control set",
+                {"--controls-out": None}),
     "classify": (stage_classify, "ask the LLM backend to confirm candidates",
-                 "candidate"),
+                 {"--stage-in": "candidate", "--backend": "llm"}),
     "paraphrase": (stage_paraphrase, "rewrite confirmed candidates without the VMWE",
-                   "classification"),
+                   {"--stage-in": "classification", "--backend": "llm"}),
     "translate": (stage_translate, "translate originals, paraphrases and controls",
-                  "paraphrase"),
+                  {"--stage-in": "paraphrase", "--controls-in": "sentence",
+                   "--backend": "mt"}),
     "score": (stage_score, "run quality estimation and the delta experiment",
-              "translation"),
-    "report": (stage_report, "aggregate scores into tables", "scored"),
-    "run-all": (stage_run_all, "run every stage into one output directory", None),
+              {"--stage-in": "translation", "--backend": "qe"}),
+    "report": (stage_report, "aggregate scores into tables",
+               {"--stage-in": "scored", "--classifications-in": "classification"}),
+    "run-all": (stage_run_all, "run every stage into one output directory",
+                {"--backend": None}),  # the config keeps every role
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    epilog = ["every command reads " + ", ".join(_SHARED),
+              "commands and the other flags each reads, with its records kind or role:"]
+    for name, (_, help_text, reads) in _COMMANDS.items():
+        epilog += [f"  {name:<12}{help_text}", " " * 14 + ", ".join(
+            f"{flag} {value}" if value else flag for flag, value in reads.items())]
     parser = argparse.ArgumentParser(
         prog="vmweval", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="VMWE extraction, paraphrasing and MT quality pipeline",
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<12}{command[1]}" for name, command in _COMMANDS.items()))
+        epilog="\n".join(epilog))
     add = parser.add_argument
     add("command", choices=_COMMANDS, metavar="command",
         help="one of the commands below")
@@ -463,27 +470,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    stage, _, kind = _COMMANDS[args.command]
+    stage, _, reads = _COMMANDS[args.command]
     handler = logging.StreamHandler(sys.stderr)  # for this command's run
     handler.setFormatter(logging.Formatter("warning: %(message)s"))
     handler.setLevel(logging.WARNING)
     log.addHandler(handler)
     try:
-        if kind and not args.stage_in:
+        read = {*_SHARED, *reads}
+        for dest, value in vars(args).items():
+            flag = "--" + dest.replace("_", "-")
+            if dest != "command" and value is not None and flag not in read:
+                raise ContractViolation(f"{args.command} does not read {flag}")
+        if "--stage-in" in reads and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
-        if args.command == "extract" and args.controls_out:
+        if args.controls_out:
             written = [{path, manifest_path(path)} for path in
                        (args.stage_out.resolve(), args.controls_out.resolve())]
             if written[0] & written[1]:
                 raise ContractViolation("--controls-out and --stage-out, or their "
                                         "manifests, name one file")
         config = load_config(args.config)
-        if args.command == "report" and args.classifications_in and not config.gold_file:
+        if args.classifications_in and not config.gold_file:
             raise ContractViolation("--classifications-in needs classifier_eval.gold "
                                     "in the config")
-        # The flags narrow the config once, and the snapshot each manifest
-        # records with it.  --backend replaces the pipeline role of a
-        # one-stage command; run-all leaves it to the config.
         raw, fields = dict(config.raw), {}
         if args.seed is not None:
             raw["seed"] = fields["seed"] = args.seed
@@ -493,24 +502,21 @@ def main(argv=None) -> int:
         if args.category not in (None, "all"):
             raw["categories"] = [args.category.upper()]  # only the snapshot has it
             fields["categories"] = (extract_mod.Category(args.category.upper()),)
-        role = {"classify": "llm", "paraphrase": "llm", "translate": "mt",
-                "score": "qe"}.get(args.command)
-        if args.backend and role:
+        if args.backend and (role := reads["--backend"]):
             raw["pipeline"] = {**raw.get("pipeline", {}),
                                role: [args.backend] if role == "mt" else args.backend}
             fields["pipeline"] = pipeline_roles(raw["pipeline"], config.backends)
         config = dataclasses.replace(config, raw=raw, **fields)
-        # each input's records, then the sha256 of its bytes
-        inputs = [*read_jsonl(args.stage_in, kind)] if kind else []
-        if args.command == "extract":
-            inputs.append(args.controls_out)
-        if args.command == "translate" and args.controls_in:
-            records, sha256 = read_jsonl(args.controls_in, "sentence")
-            inputs += [corpus_mod.corpus_from_records(records), sha256]
+        # each input's (records, sha256) or None, --stage-in's spread
+        inputs = []
+        for flag, kind in reads.items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if flag.endswith("-in"):
+                value = value and read_jsonl(value, kind)
+            if flag != "--backend":
+                inputs += value if flag == "--stage-in" else [value]
         if args.command == "report":
-            inputs += [args.classifications_in
-                       and read_jsonl(args.classifications_in, "classification"),
-                       *_da_and_gold(config)]
+            inputs += _da_and_gold(config)
         return stage(config, args.stage_out, *inputs)[0]
     except (ContractViolation, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2384,6 +2384,29 @@ def test_run_all_translates_only_the_controls_it_sampled(tmp_path):
     assert "controls" not in read_manifest(reused / "translations.jsonl")["inputs"]
 
 
+@pytest.mark.parametrize("controls_out", [None, "sample.jsonl"],
+                         ids=["beside-stage-out", "controls-out"])
+def test_extract_removes_the_control_sample_an_earlier_run_left(tmp_path,
+                                                                 controls_out):
+    """A one-stage extract with control_sample.n at 0 removes the sample and
+    manifest an earlier extract wrote where its own would go, so a later
+    translate --controls-in cannot pick up a stale sample."""
+    out = tmp_path / "run" / "c.jsonl"
+    sample = tmp_path / "run" / (controls_out or "c.controls.jsonl")
+    argv = ["--stage-out", str(out)]
+    if controls_out:
+        argv += ["--controls-out", str(sample)]
+    assert cli.main(["extract", "--config", str(patched_config(tmp_path)),
+                     *argv]) == 0
+    assert len(read_jsonl_plain(sample)) == 5
+    cfg = patched_config(tmp_path, lambda raw: raw["control_sample"].update(n=0))
+    assert cli.main(["extract", "--config", str(cfg), *argv]) == 0
+    assert not sample.exists() and not rundir.manifest_path(sample).exists()
+    fresh = tmp_path / "fresh" / "c.jsonl"
+    assert cli.main(["extract", "--config", str(cfg), "--stage-out", str(fresh)]) == 0
+    assert _tree(out.parent) == _tree(fresh.parent)
+
+
 def test_run_all_parses_the_corpus_once_and_reads_back_nothing_it_wrote(
         tmp_path, monkeypatch):
     loaded, read = [], []
@@ -2498,3 +2521,89 @@ def test_help_lists_every_command(capsys):
     out = capsys.readouterr().out
     for name, (_, help_text, _) in cli._COMMANDS.items():
         assert f"  {name}" in out and help_text in out, name
+
+
+def test_help_lists_the_flags_each_command_reads(capsys):
+    """Under each command's help text, the flags its table entry lists, with
+    an input's records kind and the role --backend replaces."""
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for name, (_, help_text, reads) in cli._COMMANDS.items():
+        listed = lines[lines.index(f"  {name:<12}{help_text}") + 1].split(", ")
+        assert [part.split()[0] for part in listed] == list(reads), name
+    assert ("every command reads --config, --stage-out, --seed, --category, "
+            "--target-lang") in lines
+    assert lines[lines.index("  translate   translate originals, paraphrases "
+                             "and controls") + 1].split() == [
+        "--stage-in", "paraphrase,", "--controls-in", "sentence,", "--backend", "mt"]
+
+
+# every option the parser has, without its value
+_FLAGS = _ALL_OPTIONS[::2]
+
+# (command, flag) for each flag a command does not read
+_UNREAD = [(command, flag) for command, (_, _, reads) in cli._COMMANDS.items()
+           for flag in _FLAGS if flag not in cli._SHARED and flag not in reads]
+
+
+def test_every_command_reads_the_shared_flags_and_its_own():
+    assert set(cli._SHARED) <= set(_FLAGS)
+    assert {flag for _, _, reads in cli._COMMANDS.values() for flag in reads} == (
+        set(_FLAGS) - set(cli._SHARED))
+    assert ("run-all", "--controls-out") in _UNREAD
+    assert ("extract", "--controls-in") in _UNREAD
+    assert len(_UNREAD) == 22
+
+
+def _refused(tmp_path, capsys, command, flags, config):
+    """Run `command` with `config` and each of `flags` naming a path that
+    does not exist: (exit code, stderr), asserting that nothing was written."""
+    argv = [command, "--config", str(config), "--stage-out", str(tmp_path / "out")]
+    for flag in flags:
+        argv += [flag, str(tmp_path / "nothing-here.jsonl")]
+    before = [(p, p.is_file() and p.read_bytes()) for p in sorted(tmp_path.rglob("*"))]
+    code = cli.main(argv)
+    assert [(p, p.is_file() and p.read_bytes())
+            for p in sorted(tmp_path.rglob("*"))] == before
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD,
+                         ids=[f"{command} {flag}" for command, flag in _UNREAD])
+def test_main_refuses_a_flag_its_command_does_not_read(tmp_path, capsys, command,
+                                                       flag):
+    """Before it loads the config: the config named does not exist."""
+    assert _refused(tmp_path, capsys, command, [flag],
+                    tmp_path / "no-config.yaml") == (
+        1, f"error: {command} does not read {flag}\n")
+
+
+@pytest.mark.parametrize("command,flags,refused", [
+    ("extract", ["--controls-in", "--classifications-in"], "--controls-in"),
+    ("run-all", ["--controls-out"], "--controls-out"),
+    ("run-all", ["--backend", "--controls-out"], "--controls-out"),
+    ("classify", ["--stage-in", "--backend", "--controls-out"], "--controls-out"),
+], ids=["extract-controls-and-classifications-in", "run-all-controls-out",
+        "run-all-backend-and-controls-out", "classify-with-its-flags-and-another"])
+def test_main_refuses_a_flag_under_a_config_that_runs(tmp_path, capsys, command,
+                                                      flags, refused):
+    """The first flag the command does not read is named, and nothing is
+    written: run-all writes no controls to the path given or to its own."""
+    assert _refused(tmp_path, capsys, command, flags, patched_config(tmp_path)) == (
+        1, f"error: {command} does not read {refused}\n")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_main_reads_every_flag_its_table_entry_lists(tmp_path, capsys, command):
+    """A flag the table lists, or that every command reads, is not refused:
+    with a config that does not exist, the command fails on the config."""
+    _, _, reads = cli._COMMANDS[command]
+    argv = [command, "--config", str(tmp_path / "no-config.yaml"),
+            "--stage-out", str(tmp_path / "out"),
+            "--seed", "7", "--category", "vid", "--target-lang", "de"]
+    for flag in reads:
+        argv += [flag, str(tmp_path / "nothing-here.jsonl")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: config file not found: ")
+    assert list(tmp_path.iterdir()) == []
