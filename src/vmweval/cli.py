@@ -250,28 +250,22 @@ def stage_translate(config: Config, out: Path, paraphrases: list[dict],
         backend, lang, kind, text, rec = job
         return mt_mod.translate(backend, text, lang, sentence_id=rec["sentence_id"])
 
-    screened = {}  # (source, hypothesis, language) -> ValidityStatus
+    screened = {}  # (source, hypothesis, language) -> ValidityStatus value
 
-    def screen(translation):
-        triple = (translation.source, translation.hypothesis,
-                  translation.target_lang)
-        if triple not in screened:
-            screened[triple] = mt_mod.validate_translation(
-                translation, config.min_repeats, config.max_unit)
-        return screened[triple].value
-
-    def record(job, hypothesis=None, validity=None):
+    def record(job, hypothesis=None):  # screened unless the call failed
         backend, lang, kind, text, rec = job
+        triple = (text, hypothesis, lang)
+        if hypothesis is not None and triple not in screened:
+            screened[triple] = mt_mod.validate_translation(
+                *triple, config.min_repeats, config.max_unit).value
         return {"sentence_id": rec["sentence_id"],
                 "candidate_ref": rec["candidate_ref"],
                 "category": rec["category"], "kind": kind, "source": text,
                 "target_lang": lang, "system_id": backend.system_id,
-                "hypothesis": hypothesis, "validity": validity}
+                "hypothesis": hypothesis, "validity": screened.get(triple)}
     # one call per (system, language, source)
     records = _call_each(
-        config, run, jobs,
-        lambda job, res: record(job, res.hypothesis, screen(res)),
-        lambda job, exc: record(job), _KEPT_TRANSPORT,
+        config, run, jobs, record, lambda job, exc: record(job), _KEPT_TRANSPORT,
         key=lambda job: (job[0].system_id, job[1], job[3]))
     validity = [r["validity"] for r in records]
     counts = {"total": len(jobs),
@@ -290,6 +284,8 @@ def _scored_record(record_type: str, rec: dict, **fields) -> dict:
 
 def stage_score(config: Config, out: Path, translations: list[dict], sha256: str):
     backend = config.backend("qe")
+    orientation = backend.orientation
+    metric = {"metric_id": backend.metric_id, "orientation": orientation.value}
 
     valid = []
     records = []
@@ -302,9 +298,7 @@ def stage_score(config: Config, out: Path, translations: list[dict], sha256: str
 
     scores = _call_each(
         config, lambda rec: qe_mod.score(backend, rec["source"], rec["hypothesis"]),
-        valid, lambda rec, result: _scored_record(
-            "qe", rec, metric_id=result.metric_id,
-            orientation=result.orientation.value, value=result.value),
+        valid, lambda rec, value: _scored_record("qe", rec, **metric, value=value),
         lambda rec, exc: _scored_record("failed", rec),
         _KEPT_TRANSPORT, key=lambda rec: (rec["source"], rec["hypothesis"]))
     records += scores
@@ -325,9 +319,7 @@ def stage_score(config: Config, out: Path, translations: list[dict], sha256: str
         return {"type": "delta", "sentence_id": ori["sentence_id"],
                 "candidate_ref": ori["candidate_ref"], "category": ori["category"],
                 "system_id": ori["system_id"], "target_lang": ori["target_lang"],
-                "metric_id": qe_mix.metric_id,
-                "orientation": qe_mix.orientation.value,
-                **qe_mod.deltas(qe_mix.orientation, qe_ori, qe_mix.value, qe_para)}
+                **metric, **qe_mod.deltas(orientation, qe_ori, qe_mix, qe_para)}
 
     def mix(pair):  # the paraphrase's translation against the original source
         (ori, _), (para, _) = pair

@@ -70,15 +70,12 @@ def check_source(text: str | None, sentence_id: str = ""):
 
 
 def translate(backend: MTBackend, text: str, target_lang: str,
-              sentence_id: str = "") -> TranslationRecord:
-    """Request one translation; validity is left unset for a later check."""
+              sentence_id: str = "") -> str:
+    """The backend's hypothesis for one translation, not yet screened."""
     if target_lang not in TARGET_LANGS:
         raise ContractViolation(f"unsupported target language {target_lang!r}")
     check_source(text, sentence_id)
-    hypothesis = backend.translate_text(text, target_lang)
-    return TranslationRecord(sentence_id=sentence_id, source=text,
-                             target_lang=target_lang,
-                             system_id=backend.system_id, hypothesis=hypothesis)
+    return backend.translate_text(text, target_lang)
 
 
 # --- language detection ----------------------------------------------------
@@ -237,14 +234,9 @@ def classify_validity(source: str, hypothesis: str, target_lang: str,
     return ValidityStatus.OK
 
 
-def validate_translation(record: TranslationRecord,
-                         min_repeats: int = DEFAULT_MIN_REPEATS,
-                         max_unit: int = DEFAULT_MAX_UNIT) -> ValidityStatus:
-    """The ValidityStatus classify_validity gives `record`'s hypothesis;
-    the translate stage calls it once per distinct (source, hypothesis,
-    language), the call perfbench/tracing.py times as screening."""
-    return classify_validity(record.source, record.hypothesis, record.target_lang,
-                             min_repeats, max_unit)
+# the name perfbench/tracing.py times screening under, until the package traces
+# itself; the translate stage calls it once per distinct (source, hypothesis, language)
+validate_translation = classify_validity
 
 
 def error_pct(invalid: int, total: int) -> float:

@@ -23,7 +23,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QEScore:
-    """A value `score` checked against its orientation's range."""
+    """A value `score` returned, with the metric that checked its range."""
     metric_id: str
     orientation: Orientation
     value: float
@@ -48,7 +48,7 @@ class QEBackend(Protocol):
     def assess(self, source: str, hypothesis: str) -> float: ...
 
 
-def score(backend: QEBackend, source: str, hypothesis: str) -> QEScore:
+def score(backend: QEBackend, source: str, hypothesis: str) -> float:
     """Score one pair, enforcing the backend's declared range."""
     if not source or not hypothesis:
         raise ContractViolation("score requires non-empty source and hypothesis")
@@ -57,8 +57,7 @@ def score(backend: QEBackend, source: str, hypothesis: str) -> QEScore:
     if not isinstance(value, (int, float)) or not (low <= value <= high):
         raise BackendContractError(
             f"{backend.metric_id} returned {value!r}, outside [{low}, {high}]")
-    return QEScore(metric_id=backend.metric_id, orientation=backend.orientation,
-                   value=float(value))
+    return float(value)
 
 
 def deltas(orientation: Orientation, qe_ori: float, qe_mix: float,
@@ -88,10 +87,11 @@ def paraphrase_experiment(backend: QEBackend, ori: TranslationRecord,
     source, so all three deltas stay anchored to the same meaning.
     """
     _check_pair(ori, para)  # before any backend call
-    scores = (score(backend, ori.source, ori.hypothesis),
+    values = (score(backend, ori.source, ori.hypothesis),
               score(backend, ori.source, para.hypothesis),
               score(backend, para.source, para.hypothesis))
-    fields = deltas(backend.orientation, *(s.value for s in scores))
+    fields = deltas(backend.orientation, *values)
+    scores = [QEScore(backend.metric_id, backend.orientation, v) for v in values]
     return DeltaReport(ori.sentence_id, ori.system_id, ori.target_lang, *scores,
                        fields["delta_mix"], fields["delta_para"])
 

@@ -860,9 +860,9 @@ def test_translate_screens_each_distinct_hypothesis_once(tmp_path, monkeypatch):
     screened = []
     validate = mt_mod.validate_translation
 
-    def counted(record, *args):
-        screened.append((record.source, record.hypothesis, record.target_lang))
-        return validate(record, *args)
+    def counted(source, hypothesis, lang, *args):
+        screened.append((source, hypothesis, lang))
+        return validate(source, hypothesis, lang, *args)
     monkeypatch.setattr(mt_mod, "validate_translation", counted)
     assert cli.main(["translate", "--config", str(cfg),
                      "--stage-in", str(paths["paraphrases"]),
@@ -875,6 +875,21 @@ def test_translate_screens_each_distinct_hypothesis_once(tmp_path, monkeypatch):
     for (source, hypothesis, lang), record in zip(triples, records):
         assert record["validity"] == mt_mod.classify_validity(
             source, hypothesis, lang).value
+
+
+def test_run_all_builds_no_translation_record_or_qe_score(tmp_path, monkeypatch):
+    """The translate and score stages write their records from the plain
+    hypotheses and scores that mt.translate and qe.score return."""
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a stage built a record object")
+    monkeypatch.setattr(mt_mod, "TranslationRecord", Refused)
+    monkeypatch.setattr(qe_mod, "QEScore", Refused)
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(FIXTURES / "runall_config.yaml"),
+                     "--seed", "42", "--stage-out", str(out)]) == 0
+    assert read_jsonl_plain(out / "translations.jsonl")
+    assert any(r["type"] == "delta" for r in read_jsonl_plain(out / "scored.jsonl"))
 
 
 def test_translate_refuses_a_bad_source_before_any_call(tmp_path, monkeypatch,

@@ -250,7 +250,8 @@ def test_validate_translation_sets_status():
                                target_lang="de", system_id="sys",
                                hypothesis=DETECT_FIXTURES["de"])
     assert record.validity is None
-    assert validate_translation(record) is ValidityStatus.OK
+    assert validate_translation(record.source, record.hypothesis,
+                                record.target_lang) is ValidityStatus.OK
 
 
 def _has_repetition_oracle(text, min_repeats, max_unit):
@@ -325,8 +326,9 @@ def test_screening_equals_its_oracle(tmp_path):
             for source, hypothesis, lang in triples:
                 record = TranslationRecord("s", source, lang, "sys", hypothesis)
                 expected = _validate_translation_oracle(record, min_repeats, max_unit)
-                assert validate_translation(record, min_repeats, max_unit) is \
-                    expected.validity
+                assert validate_translation(record.source, record.hypothesis,
+                                            record.target_lang, min_repeats,
+                                            max_unit) is expected.validity
                 assert mt_mod._has_repetition(hypothesis, min_repeats, max_unit) is \
                     _has_repetition_oracle(hypothesis, min_repeats, max_unit)
                 statuses.add(expected.validity)
@@ -428,12 +430,10 @@ def test_mock_backend_rejects_unknown_language():
 
 def test_translate_wraps_backend():
     backend = MockMTBackend(system_id="alpha")
-    record = translate(backend, "He revealed the secret.", "de",
-                       sentence_id="s01")
-    assert record.sentence_id == "s01"
-    assert record.system_id == "alpha"
-    assert record.target_lang == "de"
-    assert record.validity is None
+    hypothesis = translate(backend, "He revealed the secret.", "de",
+                           sentence_id="s01")
+    assert hypothesis == backend.translate_text("He revealed the secret.", "de")
+    assert type(hypothesis) is str
     with pytest.raises(ContractViolation):
         translate(backend, "Hi", "fr")
 

@@ -340,9 +340,18 @@ def test_score_enforces_backend_range():
 def test_score_wraps_value():
     backend = MockQEBackend(metric_id="overlap_qe")
     got = score(backend, "same text", "same text")
-    assert got.metric_id == "overlap_qe"
-    assert got.orientation is Orientation.LOWER_BETTER_0_25
-    assert got.value == 0.0  # identical pair is a perfect (lowest) score
+    assert got == 0.0  # identical pair is a perfect (lowest) score
+    assert type(got) is float
+
+    class Whole:
+        metric_id = "whole"
+        orientation = Orientation.LOWER_BETTER_0_25
+
+        def assess(self, source, hypothesis):
+            return 3
+
+    got = score(Whole(), "a", "b")
+    assert got == 3.0 and type(got) is float
 
 
 def _oracle_overlap(source, hypothesis):
