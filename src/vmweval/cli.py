@@ -9,7 +9,8 @@ non-deterministic) and returns the records with the sha256 of the bytes it
 wrote.  A single-stage command reads its inputs from such files, checked
 against their manifests and records tables, so a stage can be rerun or
 inspected alone; `run-all` hands each stage's records and digest to the next.
-`main` refuses any flag outside `_SHARED` and its command's `_COMMANDS` entry.
+`main` refuses any flag outside `_SHARED` and its command's `_COMMANDS` entry,
+and an output that would write over an input.
 
 Exit codes: 0 success, 1 contract violation, 2 transport failures.
 """
@@ -29,7 +30,7 @@ from . import llm as llm_mod
 from . import mt as mt_mod
 from . import qe as qe_mod
 from . import report as report_mod
-from .config import Config, load_config, load_lexicon, pipeline_roles
+from .config import FILE_KEYS, Config, load_config, load_lexicon, pipeline_roles
 from .errors import ContractViolation, TransportError, UnparseableResponse
 from .rundir import manifest_path, read_jsonl, write_file, write_jsonl, write_manifest
 
@@ -468,20 +469,27 @@ def main(argv=None) -> int:
     handler.setLevel(logging.WARNING)
     log.addHandler(handler)
     try:
-        read = {*_SHARED, *reads}
-        for dest, value in vars(args).items():
-            flag = "--" + dest.replace("_", "-")
-            if dest != "command" and value is not None and flag not in read:
+        given = {"--" + dest.replace("_", "-"): value
+                 for dest, value in vars(args).items()
+                 if dest != "command" and value is not None}
+        for flag in given:
+            if flag not in {*_SHARED, *reads}:
                 raise ContractViolation(f"{args.command} does not read {flag}")
         if "--stage-in" in reads and not args.stage_in:
             raise ContractViolation(f"{args.command} requires --stage-in")
-        if args.controls_out:
-            written = [{path, manifest_path(path)} for path in
-                       (args.stage_out.resolve(), args.controls_out.resolve())]
-            if written[0] & written[1]:
-                raise ContractViolation("--controls-out and --stage-out, or their "
-                                        "manifests, name one file")
         config = load_config(args.config)
+        # the files each output and input flag names, with its manifest, then the
+        # config and each file it names: an output may name no later entry's
+        files = {flag: {path.resolve(), manifest_path(path.resolve())}
+                 for flag in ("--controls-out", "--stage-out", *reads)
+                 if flag.endswith(("-out", "-in")) and (path := given.get(flag))}
+        named = {"--config": Path(args.config),
+                 **{key: getattr(config, attr) for attr, key in FILE_KEYS.items()}}
+        files.update((key, {path.resolve()}) for key, path in named.items() if path)
+        for (out, written), (other, paths) in itertools.combinations(files.items(), 2):
+            if out.endswith("-out") and written & paths:
+                raise ContractViolation(f"{out} and {other}, or their manifests, "
+                                        "name one file")
         if args.classifications_in and not config.gold_file:
             raise ContractViolation("--classifications-in needs classifier_eval.gold "
                                     "in the config")
@@ -502,7 +510,7 @@ def main(argv=None) -> int:
         # each input's (records, sha256) or None, --stage-in's spread
         inputs = []
         for flag, kind in reads.items():
-            value = getattr(args, flag[2:].replace("-", "_"))
+            value = given.get(flag)
             if flag.endswith("-in"):
                 value = value and read_jsonl(value, kind)
             if flag != "--backend":

@@ -37,6 +37,11 @@ _NUMBERS = {
                          report_mod.DEFAULT_EXCLUDE_PCT, 0, 100),
 }
 
+# Config attribute -> the config key of each file a config names
+FILE_KEYS = {"corpus_file": "corpus.path", "idioms_file": "lexicon.idioms",
+             "verb_lemmas_file": "lexicon.verb_lemmas", "da_file": "da.annotations",
+             "gold_file": "classifier_eval.gold"}
+
 
 @dataclasses.dataclass(frozen=True)
 class Config:
@@ -169,8 +174,8 @@ def load_config(path: str | Path) -> Config:
     if bad:
         raise ContractViolation(f"unsupported target language(s): {bad}")
     _once_each(langs, "target_langs lists")
-    da_file = path_of("da.annotations")
-    ids = {key: _required(value_of(key), key) if da_file else []
+    files = {attr: path_of(key) for attr, key in FILE_KEYS.items()}
+    ids = {key: _required(value_of(key), key) if files["da_file"] else []
            for key in ("da.vmwe_ids", "da.control_ids")}
     for key, value in ids.items():
         _must_be(isinstance(value, list) and all(isinstance(i, str) for i in value),
@@ -186,15 +191,11 @@ def load_config(path: str | Path) -> Config:
     _once_each([nodes["backends"][name].get("system_id", name)
                 for name in pipeline.get("mt", ())], "pipeline.mt names system_id")
     return Config(
-        raw=raw, **numbers, corpus_file=path_of("corpus.path"),
-        corpus_format=corpus_format,
-        idioms_file=path_of("lexicon.idioms"),
-        verb_lemmas_file=path_of("lexicon.verb_lemmas"),
+        raw=raw, **numbers, **files, corpus_format=corpus_format,
         light_verbs=lexicon_mod.light_verb_set(value_of("light_verbs", "dataset_six")),
         target_langs=tuple(langs), pipeline=pipeline,
-        da_file=da_file, da_vmwe_ids=tuple(ids["da.vmwe_ids"]),
-        da_control_ids=tuple(ids["da.control_ids"]),
-        gold_file=path_of("classifier_eval.gold"), backends=backends)
+        da_vmwe_ids=tuple(ids["da.vmwe_ids"]),
+        da_control_ids=tuple(ids["da.control_ids"]), backends=backends)
 
 
 def _once_each(values: list, what: str):

@@ -87,13 +87,20 @@ def _ref_by_kind(candidate_ref, kind) -> bool:
     return (candidate_ref is not None) == (kind in ("ori", "para"))
 
 
+def _text_when_ok(hypothesis, validity) -> bool:
+    """An ok translation's hypothesis is a string, by the rules before this one,
+    with non-whitespace text, the first thing classify_validity asks of it."""
+    return validity != ValidityStatus.OK.value or bool(hypothesis.strip())
+
+
 # A record kind -> (field, the field it goes by, the rule of their two values,
 # what the rule asks) of each rule between a record's fields no table states
 _RULES = {
     "translation": (
         ("hypothesis", "error", _null_on_error, "null exactly when error is present"),
         ("validity", "error", _null_on_error, "null exactly when error is present"),
-        ("candidate_ref", "kind", _ref_by_kind, "set exactly when kind is ori or para")),
+        ("candidate_ref", "kind", _ref_by_kind, "set exactly when kind is ori or para"),
+        ("hypothesis", "validity", _text_when_ok, "non-blank when validity is ok")),
     "classification": (
         ("verdict", "error", _null_on_error, "null exactly when error is present"),),
 }

@@ -1204,6 +1204,41 @@ def test_main_error_paths(tmp_path, capsys):
         assert _tree(tmp_path) == before
 
 
+def test_no_output_replaces_an_input(tmp_path, capsys):
+    """An output, or its manifest, naming an input, its manifest, the config
+    or a file the config names exits 1 and writes nothing."""
+    for name in ("corpus_25.conllu", "idioms.txt"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+
+    def copied_inputs(raw):  # paths resolve against the config's directory
+        raw["corpus"]["path"] = "corpus_25.conllu"
+        raw["lexicon"]["idioms"] = "idioms.txt"
+    cfg = patched_config(tmp_path, copied_inputs)
+    paths, codes = _run_chain(cfg, tmp_path, through="paraphrase")
+    assert codes == [0, 0, 0]
+    para, controls = str(paths["paraphrases"]), str(paths["controls"])
+    cands = str(paths["candidates"])
+    before = _tree(tmp_path)
+    for command, pair in [
+            (["translate", "--stage-in", para, "--stage-out", para],
+             "--stage-out and --stage-in"),
+            (["extract", "--stage-out", str(tmp_path / "corpus_25.conllu")],
+             "--stage-out and corpus.path"),
+            (["extract", "--stage-out", str(cfg)], "--stage-out and --config"),
+            (["extract", "--stage-out", str(tmp_path / "x.jsonl"),
+              "--controls-out", str(tmp_path / "idioms.txt")],
+             "--controls-out and lexicon.idioms"),
+            (["translate", "--stage-in", para, "--controls-in", controls,
+              "--stage-out", controls + ".manifest.json"],
+             "--stage-out and --controls-in"),
+            (["classify", "--stage-in", cands, "--stage-out",
+              cands + ".manifest.json"], "--stage-out and --stage-in")]:
+        assert cli.main([*command, "--config", str(cfg)]) == 1, command
+        assert capsys.readouterr().err == (f"error: {pair}, or their manifests, "
+                                           "name one file\n")
+        assert _tree(tmp_path) == before
+
+
 def test_report_refuses_classifications_without_gold_labels(tmp_path, capsys):
     """Without classifier_eval.gold there is no classifier table to build, so
     the one-stage report refuses --classifications-in; run-all, which always
@@ -1497,6 +1532,12 @@ _BAD_RULES = [
      "trans.jsonl line 3: candidate_ref must be set exactly when kind is ori or "
      "para, not 's15#VID#1.2' with kind 'control'",
      "translation-control-with-candidate-ref"),
+    (_translations(2, hypothesis="   "),
+     "trans.jsonl line 2: hypothesis must be non-blank when validity is ok, "
+     "not '   ' with validity 'ok'", "translation-ok-with-blank-hypothesis"),
+    (_translations(2, hypothesis=""),
+     "trans.jsonl line 2: hypothesis must be non-blank when validity is ok, "
+     "not '' with validity 'ok'", "translation-ok-with-empty-hypothesis"),
     (_classification(verdict=None),
      "cls.jsonl line 1: verdict must be null exactly when error is present, "
      "not None without error", "classification-verdict-null-without-error"),

@@ -67,6 +67,9 @@ def test_perfbench_traced_names_still_measure_the_same_calls(tmp_path, monkeypat
     assert (spans["cli.read_jsonl"], spans["cli.write_jsonl"],
             spans["cli.write_manifest"]) == (2, 6, 7)
     assert [spans[f"cli.stage_{stage}"] for stage in tracing.STAGES] == [1] * 6
+    # the backend and screening calls the translate and score stages make
+    assert (spans["mt.translate"], spans["mt.validate_translation"],
+            spans["qe.score"]) == (136, 102, 98)
     # targets that no longer exist; ROADMAP item 1 drops their metrics,
     # which empties this list
     assert tracer.absent == ["lexicon.ordered", "extract.sample_non_vmwe"]
