@@ -33,6 +33,7 @@ from . import report as report_mod
 from .config import FILE_KEYS, Config, load_config, load_lexicon, pipeline_roles
 from .errors import ContractViolation, TransportError, UnparseableResponse
 from .rundir import manifest_path, read_jsonl, write_file, write_jsonl, write_manifest
+from .transport import kept_connections
 
 # the package's logger, whose warnings main prints to stderr; `python -m
 # vmweval.cli` runs this module as __main__, so it is named here
@@ -57,7 +58,8 @@ def _map_ordered(fn, items, max_workers: int, key=None):
     fn runs once per distinct key(item), by default its position, on the
     first item that has it; every item sharing the key gets that outcome.
     The calling thread and at most max_workers - 1 more take the distinct
-    items in turn, so with one worker no thread starts.  A BaseException
+    items in turn, so with one worker no thread starts.  Each keeps its
+    HTTP connections open until it runs out of items.  A BaseException
     in any of them stops the others taking items and is raised here.
     """
     keys = [key(item) for item in items] if key is not None else range(len(items))
@@ -71,13 +73,14 @@ def _map_ordered(fn, items, max_workers: int, key=None):
 
     def work():
         try:
-            for i in taken:
-                if i >= len(distinct) or aborted:
-                    return
-                try:
-                    outcomes[i] = (fn(distinct[i]), None)
-                except Exception as exc:  # noqa: BLE001 - recorded per item
-                    outcomes[i] = (None, exc)
+            with kept_connections():
+                for i in taken:
+                    if i >= len(distinct) or aborted:
+                        return
+                    try:
+                        outcomes[i] = (fn(distinct[i]), None)
+                    except Exception as exc:  # noqa: BLE001 - recorded per item
+                        outcomes[i] = (None, exc)
         except BaseException as exc:  # re-raised by the calling thread
             aborted.append(exc)
 

@@ -87,10 +87,12 @@ def _ref_by_kind(candidate_ref, kind) -> bool:
     return (candidate_ref is not None) == (kind in ("ori", "para"))
 
 
-def _text_when_ok(hypothesis, validity) -> bool:
-    """An ok translation's hypothesis is a string, by the rules before this one,
-    with non-whitespace text, the first thing classify_validity asks of it."""
-    return validity != ValidityStatus.OK.value or bool(hypothesis.strip())
+def _text_when_ok(text, validity) -> bool:
+    """An ok translation's source and hypothesis, strings by the table and the
+    rules before this one, hold non-whitespace text: the score stage has
+    nothing to score without it, and classify_validity asks it of the
+    hypothesis first."""
+    return validity != ValidityStatus.OK.value or bool(text.strip())
 
 
 # A record kind -> (field, the field it goes by, the rule of their two values,
@@ -100,7 +102,8 @@ _RULES = {
         ("hypothesis", "error", _null_on_error, "null exactly when error is present"),
         ("validity", "error", _null_on_error, "null exactly when error is present"),
         ("candidate_ref", "kind", _ref_by_kind, "set exactly when kind is ori or para"),
-        ("hypothesis", "validity", _text_when_ok, "non-blank when validity is ok")),
+        ("hypothesis", "validity", _text_when_ok, "non-blank when validity is ok"),
+        ("source", "validity", _text_when_ok, "non-blank when validity is ok")),
     "classification": (
         ("verdict", "error", _null_on_error, "null exactly when error is present"),),
 }

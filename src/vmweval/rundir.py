@@ -3,6 +3,7 @@ records and their manifests, atomic writes.  It imports only `records`,
 `errors` and the standard library, so reading a run needs no stage."""
 from __future__ import annotations
 
+import glob
 import hashlib
 import io
 import json
@@ -58,12 +59,21 @@ def _cannot_write(path: Path, exc: OSError) -> ContractViolation:
 @contextmanager
 def _replacing(path: Path):
     """A binary file to write that replaces `path` only once the block
-    completes; a failure leaves `path` as it was and no temp file behind."""
+    completes; a failure leaves `path` as it was and no temp file behind.
+    The temp files of `path` a killed process left, `.<name>.<pid>.tmp`,
+    are removed first."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _cannot_write(path.parent, exc) from None
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    prefix = f".{path.name}."
+    try:
+        for left in path.parent.glob(glob.escape(prefix) + "*.tmp"):
+            if left.name[len(prefix):-len(".tmp")].isdigit():
+                left.unlink(missing_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    tmp = path.with_name(f"{prefix}{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh

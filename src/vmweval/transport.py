@@ -16,14 +16,23 @@ with the message `http.client` gave for it.  It reads no proxy variables and
 no netrc, follows no redirect, and checks an HTTPS server's certificate and
 host name against the default CA store.
 
-Each attempt opens its own connection and asks the server to close it.  A
-server that writes a response's headers and body in two sends without
-TCP_NODELAY (as `http.server` does) makes a reused connection wait for the
-client's delayed ACK, about 40 ms a call; a fresh connection does not.
+Inside `kept_connections()`, the block each stage worker runs its calls in,
+a request omits `Connection: close` and its connection stays open for the
+thread's next call to the same scheme, host and port, one idle connection
+each, when the response was HTTP/1.1, did not say `Connection: close`, was
+framed by Content-Length or complete chunked coding and left no byte unread.
+Anything else closes it, and the block's end closes what it kept.  A server
+that writes a response's headers and body in two sends without TCP_NODELAY
+(as `http.server` does) would make a kept connection wait about 40 ms a call
+for the client's delayed ACK, so TCP_QUICKACK is set again before each read;
+where the platform has no TCP_QUICKACK nothing is kept.  Outside the block
+each attempt opens its own connection and asks the server to close it.
 """
 from __future__ import annotations
 
 import json
+import threading
+from contextlib import contextmanager
 from urllib.parse import urlsplit
 
 from .errors import TransportError
@@ -35,6 +44,23 @@ _RETRIED_4XX = (408, 429)
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 
+# .connections, inside kept_connections(): (scheme, host, port) -> idle socket
+_kept = threading.local()
+
+
+@contextmanager
+def kept_connections():
+    """Let post_json calls on this thread keep their connections open for
+    the block, and close what is kept when it ends."""
+    outer = getattr(_kept, "connections", None)
+    _kept.connections = {}
+    try:
+        yield
+    finally:
+        for sock in _kept.connections.values():
+            sock.close()
+        _kept.connections = outer
+
 
 def post_json(url: str, payload: dict, api_key: str | None, timeout: float,
               what: str):
@@ -44,6 +70,14 @@ def post_json(url: str, payload: dict, api_key: str | None, timeout: float,
     body on the last one raises TransportError.  A 4xx status other than
     408 and 429 says the request itself is wrong, so it raises at once.
     `what` names the backend in the message ("chat", "mt", "qe").
+
+    Inside `kept_connections()` an attempt goes over the thread's kept
+    connection to the URL's scheme, host and port when there is one.  If that
+    fails before a byte of the response arrives, as when the server closed
+    the idle connection, the request is sent again on a fresh connection,
+    and that does not count as an attempt.  Sending it twice is safe because
+    every backend's request is a pure function of its body: the same body
+    asks for the same answer (RFC 9112 section 9.3.1).
     """
     try:
         parts = urlsplit(url)
@@ -58,29 +92,50 @@ def post_json(url: str, payload: dict, api_key: str | None, timeout: float,
     default_port = 443 if parts.scheme == "https" else 80
     port = default_port if port is None else port
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    import socket  # deferred, with ssl: importing them slows every CLI start-up
+    kept = getattr(_kept, "connections", None)
+    quickack = getattr(socket, "TCP_QUICKACK", None)
+    if quickack is None:
+        kept = None
     try:
         request = _request(host, port, port == default_port, target, body,
-                           api_key)
+                           api_key, kept is not None)
     except ValueError as exc:
         raise TransportError(f"{what} backend unreachable: {exc}") from None
 
-    import socket  # deferred, with ssl: importing them slows every CLI start-up
+    key = (parts.scheme, host, port)
     context = None
-    if parts.scheme == "https":
-        import ssl
-        context = ssl.create_default_context()
-        context.set_alpn_protocols(["http/1.1"])
     last_error = None
-    for _ in range(2):
+    attempts = 0
+    while attempts < 2:
+        attempts += 1
+        sock = kept.pop(key, None) if kept is not None else None
+        reused = sock is not None
+        response = None
         try:
-            sock = socket.create_connection((host, port), timeout)
+            if reused:
+                sock.settimeout(timeout)
+            else:
+                sock = socket.create_connection((host, port), timeout)
             try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                if context is not None:
-                    sock = context.wrap_socket(sock, server_hostname=host)
+                if not reused:
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    if parts.scheme == "https":
+                        if context is None:
+                            import ssl
+                            context = ssl.create_default_context()
+                            context.set_alpn_protocols(["http/1.1"])
+                        sock = context.wrap_socket(sock, server_hostname=host)
                 sock.sendall(request)
-                status, data = _Response(sock).read()
-            finally:
+                response = _Response(sock, kept is not None and (
+                    socket.IPPROTO_TCP, quickack, 1))
+                status, data = response.read()
+            except BaseException:
+                sock.close()
+                raise
+            if kept is not None and response.reusable:
+                kept[key] = sock
+            else:
                 sock.close()
             if status != 200:
                 last_error = TransportError(
@@ -90,14 +145,19 @@ def post_json(url: str, payload: dict, api_key: str | None, timeout: float,
                 continue
             return json.loads(data)
         except (OSError, ValueError) as exc:
+            if (reused and not (response and response.received)
+                    and not isinstance(exc, TimeoutError)):
+                attempts -= 1  # the kept connection had gone: not an attempt
+                continue
             last_error = TransportError(f"{what} backend unreachable: {exc}")
     raise last_error
 
 
 def _request(host: str, port: int, port_is_default: bool, target: str,
-             body: bytes, api_key: str | None) -> bytes:
-    """The request's bytes: its line, its headers and `body`.  A target
-    or a header value that cannot be sent raises ValueError."""
+             body: bytes, api_key: str | None, keep: bool) -> bytes:
+    """The request's bytes: its line, its headers and `body`, with
+    `Connection: close` unless `keep`.  A target or a header value that
+    cannot be sent raises ValueError."""
     found = next((c for c in target if c <= " " or c == "\x7f"), None)
     if found:
         raise ValueError(f"URL can't contain control characters. {target!r} "
@@ -114,8 +174,9 @@ def _request(host: str, port: int, port_is_default: bool, target: str,
     fields = [b"Host: " + host_field,
               b"Accept-Encoding: identity",
               b"Content-Length: %d" % len(body),
-              b"Content-Type: application/json",
-              b"Connection: close"]
+              b"Content-Type: application/json"]
+    if not keep:
+        fields.append(b"Connection: close")
     if api_key:
         value = f"Bearer {api_key}".encode("latin-1")
         if b"\r" in value or b"\n" in value:
@@ -125,20 +186,27 @@ def _request(host: str, port: int, port_is_default: bool, target: str,
 
 
 class _Response:
-    """Reads one response from a connected socket.  What cannot be read as
-    HTTP/1.x raises ValueError."""
+    """Reads one response from a connected socket, setting `quickack`, a
+    (level, option, value) socket option or False, before each read.  What
+    cannot be read as HTTP/1.x raises ValueError."""
 
-    def __init__(self, sock):
+    def __init__(self, sock, quickack):
         self.sock = sock
+        self.quickack = quickack
         self.buffer = b""
         self.eof = False
+        self.received = False  # whether any byte came
+        self.reusable = False  # whether the connection may carry more
 
     def _fill(self) -> bool:
         """Append what the socket has to the buffer; False at its end."""
         if not self.eof:
+            if self.quickack:
+                self.sock.setsockopt(*self.quickack)
             data = self.sock.recv(65536)
             self.buffer += data
             self.eof = not data
+            self.received = self.received or not self.eof
         return not self.eof
 
     def line(self, what: str) -> bytes:
@@ -173,25 +241,30 @@ class _Response:
         return data
 
     def read(self) -> tuple[int, bytes]:
-        """The status and body of the final response."""
+        """The status and body of the final response; `reusable` tells
+        whether it left the connection ready for another request."""
         status, fields = self._status(), self._fields()
         while 100 <= status < 200:
             status, fields = self._status(), self._fields()
         if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
-            return status, self._chunked()
-        if status in (204, 304):
+            data = self._chunked()
+        elif status in (204, 304):
             return status, b""
-        length = fields.get(b"content-length")
-        try:
-            length = int(length.decode("latin-1")) if length else None
-        except ValueError:
-            length = None
-        if length is None or length < 0:
-            return status, self.rest()
-        data = self.take(length)
-        if len(data) < length:
-            raise ValueError(f"IncompleteRead({len(data)} bytes read, "
-                             f"{length - len(data)} more expected)")
+        else:
+            length = fields.get(b"content-length")
+            try:
+                length = int(length.decode("latin-1")) if length else None
+            except ValueError:
+                length = None
+            if length is None or length < 0:
+                return status, self.rest()
+            data = self.take(length)
+            if len(data) < length:
+                raise ValueError(f"IncompleteRead({len(data)} bytes read, "
+                                 f"{length - len(data)} more expected)")
+        self.reusable = (self.version == "HTTP/1.1" and not self.buffer
+                         and not self.eof and b"close" not in
+                         fields.get(b"connection", b"").lower())
         return status, data
 
     def _status(self) -> int:
@@ -210,6 +283,7 @@ class _Response:
             raise ValueError(line)
         if not version.startswith("HTTP/1.") and version != "HTTP/0.9":
             raise ValueError(version)
+        self.version = version
         return status
 
     def _fields(self) -> dict[bytes, bytes]:

@@ -1538,6 +1538,12 @@ _BAD_RULES = [
     (_translations(2, hypothesis=""),
      "trans.jsonl line 2: hypothesis must be non-blank when validity is ok, "
      "not '' with validity 'ok'", "translation-ok-with-empty-hypothesis"),
+    (_translations(1, source=" \t "),
+     "trans.jsonl line 1: source must be non-blank when validity is ok, "
+     "not ' \\t ' with validity 'ok'", "translation-ok-with-blank-source"),
+    (_translations(1, source=""),
+     "trans.jsonl line 1: source must be non-blank when validity is ok, "
+     "not '' with validity 'ok'", "translation-ok-with-empty-source"),
     (_classification(verdict=None),
      "cls.jsonl line 1: verdict must be null exactly when error is present, "
      "not None without error", "classification-verdict-null-without-error"),
@@ -2367,6 +2373,23 @@ def test_a_rerun_leaves_no_table_of_an_earlier_run(tmp_path):
     assert _tree(reused) == _tree(fresh)
     assert sorted(read_manifest(reused / "report")["output_sha256"]) == sorted(
         p.name for p in (reused / "report").iterdir() if p.name != "manifest.json")
+
+
+def test_a_rerun_removes_the_temp_files_a_killed_run_left(tmp_path):
+    """A killed write leaves `.<name>.<pid>.tmp` beside its file; the next
+    write of that file removes it, so a rerun's tree, hidden files included,
+    is a clean run's."""
+    cfg = str(patched_config(tmp_path))
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert cli.main(["run-all", "--config", cfg, "--stage-out", str(reused)]) == 0
+    left = [reused / ".translations.jsonl.99999.tmp",
+            reused / "report" / ".delta_table.json.99999.tmp"]
+    for path in left:
+        path.write_bytes(b"half a file")
+    for out in (reused, fresh):
+        assert cli.main(["run-all", "--config", cfg, "--stage-out", str(out)]) == 0
+    assert not list(reused.rglob("*.tmp"))
+    assert _tree(reused) == _tree(fresh)
 
 
 # Each returns the command, its --stage-out and the path its error names.

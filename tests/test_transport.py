@@ -3,13 +3,16 @@ it replaced: the `http.client` one (same header lines in the same order,
 same results, same errors, same connection counts, over every response
 framing the client reads and over HTTPS) and the `requests` one before it
 (same bytes, results and errors on plain responses).  Plus which statuses
-get a second attempt, what is refused before a byte is sent, and the import
-hygiene that keeps the CLI start-up lean.
+get a second attempt, what is refused before a byte is sent, the import
+hygiene that keeps the CLI start-up lean, and the connections a stage
+worker keeps: the same results over fewer connections, a closed one
+replaced, no delayed-ACK wait, and none left open.
 """
 import http
 import http.server
 import json
 import os
+import socket
 import ssl
 import subprocess
 import sys
@@ -19,9 +22,12 @@ from pathlib import Path
 
 import pytest
 
+import yaml
+
+from vmweval import cli
 from vmweval.errors import TransportError
 from vmweval.llm import ChatMessage, ChatRequest
-from vmweval.transport import post_json
+from vmweval.transport import kept_connections, post_json
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -141,24 +147,39 @@ FRAMINGS = {
 }
 
 
+# The framings whose end the server marks by closing the connection.
+CLOSING = ("chunked-cut", "close-delimited", "short")
+
+
 class RecordingServer:
     """Loopback server that answers from a script and records each request's
     path, header lines (in order, as received) and raw body bytes, and each
-    connection.  A script entry is (status, body) or (status, body, framing),
-    one of FRAMINGS; "keep-open" holds the connection until close().  With
-    tls=True it serves HTTPS with the fixture certificate."""
+    connection, and each connection's end.  A script entry is (status, body)
+    or (status, body, framing), one of FRAMINGS.  It closes the connection
+    after each response, but "keep-open" holds it until close().  With
+    keep_alive=True it serves requests on the connection until the client
+    closes it or asks it to, or a framing in CLOSING ends it.  With tls=True
+    it serves HTTPS with the fixture certificate."""
 
-    def __init__(self, script, tls=False):
+    def __init__(self, script, tls=False, keep_alive=False):
         self.script = list(script)
         self.requests = []
         self.connections = 0
+        self.ended = []  # one entry per connection the server is done with
         self.released = threading.Event()
         server = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            if keep_alive:
+                protocol_version = "HTTP/1.1"
+
             def setup(self):
                 super().setup()
                 server.connections += 1
+
+            def finish(self):
+                super().finish()
+                server.ended.append(self.client_address)
 
             def do_POST(self):
                 raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
@@ -169,7 +190,9 @@ class RecordingServer:
                     if len(server.script) > 1 else server.script[0]
                 framing = framing[0] if framing else "length"
                 self.wfile.write(FRAMINGS[framing](status, data))
-                if framing == "keep-open":
+                if framing in CLOSING:
+                    self.close_connection = True
+                if framing == "keep-open" and not keep_alive:
                     server.released.wait(30)
 
             def log_message(self, *args):
@@ -415,6 +438,161 @@ def test_non_finite_payload_is_transport_error():
     with pytest.raises(TransportError, match="qe backend unreachable"):
         post_json("http://127.0.0.1:9/", {"score": float("nan")}, None, 1.0,
                   "qe")
+
+
+# --- connections kept inside a worker ----------------------------------------------
+
+# The framings after which a connection may carry another request.
+REUSABLE = ("chunked", "continue", "early-hints", "keep-open", "length")
+
+
+def _two_calls(script, kept, tls=False):
+    """(outcomes, requests as received without their Connection line,
+    Connection lines, connections) of two qe calls to a keep-alive server,
+    made inside kept_connections() when `kept`."""
+    server = RecordingServer(script, tls=tls, keep_alive=True)
+    try:
+        if kept:
+            with kept_connections():
+                outcomes = [_outcome(post_json, server.url("/qe"), QE[2],
+                                     "tok-123", "qe") for _ in range(2)]
+        else:
+            outcomes = [_outcome(post_json, server.url("/qe"), QE[2],
+                                 "tok-123", "qe") for _ in range(2)]
+        received = [(path, [h for h in headers if h[0] != "Connection"], body)
+                    for path, headers, body in server.received()]
+        lines = [server.header(i, "Connection")
+                 for i in range(len(server.requests))]
+        return outcomes, received, lines, server.connections
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("script", [
+    *[(f"200-{framing}", [(200, _json(GOOD["qe"]), framing)])
+      for framing in sorted(FRAMINGS)],
+    *[(f"status-{status}", [(status, _json({}))])
+      for status in (301, 400, 404, 408, 429, 500, 503)],
+], ids=lambda case: case[0])
+def test_a_kept_connection_changes_only_the_connections(script):
+    name, script = script
+    outcomes, received, lines, connections = _two_calls(script, kept=True)
+    fresh = _two_calls(script, kept=False)
+    assert (outcomes, received) == fresh[:2]
+    assert lines == [None] * len(received)
+    assert fresh[2] == ["close"] * len(received)
+    # one connection per attempt, unless the response leaves it reusable
+    reusable = name.startswith("status-") or name[4:] in REUSABLE
+    assert fresh[3] == len(received)
+    assert connections == (1 if reusable else len(received))
+
+
+@pytest.mark.parametrize("statuses, requests",
+                         [((200,), 2), ((200, 503, 200), 3)],
+                         ids=["200", "then-503-200"])
+def test_a_kept_connection_the_server_closed_is_replaced(statuses, requests):
+    # the server closes after each response without saying so; the request
+    # sent on the closed connection is sent again, and that is no attempt,
+    # so the second call's 503 still gets its retry
+    server = RecordingServer([(status, _json(GOOD["qe"]))
+                              for status in statuses])
+    try:
+        with kept_connections():
+            outcomes = [_outcome(post_json, server.url("/qe"), QE[2], None,
+                                 "qe") for _ in range(2)]
+    finally:
+        server.close()
+    assert outcomes == [("ok", GOOD["qe"])] * 2
+    assert len(server.requests) == server.connections == requests
+
+
+def test_https_calls_share_one_handshake(monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    server = RecordingServer([(200, _json(GOOD["qe"]))], tls=True,
+                             keep_alive=True)
+    try:
+        with kept_connections():
+            outcomes = [_outcome(post_json, server.url("/qe"), QE[2], None,
+                                 "qe") for _ in range(10)]
+    finally:
+        server.close()
+    assert outcomes == [("ok", GOOD["qe"])] * 10
+    assert (len(server.requests), server.connections) == (10, 1)
+
+
+class TwoSendHandler(http.server.BaseHTTPRequestHandler):
+    """Writes the headers and the body of each response in two sends,
+    without TCP_NODELAY, as `http.server` does."""
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = _json(GOOD["qe"])
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_a_kept_connection_does_not_wait_for_a_delayed_ack():
+    httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), TwoSendHandler)
+    thread = threading.Thread(
+        target=lambda: httpd.serve_forever(poll_interval=0.02), daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{httpd.server_address[1]}/qe"
+    try:
+        with kept_connections():
+            post_json(url, QE[2], None, 5.0, "qe")  # opens the connection
+            start = time.perf_counter()
+            for _ in range(10):
+                assert post_json(url, QE[2], None, 5.0, "qe") == GOOD["qe"]
+            elapsed = time.perf_counter() - start
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    # ten delayed ACKs would take about 0.4 s
+    assert elapsed < 0.2
+
+
+def test_without_quickack_nothing_is_kept(monkeypatch):
+    monkeypatch.delattr(socket, "TCP_QUICKACK")
+    script = [(500, _json({})), (200, _json(GOOD["qe"]))]
+    outcomes, _, lines, connections = _two_calls(script, kept=True)
+    assert outcomes == [("ok", GOOD["qe"])] * 2
+    assert lines == ["close"] * 3
+    assert connections == 3
+
+
+def test_a_stage_keeps_a_connection_per_worker_and_closes_them(tmp_path):
+    raw = yaml.safe_load((TESTS / "fixtures" / "runall_config.yaml").read_text())
+    for section, key in (("corpus", "path"), ("lexicon", "idioms"),
+                         ("da", "annotations"), ("classifier_eval", "gold")):
+        raw[section][key] = str(TESTS / "fixtures" / raw[section][key])
+    raw["concurrency"] = 2
+    server = RecordingServer([(200, _json(GOOD["chat"]))], keep_alive=True)
+    raw["backends"]["mock_llm"] = {"kind": "llm", "mode": "http",
+                                   "model_id": "m1", "base_url": server.url()}
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    try:
+        common = ["--config", str(config)]
+        assert cli.main(["extract", *common, "--stage-out",
+                         str(tmp_path / "c.jsonl")]) == 0
+        assert cli.main(["classify", *common, "--stage-in",
+                         str(tmp_path / "c.jsonl"), "--stage-out",
+                         str(tmp_path / "cls.jsonl")]) == 0
+        deadline = time.monotonic() + 5
+        while len(server.ended) < server.connections and \
+                time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        server.close()
+    assert len(server.requests) > 2
+    assert 1 <= server.connections <= 2
+    assert len(server.ended) == server.connections
 
 
 # --- fresh interpreters: HTTPS trust and import hygiene ------------------------------
