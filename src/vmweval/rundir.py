@@ -3,7 +3,6 @@ records and their manifests, atomic writes.  It imports only `records`,
 `errors` and the standard library, so reading a run needs no stage."""
 from __future__ import annotations
 
-import glob
 import hashlib
 import io
 import json
@@ -68,9 +67,10 @@ def _replacing(path: Path):
         raise _cannot_write(path.parent, exc) from None
     prefix = f".{path.name}."
     try:
-        for left in path.parent.glob(glob.escape(prefix) + "*.tmp"):
-            if left.name[len(prefix):-len(".tmp")].isdigit():
-                left.unlink(missing_ok=True)
+        for name in os.listdir(path.parent):
+            if (name.startswith(prefix) and name.endswith(".tmp")
+                    and name[len(prefix):-len(".tmp")].isdigit()):
+                (path.parent / name).unlink(missing_ok=True)
     except OSError as exc:
         raise _cannot_write(path, exc) from None
     tmp = path.with_name(f"{prefix}{os.getpid()}.tmp")
