@@ -18,10 +18,10 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
-
 import yaml
 
 from vmweval import cli
@@ -446,17 +446,13 @@ def test_non_finite_payload_is_transport_error():
 REUSABLE = ("chunked", "continue", "early-hints", "keep-open", "length")
 
 
-def _two_calls(script, kept, tls=False):
+def _two_calls(script, kept):
     """(outcomes, requests as received without their Connection line,
     Connection lines, connections) of two qe calls to a keep-alive server,
     made inside kept_connections() when `kept`."""
-    server = RecordingServer(script, tls=tls, keep_alive=True)
+    server = RecordingServer(script, keep_alive=True)
     try:
-        if kept:
-            with kept_connections():
-                outcomes = [_outcome(post_json, server.url("/qe"), QE[2],
-                                     "tok-123", "qe") for _ in range(2)]
-        else:
+        with kept_connections() if kept else nullcontext():
             outcomes = [_outcome(post_json, server.url("/qe"), QE[2],
                                  "tok-123", "qe") for _ in range(2)]
         received = [(path, [h for h in headers if h[0] != "Connection"], body)
@@ -468,21 +464,24 @@ def _two_calls(script, kept, tls=False):
         server.close()
 
 
-@pytest.mark.parametrize("script", [
-    *[(f"200-{framing}", [(200, _json(GOOD["qe"]), framing)])
-      for framing in sorted(FRAMINGS)],
-    *[(f"status-{status}", [(status, _json({}))])
-      for status in (301, 400, 404, 408, 429, 500, 503)],
-], ids=lambda case: case[0])
-def test_a_kept_connection_changes_only_the_connections(script):
-    name, script = script
+# (script, whether its responses leave the connection reusable) of every
+# framing and of every status test_only_retriable_statuses_are_retried sends
+KEPT = {**{f"200-{framing}": ([(200, _json(GOOD["qe"]), framing)],
+                              framing in REUSABLE)
+           for framing in FRAMINGS},
+        **{f"status-{status}": ([(status, _json({}))], True)
+           for status in (301, 400, 404, 408, 429, 500, 503)}}
+
+
+@pytest.mark.parametrize("case", sorted(KEPT))
+def test_a_kept_connection_changes_only_the_connections(case):
+    script, reusable = KEPT[case]
     outcomes, received, lines, connections = _two_calls(script, kept=True)
     fresh = _two_calls(script, kept=False)
     assert (outcomes, received) == fresh[:2]
     assert lines == [None] * len(received)
     assert fresh[2] == ["close"] * len(received)
     # one connection per attempt, unless the response leaves it reusable
-    reusable = name.startswith("status-") or name[4:] in REUSABLE
     assert fresh[3] == len(received)
     assert connections == (1 if reusable else len(received))
 
