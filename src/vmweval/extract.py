@@ -54,6 +54,13 @@ class LvcEvidence:
 Evidence = Union[VidEvidence, VpcEvidence, LvcEvidence]
 
 
+# A category -> the class of its candidates' evidence and, for a category found
+# on a dependency arc, the field of that class holding the verb's dependent
+_EVIDENCE = {Category.VID: (VidEvidence, None),
+             Category.VPC: (VpcEvidence, "particle_index"),
+             Category.LVC: (LvcEvidence, "noun_index")}
+
+
 @dataclass(frozen=True)
 class VMWECandidate:
     sentence_id: str
@@ -65,6 +72,9 @@ class VMWECandidate:
         if not self.span or list(self.span) != sorted(set(self.span)):
             raise ContractViolation(
                 f"candidate span must be strictly increasing, got {self.span}")
+        if type(self.evidence) is not _EVIDENCE[self.category][0]:
+            raise ContractViolation(f"a {self.category.value} candidate cannot "
+                                    f"carry {type(self.evidence).__name__}")
 
     @property
     def ref(self) -> str:
@@ -77,12 +87,10 @@ class VMWECandidate:
 
     def token_indices(self) -> tuple[int, ...]:
         """The span plus the token indices its evidence names."""
-        ev = self.evidence
-        if isinstance(ev, VpcEvidence):
-            return self.span + (ev.verb_index, ev.particle_index)
-        if isinstance(ev, LvcEvidence):
-            return self.span + (ev.verb_index, ev.noun_index)
-        return self.span
+        dependent = _EVIDENCE[self.category][1]
+        if dependent is None:
+            return self.span
+        return self.span + (self.evidence.verb_index, getattr(self.evidence, dependent))
 
 
 def check_in_range(sentence: Sentence, indices: Iterable[int]):
@@ -182,25 +190,30 @@ def _require_dependencies(sentence: Sentence, op: str):
                                 f"(sentence {sentence.id!r} has none)")
 
 
-def extract_vpc(sentence: Sentence) -> list[VMWECandidate]:
-    """One candidate per particle arc whose governor is a verb."""
-    _require_dependencies(sentence, "extract_vpc")
+def _arc_candidates(sentence: Sentence, category: Category,
+                    dependent) -> list[VMWECandidate]:
+    """One `category` candidate per arc from a VERB to a token for which
+    `dependent(token, verb)` holds, spanning both tokens, in span order."""
+    _require_dependencies(sentence, f"extract_{category.value.lower()}")
+    evidence = _EVIDENCE[category][0]
     candidates = []
     for tok in sentence.tokens:
-        if tok.deprel not in PARTICLE_RELATIONS or tok.head == 0:
+        if tok.head == 0:
             continue
-        head = sentence.tokens[tok.head - 1]
-        if head.upos != "VERB":
-            continue
-        span = tuple(sorted((head.index, tok.index)))
-        candidates.append(VMWECandidate(
-            sentence_id=sentence.id,
-            category=Category.VPC,
-            span=span,
-            evidence=VpcEvidence(verb_index=head.index, particle_index=tok.index),
-        ))
+        verb = sentence.tokens[tok.head - 1]
+        if verb.upos == "VERB" and dependent(tok, verb):
+            candidates.append(VMWECandidate(
+                sentence_id=sentence.id, category=category,
+                span=tuple(sorted((verb.index, tok.index))),
+                evidence=evidence(verb.index, tok.index)))
     candidates.sort(key=lambda c: c.span)
     return candidates
+
+
+def extract_vpc(sentence: Sentence) -> list[VMWECandidate]:
+    """One candidate per particle arc whose governor is a verb."""
+    return _arc_candidates(sentence, Category.VPC,
+                           lambda tok, verb: tok.deprel in PARTICLE_RELATIONS)
 
 
 def extract_lvc(sentence: Sentence, light_verbs: LightVerbSet) -> list[VMWECandidate]:
@@ -210,23 +223,9 @@ def extract_lvc(sentence: Sentence, light_verbs: LightVerbSet) -> list[VMWECandi
     attempt is made to verify the noun is eventive, that is the
     classifier's job.
     """
-    _require_dependencies(sentence, "extract_lvc")
-    candidates = []
-    for tok in sentence.tokens:
-        if tok.upos != "NOUN" or tok.deprel not in OBJECT_RELATIONS or tok.head == 0:
-            continue
-        head = sentence.tokens[tok.head - 1]
-        if head.upos != "VERB" or head.lemma not in light_verbs.verbs:
-            continue
-        span = tuple(sorted((head.index, tok.index)))
-        candidates.append(VMWECandidate(
-            sentence_id=sentence.id,
-            category=Category.LVC,
-            span=span,
-            evidence=LvcEvidence(verb_index=head.index, noun_index=tok.index),
-        ))
-    candidates.sort(key=lambda c: c.span)
-    return candidates
+    return _arc_candidates(sentence, Category.LVC, lambda tok, verb: (
+        tok.upos == "NOUN" and tok.deprel in OBJECT_RELATIONS
+        and verb.lemma in light_verbs.verbs))
 
 
 def is_non_vmwe(sentence: Sentence, lexicon: IdiomLexicon, light_verbs: LightVerbSet,
@@ -277,40 +276,26 @@ def candidate_to_dict(c: VMWECandidate) -> dict:
         "category": c.category.value,
         "span": list(c.span),
     }
-    if isinstance(c.evidence, VidEvidence):
-        obj["evidence"] = {
-            "idiom": {
-                "canonical": list(c.evidence.idiom.canonical),
-                "surface_form": c.evidence.idiom.surface_form,
-            },
-        }
-        obj["match_score"] = c.evidence.match_score
-    elif isinstance(c.evidence, VpcEvidence):
-        obj["evidence"] = {
-            "verb_index": c.evidence.verb_index,
-            "particle_index": c.evidence.particle_index,
-        }
+    ev, dependent = c.evidence, _EVIDENCE[c.category][1]
+    if dependent:
+        obj["evidence"] = {"verb_index": ev.verb_index,
+                           dependent: getattr(ev, dependent)}
     else:
-        obj["evidence"] = {
-            "verb_index": c.evidence.verb_index,
-            "noun_index": c.evidence.noun_index,
-        }
+        obj["evidence"] = {"idiom": {"canonical": list(ev.idiom.canonical),
+                                     "surface_form": ev.idiom.surface_form}}
+        obj["match_score"] = ev.match_score
     return obj
 
 
 def candidate_from_dict(obj: dict) -> VMWECandidate:
     """The candidate of a record its records table passed."""
     category, ev = Category(obj["category"]), obj["evidence"]
-    if category is Category.VID:
-        idiom = IdiomEntry(canonical=tuple(ev["idiom"]["canonical"]),
-                           surface_form=ev["idiom"]["surface_form"])
-        evidence: Evidence = VidEvidence(idiom=idiom, match_score=obj["match_score"])
-    elif category is Category.VPC:
-        evidence = VpcEvidence(verb_index=ev["verb_index"],
-                               particle_index=ev["particle_index"])
+    cls, dependent = _EVIDENCE[category]
+    if dependent:
+        evidence: Evidence = cls(ev["verb_index"], ev[dependent])
     else:
-        evidence = LvcEvidence(verb_index=ev["verb_index"],
-                               noun_index=ev["noun_index"])
+        evidence = cls(IdiomEntry(canonical=tuple(ev["idiom"]["canonical"]),
+                                  surface_form=ev["idiom"]["surface_form"]),
+                       obj["match_score"])
     return VMWECandidate(sentence_id=obj["sentence_id"], category=category,
                          span=tuple(obj["span"]), evidence=evidence)
-

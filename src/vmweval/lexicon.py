@@ -58,7 +58,7 @@ class IdiomLexicon:
     # canonical form -> surface form of the first kept line
     surface_forms: dict[tuple[str, ...], str]
     # Built once here for every sentence matched against the lexicon: the
-    # canonical forms in sorted order; lemma -> [position in that order, ...]
+    # canonical forms in surface_forms order; lemma -> [position in that order, ...]
     # with a position listed once per occurrence of the lemma in its form;
     # and idiom length -> the positions of the forms of that length.
     canonicals: tuple[tuple[str, ...], ...] = field(init=False, repr=False,
@@ -71,7 +71,7 @@ class IdiomLexicon:
                              default_factory=dict)
 
     def __post_init__(self):
-        canonicals = tuple(sorted(self.surface_forms))
+        canonicals = tuple(self.surface_forms)
         by_length: dict[int, list[int]] = {}
         index: dict[str, list[int]] = {}
         for pos, canonical in enumerate(canonicals):

@@ -70,6 +70,17 @@ TABLES = {
     "gold": {"candidate_ref": "string", "label": "boolean integer"},
 }
 
+# A record kind -> the fields whose values identify its record in a file; a tuple
+# of fields stands for the first of them the record holds and is not null.  A
+# translation or a scored record is keyed by its cell, and a delta, which has no
+# kind, by its type.
+_CELL_KEY = (("kind", "type"), ("candidate_ref", "sentence_id"), "system_id",
+             "target_lang")
+_KEYS = {"sentence": ("id",), "candidate": ("candidate_ref",),
+         "classification": ("candidate_ref",), "paraphrase": ("candidate_ref",),
+         "translation": _CELL_KEY, "scored": (*_CELL_KEY, "type"),
+         "da": ("system_id", "sentence_id", "annotator_id"), "gold": ("candidate_ref",)}
+
 
 # A scored record type -> its score fields; a delta field -> the score it is the
 # improvement to from qe_ori
@@ -109,13 +120,21 @@ _RULES = {
 }
 
 
+def _key(kind: str, record: dict) -> tuple[tuple, tuple]:
+    """The fields of `record` that its `kind` key names, and their values."""
+    names = tuple(next(n for n in field if record.get(n) is not None)
+                  if isinstance(field, tuple) else field for field in _KEYS[kind])
+    return names, tuple(record[name] for name in names)
+
+
 def check_records(kind: str, records, path) -> None:
     """Raise ContractViolation naming `path`, the line and the field unless each
     of `records`, (line number, record) pairs, passes the `kind` table and
-    rules, and each qe and delta record of a scored file the rules of its
-    scores."""
+    rules and has a key no earlier record has, each qe and delta record of a
+    scored file the rules of its scores, and each delta its qe records."""
     first = None  # the first qe or delta record's line and the record
     rules = _RULES.get(kind, ())
+    lines = {}  # each record's key -> its line
     for line, record in records:
         where = f"{path} line {line}: "
         _check_object(TABLES[kind], record, where, "")
@@ -124,9 +143,17 @@ def check_records(kind: str, records, path) -> None:
                 given = f"with {by} {record[by]!r}" if by in record else f"without {by}"
                 raise ContractViolation(f"{where}{field} must be {asks}, "
                                         f"not {record[field]!r} {given}")
+        names, key = _key(kind, record)
+        if key in lines:
+            fields = ", ".join(f"{name}={value!r}"  # a delta's type names it twice
+                               for name, value in dict(zip(names, key)).items())
+            raise ContractViolation(f"{where}{fields} repeats line {lines[key]}")
+        lines[key] = line
         if kind == "scored" and record["type"] in _SCORES:
             first = first or (line, record)
             _check_scores(record, where, *first)
+    if kind == "scored":
+        _check_deltas(lines, path)
 
 
 def _check_scores(record: dict, where: str, line: int, first: dict):
@@ -150,6 +177,19 @@ def _check_scores(record: dict, where: str, line: int, first: dict):
                 raise ContractViolation(f"{where}{field} must be {want[field]!r}, "
                                         f"the improvement from qe_ori to {name}, "
                                         f"not {record[field]!r}")
+
+
+def _check_deltas(lines: dict, path):
+    """Each delta record of a scored file, by `lines`, the line of each key,
+    has the ori and para qe records of its candidate, system and language."""
+    for (_, ref, system, lang, type_), line in lines.items():
+        if type_ != "delta":
+            continue
+        for kind in ("ori", "para"):
+            if (kind, ref, system, lang, "qe") not in lines:
+                raise ContractViolation(
+                    f"{path} line {line}: delta has no {kind} qe record of "
+                    f"candidate_ref={ref!r}, system_id={system!r}, target_lang={lang!r}")
 
 
 def _check_object(table: dict, record, where: str, name: str):

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -1327,27 +1328,30 @@ def _candidate(**fields):
     return make_case
 
 
+_PARAPHRASE = {
+    "candidate_ref": "s04#LVC#2.6", "sentence_id": "s04", "category": "LVC",
+    "original": "She took a long walk.", "paraphrased": "She walked.",
+    "retains_candidate": False, "raw_response": "She walked."}
+
+
 def _paraphrase(**fields):
     """Translate one paraphrase record, with `fields` in place of its own."""
     def make_case(tmp_path):
         para = tmp_path / "para.jsonl"
-        cli.write_jsonl(para, [{
-            "candidate_ref": "s04#LVC#2.6", "sentence_id": "s04", "category": "LVC",
-            "original": "She took a long walk.", "paraphrased": "She walked.",
-            "retains_candidate": False, "raw_response": "She walked.", **fields}])
+        cli.write_jsonl(para, [{**_PARAPHRASE, **fields}])
         return patched_config(tmp_path), ["translate", "--stage-in", str(para)]
     return make_case
 
 
-def _jsonl_corpus(mutate):
+def _jsonl_corpus(mutate, copies=1):
     """Extract from a JSONL corpus of the fixture's first sentence, its
-    record changed by `mutate`."""
+    record changed by `mutate`, on `copies` lines."""
     def make_case(tmp_path):
         text = (FIXTURES / "corpus_25.conllu").read_text("utf-8")
         record = sentence_to_dict(load_corpus(text, "conllu").sentences[0])
         mutate(record)
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        corpus.write_text(copies * (json.dumps(record) + "\n"), encoding="utf-8")
         return patched_config(tmp_path, lambda raw: raw["corpus"].update(
             path=str(corpus), format="jsonl")), ["extract"]
     return make_case
@@ -1356,15 +1360,17 @@ def _jsonl_corpus(mutate):
 _ABSENT = object()
 
 
+_CLASSIFICATION = {
+    "candidate_ref": "s04#LVC#2.6", "sentence_id": "s04", "category": "LVC",
+    "span": [2, 6], "evidence": {"verb_index": 2, "noun_index": 6},
+    "verdict": True, "raw_choice": "C", "raw_response": "Final Answer: C"}
+
+
 def _classification(**fields):
     """Paraphrase one accepted LVC classification, with `fields` in place of
     its own; a field that is _ABSENT is left out."""
     def make_case(tmp_path):
-        record = {"candidate_ref": "s04#LVC#2.6", "sentence_id": "s04",
-                  "category": "LVC", "span": [2, 6],
-                  "evidence": {"verb_index": 2, "noun_index": 6},
-                  "verdict": True, "raw_choice": "C",
-                  "raw_response": "Final Answer: C", **fields}
+        record = {**_CLASSIFICATION, **fields}
         cls = tmp_path / "cls.jsonl"
         cli.write_jsonl(cls, [{k: v for k, v in record.items() if v is not _ABSENT}])
         return patched_config(tmp_path), ["paraphrase", "--stage-in", str(cls)]
@@ -1469,14 +1475,16 @@ def _report_file(section, key, records=None):
     return _report_input(mutate)
 
 
-# a scored file of two qe records and a delta record whose scores obey its rules
+# a scored file of three qe records and a delta record whose scores obey their
+# rules
 _SCORED = [
     {"type": "qe", "kind": kind, "sentence_id": sentence, "candidate_ref": ref,
      "category": category, "system_id": "alpha", "target_lang": "de",
      "metric_id": "overlap_qe", "orientation": "lower_better_0_25", "value": value}
     for kind, sentence, ref, category, value in [
         ("ori", "s01", "s01#VID#2.3.4", "VID", 7.25),
-        ("control", "s15", None, None, 5.0)]] + [
+        ("control", "s15", None, None, 5.0),
+        ("para", "s01", "s01#VID#2.3.4", "VID", 5.0)]] + [
     {"type": "delta", "sentence_id": "s01", "candidate_ref": "s01#VID#2.3.4",
      "category": "VID", "system_id": "alpha", "target_lang": "de",
      "metric_id": "overlap_qe", "orientation": "lower_better_0_25",
@@ -1565,16 +1573,88 @@ _BAD_SCORES = [
     (_scored_file(2, orientation="higher_better_0_1", value=0.5),
      "scored.jsonl line 2: orientation must be 'lower_better_0_25' as on line 1, "
      "not 'higher_better_0_1'", "scored-second-orientation"),
-    (_scored_file(3, delta_mix=1.0),
-     "scored.jsonl line 3: delta_mix must be 1.75, the improvement from qe_ori "
+    (_scored_file(4, delta_mix=1.0),
+     "scored.jsonl line 4: delta_mix must be 1.75, the improvement from qe_ori "
      "to qe_mix, not 1.0", "scored-delta-inconsistent"),
-    (_scored_file(3, qe_para=30, delta_para=-22.75),
-     "scored.jsonl line 3: qe_para must lie in [0.0, 25.0], not 30",
+    (_scored_file(4, qe_para=30, delta_para=-22.75),
+     "scored.jsonl line 4: qe_para must lie in [0.0, 25.0], not 30",
      "scored-delta-score-out-of-range"),
 ]
 
 _DA_RECORDS = read_jsonl_plain(FIXTURES / "da_annotations.jsonl")
 _GOLD_RECORDS = read_jsonl_plain(FIXTURES / "gold_labels.jsonl")
+
+
+def _file_of(command, name, records):
+    """`command` on the file `name` of `records`, or of `records(tmp_path)`:
+    its --stage-in, or for controls.jsonl its --controls-in beside an empty
+    --stage-in."""
+    def make_case(tmp_path):
+        path, empty = tmp_path / name, tmp_path / "empty.jsonl"
+        cli.write_jsonl(path, records(tmp_path) if callable(records) else records)
+        empty.write_text("", encoding="utf-8")
+        inputs = (["--stage-in", str(empty), "--controls-in", str(path)]
+                  if name == "controls.jsonl" else ["--stage-in", str(path)])
+        return patched_config(tmp_path), [command, *inputs]
+    return make_case
+
+
+def _extracted_with_line_5_repeated(tmp_path):
+    """The fixture's candidates as extract writes them, then a copy of the
+    fifth."""
+    out = tmp_path / "extracted.jsonl"
+    assert cli.main(["extract", "--config", str(patched_config(tmp_path)),
+                     "--stage-out", str(out)]) == 0
+    records = read_jsonl_plain(out)
+    return [*records, records[4]]
+
+
+_CONTROL = {"id": "s02", "tokens": [{"index": 1, "surface": "He", "lemma": "he",
+                                     "upos": None, "head": None, "deprel": None}]}
+
+# (make_case, message, id) of a file that repeats a record's key, or holds a
+# delta record without the qe records it is the improvement between
+_REPEATED = [
+    (_file_of("classify", "cands.jsonl", _extracted_with_line_5_repeated),
+     "cands.jsonl line 17: candidate_ref='s05#VID#4.5.6' repeats line 5",
+     "candidate-repeated"),
+    (_file_of("translate", "controls.jsonl", [_CONTROL, _CONTROL]),
+     "controls.jsonl line 2: id='s02' repeats line 1", "control-repeated"),
+    (_jsonl_corpus(lambda record: None, copies=2),
+     "corpus.jsonl line 2: id='s01' repeats line 1", "corpus-jsonl-repeated"),
+    (_file_of("paraphrase", "cls.jsonl", [_CLASSIFICATION, _CLASSIFICATION]),
+     "cls.jsonl line 2: candidate_ref='s04#LVC#2.6' repeats line 1",
+     "classification-repeated"),
+    (_file_of("translate", "para.jsonl", [_PARAPHRASE, _PARAPHRASE]),
+     "para.jsonl line 2: candidate_ref='s04#LVC#2.6' repeats line 1",
+     "paraphrase-repeated"),
+    (_file_of("score", "trans.jsonl", [*_TRANSLATIONS, _TRANSLATIONS[0]]),
+     "trans.jsonl line 4: kind='ori', candidate_ref='s04#LVC#2.6', "
+     "system_id='alpha', target_lang='de' repeats line 1", "translation-repeated"),
+    (_file_of("score", "trans.jsonl", [*_TRANSLATIONS, _TRANSLATIONS[2]]),
+     "trans.jsonl line 4: kind='control', sentence_id='s15', system_id='alpha', "
+     "target_lang='de' repeats line 3", "translation-control-repeated"),
+    (_file_of("report", "scored.jsonl", [*_SCORED, _SCORED[1]]),
+     "scored.jsonl line 5: kind='control', sentence_id='s15', system_id='alpha', "
+     "target_lang='de', type='qe' repeats line 2", "scored-qe-repeated"),
+    (_file_of("report", "scored.jsonl", [*_SCORED, _SCORED[3]]),
+     "scored.jsonl line 5: type='delta', candidate_ref='s01#VID#2.3.4', "
+     "system_id='alpha', target_lang='de' repeats line 4", "scored-delta-repeated"),
+    (_file_of("report", "scored.jsonl", [_SCORED[3]]),
+     "scored.jsonl line 1: delta has no ori qe record of "
+     "candidate_ref='s01#VID#2.3.4', system_id='alpha', target_lang='de'",
+     "scored-delta-alone"),
+    (_file_of("report", "scored.jsonl", [*_SCORED[:2], _SCORED[3]]),
+     "scored.jsonl line 3: delta has no para qe record of "
+     "candidate_ref='s01#VID#2.3.4', system_id='alpha', target_lang='de'",
+     "scored-delta-without-para"),
+    (_report_file("da", "annotations", [*_DA_RECORDS, _DA_RECORDS[0]]),
+     "da.jsonl line 41: system_id='alpha', sentence_id='s01', annotator_id='a1' "
+     "repeats line 1", "da-repeated"),
+    (_report_file("classifier_eval", "gold", [*_GOLD_RECORDS, _GOLD_RECORDS[0]]),
+     "classifier_eval.jsonl line 17: candidate_ref='s01#VID#2.3.4' repeats line 1",
+     "gold-repeated"),
+]
 
 
 # (keys, malformed value, a command, message, id); each case runs through
@@ -1825,6 +1905,7 @@ _MALFORMED = [
     *_BAD_REPORT_INPUTS,
     *_BAD_RULES,
     *_BAD_SCORES,
+    *_REPEATED,
 ]
 
 
@@ -2254,7 +2335,8 @@ def test_every_stage_input_is_checked_against_its_records_table(
     """For one record of each shape in each input of each one-stage command,
     drop each field in turn, and set it to a value of a wrong JSON type.
     The command exits 1 with an error and writes nothing, or, when it does
-    not read the field, writes what it writes from the unchanged input."""
+    not read the field, writes what it writes from the unchanged input.
+    Repeating the record, on the line after it, is always refused."""
     inputs = tmp_path / "inputs"  # with no manifests beside them
     inputs.mkdir()
     for file in _RECORD_KINDS:
@@ -2290,25 +2372,32 @@ def test_every_stage_input_is_checked_against_its_records_table(
                 shapes.setdefault(shape, []).append(i)
             for i in (rng.choice(indices) for indices in shapes.values()):
                 record = records[i]
-                for field, value in record.items():
-                    for change, changed in [
-                            (f"without {field}",
-                             {k: v for k, v in record.items() if k != field}),
-                            (f"{field}={_wrong_type(value)!r}",
-                             {**record, field: _wrong_type(value)})]:
-                        cli.write_jsonl(inputs / file,
-                                        records[:i] + [changed] + records[i + 1:])
-                        case = (command, file, i + 1, change)
-                        cases += 1
-                        try:
-                            code, err, written = run()
-                        except Exception as exc:  # noqa: BLE001 - reported below
-                            failures.append((*case, repr(exc)))
-                            continue
-                        refused = (code == 1 and err.startswith("error: ")
-                                   and written == {})
-                        if not refused and (code, written) != (0, expected):
-                            failures.append((*case, code, err))
+                # (change, the records in place of record i, the error it must
+                # exit with, if it must be refused)
+                changes = [(change, [changed], None)
+                           for field, value in record.items()
+                           for change, changed in [
+                               (f"without {field}",
+                                {k: v for k, v in record.items() if k != field}),
+                               (f"{field}={_wrong_type(value)!r}",
+                                {**record, field: _wrong_type(value)})]]
+                changes.append(("repeated", [record, record],
+                                f"line {i + 2}: .* repeats line {i + 1}\n"))
+                for change, changed, error in changes:
+                    cli.write_jsonl(inputs / file,
+                                    records[:i] + changed + records[i + 1:])
+                    case = (command, file, i + 1, change)
+                    cases += 1
+                    try:
+                        code, err, written = run()
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        failures.append((*case, repr(exc)))
+                        continue
+                    refused = (code == 1 and err.startswith("error: ")
+                               and written == {})
+                    if error and not (refused and re.search(error, err)) or \
+                            not refused and (code, written) != (0, expected):
+                        failures.append((*case, code, err))
             (inputs / file).write_text(original, encoding="utf-8")
     assert failures == [], "\n".join(map(repr, failures))
     assert cases > 200

@@ -1,11 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from vmweval.corpus import load_plain
+from vmweval.corpus import Sentence, Token, load_plain
 from vmweval.errors import ContractViolation
-from vmweval.extract import (Category, VidEvidence, VMWECandidate,
+from vmweval.extract import (OBJECT_RELATIONS, PARTICLE_RELATIONS, Category,
+                             LvcEvidence, VidEvidence, VMWECandidate,
                              VpcEvidence, _bleu4_bound,
                              candidate_from_dict, candidate_to_dict,
                              extract_all, extract_lvc, extract_vpc,
@@ -268,3 +270,160 @@ def test_extract_all_category_filter(corpus25, lexicon, light_verbs):
     assert [c.category for c in only_lvc] == [Category.LVC]
     everything = extract_all(s04, lexicon, light_verbs)
     assert {c.category for c in everything} == {Category.VID, Category.LVC}
+
+
+@pytest.mark.parametrize("category, evidence", [
+    (Category.VPC, LvcEvidence(verb_index=2, noun_index=3)),
+    (Category.LVC, VpcEvidence(verb_index=2, particle_index=3)),
+    (Category.VID, VpcEvidence(verb_index=2, particle_index=3)),
+    (Category.LVC, VidEvidence(idiom=IdiomEntry(("take", "a", "walk"), "take a walk"),
+                               match_score=1.0)),
+])
+def test_candidate_evidence_must_be_its_categorys(category, evidence):
+    with pytest.raises(ContractViolation, match=f"a {category.value} candidate "
+                       f"cannot carry {type(evidence).__name__}"):
+        VMWECandidate(sentence_id="x", category=category, span=(2, 3),
+                      evidence=evidence)
+
+
+# --- the arc extractors against the per-category code they replaced -------------
+
+def _extract_vpc_oracle(sentence):
+    candidates = []
+    for tok in sentence.tokens:
+        if tok.deprel not in PARTICLE_RELATIONS or tok.head == 0:
+            continue
+        head = sentence.tokens[tok.head - 1]
+        if head.upos != "VERB":
+            continue
+        span = tuple(sorted((head.index, tok.index)))
+        candidates.append(VMWECandidate(
+            sentence_id=sentence.id,
+            category=Category.VPC,
+            span=span,
+            evidence=VpcEvidence(verb_index=head.index, particle_index=tok.index),
+        ))
+    candidates.sort(key=lambda c: c.span)
+    return candidates
+
+
+def _extract_lvc_oracle(sentence, light_verbs):
+    candidates = []
+    for tok in sentence.tokens:
+        if tok.upos != "NOUN" or tok.deprel not in OBJECT_RELATIONS or tok.head == 0:
+            continue
+        head = sentence.tokens[tok.head - 1]
+        if head.upos != "VERB" or head.lemma not in light_verbs.verbs:
+            continue
+        span = tuple(sorted((head.index, tok.index)))
+        candidates.append(VMWECandidate(
+            sentence_id=sentence.id,
+            category=Category.LVC,
+            span=span,
+            evidence=LvcEvidence(verb_index=head.index, noun_index=tok.index),
+        ))
+    candidates.sort(key=lambda c: c.span)
+    return candidates
+
+
+def _token_indices_oracle(c):
+    ev = c.evidence
+    if isinstance(ev, VpcEvidence):
+        return c.span + (ev.verb_index, ev.particle_index)
+    if isinstance(ev, LvcEvidence):
+        return c.span + (ev.verb_index, ev.noun_index)
+    return c.span
+
+
+def _candidate_to_dict_oracle(c):
+    obj = {
+        "candidate_ref": c.ref,
+        "sentence_id": c.sentence_id,
+        "category": c.category.value,
+        "span": list(c.span),
+    }
+    if isinstance(c.evidence, VidEvidence):
+        obj["evidence"] = {
+            "idiom": {
+                "canonical": list(c.evidence.idiom.canonical),
+                "surface_form": c.evidence.idiom.surface_form,
+            },
+        }
+        obj["match_score"] = c.evidence.match_score
+    elif isinstance(c.evidence, VpcEvidence):
+        obj["evidence"] = {
+            "verb_index": c.evidence.verb_index,
+            "particle_index": c.evidence.particle_index,
+        }
+    else:
+        obj["evidence"] = {
+            "verb_index": c.evidence.verb_index,
+            "noun_index": c.evidence.noun_index,
+        }
+    return obj
+
+
+def _candidate_from_dict_oracle(obj):
+    category, ev = Category(obj["category"]), obj["evidence"]
+    if category is Category.VID:
+        idiom = IdiomEntry(canonical=tuple(ev["idiom"]["canonical"]),
+                           surface_form=ev["idiom"]["surface_form"])
+        evidence = VidEvidence(idiom=idiom, match_score=obj["match_score"])
+    elif category is Category.VPC:
+        evidence = VpcEvidence(verb_index=ev["verb_index"],
+                               particle_index=ev["particle_index"])
+    else:
+        evidence = LvcEvidence(verb_index=ev["verb_index"],
+                               noun_index=ev["noun_index"])
+    return VMWECandidate(sentence_id=obj["sentence_id"], category=category,
+                         span=tuple(obj["span"]), evidence=evidence)
+
+
+def _random_parsed_sentence(rng, number):
+    """A parsed sentence of 1 to 8 tokens: one root, every other token headed
+    by a random other token, the arcs labelled with particle, object and
+    other relations (the root too), verbs and nouns among the tags, and
+    light and other verbs among the lemmas."""
+    n = rng.randint(1, 8)
+    root = rng.randint(1, n)
+    relations = [*PARTICLE_RELATIONS, *OBJECT_RELATIONS, "nsubj", "case", "root"]
+    tokens = []
+    for i in range(1, n + 1):
+        lemma = rng.choice(("take", "give", "put", "raise", "run", "walk",
+                            "decision", "up", "out"))
+        head = 0 if i == root else rng.choice([h for h in range(1, n + 1) if h != i])
+        tokens.append(Token(index=i, surface=lemma, lemma=lemma,
+                            upos=rng.choice(("VERB", "VERB", "NOUN", "NOUN", "ADP",
+                                             "PART", None)),
+                            head=head, deprel=rng.choice(relations)))
+    return Sentence(id=f"r{number}", tokens=tuple(tokens))
+
+
+def test_arc_extractors_equal_the_per_category_oracle(corpus25, lexicon):
+    """Equal candidates, token indices and records, key order included, over
+    the fixture and seeded random parsed sentences."""
+    rng = random.Random(34)
+    sentences = [*corpus25, *(_random_parsed_sentence(rng, i) for i in range(600))]
+    seen = {"vpc": 0, "lvc": 0, "root arc": 0, "non-verb governor": 0}
+    for sentence in sentences:
+        for tok in sentence.tokens:
+            if tok.deprel in PARTICLE_RELATIONS | OBJECT_RELATIONS:
+                if tok.head == 0:
+                    seen["root arc"] += 1
+                elif sentence.tokens[tok.head - 1].upos != "VERB":
+                    seen["non-verb governor"] += 1
+        candidates = list(match_idioms(sentence, lexicon))
+        for variant in ("dataset_six", "wmt_ten"):
+            light_verbs = light_verb_set(variant)
+            vpc, lvc = extract_vpc(sentence), extract_lvc(sentence, light_verbs)
+            assert vpc == _extract_vpc_oracle(sentence), sentence
+            assert lvc == _extract_lvc_oracle(sentence, light_verbs), sentence
+            seen["vpc"] += len(vpc)
+            seen["lvc"] += len(lvc)
+            candidates += vpc + lvc
+        for cand in candidates:
+            assert cand.token_indices() == _token_indices_oracle(cand)
+            record = candidate_to_dict(cand)
+            assert json.dumps(record) == json.dumps(_candidate_to_dict_oracle(cand))
+            assert candidate_from_dict(record) == _candidate_from_dict_oracle(record)
+    assert all(count > 20 for count in seen.values()), seen

@@ -58,7 +58,7 @@ def test_blank_lines_skipped():
 def test_ordered_is_stable():
     lex = load_idiom_lexicon(["kick the bucket", "hit the road"],
                              ["kick", "hit"])
-    assert [canonical[0] for canonical in lex.canonicals] == ["hit", "kick"]
+    assert [canonical[0] for canonical in lex.canonicals] == ["kick", "hit"]
 
 
 def test_empty_canonical_rejected():
@@ -106,7 +106,8 @@ def _normalize_oracle(text):
 
 def _entries_oracle(lines, verbs):
     """load_idiom_lexicon's entries as it built them: every line normalized
-    and tested for a verb, the first kept line per canonical form winning."""
+    and tested for a verb, the first kept line per canonical form winning,
+    in the order of those first kept lines."""
     verbs = {v.strip().lower() for v in verbs if v.strip()}
     entries = {}
     for raw in lines:
@@ -117,7 +118,7 @@ def _entries_oracle(lines, verbs):
         canonical = _normalize_oracle(surface)
         if flag.strip().lower() in {"v", "verb"} or any(p in verbs for p in canonical):
             entries.setdefault(canonical, IdiomEntry(canonical, surface))
-    return frozenset(entries.values())
+    return tuple(entries.values())
 
 
 class _CounterLexicon(IdiomLexicon):
@@ -125,7 +126,7 @@ class _CounterLexicon(IdiomLexicon):
     per lemma, summed into a dense count list."""
 
     def ordered(self):
-        return tuple(sorted(self.surface_forms))
+        return tuple(self.surface_forms)
 
     def present_positions(self, lemmas):
         index = {}
@@ -204,7 +205,7 @@ def test_lexicon_index_equals_the_counter_oracle(fixtures_dir, corpus25, source)
 # --- the matcher against the one it replaced ------------------------------------
 
 class _EntryLexicon:
-    """The lexicon as it was: a frozenset of entries, their sorted order and
+    """The lexicon as it was: its entries, their sorted order and
     a dense count per entry."""
 
     def __init__(self, entries):

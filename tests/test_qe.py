@@ -105,8 +105,14 @@ def test_experiment_rejects_mismatched_records():
 
 
 def _check_scored(record):
-    """Check `record` as line 1 of a scored file."""
-    check_records("scored", [(1, record)], "scored.jsonl")
+    """Check `record` as line 1 of a scored file; a delta record is followed
+    by the ori and para qe records it needs."""
+    cell = {field: record[field] for field in (
+        "sentence_id", "candidate_ref", "category", "system_id", "target_lang",
+        "metric_id", "orientation")}
+    sides = [(line, {"type": "qe", "kind": kind, **cell, "value": record[f"qe_{kind}"]})
+             for line, kind in ((2, "ori"), (3, "para")) if record["type"] == "delta"]
+    check_records("scored", [(1, record), *sides], "scored.jsonl")
 
 
 def _delta_record(report):
@@ -163,7 +169,7 @@ def test_delta_dict_round_trip():
         "delta_mix": report.delta_mix, "delta_para": report.delta_para}
     # the record passes the scored file's checks and the report reads its
     # scores and deltas back as they were
-    check_records("scored", [(1, record)], "scored.jsonl")
+    _check_scored(record)
     [row] = delta_table([record])
     assert (row["n"], row["ori"], row["delta_mix"], row["delta_para"]) == (
         1, 7.25, report.delta_mix, report.delta_para)
