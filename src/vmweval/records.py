@@ -180,8 +180,9 @@ def _check_scores(record: dict, where: str, line: int, first: dict):
 
 
 def _check_deltas(lines: dict, path):
-    """Each delta record of a scored file, by `lines`, the line of each key,
-    has the ori and para qe records of its candidate, system and language."""
+    """Each delta record of a scored file has the ori and para qe records of
+    its candidate, system and language; `lines` maps each record's key to its
+    line."""
     for (_, ref, system, lang, type_), line in lines.items():
         if type_ != "delta":
             continue
